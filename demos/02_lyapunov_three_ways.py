@@ -29,4 +29,4 @@ print("\nAngular derivatives explode along the truncation family "
       "a_k = 1 - 2^-k at zeta = 1:")
 for K in (2, 4, 6, 8):
     F = InnerModel.from_zeros(*[1 - 2.0 ** -k for k in range(1, K + 1)])
-    print(f"  K = {K}: |F'(1)| = {lyapunov.angular_derivative(F, 0.0):.1f}")
+    print(f"  K = {K}: |F'(1)| = {F.boundary_deriv_modulus(0.0):.1f}")

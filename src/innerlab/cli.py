@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 
 import numpy as np
@@ -75,12 +74,6 @@ def _header(args, extra=()):
     return lines
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    return int(os.environ.get("INNERLAB_THREADS", "1"))
-
-
 def _grid(upto: float, step: float = 1.0):
     out = list(np.arange(step, upto, step))
     if not out or out[-1] < upto:
@@ -96,8 +89,7 @@ def cmd_count(args):
     profile = counting.CountingProfile.from_tree(tree, chi)
     rows = counting.counting_report(profile, _grid(args.R, args.R_step), chi)
     counting.write_counting_csv(rows, args.out, _header(args, (
-        f"chi = {chi:.17g}", f"tree_nodes = {tree.size()}",
-        f"threads = {_threads(args)}")))
+        f"chi = {chi:.17g}", f"tree_nodes = {tree.size()}")))
     return EXIT_OK
 
 
@@ -240,9 +232,6 @@ def build_parser() -> _Parser:
             sp.add_argument("--model", required=True, help="model file path")
         sp.add_argument("--out", required=True, help="output CSV path")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker hint; results are identical for any value "
-                             "(INNERLAB_THREADS is the fallback)")
         sp.add_argument("--config", default=None,
                         help="key = value defaults file ([section] headers allowed)")
 
@@ -295,7 +284,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--config", default=None)
     sp.set_defaults(func=cmd_distortion_scan)
 
@@ -336,7 +324,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--curve-points", type=int, default=500)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--config", default=None)
     sp.set_defaults(func=cmd_shadow_sim)
 

@@ -97,13 +97,6 @@ def p_disk(F, z):
         * (z / np.abs(z)) * (np.abs(w) / w)
 
 
-def modulus_p_disk(F, z):
-    """|p| = |F'(z)| (1-|z|^2)/(1-|F(z)|^2): defined even where the radial
-    direction is not (used by the angular-derivative criterion)."""
-    z = np.asarray(z, dtype=complex)
-    return np.abs(F.deriv(z)) * _gap_ratio(F, z)
-
-
 BOUNDARY_SNAP = 1e-8
 
 

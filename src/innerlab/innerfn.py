@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .hypgeo import BOUNDARY_TOL, DiskPoint, disk_distance
+from .hypgeo import BOUNDARY_TOL, DiskPoint
 
 ITERATION_CAP = 10 ** 6
 
@@ -36,19 +36,22 @@ class BoundaryPoint:
         return complex(np.exp(1j * self.angle))
 
 
-def _boundary_value(zeta) -> complex:
-    """Coerce a boundary-point argument to e^{i theta}.
+def _boundary_value(zeta):
+    """Coerce boundary-point arguments to e^{i theta}: a complex for scalar
+    input, else a complex array of the input's shape.
 
-    Real scalars are always angles; complex values must lie on the circle
-    (BoundaryPoint carries its own angle)."""
+    Real values are always angles; complex values must lie on the circle
+    to 1e-9 (BoundaryPoint carries its own angle)."""
     if isinstance(zeta, BoundaryPoint):
         return zeta.value
-    if isinstance(zeta, (int, float, np.floating, np.integer)):
-        return complex(np.exp(1j * float(zeta)))
-    z = complex(zeta)
-    if abs(abs(z) - 1.0) <= 1e-9:
-        return z / abs(z)
-    raise PreconditionError(f"{zeta!r} does not lie on the unit circle")
+    z = np.asarray(zeta)
+    if not np.iscomplexobj(z):
+        z = np.exp(1j * z.astype(float))
+    elif np.all(np.abs(np.abs(z) - 1.0) <= 1e-9):
+        z = z / np.abs(z)
+    else:
+        raise PreconditionError(f"{zeta!r} does not lie on the unit circle")
+    return complex(z) if z.ndim == 0 else z
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,6 @@ class InnerModel:
     @property
     def is_rotation(self) -> bool:
         return self.zeros == (0j,) and not self.atoms
-
-    @property
-    def atom_points(self) -> tuple:
-        return tuple(np.exp(1j * ang) for ang, _ in self.atoms)
 
     @staticmethod
     def power_map(d: int, rotation=1.0) -> "InnerModel":
@@ -227,21 +226,29 @@ class InnerModel:
                            1.0 / csum)
         return float(out) if out.ndim == 0 else out
 
-    def boundary_deriv_modulus(self, zeta) -> float:
+    def boundary_deriv_modulus(self, zeta):
         """|F'(zeta)| on the circle via the angular-derivative sum
-        sum (1-|a_i|^2)/|zeta-a_i|^2 + sum 2 w_k/|zeta-zeta_k|^2;
-        +inf at an atom base point."""
+        sum (1-|a_i|^2)/|zeta-a_i|^2 + sum 2 w_k/|zeta-zeta_k|^2.
+
+        `zeta` is an angle, a BoundaryPoint, a point on the circle, or an
+        array of angles or points; returns a float for scalar input, else an
+        array of the input's shape, with +inf at atom base points."""
         z = _boundary_value(zeta)
-        total = 0.0
+
+        def dist(p):
+            # hypot agrees with abs() of a Python complex to the last bit;
+            # numpy's complex abs does not.
+            dz = z - p
+            return np.hypot(dz.real, dz.imag)
+
+        total = np.zeros(np.shape(z))
         for a in self.zeros:
-            total += (1.0 - abs(a) ** 2) / abs(z - a) ** 2
+            total = total + (1.0 - abs(a) ** 2) / dist(a) ** 2
         for ang, w in self.atoms:
-            zk = np.exp(1j * ang)
-            gap = abs(z - zk)
-            if gap < 1e-13:
-                return float("inf")
-            total += 2.0 * w / gap ** 2
-        return total
+            gap = dist(np.exp(1j * ang))
+            with np.errstate(divide="ignore"):
+                total = total + np.where(gap < 1e-13, np.inf, 2.0 * w / gap ** 2)
+        return float(total) if total.ndim == 0 else total
 
     # -- rational form (finite Blaschke only) ------------------------------
 
@@ -380,26 +387,3 @@ class ComposedMap:
     def gap_ratio(self, z):
         mid = self.inner.eval(z)
         return self.inner.gap_ratio(z) * self.outer.gap_ratio(mid)
-
-
-def eval_model(F: InnerModel, z):
-    return F.eval(z)
-
-
-def deriv(F: InnerModel, z):
-    return F.deriv(z)
-
-
-def iterate(F: InnerModel, z, n: int):
-    return F.iterate(z, n)
-
-
-def boundary_deriv_modulus(F: InnerModel, zeta) -> float:
-    return F.boundary_deriv_modulus(zeta)
-
-
-def check_schwarz_contraction(F: InnerModel, z, slack=1e-10) -> bool:
-    """d(0, F(z)) <= d(0, z) + slack; sanity check for centered models."""
-    z, _ = _coerce_point(z)
-    return bool(np.all(disk_distance(0.0, F.eval(z))
-                       <= disk_distance(0.0, z) + slack))

@@ -95,19 +95,14 @@ class InverseOrbit:
         """
         pts = self.coordinates(upto)
         gaps = 1.0 - np.abs(pts)
-        out = np.empty(upto + 1)
-        switched = False
-        for n in range(upto + 1):
-            if not switched and gaps[n] > 1e-10:
-                out[n] = math.log(gaps[n])
-            else:
-                if not switched and n == 0:
-                    raise PreconditionError("base point is on the circle")
-                switched = True
-                dmod = self.model.boundary_deriv_modulus(
-                    float(np.angle(pts[n])))
-                out[n] = out[n - 1] - math.log(dmod)
-        return out
+        tiny = gaps <= 1e-10
+        s = int(np.argmax(tiny)) if np.any(tiny) else upto + 1
+        if s == 0:
+            raise PreconditionError("base point is on the circle")
+        out = np.log(gaps[:s])
+        dmod = self.model.boundary_deriv_modulus(np.angle(pts[s:]))
+        tail = np.cumsum(np.concatenate(([out[-1]], -np.log(dmod))))
+        return np.concatenate((out, tail[1:]))
 
 
 def branch_orbit(F: InnerModel, z0, n: int, policy) -> InverseOrbit:
@@ -134,7 +129,7 @@ def sample_interior_orbit(F: InnerModel, z0, n: int, seed: int = 0) -> InverseOr
         if total < 1e-12:
             # Deep coordinates collapse onto the circle in doubles; the
             # normalized heights tend to the transfer weights 1/|F'|.
-            w = 1.0 / np.array([F.boundary_deriv_modulus(r) for r in roots])
+            w = 1.0 / F.boundary_deriv_modulus(roots)
             total = np.sum(w)
         return rng.choice(len(roots), p=w / total)
 
@@ -166,7 +161,7 @@ class SolenoidSampler:
         self._rng = np.random.default_rng(self.seed)
 
     def _weights(self, roots: np.ndarray) -> np.ndarray:
-        w = 1.0 / np.array([self.model.boundary_deriv_modulus(r) for r in roots])
+        w = 1.0 / self.model.boundary_deriv_modulus(roots)
         total = float(np.sum(w))
         if abs(total - 1.0) > 1e-10:
             raise NumericalError(
@@ -196,10 +191,7 @@ class SolenoidSampler:
         for _ in range(depth):
             roots = preimages_of_batch(F, u)
             roots = roots / np.abs(roots)
-            w = np.empty(roots.shape)
-            for j in range(roots.shape[1]):
-                w[:, j] = [F.boundary_deriv_modulus(r) for r in roots[:, j]]
-            w = 1.0 / w
+            w = 1.0 / F.boundary_deriv_modulus(roots)
             w = w / np.sum(w, axis=1, keepdims=True)
             picks = (np.cumsum(w, axis=1) < rng.uniform(size=(n_orbits, 1))).sum(axis=1)
             u = roots[np.arange(n_orbits), picks]
@@ -285,7 +277,7 @@ def _orbit_coordinates(u_orbit, upto: int) -> np.ndarray:
 
 def _chain_derivs(F: InnerModel, coords: np.ndarray) -> np.ndarray:
     """D[n] = |(F^n)'(u_{-n})| along a boundary orbit, D[0] = 1."""
-    mods = np.array([F.boundary_deriv_modulus(u) for u in coords])
+    mods = F.boundary_deriv_modulus(coords)
     return np.concatenate(([1.0], np.cumprod(mods[1:])))
 
 

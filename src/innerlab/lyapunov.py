@@ -2,12 +2,12 @@
 
 chi = (1/2pi) int log |F'(e^{i theta})| d theta, computed by adaptive
 quadrature of the angular-derivative sum, by Jensen's formula applied to
-F' (the oracle route), and by a Birkhoff average along a boundary orbit.
+F' (the oracle route), and by a Birkhoff average along independent
+boundary orbits.
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -36,12 +36,6 @@ class LyapunovEstimate:
 
     def __float__(self):
         return self.value
-
-
-def angular_derivative(F: InnerModel, zeta) -> float:
-    """Caratheodory angular derivative |F'(zeta)| via the boundary sum;
-    +inf signals that no (finite) angular derivative exists there."""
-    return F.boundary_deriv_modulus(zeta)
 
 
 def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
@@ -161,48 +155,35 @@ def chi_jensen_oracle(F: InnerModel) -> LyapunovEstimate:
 
 def chi_birkhoff(F: InnerModel, zeta0, n: int, seed: int = 0,
                  batches: int = 32) -> LyapunovEstimate:
-    """(1/n) sum_{k<n} log |F'(F^k(zeta0))| along the boundary orbit.
+    """(1/n) sum of log |F'| over n boundary orbit points, split across
+    min(batches, n) independent orbits.
 
-    Iteration runs in angle coordinates with the modulus renormalized to 1
-    each step, so the orbit cannot drift off the circle; the error estimate
-    is one standard error from `batches` batch means.
+    Orbit 0 starts at zeta0, the others at angles drawn from `seed`; since
+    Lebesgue measure is F-invariant every orbit is stationary.  The orbits
+    advance together in complex coordinates renormalized to modulus 1 each
+    step, so they cannot drift off the circle.  The error estimate is one
+    standard error from the per-orbit means (inf for a single orbit).
     """
     if F.atoms or not F.centered or F.is_rotation or F.degree < 1:
         raise PreconditionError("Birkhoff average needs a centered "
                                 "non-rotation finite Blaschke product")
     if n < 1:
         raise PreconditionError("need n >= 1")
-    z = _boundary_value(zeta0)
+    lanes = min(batches, n)
     rng = np.random.default_rng(seed)
-    rotation = complex(F.rotation)
-    factors = [(abs(a) / a if a != 0 else None, np.conj(a), 1.0 - abs(a) ** 2)
-               for a in F.zeros]
-    sums = np.zeros(batches)
-    counts = np.zeros(batches, dtype=np.int64)
-    for k in range(n):
-        total = 0.0
-        for _, ca, wa in factors:
-            dz = z - np.conj(ca)
-            total += wa / (dz.real * dz.real + dz.imag * dz.imag)
-        if total < 1e-13:
-            # Unreachable for centered non-rotation models (|F'| > 1 on the
-            # circle), kept as a guard per the boundary-iteration contract.
-            log.warning("boundary derivative underflow; perturbing the orbit")
-            z = z * cmath.exp(1j * rng.uniform(1e-9, 1e-8))
-            continue
-        b = k * batches // n
-        sums[b] += math.log(total)
-        counts[b] += 1
-        w = rotation
-        for ua, ca, _ in factors:
-            if ua is None:
-                w *= z
-            else:
-                w *= ua * (np.conj(ca) - z) / (1.0 - ca * z)
-        z = w / abs(w)
-    means = sums / np.maximum(counts, 1)
-    value = float(np.sum(sums) / np.sum(counts))
-    stderr = float(np.std(means, ddof=1) / math.sqrt(batches))
+    starts = np.exp(1j * rng.uniform(0.0, TWO_PI, size=lanes - 1))
+    z = np.concatenate(([_boundary_value(zeta0)], starts))
+    steps = np.full(lanes, n // lanes)
+    steps[: n % lanes] += 1
+    sums = np.zeros(lanes)
+    for k in range(steps[0]):
+        sums += np.where(steps > k, np.log(F.boundary_deriv_modulus(z)), 0.0)
+        w = F.eval(z)
+        z = w / np.abs(w)
+    value = float(np.sum(sums) / n)
+    if lanes == 1:
+        return LyapunovEstimate(value, "birkhoff", math.inf)
+    stderr = float(np.std(sums / steps, ddof=1) / math.sqrt(lanes))
     return LyapunovEstimate(value, "birkhoff", stderr)
 
 

@@ -122,7 +122,7 @@ def hp_eval_deriv(F: HalfPlaneInner, z):
     return F.eval(z), F.deriv(z)
 
 
-def hp_preimages_batch(F: HalfPlaneInner, zs, warm=None) -> np.ndarray:
+def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
     """The degree-many preimages of each z in the open upper half-plane.
 
     Clears denominators to a degree-(k+1) polynomial; all roots must lie in
@@ -148,7 +148,7 @@ def hp_preimages_batch(F: HalfPlaneInner, zs, warm=None) -> np.ndarray:
     coeffs[:, : len(base)] = base
     coeffs[:, : len(corr)] += corr
     coeffs[:, : len(prod_all)] -= zs[:, None] * prod_all
-    roots = aberth_batch(coeffs, warm=warm)
+    roots = aberth_batch(coeffs)
     # Newton polish on F(w) - z.
     for _ in range(3):
         fw = F.eval(roots) - zs[:, None]
@@ -334,14 +334,13 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
     profile.explored = 1
 
     gen = 0
-    warm = None
     while len(current) > 0:
         gen += 1
         profile.explored += len(current) * F.degree
         if profile.explored > node_budget:
             raise BudgetError(f"node budget {node_budget} exceeded at "
                               f"generation {gen}", partial=profile)
-        roots = hp_preimages_batch(F, current, warm=warm).reshape(-1)
+        roots = hp_preimages_batch(F, current).reshape(-1)
         heights_log.append(-np.log(roots.imag))
         keep = roots.imag >= eps
         if farfield_prune:
@@ -358,7 +357,6 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
         counted_pts.extend(kept[inwin].tolist())
         counted_gen.extend([gen] * int(np.sum(inwin)))
         current = kept
-        warm = None
     profile.counted_points = np.asarray(counted_pts, dtype=complex)
     profile.counted_generations = np.asarray(counted_gen, dtype=int)
     profile.enumerated_heights = (np.concatenate(heights_log)

@@ -189,18 +189,11 @@ class TestConfigFile:
 class TestDeterminism:
     def test_byte_identical_across_threads_and_runs(self, deg2_file, tmp_path):
         bodies = []
-        for name, threads in (("a", "1"), ("b", "4"), ("c", "8"), ("d", "1")):
+        for name in ("a", "b", "c", "d"):
             out = tmp_path / f"{name}.csv"
             assert cli.main(["count", "--model", deg2_file, "--z", "0.3,0",
-                             "--R", "7", "--seed", "5", "--threads", threads,
+                             "--R", "7", "--seed", "5",
                              "--out", str(out)]) == 0
             bodies.append("\n".join(ln for ln in out.read_text().splitlines()
                                     if not ln.startswith("#")))
         assert len(set(bodies)) == 1
-
-    def test_env_threads_fallback(self, deg2_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("INNERLAB_THREADS", "4")
-        out = tmp_path / "env.csv"
-        assert cli.main(["count", "--model", deg2_file, "--z", "0.3,0",
-                         "--R", "4", "--out", str(out)]) == 0
-        assert "# threads = 4" in out.read_text()

@@ -104,10 +104,16 @@ class TestDeriv:
 class TestBoundaryDeriv:
     def test_power_map(self, square):
         assert square.boundary_deriv_modulus(0.7) == pytest.approx(2.0)
+        out = square.boundary_deriv_modulus(np.linspace(0, 6, 6).reshape(2, 3))
+        assert out.shape == (2, 3)
+        assert np.allclose(out, 2.0, rtol=1e-14)
 
     def test_deg2_hand_value(self, deg2):
         # (1-0)/1 + (1-0.25)/|1-0.5|^2 = 1 + 3.
         assert deg2.boundary_deriv_modulus(0.0) == pytest.approx(4.0)
+        assert deg2.boundary_deriv_modulus(1 + 0j) == pytest.approx(4.0)
+        with pytest.raises(PreconditionError):
+            deg2.boundary_deriv_modulus(np.array([1.0 + 0j, 0.9 + 0j]))
 
     def test_atom_point_mass_term(self):
         # Single atom at 1 with weight 1, evaluated at -1: the singular
@@ -123,12 +129,22 @@ class TestBoundaryDeriv:
     def test_atom_base_is_infinite(self):
         F = InnerModel.atom_map(0.3, 1.0)
         assert F.boundary_deriv_modulus(0.3) == np.inf
+        out = F.boundary_deriv_modulus(np.array([1.0, 0.3, 0.3 + np.pi]))
+        assert np.isinf(out).tolist() == [False, True, False]
+        assert out[2] == pytest.approx(0.5)
 
     def test_radial_limit_richardson(self, rng):
         for _ in range(20):
             F = random_centered_blaschke(rng)
             theta = rng.uniform(0, 2 * np.pi)
             exact = F.boundary_deriv_modulus(theta)
+            thetas = theta + np.linspace(0, 2 * np.pi, 8).reshape(2, 4)
+            scalar = np.array([[F.boundary_deriv_modulus(t) for t in row]
+                               for row in thetas])
+            for arg in (thetas, np.exp(1j * thetas)):
+                out = F.boundary_deriv_modulus(arg)
+                assert out.shape == thetas.shape
+                assert np.all(np.abs(out - scalar) <= 1e-14 * scalar)
             vals = np.array([abs(F.deriv((1 - 10.0 ** -k) * np.exp(1j * theta)))
                              for k in (3, 4, 5, 6)])
             for lvl in range(1, 4):

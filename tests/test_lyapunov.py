@@ -4,8 +4,8 @@ import pytest
 from conftest import random_centered_blaschke
 from innerlab.errors import PreconditionError
 from innerlab.innerfn import InnerModel
-from innerlab.lyapunov import (angular_derivative, chi, chi_birkhoff,
-                               chi_jensen_oracle, chi_quadrature)
+from innerlab.lyapunov import (chi, chi_birkhoff, chi_jensen_oracle,
+                               chi_quadrature)
 
 DEG2_CHI = np.log(1 + np.sqrt(3) / 2)
 
@@ -76,6 +76,7 @@ class TestBirkhoff:
         est = chi_birkhoff(deg2, 0.7, 1)
         assert est.value == pytest.approx(
             np.log(deg2.boundary_deriv_modulus(0.7)), abs=1e-12)
+        assert est.error == np.inf
 
     def test_power_map_constant_integrand(self, square):
         est = chi_birkhoff(square, 1.1, 10 ** 4, seed=1)
@@ -89,22 +90,37 @@ class TestBirkhoff:
         with pytest.raises(PreconditionError):
             chi_birkhoff(InnerModel(zeros=(0j,)), 0.7, 100)
 
+    def test_seed_chooses_the_starts(self, deg2):
+        a = chi_birkhoff(deg2, 0.7, 10 ** 4, seed=1)
+        b = chi_birkhoff(deg2, 0.7, 10 ** 4, seed=2)
+        assert a.value != b.value
+        assert chi_birkhoff(deg2, 0.7, 10 ** 4, seed=1) == a
+
+    def test_fewer_steps_than_batches(self, deg2, square):
+        est = chi_birkhoff(deg2, 0.7, 5, batches=32)
+        assert np.isfinite(est.value) and 0 < est.error < np.inf
+        # Five one-step orbits of a constant integrand: no spread at all.
+        est = chi_birkhoff(square, 0.7, 5, batches=32)
+        assert est.value == pytest.approx(np.log(2), abs=1e-12)
+        assert est.error < 1e-12
+
 
 class TestAngularDerivative:
     def test_square(self, square):
-        assert angular_derivative(square, 0.3) == pytest.approx(2.0)
+        assert square.boundary_deriv_modulus(0.3) == pytest.approx(2.0)
 
     def test_truncated_products_blow_up(self):
         prev = None
         for K in range(4, 10):
             F = InnerModel.from_zeros(*[1 - 2.0 ** -k for k in range(1, K + 1)])
-            val = angular_derivative(F, 0.0)
+            val = F.boundary_deriv_modulus(0.0)
             if prev is not None:
                 assert val > 2.0 * prev
             prev = val
 
     def test_atom_base_infinite(self):
-        assert angular_derivative(InnerModel.atom_map(0.3, 1.0), 0.3) == np.inf
+        F = InnerModel.atom_map(0.3, 1.0)
+        assert F.boundary_deriv_modulus(0.3) == np.inf
 
 
 def test_chi_convenience(deg2):
