@@ -235,7 +235,8 @@ def build_parser() -> _Parser:
         sp.add_argument("--config", default=None,
                         help="key = value defaults file ([section] headers allowed)")
 
-    sp = sub.add_parser("count", help="preimage counting N(z,R) report",
+    sp = sub.add_parser("count", aliases=["cesaro"],
+                        help="preimage counting N(z,R) report",
                         epilog="CSV columns: R, count, count_over_eR, cesaro, "
                                "target, ratio (= count_over_eR/target); "
                                "cesaro is the exact (1/R) int N e^-S dS.")
@@ -245,17 +246,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--R-step", type=float, default=1.0)
     sp.add_argument("--chi", type=float, default=None,
                     help="override the Jensen-oracle Lyapunov exponent")
-    sp.add_argument("--node-budget", type=int, default=5 * 10 ** 7)
-    sp.set_defaults(func=cmd_count)
-
-    sp = sub.add_parser("cesaro", help="alias of count (the report carries "
-                                       "the exact Cesaro column)",
-                        epilog="CSV columns as for count.")
-    common(sp)
-    sp.add_argument("--z", required=True)
-    sp.add_argument("--R", type=float, required=True)
-    sp.add_argument("--R-step", type=float, default=1.0)
-    sp.add_argument("--chi", type=float, default=None)
     sp.add_argument("--node-budget", type=int, default=5 * 10 ** 7)
     sp.set_defaults(func=cmd_count)
 

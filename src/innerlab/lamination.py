@@ -198,11 +198,6 @@ class SolenoidSampler:
         return u
 
 
-def sample_backward_orbit(sampler: SolenoidSampler, n: int) -> InverseOrbit:
-    """Boundary inverse orbit of length n from the sampler's stream."""
-    return sampler.orbit(n)
-
-
 # ---------------------------------------------------------------------------
 # Transverse weights
 

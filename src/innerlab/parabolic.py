@@ -25,6 +25,7 @@ log = logging.getLogger("innerlab.parabolic")
 RESIDUAL_TOL = 1e-12
 IM_SUM_TOL = 1e-9
 DEFAULT_NODE_BUDGET = 5 * 10 ** 7
+FARFIELD_SAFETY = 4.0
 
 
 def _unwrap_hp(z):
@@ -114,12 +115,6 @@ class HalfPlaneInner:
             else:
                 raise PreconditionError(f"unknown model key {key!r} on line {lineno}")
         return HalfPlaneInner(beta=beta, atoms=tuple(atoms))
-
-
-def hp_eval_deriv(F: HalfPlaneInner, z):
-    """(F(z), F'(z)) from the Herglotz formulas."""
-    z = _unwrap_hp(z)
-    return F.eval(z), F.deriv(z)
 
 
 def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
@@ -261,7 +256,6 @@ class StripProfile:
     cutoff: float
     counted_points: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     counted_generations: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    enumerated_heights: np.ndarray = field(default_factory=lambda: np.empty(0))
     farfield_pruned: int = 0
     explored: int = 0
 
@@ -288,8 +282,7 @@ class StripProfile:
 
 def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
                     node_budget: int = DEFAULT_NODE_BUDGET,
-                    farfield_prune: bool = True,
-                    farfield_safety: float = 4.0) -> StripProfile:
+                    farfield_prune: bool = True) -> StripProfile:
     """Backward tree of repeated preimages with Im >= e^{-R}; a point is
     counted iff additionally Re in `interval` and Im <= 1.
 
@@ -320,14 +313,12 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
 
     profile = StripProfile(F, z, (x_lo, x_hi), float(R))
     counted_pts, counted_gen = [], []
-    heights_log = []
 
     def window_mask(pts):
         return ((pts.real >= x_lo) & (pts.real <= x_hi)
                 & (pts.imag >= eps) & (pts.imag <= 1.0 + 1e-15))
 
     current = np.array([z], dtype=complex)
-    heights_log.append(-np.log(current.imag))
     if window_mask(current)[0]:
         counted_pts.append(z)
         counted_gen.append(0)
@@ -341,13 +332,12 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
             raise BudgetError(f"node budget {node_budget} exceeded at "
                               f"generation {gen}", partial=profile)
         roots = hp_preimages_batch(F, current).reshape(-1)
-        heights_log.append(-np.log(roots.imag))
         keep = roots.imag >= eps
         if farfield_prune:
             far = np.abs(roots.real) >= re_safe
             gap = np.abs(roots.real) - float(np.max(np.abs(poles)))
             with np.errstate(divide="ignore"):
-                reentry = farfield_safety * jump * roots.imag / np.maximum(gap, 1.0) ** 2
+                reentry = FARFIELD_SAFETY * jump * roots.imag / np.maximum(gap, 1.0) ** 2
             hopeless = far & (reentry < eps) \
                 & ((roots.real < x_lo) | (roots.real > x_hi))
             profile.farfield_pruned += int(np.sum(keep & hopeless))
@@ -359,8 +349,6 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
         current = kept
     profile.counted_points = np.asarray(counted_pts, dtype=complex)
     profile.counted_generations = np.asarray(counted_gen, dtype=int)
-    profile.enumerated_heights = (np.concatenate(heights_log)
-                                  if heights_log else np.empty(0))
     return profile
 
 

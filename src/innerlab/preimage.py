@@ -114,27 +114,6 @@ def expand_frostman(F: InnerModel, a) -> InnerModel:
     return model
 
 
-@dataclass(frozen=True)
-class PreimageNode:
-    """One retained repeated preimage."""
-
-    point: complex
-    generation: int
-    parent_index: int
-    branch: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", complex(self.point))
-
-    @property
-    def height(self) -> float:
-        return float(np.log(1.0 / abs(self.point)))
-
-    @property
-    def radius(self) -> float:
-        return float(origin_distance(abs(self.point)))
-
-
 @dataclass
 class PreimageTree:
     """Repeated preimages of `base` under `model` with hyperbolic radius
@@ -173,12 +152,6 @@ class PreimageTree:
     def heights(self, generation: int) -> np.ndarray:
         return np.log(1.0 / np.abs(self.points[generation]))
 
-    def nodes(self):
-        for g, pts in enumerate(self.points):
-            for i, p in enumerate(pts):
-                yield PreimageNode(p, g, int(self.parents[g][i]),
-                                   int(self.branches[g][i]))
-
     def max_residual(self) -> float:
         """max |F(w) - parent(w)| over all non-root retained nodes."""
         worst = 0.0
@@ -204,35 +177,59 @@ class PreimageTree:
                              f"{h[i]:.17g},{r[i]:.17g},{self.parents[g][i]}\n")
 
 
-class _DedupGrid:
-    """Hash-grid membership test at tolerance `tol` (euclidean)."""
+# A point's cell (cx, cy) = floor((Re, Im) / DEDUP_TOL) is packed into the
+# int64 key cx * _CELL_SPAN + cy, unique since |cy| <= 1e9 < _CELL_SPAN / 2
+# in the disk.  The forward neighbours (0, 1), (1, -1), (1, 0), (1, 1) of a
+# cell are key offsets.
+_CELL_SPAN = 1 << 32
+_FORWARD_CELLS = (1, _CELL_SPAN - 1, _CELL_SPAN, _CELL_SPAN + 1)
 
-    def __init__(self, tol):
-        self.tol = tol
-        self.cells = {}
 
-    def add_or_find(self, z: complex) -> bool:
-        """True if a previously added point lies within tol of z."""
-        cx, cy = round(z.real / self.tol), round(z.imag / self.tol)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for other in self.cells.get((cx + dx, cy + dy), ()):
-                    if abs(other - z) <= self.tol:
-                        return True
-        self.cells.setdefault((cx, cy), []).append(z)
-        return False
+def _merged(pts):
+    """Mask of the points of `pts` within DEDUP_TOL of an earlier retained
+    point of `pts`, so the first point of a cluster wins.
+
+    Points within DEDUP_TOL of each other sit in the same or adjacent cells
+    of the DEDUP_TOL grid; only points with an occupied neighbouring cell
+    get the exact distance test.
+    """
+    keys = (np.floor(pts.real / DEDUP_TOL).astype(np.int64) * _CELL_SPAN
+            + np.floor(pts.imag / DEDUP_TOL).astype(np.int64))
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    near = np.zeros(len(pts), dtype=bool)
+    same = sk[1:] == sk[:-1]
+    near[1:] |= same
+    near[:-1] |= same
+    for off in _FORWARD_CELLS:
+        j = np.minimum(np.searchsorted(sk, sk + off), len(sk) - 1)
+        hit = sk[j] == sk + off
+        near[hit] = True
+        near[j[hit]] = True    # the rest of that cell is flagged by `same`
+    merged = np.zeros(len(pts), dtype=bool)
+    kept = []
+    for i in np.sort(order[near]):
+        gap = pts[kept] - pts[i]
+        if kept and np.min(np.hypot(gap.real, gap.imag)) <= DEDUP_TOL:
+            merged[i] = True
+        else:
+            kept.append(i)
+    return merged
 
 
 def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
-                   max_generation=None, dedup_tol=DEDUP_TOL) -> PreimageTree:
+                   max_generation=None) -> PreimageTree:
     """Breadth-first tree of repeated preimages of z with d(0, w) <= R.
 
     A node is retained iff its hyperbolic radius is <= R; only retained
     nodes are expanded, which is sound pruning because d(0, w) >= d(0, F(w))
-    for centered F.  Points coinciding within `dedup_tol` across the whole
-    tree are merged (set semantics; collisions are logged).  The base point
-    itself is generation 0.  Exceeding `node_budget` explored nodes raises
-    BudgetError carrying the partial tree.
+    for centered F.  Points of one generation coinciding within DEDUP_TOL
+    are merged, the first in (parent, branch) order kept (collisions are
+    logged).  Nodes of different generations never coincide: a shared
+    point would make z periodic, while Schwarz's lemma gives
+    d(0, F(w)) < d(0, w) for w != 0 under a centered non-rotation F.  The
+    base point itself is generation 0.  Exceeding `node_budget` explored
+    nodes raises BudgetError carrying the partial tree.
     """
     _require_blaschke(F, reject_rotation=True)
     z, _ = _coerce_point(z)
@@ -243,8 +240,6 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
         raise PreconditionError("cutoff radius must be positive")
 
     tree = PreimageTree(model=F, base=z, cutoff=float(R))
-    seen = _DedupGrid(dedup_tol)
-    seen.add_or_find(z)
     base_radius = origin_distance(abs(z))
     tree.explored = 1
     if base_radius > R:
@@ -274,33 +269,25 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
         warm = np.where(mods > 0, roots * mods ** (1.0 / d - 1.0), roots)
 
         radii = origin_distance(np.minimum(np.abs(roots), 1.0 - 1e-17))
-        keep_pts, keep_par, keep_br = [], [], []
-        pruned = False
-        for i in range(m):
-            for j in range(d):
-                w = complex(roots[i, j])
-                if radii[i, j] > R:
-                    pruned = True
-                    continue
-                if seen.add_or_find(w):
-                    tree.collisions += 1
-                    pruned = True
-                    log.info("merged coincident preimage %r at generation %d",
-                             w, gen + 1)
-                    continue
-                keep_pts.append(w)
-                keep_par.append(i)
-                keep_br.append(j)
-        if pruned and tree.pruned_from is None:
+        inside = radii <= R
+        par, br = np.nonzero(inside)
+        pts = roots[par, br]
+        merged = _merged(pts)
+        for w in pts[merged]:
+            log.info("merged coincident preimage %r at generation %d",
+                     complex(w), gen + 1)
+        tree.collisions += int(np.count_nonzero(merged))
+        if tree.pruned_from is None and (not inside.all() or merged.any()):
             tree.pruned_from = gen + 1
-        if not keep_pts:
+        keep = ~merged
+        if not keep.any():
             break
-        tree.points.append(np.array(keep_pts, dtype=complex))
-        tree.parents.append(np.array(keep_par, dtype=np.int64))
-        tree.branches.append(np.array(keep_br, dtype=np.int64))
+        tree.points.append(pts[keep])
+        tree.parents.append(par[keep])
+        tree.branches.append(br[keep])
         # Each kept child inherits its own sibling constellation as the
         # warm start for expanding it.
-        warm = warm[np.array(keep_par, dtype=np.int64)]
+        warm = warm[par[keep]]
         gen += 1
     return tree
 

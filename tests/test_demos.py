@@ -1,5 +1,6 @@
-"""The demos that call the boundary-derivative kernel and the Birkhoff
-estimator run to completion."""
+"""The demos that call the boundary-derivative kernel, the Birkhoff
+estimator and the disk and strip preimage trees (their `explored`,
+`max_residual()` and `farfield_pruned` read-outs) run to completion."""
 
 import os
 import subprocess
@@ -11,8 +12,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_lyapunov_three_ways.py",
-                                  "04_lamination_flows.py"])
+@pytest.mark.parametrize("demo", ["01_preimage_counting.py",
+                                  "02_lyapunov_three_ways.py",
+                                  "04_lamination_flows.py",
+                                  "06_parabolic_counting.py"])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -9,10 +9,9 @@ from innerlab.lamination import (AnnularBox, SolenoidSampler, bad_times_pow2,
                                  exponential_map, fixedpoint_orbit_point,
                                  geodesic_intertwining_check,
                                  gh_commutation_discrepancy, h_action_limit,
-                                 radial_shadowing_stat, sample_backward_orbit,
-                                 sample_interior_orbit, shadowing_simulation,
-                                 total_mass_check, transverse_weights,
-                                 xi_box_mass)
+                                 radial_shadowing_stat, sample_interior_orbit,
+                                 shadowing_simulation, total_mass_check,
+                                 transverse_weights, xi_box_mass)
 from innerlab.lyapunov import chi_jensen_oracle
 
 
@@ -308,6 +307,6 @@ class TestShadowingSimulation:
 
 def test_sample_backward_orbit_helper(deg2):
     sampler = SolenoidSampler(deg2, seed=4)
-    orb = sample_backward_orbit(sampler, 12)
+    orb = sampler.orbit(12)
     assert orb.depth == 12
     assert orb.on_boundary

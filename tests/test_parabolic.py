@@ -3,7 +3,7 @@ import pytest
 
 from innerlab.errors import PreconditionError
 from innerlab.parabolic import (HalfPlaneInner, chi_ell, enumerate_strip,
-                                height_classify, hp_eval_deriv, hp_preimages,
+                                height_classify, hp_preimages,
                                 hp_preimages_batch, strip_counting_report,
                                 write_strip_csv, write_strip_points_csv)
 
@@ -34,18 +34,18 @@ class TestModel:
 
 class TestEvalDeriv:
     def test_critical_point_at_i(self, zminus):
-        val, der = hp_eval_deriv(zminus, 1j)
+        val, der = zminus.eval(1j), zminus.deriv(1j)
         assert val == pytest.approx(2j)
         assert der == pytest.approx(0.0)
 
     def test_at_2i(self, zminus):
-        val, der = hp_eval_deriv(zminus, 2j)
+        val, der = zminus.eval(2j), zminus.deriv(2j)
         assert val == pytest.approx(2.5j)
         assert der == pytest.approx(0.75)
 
     def test_pure_translation(self):
         F = HalfPlaneInner(beta=1.5)
-        val, der = hp_eval_deriv(F, 0.3 + 0.7j)
+        val, der = F.eval(0.3 + 0.7j), F.deriv(0.3 + 0.7j)
         assert val == pytest.approx(1.8 + 0.7j)
         assert der == pytest.approx(1.0)
 
@@ -191,7 +191,6 @@ class TestEnumerateStrip:
     def test_pruning_audit_monotone_heights(self, zminus):
         profile = enumerate_strip(zminus, 0.5j, (-1, 1), 6.0)
         assert np.all(profile.counted_points.imag <= 0.5 + 1e-12)
-        assert len(profile.enumerated_heights) >= profile.explored * 0 + 1
 
     def test_determinism(self, zminus):
         a = enumerate_strip(zminus, 0.5j, (-1, 1), 6.0)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import random_centered_blaschke, random_disk_point
 from innerlab.errors import BudgetError, PreconditionError
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
-from innerlab.preimage import (enumerate_ball, expand_frostman, preimages_of,
-                               preimages_of_batch, verify_sum_of_heights)
+from innerlab.preimage import (DEDUP_TOL, enumerate_ball, expand_frostman,
+                               preimages_of, preimages_of_batch,
+                               verify_sum_of_heights)
 
 
 def packet_radius(d, n, base=np.exp(-1.0)):
@@ -14,6 +16,35 @@ def packet_radius(d, n, base=np.exp(-1.0)):
     preimages of `base`."""
     r = base ** (d ** -float(n))
     return np.log((1 + r) / (1 - r))
+
+
+def per_child_ball(F, z, R):
+    """Reference for enumerate_ball: a loop over every child, merging it
+    into any earlier node of the whole tree within DEDUP_TOL."""
+    gens = [(np.array([z], dtype=complex), np.array([-1]), np.array([0]))]
+    seen = [z]
+    collisions = 0
+    warm = None
+    while len(gens[-1][0]):
+        roots = preimages_of_batch(F, gens[-1][0], warm=warm)
+        mods = np.abs(roots)
+        warm = np.where(mods > 0, roots * mods ** (1.0 / F.degree - 1.0), roots)
+        radii = origin_distance(mods)
+        kept = []
+        for i, j in np.ndindex(roots.shape):
+            if radii[i, j] > R:
+                continue
+            if np.min(np.abs(np.asarray(seen) - roots[i, j])) <= DEDUP_TOL:
+                collisions += 1
+                continue
+            seen.append(roots[i, j])
+            kept.append((i, j))
+        if not kept:
+            break
+        par, br = np.array(kept).T
+        gens.append((roots[par, br], par, br))
+        warm = warm[par]
+    return gens, collisions
 
 
 class TestPreimagesOf:
@@ -131,17 +162,35 @@ class TestEnumerateBall:
             assert np.array_equal(t1.points[g], t2.points[g])
             assert np.array_equal(t1.parents[g], t2.parents[g])
 
-    def test_periodic_base_dedup(self, square):
-        # z = 0 is fixed but excluded; use the boundary-adjacent period-2
-        # interior point of z -> z^2? None exists off 0, so check instead
-        # that a base recurring among its own preimages is merged: the
-        # Frostman-style model with zeros {0, a} maps a -> 0 -> 0, and the
-        # tree of z = a contains a only once.
-        F = InnerModel.from_zeros(0, 0.5)
-        tree = enumerate_ball(F, 0.5, 6.0)
+    def test_critical_value_dedup(self, deg2):
+        # 2 - sqrt(3) is the critical point of deg2, so the base F(F(c))
+        # has a near-double pair of pullbacks two generations up; their
+        # descendants come within DEDUP_TOL of each other and are merged.
+        c = 2.0 - np.sqrt(3.0)
+        tree = enumerate_ball(deg2, deg2.eval(deg2.eval(c)), 6.0)
+        assert tree.size() == 719
+        assert tree.collisions == 24
+        assert tree.pruned_from == 6
         pts = np.concatenate(tree.points)
-        dist = np.abs(pts - 0.5)
-        assert np.sum(dist < 1e-9) == 1
+        kd = cKDTree(np.column_stack([pts.real, pts.imag]))
+        assert kd.query_pairs(DEDUP_TOL) == set()
+
+    @pytest.mark.parametrize("case", ["deg2", "critical", "square", "random"])
+    def test_matches_per_child_loop(self, case, deg2, square, rng):
+        c = 2.0 - np.sqrt(3.0)
+        F, z, R = {"deg2": (deg2, 0.3, 8.0),
+                   "critical": (deg2, deg2.eval(deg2.eval(c)), 7.0),
+                   "square": (square, np.exp(-1.0), 8.0),
+                   "random": (random_centered_blaschke(rng),
+                              random_disk_point(rng), 6.0)}[case]
+        tree = enumerate_ball(F, z, R)
+        gens, collisions = per_child_ball(F, complex(z), R)
+        assert tree.collisions == collisions
+        assert tree.generations == len(gens)
+        for g, (pts, par, br) in enumerate(gens):
+            assert np.array_equal(tree.points[g], pts)
+            assert np.array_equal(tree.parents[g], par)
+            assert np.array_equal(tree.branches[g], br)
 
     def test_csv_dump(self, deg2, tmp_path):
         tree = enumerate_ball(deg2, 0.3, 3.0)
