@@ -310,7 +310,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--adversary", choices=sorted(lamination.ADVERSARIES),
                     default="up_right")
     sp.add_argument("--start", default="2,1")
-    sp.add_argument("--step", type=float, default=0.02)
+    sp.add_argument("--step", type=float, default=0.02,
+                    help="output time-grid spacing; the integration is exact")
     sp.add_argument("--curve-points", type=int, default=500)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)

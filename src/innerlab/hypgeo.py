@@ -103,7 +103,7 @@ def disk_distance(z, w):
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     q = np.abs((z - w) / (1.0 - np.conj(w) * z))
-    out = 2.0 * np.arctanh(np.clip(q, 0.0, 1.0 - 1e-17))
+    out = 2.0 * np.arctanh(np.clip(q, 0.0, 1.0))
     return float(out) if out.ndim == 0 else out
 
 

@@ -268,7 +268,7 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
         mods = np.abs(roots)
         warm = np.where(mods > 0, roots * mods ** (1.0 / d - 1.0), roots)
 
-        radii = origin_distance(np.minimum(np.abs(roots), 1.0 - 1e-17))
+        radii = origin_distance(mods)
         inside = radii <= R
         par, br = np.nonzero(inside)
         pts = roots[par, br]

@@ -1,6 +1,7 @@
 """The demos that call the boundary-derivative kernel, the Birkhoff
-estimator and the disk and strip preimage trees (their `explored`,
-`max_residual()` and `farfield_pruned` read-outs) run to completion."""
+estimator, the disk and strip preimage trees (their `explored`,
+`max_residual()` and `farfield_pruned` read-outs) and the shadowing
+simulation run to completion."""
 
 import os
 import subprocess
@@ -15,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", ["01_preimage_counting.py",
                                   "02_lyapunov_three_ways.py",
                                   "04_lamination_flows.py",
+                                  "05_shadowing.py",
                                   "06_parabolic_counting.py"])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)

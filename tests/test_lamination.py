@@ -1,7 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from innerlab.errors import BudgetError, DomainError, PreconditionError
+from innerlab.errors import (BudgetError, DomainError, NumericalError,
+                             PreconditionError)
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
 from innerlab.lamination import (AnnularBox, SolenoidSampler, bad_times_pow2,
@@ -293,6 +297,39 @@ class TestShadowingSimulation:
         run = shadowing_simulation([(0.0, 10 ** 4)], 10 ** 4,
                                    adversary="right", start=2 + 1j)
         assert run.final_avg > 0.5
+        assert run.zeta == 2.0 + 10 ** 4
+
+    def test_single_bad_interval_closed_form(self):
+        # u = 0 after the bad interval, 7.5 - t on it, 4.5 e^(t - 3) before.
+        run = shadowing_simulation([(3.0, 7.5)], 20.0, adversary="right",
+                                   start=2 + 1j)
+        t = run.times
+        u = np.where(t >= 7.5, 0.0,
+                     np.where(t >= 3.0, 7.5 - t, 4.5 * np.exp(t - 3.0)))
+        dist = np.minimum(1.0, np.abs(u))
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (dist[1:] + dist[:-1])
+                                               * np.diff(t))))
+        avg = np.divide(cum, t, out=np.zeros_like(cum), where=t > 0)
+        np.testing.assert_allclose(run.avg_curve, avg, rtol=0, atol=1e-12)
+        assert run.zeta == 2.0 + 4.5 * math.exp(-3.0)
+
+    def test_all_bad_up_right_landing(self):
+        run = shadowing_simulation([(0.0, 100.0)], 100.0, start=2 + 1j)
+        assert run.zeta == pytest.approx(1.0 + math.exp(100.0 / math.sqrt(2.0)),
+                                         rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("bad, T", [([(0.0, 10 ** 4)], 10 ** 4),
+                                        ([(0.0, 1e3), (1001.0, 2e3)], 3e3)])
+    def test_up_right_no_overflow_warning(self, bad, T):
+        # The second case enters a long bad interval with u at the clamp.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = shadowing_simulation(bad, T, start=2 + 1j)
+        assert math.isfinite(run.final_avg)
+
+    def test_step_underflow_guard(self):
+        with pytest.raises(NumericalError):
+            shadowing_simulation([(5.0, 5.0 + 1e-13)], 10.0)
 
     def test_pow2_intervals_have_vanishing_density(self):
         T = 10 ** 4
