@@ -353,7 +353,7 @@ def criterion_12_shadowing(fast=False) -> CriterionResult:
 
 
 def criterion_13_determinism(fast=False) -> CriterionResult:
-    """Byte-identical count CSV data rows across four same-seed runs."""
+    """Byte-identical count CSV data rows across four reruns."""
     import hashlib
     import tempfile
     from pathlib import Path
@@ -370,7 +370,6 @@ def criterion_13_determinism(fast=False) -> CriterionResult:
             out = Path(tmp) / f"{name}.csv"
             code = cli_main(["count", "--model", str(model), "--z", "0.3,0",
                              "--R", "6" if fast else "9",
-                             "--seed", "5",
                              "--out", str(out)])
             if code != 0:
                 return CriterionResult(13, "determinism", False,

@@ -231,7 +231,6 @@ def build_parser() -> _Parser:
         if model:
             sp.add_argument("--model", required=True, help="model file path")
         sp.add_argument("--out", required=True, help="output CSV path")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--config", default=None,
                         help="key = value defaults file ([section] headers allowed)")
 
@@ -258,6 +257,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--n", type=int, default=10 ** 5, help="birkhoff orbit length")
     sp.add_argument("--angle", type=float, default=0.7, help="birkhoff start angle")
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_lyapunov)
 
     sp = sub.add_parser("distortion-scan",
@@ -273,7 +273,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--r-max", type=float, action="append", default=None)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--config", default=None)
     sp.set_defaults(func=cmd_distortion_scan)
 
@@ -284,6 +283,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--interior", action="store_true",
                     help="interior orbit from --z instead of a solenoid orbit")
     sp.add_argument("--z", default="0.3,0")
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_orbit)
 
     sp = sub.add_parser("xi-mass", help="natural-measure box masses by depth",
@@ -299,6 +299,7 @@ def build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--r0", type=float, default=0.99)
     sp.add_argument("--samples", type=int, default=10 ** 6)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_total_mass)
 
     sp = sub.add_parser("shadow-sim", help="good/bad-times shadowing run",
@@ -314,7 +315,6 @@ def build_parser() -> _Parser:
                     help="output time-grid spacing; the integration is exact")
     sp.add_argument("--curve-points", type=int, default=500)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--config", default=None)
     sp.set_defaults(func=cmd_shadow_sim)
 

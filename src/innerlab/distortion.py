@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import cubature
 
 from .errors import DomainError, PreconditionError
 from .innerfn import InnerModel, _boundary_value, _coerce_point
@@ -62,15 +62,25 @@ class DistortionSample:
 
     @staticmethod
     def from_p(z, p: complex) -> "DistortionSample":
-        mod = abs(p)
-        if mod > 1.0 + 1e-12:
-            raise DomainError(f"Schwarz violation: |p| = {mod}")
-        if mod > 1.0:
-            p = p / mod  # rounding overshoot; the map is an isometry here
-        return DistortionSample(
-            z=complex(z), p=complex(p),
-            mu=max(0.0, 1.0 - abs(p)), delta=abs(1.0 - p),
-            eta=1.0 - p.real, alpha=abs(np.angle(p)))
+        p, mu, delta, eta, alpha = _quantities(p)
+        return DistortionSample(z=complex(z), p=complex(p), mu=float(mu),
+                                delta=float(delta), eta=float(eta),
+                                alpha=float(alpha))
+
+
+def _quantities(p):
+    """(p, mu, delta, eta, alpha) for a scalar or an array of comparison
+    quotients, in the order of QUANTITIES after p.  |p| up to 1 + 1e-12 is
+    rounding overshoot and is projected back onto the circle (the map is an
+    isometry there); beyond that Schwarz's lemma is violated."""
+    p = np.asarray(p, dtype=complex)
+    # hypot agrees with abs() of a Python complex to the last bit.
+    mod = np.hypot(p.real, p.imag)
+    if np.any(mod > 1.0 + 1e-12):
+        raise DomainError(f"Schwarz violation: |p| = {np.max(mod)}")
+    p = p / np.maximum(mod, 1.0)
+    return (p, np.maximum(0.0, 1.0 - np.hypot(p.real, p.imag)),
+            np.hypot(1.0 - p.real, p.imag), 1.0 - p.real, np.abs(np.angle(p)))
 
 
 def _gap_ratio(F, z):
@@ -107,17 +117,12 @@ def distortion_at_disk(F, z) -> DistortionSample:
     compositions) are evaluated with it and stay accurate up to the circle.
     For generic maps within 1e-8 of the circle the naive quotient is pure
     cancellation, so the boundary limit p = 1 is returned instead."""
-    z, _ = _coerce_point(z)
-    z = complex(z)
-    if z == 0:
-        raise PreconditionError("radial direction undefined at z = 0")
-    w = complex(F.eval(z))
-    if w == 0:
-        raise PreconditionError("radial direction undefined: F(z) = 0")
-    if not hasattr(F, "gap_ratio") and (1.0 - abs(z) < BOUNDARY_SNAP
-                                        or 1.0 - abs(w) < BOUNDARY_SNAP):
+    z = complex(_coerce_point(z)[0])
+    if not hasattr(F, "gap_ratio") and (
+            1.0 - abs(z) < BOUNDARY_SNAP
+            or 1.0 - abs(complex(F.eval(z))) < BOUNDARY_SNAP):
         return DistortionSample.from_p(z, 1.0 + 0j)
-    return DistortionSample.from_p(z, complex(p_disk(F, z)))
+    return DistortionSample.from_p(z, p_disk(F, z))
 
 
 def distortion_at_halfplane(F, z) -> DistortionSample:
@@ -145,18 +150,6 @@ def _ray_punctures(F, zeta: complex):
     return sorted(set(rs))
 
 
-def _quantity_on_ray(F, zeta: complex, quantity: str):
-    if quantity not in QUANTITIES:
-        raise PreconditionError(f"unknown quantity {quantity!r}")
-
-    def q(r: float) -> float:
-        z = r * zeta
-        sample = distortion_at_disk(F, z)
-        return getattr(sample, quantity)
-
-    return q
-
-
 def radial_distortion_integral(F, zeta, quantity: str, r_max: float,
                                tol: float = 1e-9) -> float:
     """int_0^{r_max} quantity(r zeta) d rho along the radius, with the
@@ -168,11 +161,14 @@ def radial_distortion_integral(F, zeta, quantity: str, r_max: float,
     """
     if not 0 < r_max < 1:
         raise PreconditionError("need 0 < r_max < 1")
+    if quantity not in QUANTITIES:
+        raise PreconditionError(f"unknown quantity {quantity!r}")
+    column = 1 + QUANTITIES.index(quantity)
     zeta = _boundary_value(zeta)
-    qfun = _quantity_on_ray(F, zeta, quantity)
 
-    def integrand(r):
-        return qfun(r) * 2.0 / (1.0 - r * r)
+    def integrand(x):
+        r = x[:, 0]
+        return _quantities(p_disk(F, r * zeta))[column] * 2.0 / (1.0 - r * r)
 
     cuts = [PUNCTURE]
     for r0 in _ray_punctures(F, zeta):
@@ -183,10 +179,11 @@ def radial_distortion_integral(F, zeta, quantity: str, r_max: float,
     for a, b in zip(cuts[::2], cuts[1::2]):
         if b <= a:
             continue
-        val, err = quad(integrand, a, b, epsabs=tol, epsrel=1e-11, limit=300)
-        if err > 10 * max(tol, 1e-13):
-            log.info("radial integral on [%g, %g] achieved err %.2e", a, b, err)
-        total += val
+        res = cubature(integrand, [a], [b], atol=tol, rtol=1e-11)
+        if res.error > 10 * max(tol, 1e-13):
+            log.info("radial integral on [%g, %g] achieved err %.2e",
+                     a, b, res.error)
+        total += float(res.estimate)
     return total
 
 

@@ -232,13 +232,6 @@ class Moebius:
         move = Moebius(1, p, np.conj(p), 1, tag=DISK_AUT, _validate=False)
         return move @ Moebius.cayley().inverse()
 
-    @staticmethod
-    def halfplane_affine(A: float, B: float) -> "Moebius":
-        """z -> A z + B with A > 0, B real: aut(H, infinity)."""
-        if not (A > 0 and np.isreal(B)):
-            raise PreconditionError("need A > 0 and B real")
-        return Moebius(A, B, 0, 1, tag=HALFPLANE_AUT, _validate=False)
-
 
 def moebius_apply(m: Moebius, x):
     """Apply m to a point.

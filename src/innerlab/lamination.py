@@ -465,11 +465,10 @@ def xi_box_mass(F: InnerModel, region: AnnularBox, depth: int,
 
 def box_thinness_reference(region: AnnularBox) -> float:
     """(1/2pi) int_A dA(z)/(1 - |z|), the comparability reference for thin
-    boxes near the circle."""
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda r: r / (1.0 - r), region.r_lo, region.r_hi)
-    return (region.theta_hi - region.theta_lo) * val / (2.0 * np.pi)
+    boxes near the circle: int r dr/(1 - r) = -log(1 - r) - r."""
+    r_lo, r_hi = region.r_lo, region.r_hi
+    radial = math.log1p(-r_lo) - math.log1p(-r_hi) - (r_hi - r_lo)
+    return (region.theta_hi - region.theta_lo) * radial / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
+from scipy.integrate import cubature
 
 from .errors import NumericalError, PreconditionError
 from .innerfn import InnerModel, _boundary_value
@@ -41,25 +41,22 @@ class LyapunovEstimate:
 def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
     """Adaptive quadrature of (1/2pi) int log |F'| d theta.
 
-    Atom base points are +inf points of the integrand; they get a
-    tol-width exclusion whose contribution is bracketed analytically with
-    the 1/|zeta - z|^2 envelope and folded into the error estimate.
+    Atom base points are +inf points of the integrand; each gets an
+    exclusion window of half-width tol whose contribution is bracketed
+    analytically with the 1/|zeta - z|^2 envelope and folded into the
+    error estimate.
     Non-convergence is not an exception: the achieved error is reported.
     """
-    def integrand(theta):
-        return math.log(F.boundary_deriv_modulus(theta))
+    def integrand(x):
+        return np.log(F.boundary_deriv_modulus(x[:, 0]))
 
     if F.is_rotation:
         return LyapunovEstimate(0.0, "quadrature", 0.0)
-    if not F.atoms:
-        val, err = quad(integrand, 0.0, TWO_PI, epsabs=tol * TWO_PI,
-                        epsrel=1e-13, limit=400)
-        return LyapunovEstimate(val / TWO_PI, "quadrature", err / TWO_PI)
-
-    eps = max(tol, 1e-12)
-    angles = sorted(ang for ang, _ in F.atoms)
+    eps = max(tol, 1e-12) if F.atoms else 0.0
+    angles = sorted(ang for ang, _ in F.atoms) or [0.0]
     total, err_total = 0.0, 0.0
-    # Smooth arcs between consecutive exclusion windows.
+    # Smooth arcs between consecutive exclusion windows (one full turn
+    # without atoms).
     bounds = []
     for i, ang in enumerate(angles):
         nxt = angles[(i + 1) % len(angles)] + (TWO_PI if i + 1 == len(angles) else 0)
@@ -67,13 +64,13 @@ def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
     for a, b in bounds:
         if b <= a:
             raise PreconditionError("atom exclusion windows overlap; lower tol")
-        val, err = quad(integrand, a, b, epsabs=tol * TWO_PI, epsrel=1e-13,
-                        limit=400)
-        total += val
-        err_total += err
-    # Bracket each excluded window: on |u| <= eps the singular term lies
-    # between 2w/u^2 and (pi^2/4) 2w/u^2, the rest is bounded by its
-    # sup over the window.
+        res = cubature(integrand, [a], [b], atol=tol * TWO_PI, rtol=1e-13)
+        total += float(res.estimate)
+        err_total += float(res.error)
+    # Bracket each excluded window [ang - eps, ang + eps]: on |u| <= eps
+    # the singular term lies between 2w/u^2 and (pi^2/4) 2w/u^2, the rest
+    # is bounded by its sup over the window, and
+    # int_{-eps}^{eps} log(c/u^2) du = 2 eps log c + 4 eps (1 + log(1/eps)).
     for ang, w in F.atoms:
         rest = 0.0
         zeta = np.exp(1j * (ang + eps))
@@ -85,9 +82,9 @@ def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
                 rest += 2.0 * w2 / max(gap, 1e-6) ** 2
         c_lo = 2.0 * w
         c_hi = (math.pi ** 2 / 2.0) * w + rest * eps ** 2
-        base = 2.0 * eps * (1.0 + math.log(1.0 / eps))
-        lo = eps * math.log(c_lo) + base
-        hi = eps * math.log(c_hi) + base
+        base = 4.0 * eps * (1.0 + math.log(1.0 / eps))
+        lo = 2.0 * eps * math.log(c_lo) + base
+        hi = 2.0 * eps * math.log(c_hi) + base
         total += 0.5 * (lo + hi)
         err_total += 0.5 * (hi - lo) + base * 1e-14
     if err_total > tol * TWO_PI:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import cubature
 
 from ._roots import aberth_batch
 from .errors import BudgetError, NumericalError, PreconditionError
@@ -226,20 +226,17 @@ def chi_ell(F: HalfPlaneInner, tol: float = 1e-8) -> float:
         return 0.0
 
     def integrand(phi):
-        x = math.tan(phi)
-        sec2 = 1.0 + x * x
-        fp = 1.0
-        for xk, c in F.atoms:
-            fp += c * (xk * xk + 1.0) / (xk - x) ** 2
-        return math.log(fp) * sec2
+        x = np.tan(phi[:, 0])
+        return np.log(F.deriv(x).real) * (1.0 + x * x)
 
     half = math.pi / 2.0
-    singular = sorted(math.atan(x) for x, _ in F.atoms)
-    val, err = quad(integrand, -half, half, points=singular,
-                    epsabs=tol, epsrel=1e-12, limit=500)
-    if err > tol:
-        log.info("chi_ell achieved error %.2e beyond requested %.2e", err, tol)
-    return val
+    singular = [[math.atan(x)] for x, _ in F.atoms]
+    res = cubature(integrand, [-half], [half], points=singular,
+                   atol=tol, rtol=1e-12)
+    if res.error > tol:
+        log.info("chi_ell achieved error %.2e beyond requested %.2e",
+                 res.error, tol)
+    return float(res.estimate)
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ class TestOtherSubcommands:
 class TestConfigFile:
     def test_defaults_from_config(self, deg2_file, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[count]\nR-step = 2.0\nseed = 9\n")
+        cfg.write_text("[count]\nR-step = 2.0\nnode-budget = 1000000\n")
         out = tmp_path / "out.csv"
         assert cli.main(["count", "--model", deg2_file, "--z", "0.3,0",
                          "--R", "6", "--config", str(cfg),
@@ -173,7 +173,7 @@ class TestConfigFile:
         header, rows = read_rows(out)
         assert [float(r[0]) for r in rows] == [2.0, 4.0, 6.0]
         text = out.read_text()
-        assert "# config seed = 9" in text
+        assert "# config node_budget = 1000000" in text
 
     def test_flag_overrides_config(self, deg2_file, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -192,8 +192,7 @@ class TestDeterminism:
         for name in ("a", "b", "c", "d"):
             out = tmp_path / f"{name}.csv"
             assert cli.main(["count", "--model", deg2_file, "--z", "0.3,0",
-                             "--R", "7", "--seed", "5",
-                             "--out", str(out)]) == 0
+                             "--R", "7", "--out", str(out)]) == 0
             bodies.append("\n".join(ln for ln in out.read_text().splitlines()
                                     if not ln.startswith("#")))
         assert len(set(bodies)) == 1

@@ -1,7 +1,8 @@
-"""The demos that call the boundary-derivative kernel, the Birkhoff
-estimator, the disk and strip preimage trees (their `explored`,
-`max_residual()` and `farfield_pruned` read-outs) and the shadowing
-simulation run to completion."""
+"""Every demo runs to completion: they call the boundary-derivative
+kernel, the Birkhoff estimator, the radial distortion integrals, the disk
+and strip preimage trees (their `explored`, `max_residual()` and
+`farfield_pruned` read-outs), the shadowing simulation and the omitted-value
+checks."""
 
 import os
 import subprocess
@@ -15,9 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", ["01_preimage_counting.py",
                                   "02_lyapunov_three_ways.py",
+                                  "03_distortion_calculus.py",
                                   "04_lamination_flows.py",
                                   "05_shadowing.py",
-                                  "06_parabolic_counting.py"])
+                                  "06_parabolic_counting.py",
+                                  "07_omitted_value.py"])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_centered_blaschke, random_disk_point
-from innerlab.distortion import (HoloMap, DistortionSample,
+from innerlab.distortion import (PUNCTURE, HoloMap, DistortionSample,
                                  angular_derivative_criterion_scan,
                                  cumulative_orbit_distortion,
                                  distortion_at_disk, distortion_at_halfplane,
@@ -138,6 +138,16 @@ class TestRadialIntegrals:
             assert v <= bound + 1e-6
             prev = v
         assert prev == pytest.approx(bound, abs=1e-4)
+
+    @pytest.mark.parametrize("quantity", ["eta", "mu"])
+    @pytest.mark.parametrize("r_max", [0.5, 0.9, 1 - 1e-6])
+    def test_square_closed_form(self, square, quantity, r_max):
+        # z^2 on the ray to 1: p = 2r/(1 + r^2), so eta = mu = (1-r)^2/(1+r^2)
+        # and int eta 2 dr/(1 - r^2) = G(r) = 2 log(1 + r) - log(1 + r^2).
+        def G(r):
+            return 2 * np.log1p(r) - np.log1p(r * r)
+        v = radial_distortion_integral(square, 1.0 + 0j, quantity, r_max)
+        assert v == pytest.approx(G(r_max) - G(PUNCTURE), abs=1e-12)
 
     def test_automorphism_mu_integral_zero(self):
         aut = InnerModel.from_zeros(0.3)

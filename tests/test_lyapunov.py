@@ -39,6 +39,16 @@ class TestQuadrature:
             assert est.value == pytest.approx(np.log(2 * w), abs=1e-6)
             assert est.error < 1e-5
 
+    def test_atom_windows_closed_form(self):
+        # One atom: chi = log(2w).  Two antipodal atoms of weight w:
+        # |F'| = 2w/sin^2(theta), whose log-mean is log(8w).  The reported
+        # error must cover the true error, both excluded windows included.
+        cases = [(((0.0, w),), np.log(2 * w)) for w in (0.5, 1.0, 2.0)]
+        cases += [(((0.0, w), (np.pi, w)), np.log(8 * w)) for w in (0.5, 2.0)]
+        for atoms, exact in cases:
+            est = chi_quadrature(InnerModel(zeros=(), atoms=atoms))
+            assert abs(est.value - exact) <= est.error <= 1e-9, atoms
+
 
 class TestJensenOracle:
     def test_square(self, square):
