@@ -42,9 +42,8 @@ print(f"commutation g_-t h_s = h_(e^t s) g_-t on the fixed-point leaf: "
 
 print("\nbox masses of the natural measure grow to their limit:")
 box = lam.AnnularBox(0.5, 0.7, 0.3, 1.1)
-for depth in range(5):
-    est = lam.xi_box_mass(F, box, depth, grid=(16, 16))
-    print(f"  depth {depth}: {est.value:.6f}")
+for est in lam.xi_box_mass(F, box, 4, grid=(16, 16)):
+    print(f"  depth {est.depth}: {est.value:.6f}")
 
 chi = lyapunov.chi_jensen_oracle(F).value
 print(f"\ntotal mass over the fundamental annulus vs chi = {chi:.6f}:")

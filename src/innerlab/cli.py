@@ -153,9 +153,17 @@ def cmd_xi_mass(args):
         for line in _header(args):
             fh.write(f"# {line}\n")
         fh.write("depth,mass,error\n")
-        for depth in range(args.max_depth + 1):
-            est = lamination.xi_box_mass(F, box, depth, grid=(args.grid, args.grid))
-            fh.write(f"{depth},{est.value:.17g},{est.error:.17g}\n")
+
+        def write_rows(estimates):
+            for est in estimates:
+                fh.write(f"{est.depth},{est.value:.17g},{est.error:.17g}\n")
+        try:
+            estimates = lamination.xi_box_mass(F, box, args.max_depth,
+                                               grid=(args.grid, args.grid))
+        except BudgetError as exc:
+            write_rows(exc.partial)
+            raise
+        write_rows(estimates)
     return EXIT_OK
 
 

@@ -420,34 +420,48 @@ class BoxMassEstimate:
     error: float
 
 
-def _xi_integrand(F: InnerModel, z: np.ndarray, depth: int) -> np.ndarray:
-    """sum over F^n(w) = z of log(1/|w|) ||(F^n)'(w)||_hyp^{-2}."""
-    if depth == 0:
-        return np.log(1.0 / np.abs(z))
+def _xi_integrand(F: InnerModel, z: np.ndarray, max_depth: int) -> list:
+    """[sum over F^n(w) = z of log(1/|w|) ||(F^n)'(w)||_hyp^{-2}
+    for n = 0..max_depth], from one walk down the preimage tree of z."""
+    m = z.size
     pts = z.reshape(-1)
-    chain = np.ones(len(pts))
-    for _ in range(depth):
-        roots = preimages_of_batch(F, pts)
-        dmod = np.abs(F.deriv(roots))
-        chain = (chain[:, None] * dmod).reshape(-1)
-        pts = roots.reshape(-1)
-    m = len(z.reshape(-1))
-    per = len(pts) // m
-    base = np.repeat(z.reshape(-1), per)
-    hyp_norm = chain * (1.0 - np.abs(pts) ** 2) / (1.0 - np.abs(base) ** 2)
-    terms = np.log(1.0 / np.abs(pts)) / hyp_norm ** 2
-    return terms.reshape(m, per).sum(axis=1).reshape(z.shape)
+    base = (1.0 - np.abs(pts) ** 2)[:, None]
+    chain = np.ones(m)
+    sums = []
+    for depth in range(max_depth + 1):
+        if depth:
+            roots = preimages_of_batch(F, pts)
+            chain = (chain[:, None] * np.abs(F.deriv(roots))).reshape(-1)
+            pts = roots.reshape(-1)
+        sums.append(_preimage_sum(chain.reshape(m, -1), pts.reshape(m, -1),
+                                  base).reshape(z.shape))
+    return sums
 
 
-def xi_box_mass(F: InnerModel, region: AnnularBox, depth: int,
-                grid: tuple = (24, 24)) -> BoxMassEstimate:
-    """(1/2pi) int_{F^{-n}(A)} log(1/|z|) dA_hyp by change of variables:
-    a tensor Gauss-Legendre grid over A of the preimage sum, with the error
-    estimated by grid refinement."""
-    if F.degree ** depth * grid[0] * grid[1] > 64 * TREE_BUDGET:
-        raise BudgetError(f"depth {depth} exceeds the quadrature budget")
+def _preimage_sum(chain, leaves, base):
+    """Row sums of log(1/|w|) / ||(F^n)'(w)||_hyp^2 over the leaves w of each
+    base point, from |(F^n)'(w)| (`chain`) and 1 - |base|^2 (`base`)."""
+    # Its own function so that a level's temporaries are freed before the
+    # next level's root solve, which sets the walk's peak memory.
+    hyp_norm = chain * (1.0 - np.abs(leaves) ** 2) / base
+    return (np.log(1.0 / np.abs(leaves)) / hyp_norm ** 2).sum(axis=1)
 
-    def value_at(nr: int, nt: int) -> float:
+
+def xi_box_mass(F: InnerModel, region: AnnularBox, max_depth: int,
+                grid: tuple = (24, 24)) -> list:
+    """Estimates for depths n = 0..max_depth of (1/2pi) int_{F^{-n}(A)}
+    log(1/|z|) dA_hyp, by change of variables: a tensor Gauss-Legendre grid
+    over A of the preimage sum, with the error estimated by grid
+    refinement.  Each grid's preimage tree is walked once, to the deepest
+    depth.  If both grids' leaves at some depth exceed the budget, raises
+    BudgetError carrying the estimates for the shallower depths."""
+    grids = (grid, (grid[0] + grid[0] // 2 + 1, grid[1] + grid[1] // 2 + 1))
+    leaves = sum(nr * nt for nr, nt in grids)
+    reach = -1
+    while reach < max_depth and F.degree ** (reach + 1) * leaves <= 64 * TREE_BUDGET:
+        reach += 1
+
+    def values_at(nr: int, nt: int) -> list:
         xr, wr = np.polynomial.legendre.leggauss(nr)
         xt, wt = np.polynomial.legendre.leggauss(nt)
         r = 0.5 * (region.r_hi - region.r_lo) * (xr + 1.0) + region.r_lo
@@ -455,12 +469,17 @@ def xi_box_mass(F: InnerModel, region: AnnularBox, depth: int,
         jac = 0.25 * (region.r_hi - region.r_lo) * (region.theta_hi - region.theta_lo)
         R, TH = np.meshgrid(r, th, indexing="ij")
         Z = R * np.exp(1j * TH)
-        vals = _xi_integrand(F, Z, depth) * 4.0 * R / (1.0 - R ** 2) ** 2
-        return jac * float(np.einsum("i,j,ij->", wr, wt, vals)) / (2.0 * np.pi)
+        return [jac * float(np.einsum("i,j,ij->", wr, wt,
+                                      s * 4.0 * R / (1.0 - R ** 2) ** 2)) / (2.0 * np.pi)
+                for s in _xi_integrand(F, Z, reach)]
 
-    coarse = value_at(grid[0], grid[1])
-    fine = value_at(grid[0] + grid[0] // 2 + 1, grid[1] + grid[1] // 2 + 1)
-    return BoxMassEstimate(region, depth, fine, abs(fine - coarse))
+    coarse, fine = (values_at(*g) for g in grids)
+    estimates = [BoxMassEstimate(region, n, f, abs(f - c))
+                 for n, (c, f) in enumerate(zip(coarse, fine))]
+    if reach < max_depth:
+        raise BudgetError(f"depth {reach + 1} exceeds the quadrature budget",
+                          partial=estimates)
+    return estimates
 
 
 def box_thinness_reference(region: AnnularBox) -> float:

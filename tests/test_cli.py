@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from innerlab import cli
+from innerlab import cli, lamination
 from innerlab.errors import NumericalError
 from innerlab.innerfn import InnerModel
 from innerlab.parabolic import HalfPlaneInner
@@ -116,8 +116,21 @@ class TestOtherSubcommands:
                          "--box", "0.5,0.7,0.3,1.1", "--max-depth", "3",
                          "--grid", "10", "--out", str(out)]) == 0
         header, rows = read_rows(out)
+        assert [r[0] for r in rows] == ["0", "1", "2", "3"]
         masses = [float(r[1]) for r in rows]
         assert all(b >= a - 1e-6 for a, b in zip(masses, masses[1:]))
+
+    def test_xi_mass_budget_writes_partial_rows(self, deg2_file, tmp_path,
+                                                monkeypatch):
+        # 65 leaves per level over both grids: depths 0..3 fit 64 * 10.
+        monkeypatch.setattr(lamination, "TREE_BUDGET", 10)
+        out = tmp_path / "xi.csv"
+        assert cli.main(["xi-mass", "--model", deg2_file,
+                         "--box", "0.5,0.7,0.3,1.1", "--max-depth", "6",
+                         "--grid", "4", "--out", str(out)]) == 3
+        header, rows = read_rows(out)
+        assert header == ["depth", "mass", "error"]
+        assert [r[0] for r in rows] == ["0", "1", "2", "3"]
 
     def test_total_mass(self, deg2_file, tmp_path):
         out = tmp_path / "tm.csv"

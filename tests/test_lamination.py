@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_centered_blaschke
+from innerlab import lamination
 from innerlab.errors import (BudgetError, DomainError, NumericalError,
                              PreconditionError)
 from innerlab.hypgeo import origin_distance
@@ -17,6 +19,7 @@ from innerlab.lamination import (AnnularBox, SolenoidSampler, bad_times_pow2,
                                  shadowing_simulation, total_mass_check,
                                  transverse_weights, xi_box_mass)
 from innerlab.lyapunov import chi_jensen_oracle
+from innerlab.preimage import preimages_of_batch
 
 
 class TestInverseOrbit:
@@ -202,25 +205,101 @@ class TestGHCommutation:
         assert disc < 1e-6
 
 
+def per_depth_xi_mass(F, region, depth, grid):
+    """Reference: the box mass at one depth, rebuilding the preimage tree
+    from the top for each quadrature grid."""
+    def integrand(z):
+        if depth == 0:
+            return np.log(1.0 / np.abs(z))
+        pts = z.reshape(-1)
+        chain = np.ones(len(pts))
+        for _ in range(depth):
+            roots = preimages_of_batch(F, pts)
+            dmod = np.abs(F.deriv(roots))
+            chain = (chain[:, None] * dmod).reshape(-1)
+            pts = roots.reshape(-1)
+        m = len(z.reshape(-1))
+        per = len(pts) // m
+        base = np.repeat(z.reshape(-1), per)
+        hyp_norm = chain * (1.0 - np.abs(pts) ** 2) / (1.0 - np.abs(base) ** 2)
+        terms = np.log(1.0 / np.abs(pts)) / hyp_norm ** 2
+        return terms.reshape(m, per).sum(axis=1).reshape(z.shape)
+
+    def value_at(nr, nt):
+        xr, wr = np.polynomial.legendre.leggauss(nr)
+        xt, wt = np.polynomial.legendre.leggauss(nt)
+        r = 0.5 * (region.r_hi - region.r_lo) * (xr + 1.0) + region.r_lo
+        th = 0.5 * (region.theta_hi - region.theta_lo) * (xt + 1.0) + region.theta_lo
+        jac = 0.25 * (region.r_hi - region.r_lo) * (region.theta_hi - region.theta_lo)
+        R, TH = np.meshgrid(r, th, indexing="ij")
+        vals = integrand(R * np.exp(1j * TH)) * 4.0 * R / (1.0 - R ** 2) ** 2
+        return jac * float(np.einsum("i,j,ij->", wr, wt, vals)) / (2.0 * np.pi)
+
+    coarse = value_at(grid[0], grid[1])
+    fine = value_at(grid[0] + grid[0] // 2 + 1, grid[1] + grid[1] // 2 + 1)
+    return fine, abs(fine - coarse)
+
+
 class TestXiBoxMass:
     def test_depth_zero_analytic(self, deg2):
         from scipy.integrate import quad
         box = AnnularBox(0.5, 0.7, 0.3, 1.1)
-        est = xi_box_mass(deg2, box, 0, grid=(16, 16))
+        [est] = xi_box_mass(deg2, box, 0, grid=(16, 16))
         val, _ = quad(lambda r: np.log(1 / r) * 4 * r / (1 - r * r) ** 2,
                       0.5, 0.7)
         expect = (1.1 - 0.3) * val / (2 * np.pi)
         assert est.value == pytest.approx(expect, rel=1e-10)
 
+    def test_square_closed_form_all_depths(self, square):
+        # For z^2 the 2^n depth-n preimages of r e^{i theta} have modulus
+        # r^{1/2^n}, so with t = r^{2/2^n} the preimage sum times the
+        # hyperbolic area density is 4 log(1/r) t / (4^n r (1 - t)^2).
+        from scipy.integrate import quad
+        box = AnnularBox(0.5, 0.7, 0.3, 1.1)
+        ests = xi_box_mass(square, box, 6, grid=(16, 16))
+        assert [e.depth for e in ests] == list(range(7))
+        for n, est in enumerate(ests):
+            def radial(r, n=n):
+                t = r ** (2.0 / 2 ** n)
+                return 4.0 * np.log(1.0 / r) * t / (4.0 ** n * r * (1.0 - t) ** 2)
+            val, _ = quad(radial, 0.5, 0.7, epsabs=0.0, epsrel=1e-13)
+            expect = (1.1 - 0.3) * val / (2 * np.pi)
+            assert est.value == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_one_walk_matches_per_depth_reference(self, deg2):
+        F3 = random_centered_blaschke(np.random.default_rng(3), dmax=3)
+        assert F3.degree == 3
+        box = AnnularBox(0.5, 0.7, 0.3, 1.1)
+        for F, grid in ((deg2, (10, 12)), (F3, (8, 8))):
+            ests = xi_box_mass(F, box, 5, grid=grid)
+            assert [e.depth for e in ests] == list(range(6))
+            for est in ests:
+                value, error = per_depth_xi_mass(F, box, est.depth, grid)
+                assert (est.value, est.error) == (value, error)
+
+    def test_budget_partial_estimates(self, deg2, monkeypatch):
+        # grid (4, 4) refines to (7, 7): 65 leaves per level of both
+        # grids, so 2^n * 65 <= 64 * 10 holds for n <= 3 only.  Counting
+        # the coarse grid alone would admit n = 5.
+        monkeypatch.setattr(lamination, "TREE_BUDGET", 10)
+        box = AnnularBox(0.5, 0.7, 0.3, 1.1)
+        with pytest.raises(BudgetError) as err:
+            xi_box_mass(deg2, box, 6, grid=(4, 4))
+        assert "depth 4" in str(err.value)
+        assert err.value.partial == xi_box_mass(deg2, box, 3, grid=(4, 4))
+        with pytest.raises(BudgetError) as err:
+            xi_box_mass(deg2, box, 0, grid=(40, 40))
+        assert err.value.partial == []
+
     def test_monotone_in_depth(self, deg2):
         box = AnnularBox(0.5, 0.7, 0.3, 1.1)
-        masses = [xi_box_mass(deg2, box, n, grid=(16, 16)) for n in range(5)]
+        masses = xi_box_mass(deg2, box, 4, grid=(16, 16))
         for lo, hi in zip(masses[:-1], masses[1:]):
             assert hi.value >= lo.value - 10 * (lo.error + hi.error) - 1e-12
 
     def test_thin_box_comparability(self, deg2):
         box = AnnularBox(0.985, 0.995, 0.2, 0.9)
-        est = xi_box_mass(deg2, box, 6, grid=(12, 12))
+        est = xi_box_mass(deg2, box, 6, grid=(12, 12))[-1]
         ref = box_thinness_reference(box)
         assert 0.5 <= est.value / ref <= 2.0
 
