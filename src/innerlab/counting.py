@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .hypgeo import origin_distance
-from .innerfn import InnerModel, _coerce_point
+from .innerfn import InnerModel
 from .preimage import PreimageTree
 
 log = logging.getLogger("innerlab.counting")
@@ -67,7 +67,6 @@ def cesaro(profile: CountingProfile, R: float) -> float:
 
 def target_constant(z, chi: float) -> float:
     """The limit constant (1/2) log(1/|z|) / chi of the counting theorems."""
-    z, _ = _coerce_point(z)
     if not chi > 0:
         raise DomainError("Lyapunov exponent must be positive")
     if z == 0:

@@ -19,8 +19,7 @@ import numpy as np
 from scipy.integrate import cubature
 
 from .errors import DomainError, PreconditionError
-from .innerfn import InnerModel, _boundary_value, _coerce_point
-from .hypgeo import HalfPlanePoint
+from .innerfn import InnerModel, _boundary_value
 
 log = logging.getLogger("innerlab.distortion")
 
@@ -83,53 +82,34 @@ def _quantities(p):
             np.hypot(1.0 - p.real, p.imag), 1.0 - p.real, np.abs(np.angle(p)))
 
 
-def _gap_ratio(F, z):
-    """(1-|z|^2)/(1-|F(z)|^2): the map's stable implementation when it has
-    one (inner models and their compositions), else the naive quotient."""
-    if hasattr(F, "gap_ratio"):
-        return F.gap_ratio(z)
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(F.eval(z), dtype=complex)
-    return (1.0 - np.abs(z) ** 2) / (1.0 - np.abs(w) ** 2)
-
-
 def p_disk(F, z):
     """The radial comparison quotient in the disk, vectorized.
 
     p(z) = F'(z) (1-|z|^2)/(1-|F(z)|^2) * (z/|z|) * (|F(z)|/F(z)); undefined
-    where z = 0 or F(z) = 0.
+    where z = 0 or F(z) = 0.  F must provide a cancellation-free
+    `gap_ratio` for (1-|z|^2)/(1-|F(z)|^2), as inner models, Frostman
+    shifts and their compositions do.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(F.eval(z), dtype=complex)
     if np.any(np.abs(z) == 0) or np.any(np.abs(w) == 0):
         raise PreconditionError("radial direction undefined at z = 0 or F(z) = 0")
-    return np.asarray(F.deriv(z), dtype=complex) * _gap_ratio(F, z) \
+    return np.asarray(F.deriv(z), dtype=complex) * F.gap_ratio(z) \
         * (z / np.abs(z)) * (np.abs(w) / w)
-
-
-BOUNDARY_SNAP = 1e-8
 
 
 def distortion_at_disk(F, z) -> DistortionSample:
     """Distortion sample of a disk self-map at z (z, F(z) nonzero).
 
-    Maps exposing a stable `gap_ratio` (inner models, Frostman shifts,
-    compositions) are evaluated with it and stay accurate up to the circle.
-    For generic maps within 1e-8 of the circle the naive quotient is pure
-    cancellation, so the boundary limit p = 1 is returned instead."""
-    z = complex(_coerce_point(z)[0])
-    if not hasattr(F, "gap_ratio") and (
-            1.0 - abs(z) < BOUNDARY_SNAP
-            or 1.0 - abs(complex(F.eval(z))) < BOUNDARY_SNAP):
-        return DistortionSample.from_p(z, 1.0 + 0j)
+    F must provide `gap_ratio` (see `p_disk`), which keeps the sample
+    accurate up to the circle."""
+    z = complex(z)
     return DistortionSample.from_p(z, p_disk(F, z))
 
 
 def distortion_at_halfplane(F, z) -> DistortionSample:
     """Distortion sample of a half-plane self-map, via the downward field:
     p(z) = F'(z) Im(z)/Im(F(z))."""
-    if isinstance(z, HalfPlanePoint):
-        z = z.value
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("point must lie in the upper half-plane")
@@ -216,7 +196,6 @@ def cumulative_orbit_distortion(orbit, N: int) -> float:
 def subadditivity_gap(F, G, a) -> float:
     """delta_{F o G}(a) - delta_F(G(a)) - delta_G(a); <= 0 up to rounding
     (the composition law in the form its proof establishes)."""
-    a, _ = _coerce_point(a)
     b = complex(G.eval(a))
     pg = complex(p_disk(G, a))
     pf = complex(p_disk(F, b))

@@ -17,10 +17,6 @@ class DomainError(PreconditionError):
     """A point lies outside the domain required by the operation."""
 
 
-class PoleError(DomainError):
-    """A Moebius map was evaluated at (or too close to) its pole."""
-
-
 class BudgetError(InnerlabError, RuntimeError):
     """A configured resource budget (nodes, samples, depth) was exhausted.
 

@@ -1,8 +1,12 @@
 """Evaluable models of inner functions on the unit disk.
 
-Finite (and truncated-infinite) Blaschke products with optional singular
-atom factors: evaluation, analytic derivatives, the boundary-derivative
-sum, Frostman shifts, and iteration.
+An `InnerModel` is a finite (or truncated-infinite) Blaschke product with
+optional singular atom factors.  It evaluates F, F' and the
+cancellation-free gap ratio (1-|z|^2)/(1-|F(z)|^2) at a complex number or
+elementwise on a complex array, sums the angular-derivative series for
+|F'| on the circle, iterates, and reads and writes the text format of
+model files.  `FrostmanShift` and `ComposedMap` are lazy compositions with
+the same interface.
 
 Blaschke factor convention: b_a(z) = (|a|/a)(a - z)/(1 - conj(a) z) for
 a != 0 and b_0(z) = z, so that b_a(0) = |a| > 0 and products are real
@@ -16,24 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .hypgeo import BOUNDARY_TOL, DiskPoint
+from .hypgeo import BOUNDARY_TOL
 
 ITERATION_CAP = 10 ** 6
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A point of the unit circle, stored as an angle in [0, 2*pi)."""
-
-    angle: float
-
-    def __post_init__(self):
-        a = float(self.angle) % (2.0 * np.pi)
-        object.__setattr__(self, "angle", a)
-
-    @property
-    def value(self) -> complex:
-        return complex(np.exp(1j * self.angle))
 
 
 def _boundary_value(zeta):
@@ -41,9 +30,7 @@ def _boundary_value(zeta):
     input, else a complex array of the input's shape.
 
     Real values are always angles; complex values must lie on the circle
-    to 1e-9 (BoundaryPoint carries its own angle)."""
-    if isinstance(zeta, BoundaryPoint):
-        return zeta.value
+    to 1e-9."""
     z = np.asarray(zeta)
     if not np.iscomplexobj(z):
         z = np.exp(1j * z.astype(float))
@@ -147,21 +134,17 @@ class InnerModel:
 
     def eval(self, z):
         """F(z), vectorized; raises at atom base points."""
-        z, wrapped = _coerce_point(z)
         self._check_not_atom(z)
         out = np.asarray(self.rotation * self._atom_values(z), dtype=complex)
         for v in self._factor_values(z):
             out = out * v
-        if out.ndim == 0:
-            out = complex(out)
-        return DiskPoint(out) if wrapped else out
+        return complex(out) if out.ndim == 0 else out
 
     def __call__(self, z):
         return self.eval(z)
 
     def deriv(self, z):
         """F'(z) by the product rule over factors, stable at zeros of F."""
-        z, _ = _coerce_point(z)
         self._check_not_atom(z)
         z = np.asarray(z, dtype=complex)
         vals = self._factor_values(z)
@@ -192,13 +175,10 @@ class InnerModel:
             raise PreconditionError("iteration count must be nonnegative")
         if n > ITERATION_CAP:
             raise PreconditionError(f"iteration count exceeds cap {ITERATION_CAP}")
-        z, wrapped = _coerce_point(z)
         out = np.asarray(z, dtype=complex)
         for _ in range(n):
             out = self.eval(out)
-        if np.ndim(out) == 0:
-            out = complex(out)
-        return DiskPoint(out) if wrapped else out
+        return complex(out) if np.ndim(out) == 0 else out
 
     def gap_ratio(self, z):
         """(1 - |z|^2)/(1 - |F(z)|^2), cancellation-free.
@@ -230,9 +210,9 @@ class InnerModel:
         """|F'(zeta)| on the circle via the angular-derivative sum
         sum (1-|a_i|^2)/|zeta-a_i|^2 + sum 2 w_k/|zeta-zeta_k|^2.
 
-        `zeta` is an angle, a BoundaryPoint, a point on the circle, or an
-        array of angles or points; returns a float for scalar input, else an
-        array of the input's shape, with +inf at atom base points."""
+        `zeta` is an angle, a point on the circle, or an array of angles
+        or points; returns a float for scalar input, else an array of the
+        input's shape, with +inf at atom base points."""
         z = _boundary_value(zeta)
 
         def dist(p):
@@ -311,13 +291,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _coerce_point(z):
-    """Unwrap DiskPoint -> complex; pass arrays/complex through."""
-    if isinstance(z, DiskPoint):
-        return z.value, True
-    return z, False
-
-
 @dataclass(frozen=True)
 class FrostmanShift:
     """The lazy composition F_a = (F - a)/(1 - conj(a) F).
@@ -336,16 +309,13 @@ class FrostmanShift:
         object.__setattr__(self, "a", a)
 
     def eval(self, z):
-        z, wrapped = _coerce_point(z)
         w = self.base.eval(z)
-        out = (w - self.a) / (1.0 - np.conj(self.a) * w)
-        return DiskPoint(out) if wrapped else out
+        return (w - self.a) / (1.0 - np.conj(self.a) * w)
 
     def __call__(self, z):
         return self.eval(z)
 
     def deriv(self, z):
-        z, _ = _coerce_point(z)
         w = self.base.eval(z)
         return self.base.deriv(z) * (1.0 - abs(self.a) ** 2) \
             / (1.0 - np.conj(self.a) * w) ** 2
@@ -353,7 +323,6 @@ class FrostmanShift:
     def gap_ratio(self, z):
         """Stable (1 - |z|^2)/(1 - |F_a(z)|^2) via the Moebius identity
         1 - |m_a(w)|^2 = (1 - |a|^2)(1 - |w|^2)/|1 - conj(a) w|^2."""
-        z, _ = _coerce_point(z)
         w = self.base.eval(z)
         return self.base.gap_ratio(z) * np.abs(1.0 - np.conj(self.a) * w) ** 2 \
             / (1.0 - abs(self.a) ** 2)
@@ -361,7 +330,6 @@ class FrostmanShift:
 
 def frostman_shift(F: InnerModel, a) -> FrostmanShift | InnerModel:
     """Frostman shift of F at a; a = 0 returns F itself."""
-    a, _ = _coerce_point(a)
     if a == 0:
         return F
     return FrostmanShift(F, a)

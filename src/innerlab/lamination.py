@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, NumericalError, PreconditionError
 from .hypgeo import disk_distance, origin_distance
-from .innerfn import InnerModel, _coerce_point
+from .innerfn import InnerModel
 from .lyapunov import chi_jensen_oracle
 from .preimage import preimages_of_batch
 
@@ -108,7 +108,6 @@ class InverseOrbit:
 def branch_orbit(F: InnerModel, z0, n: int, policy) -> InverseOrbit:
     """Backward orbit with a deterministic branch policy
     (roots array -> index)."""
-    z0, _ = _coerce_point(z0)
     orbit = InverseOrbit(F, [complex(z0)], chooser=policy)
     orbit.extend_to(n)
     return orbit
@@ -117,7 +116,6 @@ def branch_orbit(F: InnerModel, z0, n: int, policy) -> InverseOrbit:
 def sample_interior_orbit(F: InnerModel, z0, n: int, seed: int = 0) -> InverseOrbit:
     """Backward orbit from an interior point with branches drawn from the
     normalized transverse weights log(1/|w|)/log(1/|z|)."""
-    z0, _ = _coerce_point(z0)
     z0 = complex(z0)
     if z0 == 0:
         raise PreconditionError("the constant orbit at 0 is excluded")
@@ -235,7 +233,6 @@ class TransverseTree:
 
 def transverse_weights(F: InnerModel, z, depth: int) -> TransverseTree:
     """Cylinder weight tree of depth `depth` below z (no pruning)."""
-    z, _ = _coerce_point(z)
     z = complex(z)
     if z == 0:
         raise PreconditionError("base point must be nonzero")
@@ -537,7 +534,7 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
 
     Sampling is uniform in (log(1-r), theta) over a fixed grid of strata
     with per-stratum substreams spawned from `seed`, so results are
-    bit-identical for a given stratum grid regardless of worker count.
+    bit-identical for a given `seed` and stratum grid.
     """
     if F.atoms or not F.centered or F.is_rotation:
         raise PreconditionError("total mass check needs a centered "

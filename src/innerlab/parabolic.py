@@ -18,7 +18,6 @@ from scipy.integrate import cubature
 
 from ._roots import aberth_batch
 from .errors import BudgetError, NumericalError, PreconditionError
-from .hypgeo import HalfPlanePoint
 
 log = logging.getLogger("innerlab.parabolic")
 
@@ -26,12 +25,6 @@ RESIDUAL_TOL = 1e-12
 IM_SUM_TOL = 1e-9
 DEFAULT_NODE_BUDGET = 5 * 10 ** 7
 FARFIELD_SAFETY = 4.0
-
-
-def _unwrap_hp(z):
-    if isinstance(z, HalfPlanePoint):
-        return z.value
-    return complex(z)
 
 
 @dataclass(frozen=True)
@@ -70,7 +63,7 @@ class HalfPlaneInner:
         return sum(c * (1.0 + x * x) for x, c in self.atoms)
 
     def eval(self, z):
-        z = np.asarray(_unwrap_hp(z) if np.ndim(z) == 0 else z, dtype=complex)
+        z = np.asarray(z, dtype=complex)
         out = z + self.beta
         with np.errstate(divide="ignore", invalid="ignore"):
             for x, c in self.atoms:
@@ -81,7 +74,7 @@ class HalfPlaneInner:
         return self.eval(z)
 
     def deriv(self, z):
-        z = np.asarray(_unwrap_hp(z) if np.ndim(z) == 0 else z, dtype=complex)
+        z = np.asarray(z, dtype=complex)
         out = np.ones_like(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             for x, c in self.atoms:
@@ -168,7 +161,7 @@ def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
 
 def hp_preimages(F: HalfPlaneInner, z) -> np.ndarray:
     """All solutions of F(w) = z in H, sorted by (Re, Im)."""
-    z = _unwrap_hp(z)
+    z = complex(z)
     if z.imag <= 0:
         raise PreconditionError("base point must lie in the upper half-plane")
     return hp_preimages_batch(F, [z])[0]
@@ -204,7 +197,7 @@ def height_classify(F: HalfPlaneInner, z0=0.7j, n_iters: int = 2000) -> HeightCl
                                "doubly parabolic: quadratic coefficient 0 at infinity")
         return HeightClass("finite-height", "analytic",
                            f"singly parabolic: quadratic coefficient {b:g}")
-    z = _unwrap_hp(z0)
+    z = complex(z0)
     y0 = z.imag
     for _ in range(n_iters):
         z = F.eval(z)
@@ -291,7 +284,7 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
     and the outward drift only shrinks that bound.  Without it the drift
     chains cost order e^{2R} nodes.
     """
-    z = _unwrap_hp(z)
+    z = complex(z)
     if z.imag <= 0:
         raise PreconditionError("base point must lie in the upper half-plane")
     if not F.atoms:

@@ -17,7 +17,7 @@ import numpy as np
 from ._roots import aberth_batch
 from .errors import BudgetError, NumericalError, PreconditionError
 from .hypgeo import origin_distance
-from .innerfn import InnerModel, _coerce_point
+from .innerfn import InnerModel
 
 log = logging.getLogger("innerlab.preimage")
 
@@ -91,7 +91,6 @@ def _newton_polish(F: InnerModel, roots, zs, sweeps=3):
 def preimages_of(F: InnerModel, z):
     """All solutions of F(w) = z for a finite Blaschke product, sorted by
     (argument, modulus), polished to |F(w) - z| < 1e-12."""
-    z, _ = _coerce_point(z)
     return preimages_of_batch(F, [z])[0]
 
 
@@ -99,7 +98,6 @@ def expand_frostman(F: InnerModel, a) -> InnerModel:
     """Re-expand the Frostman shift F_a of a centered finite Blaschke
     product into Blaschke form, by solving F = a for the zero set."""
     _require_blaschke(F)
-    a, _ = _coerce_point(a)
     zeros = preimages_of(F, a)
     lead = np.prod(np.abs(zeros[np.abs(zeros) > 0]))
     value0 = (F.eval(0.0) - a) / (1.0 - np.conj(a) * F.eval(0.0))
@@ -232,7 +230,6 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
     nodes raises BudgetError carrying the partial tree.
     """
     _require_blaschke(F, reject_rotation=True)
-    z, _ = _coerce_point(z)
     z = complex(z)
     if z == 0:
         raise PreconditionError("base point must be nonzero")

@@ -3,9 +3,8 @@ import pytest
 
 from conftest import random_centered_blaschke, random_disk_point
 from innerlab.errors import DomainError, PreconditionError
-from innerlab.hypgeo import DiskPoint, disk_distance
-from innerlab.innerfn import (BoundaryPoint, ComposedMap, InnerModel,
-                              frostman_shift)
+from innerlab.hypgeo import disk_distance
+from innerlab.innerfn import ComposedMap, InnerModel, frostman_shift
 
 
 class TestConstruction:
@@ -49,10 +48,6 @@ class TestEval:
         F = InnerModel.atom_map(0.0, 1.0)
         with pytest.raises(DomainError):
             F.eval(1.0 + 0j)
-
-    def test_diskpoint_roundtrip(self, deg2):
-        out = deg2.eval(DiskPoint(0.3 + 0.1j))
-        assert isinstance(out, DiskPoint)
 
     def test_boundary_modulus_one(self, rng):
         F = random_centered_blaschke(rng)
@@ -182,6 +177,36 @@ class TestGapRatio:
         naive = (1 - abs(z) ** 2) / (1 - abs(F.eval(z)) ** 2)
         assert F.gap_ratio(z) == pytest.approx(naive, rel=1e-11)
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("model", [
+        InnerModel.from_zeros(0, 0.5),
+        InnerModel.from_zeros(0, 0.3 + 0.4j, -0.6j),
+        InnerModel(zeros=(0j, 0.2), atoms=((1.0, 0.7),)),
+    ], ids=["deg2", "deg3", "atom"])
+    def test_mpmath_oracle_near_circle(self, model, eps):
+        # The naive quotient loses all digits at 1 - |z| = 1e-12; a
+        # 50-digit evaluation of F factor by factor does not.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        angles = np.random.default_rng(7).uniform(0, 2 * np.pi, size=20)
+        zs = (1.0 - eps) * np.exp(1j * angles)
+
+        def reference(z):
+            z = mp.mpc(z.real, z.imag)
+            F = mp.mpc(1)
+            for a in model.zeros:
+                a = mp.mpc(a.real, a.imag)
+                F *= z if a == 0 else (a - z) / (1 - mp.conj(a) * z)
+            for ang, w in model.atoms:
+                zeta = mp.expj(mp.mpf(ang))
+                F *= mp.exp(-w * (zeta + z) / (zeta - z))
+            return (1 - abs(z) ** 2) / (1 - abs(F) ** 2)
+
+        ref = np.array([float(reference(z)) for z in zs])
+        got = model.gap_ratio(zs)
+        assert np.max(np.abs(got - ref) / ref) < 1e-12
+
 
 class TestFrostman:
     def test_zero_shift_returns_model(self, square):
@@ -254,9 +279,3 @@ class TestSerialization:
         with pytest.raises(PreconditionError):
             InnerModel.from_text("blub=0.1,0.2\n")
 
-
-class TestBoundaryPoint:
-    def test_canonical_range(self):
-        assert BoundaryPoint(-np.pi).angle == pytest.approx(np.pi)
-        assert BoundaryPoint(2 * np.pi).angle == pytest.approx(0.0)
-        assert abs(BoundaryPoint(0.3).value) == pytest.approx(1.0)

@@ -3,7 +3,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from conftest import random_centered_blaschke, random_disk_point
-from innerlab.errors import BudgetError, PreconditionError
+from innerlab import preimage
+from innerlab._roots import aberth_batch
+from innerlab.errors import BudgetError, NumericalError, PreconditionError
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
 from innerlab.preimage import (DEDUP_TOL, enumerate_ball, expand_frostman,
@@ -94,6 +96,23 @@ class TestPreimagesOf:
     def test_atom_model_rejected(self):
         with pytest.raises(PreconditionError):
             preimages_of(InnerModel.atom_map(0.0, 1.0), 0.3)
+
+
+class TestFallbacks:
+    def test_companion_matrix_fallback(self, rng):
+        # One Aberth sweep converges no row, so every row is re-solved by
+        # companion-matrix eigenvalues.
+        coeffs = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
+        fallback = np.sort_complex(aberth_batch(coeffs, max_iter=1))
+        aberth = np.sort_complex(aberth_batch(coeffs))
+        assert np.max(np.abs(fallback - aberth)) < 1e-12
+
+    def test_residual_check_raises_with_context(self, deg2, monkeypatch):
+        monkeypatch.setattr(preimage, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError) as info:
+            preimages_of_batch(deg2, [0.3, 0.1 + 0.2j])
+        assert set(info.value.context) == {"model", "z", "root"}
+        assert info.value.context["model"] is deg2
 
 
 class TestEnumerateBall:
