@@ -1,17 +1,35 @@
 """Batched polynomial root finding for preimage solves.
 
 Aberth-Ehrlich simultaneous iteration, vectorized across many polynomials
-of the same degree, with optional warm starts; rows that fail to converge
-fall back to companion-matrix eigenvalues.  Coefficients are lowest-degree
-first.  Deterministic: fixed starting configuration, fixed iteration
-policy, no randomness.
+of the same degree.  Coefficients are lowest-degree first.
+
+Each iteration touches only the working set: contiguous (degree, rows)
+copies of the iterates, the monic coefficients and the residual scales of
+the rows still moving, with their row indices.  On an iteration where
+some rows finish, those rows are written back to the (m, d) result once
+and the working set shrinks to the rest.  p and p' come from one Horner
+pass, and the Aberth sum over the other roots is d - 1 broadcasts of the
+rotated iterates.  Rows still moving after `max_iter` iterations are
+re-solved by companion-matrix eigenvalues.
+
+Warm starts: a finite `warm` array of the result's shape (m, d) seeds the
+iteration, row by row; any other `warm` (None, the wrong shape, or a
+non-finite entry) is ignored in favour of the fixed default ring.  A
+warm start changes how many iterations a row needs, not which roots it
+converges to.  Deterministic: fixed starting configuration, fixed
+iteration policy, no randomness.  Each call logs one DEBUG record with
+its rows, degree, iterations run and companion-matrix fallback rows.
 """
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from .errors import NumericalError
+
+log = logging.getLogger("innerlab.roots")
 
 
 def _default_start(m: int, d: int) -> np.ndarray:
@@ -21,21 +39,13 @@ def _default_start(m: int, d: int) -> np.ndarray:
     return np.broadcast_to(ring, (m, d)).copy()
 
 
-def _polyval_batch(coeffs, w):
-    """Evaluate rows of lowest-first `coeffs` (m, n+1) at points (m, d)."""
-    out = np.zeros_like(w)
-    for c in coeffs[:, ::-1].T:
-        out = out * w + c[:, None]
-    return out
-
-
 def aberth_batch(coeffs, warm=None, tol=5e-14, max_iter=60):
     """All roots of each row of `coeffs` (lowest-degree first).
 
     Returns an (m, d) complex array, d = degree.  `warm` optionally seeds
-    the iteration (same shape).  Rows where Aberth stalls are re-solved by
-    companion-matrix eigenvalues; a residual floor is enforced by the
-    caller's Newton polish, not here.
+    the iteration (same shape, finite).  Rows where Aberth stalls are
+    re-solved by companion-matrix eigenvalues; a residual floor is
+    enforced by the caller's Newton polish, not here.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     m, n1 = coeffs.shape
@@ -46,9 +56,9 @@ def aberth_batch(coeffs, warm=None, tol=5e-14, max_iter=60):
     if np.any(np.abs(lead) < 1e-300):
         raise NumericalError("vanishing leading coefficient in batch")
     monic = coeffs / lead[:, None]
-    dcoef = monic[:, 1:] * np.arange(1, d + 1)
 
     if d == 1:
+        log.debug("aberth_batch: %d rows, degree 1, 0 iterations, 0 fallback rows", m)
         return (-monic[:, :1]).copy()
 
     if warm is not None and np.shape(warm) == (m, d) and np.all(np.isfinite(warm)):
@@ -56,33 +66,42 @@ def aberth_batch(coeffs, warm=None, tol=5e-14, max_iter=60):
     else:
         w = _default_start(m, d)
 
+    # The working set, one column per row still moving.
+    rows = np.arange(m)
+    c = monic.T.copy()
+    wa = w.T.copy()
     scale = np.maximum(np.max(np.abs(monic), axis=1), 1.0)
-    active = np.ones(m, dtype=bool)
+    iters = 0
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
-            wa = w[active]
-            pa = _polyval_batch(monic[active], wa)
-            dpa = _polyval_batch(dcoef[active], wa)
-            newton = pa / dpa
-            diff = wa[:, :, None] - wa[:, None, :]
-            np.einsum("ijj->ij", diff)[:] = 1.0
-            s = np.sum(1.0 / diff, axis=2) - 1.0
+        while iters < max_iter and len(rows):
+            iters += 1
+            dp = c[d]
+            p = dp * wa + c[d - 1]
+            for k in range(d - 2, -1, -1):
+                dp = dp * wa + p
+                p = p * wa + c[k]
+            # sum_{j != i} 1 / (w_i - w_j), with w_j = w_{i+k mod d}.
+            ww = np.concatenate((wa, wa))
+            s = 1.0 / (wa - ww[1:d + 1])
+            for k in range(2, d):
+                s += 1.0 / (wa - ww[k:k + d])
+            newton = p / dp
             step = newton / (1.0 - newton * s)
-            bad = ~np.isfinite(step)
-            if np.any(bad):
+            if not np.isfinite(step).all():
+                bad = ~np.isfinite(step)
                 step[bad] = newton[bad]
                 step[~np.isfinite(step)] = 0.1
-            wa = wa - step
-            w[active] = wa
-            res = np.max(np.abs(pa), axis=1) / scale[active]
-            moved = np.max(np.abs(step), axis=1)
+            wa -= step
+            res = np.max(np.abs(p), axis=0) / scale
+            moved = np.max(np.abs(step), axis=0)
             done = (res < tol) | (moved < 1e-15)
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
-            if not active.any():
-                break
+            if done.any():
+                w[rows[done]] = wa[:, done].T
+                keep = ~done
+                rows, c, wa, scale = rows[keep], c[:, keep], wa[:, keep], scale[keep]
 
-    if active.any():
-        for i in np.flatnonzero(active):
-            w[i] = np.sort_complex(np.roots(monic[i, ::-1]))
+    for i in rows:
+        w[i] = np.sort_complex(np.roots(monic[i, ::-1]))
+    log.debug("aberth_batch: %d rows, degree %d, %d iterations, %d fallback rows",
+              m, d, iters, len(rows))
     return w

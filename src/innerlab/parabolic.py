@@ -110,12 +110,17 @@ class HalfPlaneInner:
         return HalfPlaneInner(beta=beta, atoms=tuple(atoms))
 
 
-def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
-    """The degree-many preimages of each z in the open upper half-plane.
+def hp_preimages_batch(F: HalfPlaneInner, zs, warm=None) -> np.ndarray:
+    """The degree-many preimages of each z in the open upper half-plane, as
+    an (m, degree) array sorted rowwise by (Re, Im).
 
     Clears denominators to a degree-(k+1) polynomial; all roots must lie in
     H and satisfy the height identity sum Im w = Im z to 1e-9, else a
-    consistency error is raised.
+    consistency error is raised.  `warm` optionally seeds the root solve
+    with finite (m, degree) guesses, one row per z, such as the preimage
+    row of the parent of z; a missing, non-finite or wrongly shaped `warm`
+    is ignored and the default start used.  Warm starts change the
+    iteration count, not the checks the roots must pass.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     k = len(F.atoms)
@@ -136,7 +141,7 @@ def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
     coeffs[:, : len(base)] = base
     coeffs[:, : len(corr)] += corr
     coeffs[:, : len(prod_all)] -= zs[:, None] * prod_all
-    roots = aberth_batch(coeffs)
+    roots = aberth_batch(coeffs, warm=warm)
     # Newton polish on F(w) - z.
     for _ in range(3):
         fw = F.eval(roots) - zs[:, None]
@@ -309,6 +314,7 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
                 & (pts.imag >= eps) & (pts.imag <= 1.0 + 1e-15))
 
     current = np.array([z], dtype=complex)
+    warm = None
     if window_mask(current)[0]:
         counted_pts.append(z)
         counted_gen.append(0)
@@ -321,7 +327,8 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
         if profile.explored > node_budget:
             raise BudgetError(f"node budget {node_budget} exceeded at "
                               f"generation {gen}", partial=profile)
-        roots = hp_preimages_batch(F, current).reshape(-1)
+        rows = hp_preimages_batch(F, current, warm=warm)
+        roots = rows.reshape(-1)
         keep = roots.imag >= eps
         if farfield_prune:
             far = np.abs(roots.real) >= re_safe
@@ -337,6 +344,8 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
         counted_pts.extend(kept[inwin].tolist())
         counted_gen.extend([gen] * int(np.sum(inwin)))
         current = kept
+        # Each kept child's preimages start from its siblings' positions.
+        warm = rows[np.flatnonzero(keep) // F.degree]
     profile.counted_points = np.asarray(counted_pts, dtype=complex)
     profile.counted_generations = np.asarray(counted_gen, dtype=int)
     return profile

@@ -1,6 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
+from innerlab import parabolic
+from innerlab._roots import aberth_batch
 from innerlab.errors import PreconditionError
 from innerlab.parabolic import (HalfPlaneInner, chi_ell, enumerate_strip,
                                 height_classify, hp_preimages,
@@ -196,6 +200,59 @@ class TestEnumerateStrip:
         a = enumerate_strip(zminus, 0.5j, (-1, 1), 6.0)
         b = enumerate_strip(zminus, 0.5j, (-1, 1), 6.0)
         assert np.array_equal(a.counted_points, b.counted_points)
+
+
+class TestWarmStart:
+    @staticmethod
+    def iterations(caplog, F, zs, warm=None):
+        """hp_preimages_batch and the iteration count its root solve logs."""
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
+            rows = hp_preimages_batch(F, zs, warm=warm)
+        [record] = caplog.records
+        return rows, record.args[2]
+
+    def test_sibling_warm_start_matches_cold(self, zminus):
+        # Three generations below 0.5i, each point's solve seeded with the
+        # preimage row of its parent, as enumerate_strip does.
+        rows = hp_preimages_batch(zminus, [0.5j])
+        for _ in range(3):
+            zs = rows.reshape(-1)
+            warm = rows[np.arange(len(zs)) // zminus.degree]
+            got = hp_preimages_batch(zminus, zs, warm=warm)
+            cold = hp_preimages_batch(zminus, zs)
+            assert np.max(np.abs(got - cold)) < 1e-12
+            rows = cold
+
+    def test_exact_warm_start_is_used(self, zminus, caplog):
+        zs = np.array([0.5j, 0.3 + 0.2j, -1.5 + 0.05j])
+        cold, n_cold = self.iterations(caplog, zminus, zs)
+        warm, n_warm = self.iterations(caplog, zminus, zs, warm=cold)
+        assert n_warm == 1 < n_cold
+        assert np.max(np.abs(warm - cold)) < 1e-12
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "shape"])
+    def test_unusable_warm_falls_back(self, zminus, caplog, bad):
+        zs = np.array([0.5j, 0.3 + 0.2j, -1.5 + 0.05j])
+        cold, n_cold = self.iterations(caplog, zminus, zs)
+        warm = cold.copy()
+        if bad == "shape":
+            warm = warm[:2]
+        else:
+            warm[1, 0] = float(bad)
+        got, n_got = self.iterations(caplog, zminus, zs, warm=warm)
+        assert np.array_equal(got, cold)
+        assert n_got == n_cold
+
+    def test_strip_matches_cold_start(self, zminus, monkeypatch):
+        warm = enumerate_strip(zminus, 0.5j, (-1, 1), 8.0)
+        monkeypatch.setattr(parabolic, "aberth_batch",
+                            lambda coeffs, warm=None: aberth_batch(coeffs))
+        cold = enumerate_strip(zminus, 0.5j, (-1, 1), 8.0)
+        assert warm.explored == cold.explored
+        assert warm.farfield_pruned == cold.farfield_pruned
+        assert np.array_equal(warm.counted_generations, cold.counted_generations)
+        assert np.max(np.abs(warm.counted_points - cold.counted_points)) < 1e-12
 
 
 class TestStripReport:

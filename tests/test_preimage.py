@@ -1,3 +1,6 @@
+import logging
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -107,12 +110,66 @@ class TestFallbacks:
         aberth = np.sort_complex(aberth_batch(coeffs))
         assert np.max(np.abs(fallback - aberth)) < 1e-12
 
+    def test_compaction_writes_rows_back_in_place(self, rng, caplog):
+        # Rows 0, 4, 8, ... start at their roots and finish on the first
+        # iteration; rows 2, 6, 10, ... start 1e-6 off and finish on the
+        # second, after the working set has shrunk; odd rows start far off,
+        # run out of iterations and go to np.roots.  Each row must land
+        # back in its own position.
+        coeffs = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
+        exact = np.array([np.roots(c[::-1]) for c in coeffs])
+        kind = (np.arange(16) % 4)[:, None]
+        warm = np.where(kind == 0, exact,
+                        np.where(kind == 2, exact + 1e-6, [5.0, 6.0, 7.0]))
+        with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
+            roots = aberth_batch(coeffs, warm=warm, max_iter=2)
+        [record] = caplog.records
+        assert record.args == (16, 3, 2, 8)    # rows, degree, iterations, fallback
+        assert np.max(np.abs(np.sort_complex(roots) - np.sort_complex(exact))) < 1e-12
+
     def test_residual_check_raises_with_context(self, deg2, monkeypatch):
         monkeypatch.setattr(preimage, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericalError) as info:
             preimages_of_batch(deg2, [0.3, 0.1 + 0.2j])
         assert set(info.value.context) == {"model", "z", "root"}
         assert info.value.context["model"] is deg2
+
+
+def mp_preimages(F, z):
+    """Roots of rot * prod (-|a|/a)(w - a) - z * prod (1 - conj(a) w), the
+    numerator of F(w) - z (factor w for a = 0), by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        num, den = [mpmath.mpc(F.rotation)], [mpmath.mpc(1)]   # highest first
+        for a in map(mpmath.mpc, F.zeros):
+            if a == 0:
+                num = num + [0]
+            else:
+                u = -abs(a) / a
+                num = np.convolve(num, [u, -u * a]).tolist()
+                den = np.convolve(den, [-mpmath.conj(a), 1]).tolist()
+        den = [0] * (len(num) - len(den)) + den
+        poly = [p - mpmath.mpc(z) * q for p, q in zip(num, den)]
+        roots = mpmath.polyroots(poly, maxsteps=200, extraprec=200)
+        return np.array([complex(r) for r in roots])
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("case", ["deg2", "degree6"])
+    def test_preimages_near_circle(self, case, gap, deg2):
+        rng = np.random.default_rng(8)
+        if case == "deg2":
+            F = deg2
+        else:
+            radii = rng.uniform(0.1, 0.9, 5)
+            zeros = (0j,) + tuple(radii * np.exp(2j * np.pi * rng.uniform(size=5)))
+            F = InnerModel(rotation=np.exp(2j * np.pi * rng.uniform()), zeros=zeros)
+        zs = (1.0 - gap) * np.exp(2j * np.pi * rng.uniform(size=8))
+        got = preimages_of_batch(F, zs)
+        for z, row in zip(zs, got):
+            dist = np.abs(row[:, None] - mp_preimages(F, z)[None, :])
+            assert sorted(np.argmin(dist, axis=1)) == list(range(F.degree))
+            assert np.max(np.min(dist, axis=1)) < 1e-13
 
 
 class TestEnumerateBall:
