@@ -130,41 +130,55 @@ def _ray_punctures(F, zeta: complex):
     return sorted(set(rs))
 
 
-def radial_distortion_integral(F, zeta, quantity: str, r_max: float,
-                               tol: float = 1e-9) -> float:
+def radial_distortion_integral(F, zeta, quantity, r_max: float,
+                               tol: float = 1e-9):
     """int_0^{r_max} quantity(r zeta) d rho along the radius, with the
     hyperbolic line element d rho = 2 dr/(1 - r^2).
+
+    `quantity` is one name of QUANTITIES, which gives a float, or a tuple
+    of names, which gives an array of their integrals in that order.  A
+    tuple is integrated by one vector-valued `cubature` call per piece of
+    the ray, so each node's comparison quotient is computed once, and a
+    piece is subdivided until every component meets `tol`.
 
     Parameter punctures of width 1e-8 are excised around r = 0 and around
     any zero of F on the ray (the integrand is bounded, so the omitted mass
     is o(1)).  Monotone nondecreasing in r_max for nonnegative quantities.
+    Each `cubature` call logs one DEBUG record on `innerlab.distortion`.
     """
     if not 0 < r_max < 1:
         raise PreconditionError("need 0 < r_max < 1")
-    if quantity not in QUANTITIES:
+    names = (quantity,) if isinstance(quantity, str) else tuple(quantity)
+    if not names or any(q not in QUANTITIES for q in names):
         raise PreconditionError(f"unknown quantity {quantity!r}")
-    column = 1 + QUANTITIES.index(quantity)
+    columns = [1 + QUANTITIES.index(q) for q in names]
     zeta = _boundary_value(zeta)
 
     def integrand(x):
         r = x[:, 0]
-        return _quantities(p_disk(F, r * zeta))[column] * 2.0 / (1.0 - r * r)
+        qs = _quantities(p_disk(F, r * zeta))
+        return np.stack([qs[c] for c in columns], axis=-1) * 2.0 \
+            / (1.0 - r * r)[:, None]
 
     cuts = [PUNCTURE]
     for r0 in _ray_punctures(F, zeta):
         if PUNCTURE < r0 < r_max:
             cuts.extend((r0 - PUNCTURE, r0 + PUNCTURE))
     cuts.append(r_max)
-    total = 0.0
+    total = np.zeros(len(names))
     for a, b in zip(cuts[::2], cuts[1::2]):
         if b <= a:
             continue
         res = cubature(integrand, [a], [b], atol=tol, rtol=1e-11)
-        if res.error > 10 * max(tol, 1e-13):
+        err = float(np.max(res.error))
+        log.debug("radial integral on [%.17g, %.17g]: %d subdivisions, "
+                  "achieved err %.2e, requested %.2e",
+                  a, b, res.subdivisions, err, tol)
+        if err > 10 * max(tol, 1e-13):
             log.info("radial integral on [%g, %g] achieved err %.2e",
-                     a, b, res.error)
-        total += float(res.estimate)
-    return total
+                     a, b, err)
+        total += res.estimate
+    return float(total[0]) if isinstance(quantity, str) else total
 
 
 def cumulative_orbit_distortion(orbit, N: int) -> float:
@@ -216,7 +230,8 @@ class ScanRow:
 def angular_derivative_criterion_scan(family, zeta, r_grid,
                                       tol: float = 1e-9) -> list:
     """For each model of a truncation family, the four radial distortion
-    integrals at each r_max together with log of the angular derivative.
+    integrals at each r_max (one vector-valued integration per model and
+    r_max) together with log of the angular derivative.
 
     Supports the angular-derivative dichotomy: the mu-integral stabilizes
     in r_max exactly when the angular derivative stays finite along the
@@ -231,10 +246,10 @@ def angular_derivative_criterion_scan(family, zeta, r_grid,
                 rows.append(ScanRow(f"model{k}", float(r_max),
                                     0.0, 0.0, 0.0, 0.0, math.log(ad)))
                 continue
-            vals = {q: radial_distortion_integral(F, zeta, q, r_max, tol)
-                    for q in QUANTITIES}
-            rows.append(ScanRow(f"model{k}", float(r_max), vals["mu"],
-                                vals["eta"], vals["delta"], vals["alpha"],
+            mu, eta, delta, alpha = radial_distortion_integral(
+                F, zeta, ("mu", "eta", "delta", "alpha"), r_max, tol)
+            rows.append(ScanRow(f"model{k}", float(r_max), float(mu),
+                                float(eta), float(delta), float(alpha),
                                 math.log(ad) if np.isfinite(ad) else math.inf))
     return rows
 

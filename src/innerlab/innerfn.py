@@ -11,6 +11,34 @@ the same interface.
 Blaschke factor convention: b_a(z) = (|a|/a)(a - z)/(1 - conj(a) z) for
 a != 0 and b_0(z) = z, so that b_a(0) = |a| > 0 and products are real
 positive at the origin; any unimodular constant is carried by `rotation`.
+
+Evaluation core.  `__post_init__` stores the factors once as columns:
+(d, 1) arrays of the zeros a, of conj(a) and of 1 - |a|^2; (m, 1) arrays
+of the m nonzero zeros, their conjugates, u = |a|/a (Python complex
+division) and u (|a|^2 - 1); (k, 1) arrays of the atom base points
+zeta_k, of -w_k, 2 w_k and -2 w_k zeta_k.  `eval`, `deriv`, `gap_ratio`
+and `boundary_deriv_modulus` flatten their input and broadcast a row of
+points against these columns, so the factor axis leads and no Python
+loop runs over the factors.  Calls of more than BLOCK_ENTRIES // (d + k)
+points (2^15 entries: a block's (factors, points) temporaries stay
+cache-sized) run in ceil(n / that) blocks whose sizes differ by at most
+one, so no block of a call of two or more points has fewer than two;
+smaller calls are one block.
+
+Operation order (a contract: a Birkhoff orbit is chaotic, so a last-bit
+change at one step grows along the orbit).  For a finite Blaschke
+product on two or more points, `eval` equals bit for bit the reference
+loop out = rotation; out = out * b_a(z) over the zeros in order, with
+b_0(z) = z copied and b_a(z) = u * (a - z) / (1 - conj(a) z): it reduces
+the stack [rotation, b_1, ..., b_d] left to right.  numpy's AVX-512
+complex multiply is fused (FMA), so it is not commutative in the last
+bit: the core always forms u * (a - z) and rotation * x, in that
+operand order.  `boundary_deriv_modulus` sums
+(1 - |a|^2)/hypot(zeta - a)^2 in factor order, then the atom terms.
+`deriv` merges (b', b) pairs pairwise by the product rule: bit-identical
+to the sequential product rule for d <= 2 and equal to rounding beyond.
+Scalars and one-point arrays agree with the reference to rounding only
+(their factor-axis product is not fused).
 """
 
 from __future__ import annotations
@@ -23,6 +51,8 @@ from .errors import DomainError, PreconditionError
 from .hypgeo import BOUNDARY_TOL
 
 ITERATION_CAP = 10 ** 6
+# Factor-by-point entries per evaluation block; see the module docstring.
+BLOCK_ENTRIES = 2 ** 15
 
 
 def _boundary_value(zeta):
@@ -34,11 +64,23 @@ def _boundary_value(zeta):
     z = np.asarray(zeta)
     if not np.iscomplexobj(z):
         z = np.exp(1j * z.astype(float))
-    elif np.all(np.abs(np.abs(z) - 1.0) <= 1e-9):
-        z = z / np.abs(z)
     else:
-        raise PreconditionError(f"{zeta!r} does not lie on the unit circle")
+        mod = np.abs(z)
+        if not np.all(np.abs(mod - 1.0) <= 1e-9):
+            raise PreconditionError(f"{zeta!r} does not lie on the unit circle")
+        z = z / mod
     return complex(z) if z.ndim == 0 else z
+
+
+def _column(values, dtype=complex):
+    """A (len, 1) array: one row per factor, broadcast against a row of
+    points."""
+    return np.array(list(values), dtype=dtype).reshape(-1, 1)
+
+
+def _rows(idx):
+    """Index array of the factor rows in `idx`, None when it is empty."""
+    return np.array(idx, dtype=np.intp) if idx else None
 
 
 @dataclass(frozen=True)
@@ -72,6 +114,26 @@ class InnerModel:
             raise PreconditionError(
                 "degenerate model: needs at least one zero or atom factor "
                 "(the rotation map itself is zeros=(0,))")
+        moved = [a for a in zs if a != 0]
+        columns = {
+            "_a": _column(zs),
+            "_ac": _column(a.conjugate() for a in zs),
+            "_c": _column((1.0 - abs(a) ** 2 for a in zs), float),
+            "_a_moved": _column(moved),
+            "_ac_moved": _column(a.conjugate() for a in moved),
+            "_u": _column(abs(a) / a for a in moved),
+            "_du": _column(abs(a) / a * (abs(a) ** 2 - 1.0) for a in moved),
+            "_zeta": _column(np.exp(1j * ang) for ang, _ in ats),
+            "_neg_w": _column((-w for _, w in ats), float),
+            "_2w": _column((2.0 * w for _, w in ats), float),
+            "_neg_2wzeta": _column(-2.0 * w * np.exp(1j * ang) for ang, w in ats),
+            "_moved": _rows([i for i, a in enumerate(zs) if a != 0]),
+            "_origin": _rows([i for i, a in enumerate(zs) if a == 0]),
+            "_pow2": 1 << max(len(zs) - 1, 0).bit_length(),
+            "_block": max(1, BLOCK_ENTRIES // (len(zs) + len(ats))),
+        }
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
 
     # -- structure ---------------------------------------------------------
 
@@ -103,71 +165,91 @@ class InnerModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def _factor_values(self, z):
-        """(d, ...) array of Blaschke factor values at z."""
+    def _blocked(self, block, z, dtype):
+        """`block(zb, out)` on the flattened z, writing a preallocated
+        output: in one call for at most `_block` points, else in
+        ceil(n / _block) blocks whose sizes differ by at most one (a
+        one-point block would reduce along the factor axis, where numpy's
+        product rounds differently).  The result has z's shape (a Python
+        scalar for scalar z)."""
         z = np.asarray(z, dtype=complex)
-        vals = np.empty((len(self.zeros),) + z.shape, dtype=complex)
-        for i, a in enumerate(self.zeros):
-            if a == 0:
-                vals[i] = z
-            else:
-                u = abs(a) / a
-                vals[i] = u * (a - z) / (1.0 - np.conj(a) * z)
-        return vals
+        flat = z.reshape(-1)
+        n = flat.size
+        out = np.empty(n, dtype=dtype)
+        if n <= self._block:
+            block(flat, out)
+        else:
+            parts = -(-n // self._block)
+            for zb, ob in zip(np.array_split(flat, parts),
+                              np.array_split(out, parts)):
+                block(zb, ob)
+        return dtype(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
-    def _atom_values(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.ones_like(z)
-        for ang, w in self.atoms:
-            zeta = np.exp(1j * ang)
-            out = out * np.exp(-w * (zeta + z) / (zeta - z))
-        return out
+    def _atom_product(self, z):
+        """(product of the atom factors at z, the (k, n) differences
+        zeta_k - z); raises at atom base points."""
+        gaps = self._zeta - z
+        hit = np.abs(gaps) < 1e-13
+        if np.any(hit):
+            ang = self.atoms[int(np.argmax(np.any(hit, axis=1)))][0]
+            raise DomainError(f"evaluation at atom base point exp({ang}i)")
+        factors = np.exp(self._neg_w * (self._zeta + z) / gaps)
+        return np.multiply.reduce(factors, axis=0), gaps
 
-    def _check_not_atom(self, z):
-        if not self.atoms:
-            return
-        z = np.asarray(z, dtype=complex)
-        for ang, _ in self.atoms:
-            zeta = np.exp(1j * ang)
-            if np.any(np.abs(z - zeta) < 1e-13):
-                raise DomainError(f"evaluation at atom base point exp({ang}i)")
+    def _factors(self, z, vals):
+        """Blaschke factor values at the points z into the (d, n) rows
+        `vals`: origin zeros copy z, the others u (a - z)/(1 - conj(a) z).
+        Returns the denominators 1 - conj(a) z of the nonzero zeros' rows
+        (None without such zeros)."""
+        if self._origin is not None:
+            vals[self._origin] = z
+        if self._moved is None:
+            return None
+        den = 1.0 - self._ac_moved * z
+        vals[self._moved] = self._u * (self._a_moved - z) / den
+        return den
+
+    def _eval_block(self, z, out):
+        stack = np.empty((1 + self.degree, z.size), dtype=complex)
+        if self.atoms:
+            np.multiply(self.rotation, self._atom_product(z)[0], out=stack[0])
+        else:
+            stack[0] = self.rotation
+        self._factors(z, stack[1:])
+        np.multiply.reduce(stack, axis=0, out=out)
 
     def eval(self, z):
         """F(z), vectorized; raises at atom base points."""
-        self._check_not_atom(z)
-        out = np.asarray(self.rotation * self._atom_values(z), dtype=complex)
-        for v in self._factor_values(z):
-            out = out * v
-        return complex(out) if out.ndim == 0 else out
+        return self._blocked(self._eval_block, z, complex)
 
     def __call__(self, z):
         return self.eval(z)
 
+    def _deriv_block(self, z, out):
+        # (B, P) = (b', b) per factor, padded to a power of two with the
+        # identity (0, 1), and merged pairwise by the product rule
+        # (f g)' = f' g + f g' until one pair is left: log2(d) broadcasts,
+        # no division by a factor that may vanish.
+        prod = np.ones((self._pow2, z.size), dtype=complex)
+        der = np.zeros((self._pow2, z.size), dtype=complex)
+        den = self._factors(z, prod)
+        if self._origin is not None:
+            der[self._origin] = 1.0
+        if den is not None:
+            der[self._moved] = self._du / den ** 2
+        while len(prod) > 1:
+            der = der[0::2] * prod[1::2] + prod[0::2] * der[1::2]
+            prod = prod[0::2] * prod[1::2]
+        bprime, blaschke = der[0], prod[0]
+        if self.atoms:
+            atom_val, gaps = self._atom_product(z)
+            atom_logderiv = np.add.reduce(self._neg_2wzeta / gaps ** 2, axis=0)
+            bprime = bprime * atom_val + blaschke * atom_val * atom_logderiv
+        np.multiply(self.rotation, bprime, out=out)
+
     def deriv(self, z):
         """F'(z) by the product rule over factors, stable at zeros of F."""
-        self._check_not_atom(z)
-        z = np.asarray(z, dtype=complex)
-        vals = self._factor_values(z)
-        ders = np.empty_like(vals)
-        for i, a in enumerate(self.zeros):
-            if a == 0:
-                ders[i] = 1.0
-            else:
-                u = abs(a) / a
-                ders[i] = u * (abs(a) ** 2 - 1.0) / (1.0 - np.conj(a) * z) ** 2
-        atom_val = self._atom_values(z)
-        atom_logderiv = np.zeros_like(z)
-        for ang, w in self.atoms:
-            zeta = np.exp(1j * ang)
-            atom_logderiv = atom_logderiv - 2.0 * w * zeta / (zeta - z) ** 2
-        blaschke = np.ones_like(z)
-        bprime = np.zeros_like(z)
-        for i in range(len(self.zeros)):
-            bprime = bprime * vals[i] + blaschke * ders[i]
-            blaschke = blaschke * vals[i]
-        out = self.rotation * (bprime * atom_val
-                               + blaschke * atom_val * atom_logderiv)
-        return complex(out) if out.ndim == 0 else out
+        return self._blocked(self._deriv_block, z, complex)
 
     def iterate(self, z, n: int):
         """n-fold composition F^n(z); n = 0 is the identity."""
@@ -180,6 +262,23 @@ class InnerModel:
             out = self.eval(out)
         return complex(out) if np.ndim(out) == 0 else out
 
+    def _gap_ratio_block(self, z, out):
+        mod = np.abs(z)
+        s = (1.0 - mod) * (1.0 + mod)
+        csum = logmod2 = 0.0
+        if self.zeros:
+            c = self._c / np.abs(1.0 - self._ac * z) ** 2
+            csum = np.add.reduce(c, axis=0)
+            logmod2 = np.add.reduce(np.log1p(c * -s), axis=0)
+        if self.atoms:
+            kern = self._2w / np.abs(self._zeta - z) ** 2
+            csum = csum + np.add.reduce(kern, axis=0)
+            logmod2 = logmod2 - np.add.reduce(kern * s, axis=0)
+        denom = -np.expm1(logmod2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[:] = np.where(s > 1e-30, s / np.where(denom == 0, 1.0, denom),
+                              1.0 / csum)
+
     def gap_ratio(self, z):
         """(1 - |z|^2)/(1 - |F(z)|^2), cancellation-free.
 
@@ -187,24 +286,22 @@ class InnerModel:
         factor and the Poisson kernel for atom factors, so the quotient
         stays accurate up to (and on) the unit circle, where it equals
         1/|F'(z/|z|)|."""
-        z = np.asarray(z, dtype=complex)
-        s = (1.0 - np.abs(z)) * (1.0 + np.abs(z))
-        csum = np.zeros(z.shape)
-        logmod2 = np.zeros(z.shape)
-        for a in self.zeros:
-            c = (1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2
-            csum = csum + c
-            logmod2 = logmod2 + np.log1p(-c * s)
-        for ang, wgt in self.atoms:
-            zeta = np.exp(1j * ang)
-            kern = 2.0 * wgt / np.abs(zeta - z) ** 2
-            csum = csum + kern
-            logmod2 = logmod2 - kern * s
-        denom = -np.expm1(logmod2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(s > 1e-30, s / np.where(denom == 0, 1.0, denom),
-                           1.0 / csum)
-        return float(out) if out.ndim == 0 else out
+        return self._blocked(self._gap_ratio_block, z, float)
+
+    def _boundary_block(self, z, out):
+        # hypot agrees with abs() of a Python complex to the last bit;
+        # numpy's complex abs does not.
+        terms = []
+        if self.zeros:
+            dz = z - self._a
+            terms.append(self._c / np.hypot(dz.real, dz.imag) ** 2)
+        if self.atoms:
+            dz = z - self._zeta
+            gap = np.hypot(dz.real, dz.imag)
+            with np.errstate(divide="ignore"):
+                terms.append(np.where(gap < 1e-13, np.inf, self._2w / gap ** 2))
+        np.add.reduce(np.concatenate(terms) if len(terms) > 1 else terms[0],
+                      axis=0, out=out)
 
     def boundary_deriv_modulus(self, zeta):
         """|F'(zeta)| on the circle via the angular-derivative sum
@@ -213,22 +310,7 @@ class InnerModel:
         `zeta` is an angle, a point on the circle, or an array of angles
         or points; returns a float for scalar input, else an array of the
         input's shape, with +inf at atom base points."""
-        z = _boundary_value(zeta)
-
-        def dist(p):
-            # hypot agrees with abs() of a Python complex to the last bit;
-            # numpy's complex abs does not.
-            dz = z - p
-            return np.hypot(dz.real, dz.imag)
-
-        total = np.zeros(np.shape(z))
-        for a in self.zeros:
-            total = total + (1.0 - abs(a) ** 2) / dist(a) ** 2
-        for ang, w in self.atoms:
-            gap = dist(np.exp(1j * ang))
-            with np.errstate(divide="ignore"):
-                total = total + np.where(gap < 1e-13, np.inf, 2.0 * w / gap ** 2)
-        return float(total) if total.ndim == 0 else total
+        return self._blocked(self._boundary_block, _boundary_value(zeta), float)
 
     # -- rational form (finite Blaschke only) ------------------------------
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,8 +167,9 @@ class TestRadialIntegrals:
         assert np.isfinite(v) and v > 0
 
     def test_bad_quantity_rejected(self, square):
-        with pytest.raises(PreconditionError):
-            radial_distortion_integral(square, 1.0 + 0j, "zeta", 0.9)
+        for quantity in ("zeta", ("mu", "zeta"), ()):
+            with pytest.raises(PreconditionError):
+                radial_distortion_integral(square, 1.0 + 0j, quantity, 0.9)
 
     def test_theorem_bounded_ratio(self, rng):
         # Pilot-recorded constant for the delta integral over log |F'|.
@@ -179,6 +182,35 @@ class TestRadialIntegrals:
             denom = max(np.log(F.boundary_deriv_modulus(theta)), 0.1)
             worst = max(worst, v / denom)
         assert worst < 6.0  # pilot: max observed ~2.7
+
+
+class TestVectorIntegral:
+    def test_tuple_matches_single_names(self, rng):
+        tol = 1e-9
+        for _ in range(2):
+            F = random_centered_blaschke(rng, dmax=5)
+            zeta = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            names = ("mu", "eta", "delta", "alpha")
+            vec = radial_distortion_integral(F, zeta, names, 1 - 1e-6, tol)
+            assert isinstance(vec, np.ndarray) and vec.shape == (4,)
+            single = [radial_distortion_integral(F, zeta, q, 1 - 1e-6, tol)
+                      for q in names]
+            assert all(isinstance(v, float) for v in single)
+            assert np.max(np.abs(vec - single)) <= 10 * tol
+
+    def test_one_debug_record_per_cubature_call(self, deg2, caplog):
+        # The zero at 0.5 on the ray splits it into two pieces.
+        with caplog.at_level(logging.DEBUG, logger="innerlab.distortion"):
+            radial_distortion_integral(deg2, 1.0 + 0j, ("mu", "eta"), 0.99,
+                                       tol=1e-9)
+        records = [r for r in caplog.records
+                   if r.name == "innerlab.distortion" and r.levelno == logging.DEBUG]
+        assert len(records) == 2
+        (a0, b0, n0, err0, tol0), (a1, b1, _, _, tol1) = (r.args for r in records)
+        assert (a0, b0, a1, b1) == (PUNCTURE, 0.5 - PUNCTURE, 0.5 + PUNCTURE, 0.99)
+        assert tol0 == tol1 == 1e-9
+        assert n0 >= 0 and 0 <= err0 <= 1e-9
+        assert "subdivisions" in records[0].getMessage()
 
 
 class TestCumulative:
@@ -271,6 +303,18 @@ class TestScan:
         for row, d in zip(rows, (2, 3)):
             assert np.isfinite(row.integral_mu)
             assert row.log_angular_derivative == pytest.approx(np.log(d))
+
+    def test_truncation_mu_meets_tol(self):
+        # Each truncation's zeros cut the ray into K + 1 pieces; the scan's
+        # mu-integral at tol = 1e-9 must be within 1e-9 of a tol = 1e-12
+        # reference.
+        r_max = 1 - 1e-4
+        for K in (6, 12):
+            F = InnerModel.from_zeros(*[1 - 2.0 ** -k for k in range(1, K + 1)])
+            row, = angular_derivative_criterion_scan([F], 1.0 + 0j, [r_max],
+                                                     tol=1e-9)
+            ref = radial_distortion_integral(F, 1.0 + 0j, "mu", r_max, tol=1e-12)
+            assert abs(row.integral_mu - ref) <= 1e-9, K
 
     def test_truncation_divergence(self):
         fam = [InnerModel.from_zeros(*[1 - 2.0 ** -k for k in range(1, K + 1)])

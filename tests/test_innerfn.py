@@ -4,6 +4,7 @@ import pytest
 from conftest import random_centered_blaschke, random_disk_point
 from innerlab.errors import DomainError, PreconditionError
 from innerlab.hypgeo import disk_distance
+from innerlab import innerfn
 from innerlab.innerfn import ComposedMap, InnerModel, frostman_shift
 
 
@@ -206,6 +207,116 @@ class TestGapRatio:
         ref = np.array([float(reference(z)) for z in zs])
         got = model.gap_ratio(zs)
         assert np.max(np.abs(got - ref) / ref) < 1e-12
+
+
+def _seeded_model(seed, degree):
+    """A centered degree-`degree` model with seeded zeros and rotation."""
+    rng = np.random.default_rng(seed)
+    zeros = [0j] + list(0.9 * np.sqrt(rng.uniform(size=degree - 1))
+                        * np.exp(2j * np.pi * rng.uniform(size=degree - 1)))
+    return InnerModel(rotation=np.exp(2j * np.pi * rng.uniform()),
+                      zeros=tuple(zeros))
+
+
+# Built on demand, so that a test can set the block size first.
+ORACLE_MODELS = {
+    "truncation_K12": lambda: InnerModel.from_zeros(
+        *[1.0 - 2.0 ** -k for k in range(1, 13)]),
+    "seeded_d6": lambda: _seeded_model(61, 6),
+    "three_atoms": lambda: InnerModel(
+        rotation=np.exp(0.4j), zeros=(0j, 0.3 + 0.2j),
+        atoms=((0.5, 0.7), (2.5, 0.3), (4.0, 1.2))),
+}
+
+
+class TestMpmathCoreOracle:
+    """eval, deriv, gap_ratio and boundary_deriv_modulus against a 50-digit
+    evaluation of the same model factor by factor, near the circle, on
+    scalar, 1-d and 2-d inputs and across block seams."""
+
+    TOL = 1e-13
+
+    @staticmethod
+    def _reference(model, zs):
+        """(F, F', gap ratio, |F'| at z/|z|) for each point of zs."""
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        zeros = [mp.mpc(a.real, a.imag) for a in model.zeros]
+        atoms = [(mp.expj(mp.mpf(ang)), mp.mpf(w)) for ang, w in model.atoms]
+        rot = mp.mpc(model.rotation.real, model.rotation.imag)
+        rot /= abs(rot)  # unimodular, as the gap ratio assumes
+        out = []
+        for z in np.ravel(zs):
+            z = mp.mpc(z.real, z.imag)
+            zeta = z / abs(z)
+            val, logd, dmod = rot, mp.mpc(0), mp.mpf(0)
+            for a in zeros:
+                if a == 0:
+                    val *= z
+                    logd += 1 / z
+                else:
+                    val *= abs(a) / a * (a - z) / (1 - mp.conj(a) * z)
+                    logd += (abs(a) ** 2 - 1) / ((a - z) * (1 - mp.conj(a) * z))
+                dmod += (1 - abs(a) ** 2) / abs(zeta - a) ** 2
+            for zk, w in atoms:
+                val *= mp.exp(-w * (zk + z) / (zk - z))
+                logd += -2 * w * zk / (zk - z) ** 2
+                dmod += 2 * w / abs(zeta - zk) ** 2
+            out.append((complex(val), complex(val * logd),
+                        float((1 - abs(z) ** 2) / (1 - abs(val) ** 2)),
+                        float(dmod)))
+        return [np.reshape([r[i] for r in out], np.shape(zs)) for i in range(4)]
+
+    def _worst(self, model, zs):
+        """Largest relative error over the four quantities, in units of
+        the condition number 1 + sum 2 w_k/|zeta_k - z| of the atom
+        exponentials (1 without atoms)."""
+        ref = self._reference(model, zs)
+        got = [model.eval(zs), model.deriv(zs), model.gap_ratio(zs),
+               model.boundary_deriv_modulus(np.asarray(zs) / np.abs(zs))]
+        cond = 1.0 + sum(2.0 * w / np.abs(np.exp(1j * ang) - np.asarray(zs))
+                         for ang, w in model.atoms)
+        worst = 0.0
+        for g, r in zip(got, ref):
+            assert np.shape(g) == np.shape(zs)
+            worst = max(worst, float(np.max(np.abs(g - r) / np.abs(r) / cond)))
+        return worst
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_near_circle(self, name, eps):
+        model = ORACLE_MODELS[name]()
+        angles = np.random.default_rng(17).uniform(0, 2 * np.pi, size=24)
+        zs = (1.0 - eps) * np.exp(1j * angles)
+        worst = max(self._worst(model, zs[0]), self._worst(model, zs),
+                    self._worst(model, zs.reshape(4, 6)))
+        assert worst < self.TOL
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_block_seams(self, name, monkeypatch):
+        # Blocks of at most B = 5 to 12 points: 50 points run in five or
+        # more blocks.  B (B - 1) + 1 points run in B blocks whose sizes
+        # differ by at most one and must match one block bit for bit (a
+        # one-point last block would round differently).
+        whole = ORACLE_MODELS[name]()
+        monkeypatch.setattr(innerfn, "BLOCK_ENTRIES", 60)
+        model = ORACLE_MODELS[name]()
+        assert model._block <= 12
+        rng = np.random.default_rng(23)
+        zs = (1.0 - 10.0 ** -rng.uniform(1, 10, size=50)) \
+            * np.exp(2j * np.pi * rng.uniform(size=50))
+        assert self._worst(model, zs) < self.TOL
+        n = model._block * (model._block - 1) + 1
+        assert whole._block >= n
+        zs = 0.99 * np.sqrt(rng.uniform(size=n)) \
+            * np.exp(2j * np.pi * rng.uniform(size=n))
+        for method in ("eval", "deriv", "gap_ratio"):
+            np.testing.assert_array_equal(getattr(model, method)(zs),
+                                          getattr(whole, method)(zs))
+        np.testing.assert_array_equal(
+            model.boundary_deriv_modulus(zs / np.abs(zs)),
+            whole.boundary_deriv_modulus(zs / np.abs(zs)))
 
 
 class TestFrostman:

@@ -115,6 +115,63 @@ class TestBirkhoff:
         assert est.error < 1e-12
 
 
+def _reference_eval(F, z):
+    """F(z) on an array, factor by factor: ((rotation * b_1) * b_2) * ..."""
+    out = np.full(z.shape, F.rotation)
+    for a in F.zeros:
+        out = out * (z if a == 0 else abs(a) / a * (a - z) / (1.0 - np.conj(a) * z))
+    return out
+
+
+def _reference_boundary_modulus(F, z):
+    """sum (1 - |a|^2)/|z - a|^2 over the zeros in order, with hypot, after
+    renormalizing z onto the circle."""
+    z = z / np.abs(z)
+    total = np.zeros(z.shape)
+    for a in F.zeros:
+        total = total + (1.0 - abs(a) ** 2) / np.hypot((z - a).real, (z - a).imag) ** 2
+    return total
+
+
+class TestBirkhoffDeterminism:
+    """A Birkhoff orbit is chaotic: a last-bit change in F at one step grows
+    along the orbit.  The array core must reproduce the per-factor product
+    exactly."""
+
+    @staticmethod
+    def _model(origin_at):
+        rng = np.random.default_rng(606)
+        zeros = list(0.9 * np.sqrt(rng.uniform(size=5))
+                     * np.exp(2j * np.pi * rng.uniform(size=5)))
+        zeros.insert(origin_at, 0j)
+        return InnerModel(rotation=np.exp(2j * np.pi * rng.uniform()),
+                          zeros=tuple(zeros))
+
+    @pytest.mark.parametrize("origin_at", [0, 3])
+    def test_eval_matches_factor_loop_bitwise(self, origin_at):
+        F = self._model(origin_at)
+        z = np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=4096))
+        assert np.array_equal(F.eval(z), _reference_eval(F, z))
+        assert np.array_equal(F.boundary_deriv_modulus(z),
+                              _reference_boundary_modulus(F, z))
+
+    @pytest.mark.parametrize("origin_at", [0, 3])
+    def test_orbit_matches_factor_loop(self, origin_at):
+        F = self._model(origin_at)
+        n, lanes = 4096, 32
+        rng = np.random.default_rng(5)
+        z = np.concatenate(([1.0 + 0j],
+                            np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=lanes - 1))))
+        sums = np.zeros(lanes)
+        for _ in range(n // lanes):
+            sums += np.log(_reference_boundary_modulus(F, z))
+            w = _reference_eval(F, z)
+            z = w / np.abs(w)
+        ref = float(np.sum(sums) / n)
+        est = chi_birkhoff(F, 0.0, n=n, seed=5)
+        assert est.value == pytest.approx(ref, rel=1e-13, abs=0)
+
+
 class TestAngularDerivative:
     def test_square(self, square):
         assert square.boundary_deriv_modulus(0.3) == pytest.approx(2.0)
