@@ -18,7 +18,7 @@ F = InnerModel.from_zeros(0, 0.5)
 SQ = InnerModel.power_map(2)
 
 print("solenoid sampling pushes forward to Lebesgue measure:")
-u = lam.SolenoidSampler(F, seed=11).marginal_sample(20000, depth=6)
+u = lam.solenoid_orbits(F, 6, paths=20000, seed=11)[:, -1]
 ang = np.sort(np.angle(u) % (2 * np.pi)) / (2 * np.pi)
 n = len(ang)
 ks = np.max(np.maximum(np.arange(1, n + 1) / n - ang, ang - np.arange(n) / n))
@@ -29,11 +29,11 @@ print("\nexponential map on the fixed-point orbit of z^2: "
       "E(u, t) = lim (1 - t/2^n)^(2^n) = e^-t")
 const = np.ones(40, dtype=complex)
 for t in (0.25, 0.5, 0.75):
-    r = lam.exponential_map(const, t, 30, model=SQ)
+    r = lam.exponential_map(SQ, const, t, 30)
     print(f"  t = {t}: E = {r.point.real:.9f}, e^-t = {np.exp(-t):.9f}")
 
-orb = lam.SolenoidSampler(SQ, seed=5).orbit(45)
-d = lam.geodesic_intertwining_check(orb, t=0.3, s=-0.5, n_approx=30)
+orb = lam.solenoid_orbits(SQ, 45, seed=5)[0]
+d = lam.geodesic_intertwining_check(SQ, orb, t=0.3, s=-0.5, n_approx=30)
 print(f"\ngeodesic intertwining g_s E(u,t) = E(u, e^s t): "
       f"discrepancy {d:.2e} on a random orbit")
 g = lam.gh_commutation_discrepancy(2, 0.4 + 0.1j, s=0.3, t=0.25)

@@ -27,13 +27,13 @@ for label, bad, adversary in [
 print("\nbackward-orbit analog for z -> z^2:")
 SQ = InnerModel.power_map(2)
 orb = lam.branch_orbit(SQ, 0.4, 80, lambda roots: int(np.argmax(roots.real)))
-st = lam.radial_shadowing_stat(orb)
+st = lam.radial_shadowing_stat(SQ, orb)
 print(f"  branch-consistent orbit (positive roots): stat = {st.value:.2e}, "
       f"landing angle {st.limit_angle:.3f}, conclusive = {st.conclusive}")
 
 F = InnerModel.from_zeros(0, 0.5)
 orb = lam.sample_interior_orbit(F, 0.3, 200, seed=17)
-st = lam.radial_shadowing_stat(orb)
+st = lam.radial_shadowing_stat(F, orb)
 print(f"  random-branch orbit: stat = {st.value:.3f}, "
       f"conclusive = {st.conclusive}")
 print("  (random branches equidistribute over the solenoid, so the raw")

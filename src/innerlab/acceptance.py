@@ -280,13 +280,13 @@ def criterion_10_exponential_map(fast=False) -> CriterionResult:
     z^2; intertwining discrepancy < 1e-3 on random solenoid orbits."""
     t0 = time.time()
     const = np.ones(40, dtype=complex)
-    r = lamination.exponential_map(const, 0.5, 30, model=SQUARE)
+    r = lamination.exponential_map(SQUARE, const, 0.5, 30)
     err_fp = abs(r.point - math.exp(-0.5))
     worst = 0.0
     for seed in (1, 2, 3):
-        orb = lamination.SolenoidSampler(SQUARE, seed=seed).orbit(45)
+        orb = lamination.solenoid_orbits(SQUARE, 45, seed=seed)[0]
         worst = max(worst, lamination.geodesic_intertwining_check(
-            orb, 0.3, -0.5, 30))
+            SQUARE, orb, 0.3, -0.5, 30))
     dt = time.time() - t0
     ok = err_fp < 1e-6 and worst < 1e-3
     return CriterionResult(10, "exponential map and flow", ok,

@@ -130,12 +130,10 @@ def cmd_distortion_scan(args):
 def cmd_orbit(args):
     F = load_model(args.model)
     if args.interior:
-        orbit = lamination.sample_interior_orbit(F, _parse_complex(args.z),
-                                                 args.n, seed=args.seed)
+        pts = lamination.sample_interior_orbit(F, _parse_complex(args.z),
+                                               args.n, seed=args.seed)
     else:
-        sampler = lamination.SolenoidSampler(F, seed=args.seed)
-        orbit = sampler.orbit(args.n)
-    pts = orbit.coordinates(args.n)
+        pts = lamination.solenoid_orbits(F, args.n, seed=args.seed)[0]
     with open(args.out, "w") as fh:
         for line in _header(args):
             fh.write(f"# {line}\n")

@@ -181,20 +181,20 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
     return float(total[0]) if isinstance(quantity, str) else total
 
 
-def cumulative_orbit_distortion(orbit, N: int) -> float:
-    """Partial sum sum_{n=1}^N delta_F(z_{-n}) along a backward orbit.
+def cumulative_orbit_distortion(F: InnerModel, coords, N: int) -> float:
+    """Partial sum sum_{n=1}^N delta_F(z_{-n}) along the backward orbit
+    `coords` = (z_0, z_{-1}, ...).
 
-    `orbit` is anything with a `model` attribute and `point(n)` returning
-    the coordinate z_{-n}.  Coordinates where the radial direction is
-    undefined contribute their two-sided limit via a 1e-8 radial
-    perturbation (logged).
+    Coordinates where the radial direction is undefined contribute their
+    two-sided limit via a 1e-8 radial perturbation (logged).
     """
     if N < 0:
         raise PreconditionError("need N >= 0")
-    F = orbit.model
+    if len(coords) < N + 1:
+        raise PreconditionError(f"orbit too short: need {N + 1} coordinates")
     total = 0.0
     for n in range(1, N + 1):
-        z = complex(orbit.point(n))
+        z = complex(coords[n])
         try:
             total += distortion_at_disk(F, z).delta
         except PreconditionError:

@@ -1,17 +1,20 @@
 """Backward-orbit machinery over the solenoid and the disk.
 
-Solenoid sampling with transfer-operator weights, transverse weight
-trees, the exponential map to geodesic-flow coordinates and its
-intertwining, box masses of the natural measure, the total-mass check
-against the Lyapunov exponent, radial shadowing statistics, and the
-good/bad-times shadowing simulation in the upper half-plane.
+Backward orbits are complex arrays z_0, z_{-1}, ..., z_{-n} (rows of an
+(m, n + 1) array for m orbits), all stepped by one generation-batched walk:
+by a branch policy, by normalized heights, or by transfer-operator weights
+on the solenoid.  Also: transverse weight trees, the exponential map to
+geodesic-flow coordinates and its intertwining, box masses of the natural
+measure, the total-mass check against the Lyapunov exponent, radial
+shadowing statistics, and the good/bad-times shadowing simulation in the
+upper half-plane.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,172 +31,108 @@ TREE_BUDGET = 2 * 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# Inverse orbits
+# Backward orbits
 
 
-@dataclass
-class InverseOrbit:
-    """A backward orbit (z_0, z_{-1}, ...) of `model`, realized lazily by a
-    branch-choice sequence plus cached coordinates.
-
-    `points[n]` is z_{-n}.  Extension solves the preimage equation at the
-    deepest cached coordinate and picks the branch returned by `chooser`,
-    which receives the sorted root array and must return an index
-    deterministically (any randomness lives in the chooser's own rng).
-    """
-
-    model: InnerModel
-    points: list
-    branches: list = field(default_factory=list)
-    chooser: object = None
-    on_boundary: bool = False
-
-    def __len__(self):
-        return len(self.points)
-
-    @property
-    def depth(self) -> int:
-        return len(self.points) - 1
-
-    def point(self, n: int) -> complex:
-        """The coordinate z_{-n}, extending the cache as needed."""
-        if n < 0:
-            raise PreconditionError("only backward coordinates exist")
-        self.extend_to(n)
-        return self.points[n]
-
-    def coordinates(self, upto: int) -> np.ndarray:
-        self.extend_to(upto)
-        return np.asarray(self.points[: upto + 1], dtype=complex)
-
-    def extend_to(self, depth: int):
-        while self.depth < depth:
-            if self.chooser is None:
-                raise PreconditionError(
-                    f"orbit has no chooser and only {self.depth} cached steps")
-            roots = preimages_of_batch(self.model, [self.points[-1]])[0]
-            if self.on_boundary:
-                roots = roots / np.abs(roots)
-            k = int(self.chooser(roots))
-            self.branches.append(k)
-            self.points.append(complex(roots[k]))
-
-    def residual(self) -> float:
-        """max |F(z_{-n-1}) - z_{-n}| over the cached coordinates."""
-        if self.depth == 0:
-            return 0.0
-        pts = np.asarray(self.points, dtype=complex)
-        return float(np.max(np.abs(self.model.eval(pts[1:]) - pts[:-1])))
-
-    def log_boundary_gaps(self, upto: int) -> np.ndarray:
-        """log(1 - |z_{-n}|) for n = 0..upto, stable at any depth.
-
-        While the gap is representable it is computed directly; once the
-        coordinates collapse onto the circle in double precision the gaps
-        continue via the derivative recurrence h_{n+1} = h_n / |F'(z_{-n-1})|
-        (exact to first order near the boundary, where it is used).
-        """
-        pts = self.coordinates(upto)
-        gaps = 1.0 - np.abs(pts)
-        tiny = gaps <= 1e-10
-        s = int(np.argmax(tiny)) if np.any(tiny) else upto + 1
-        if s == 0:
-            raise PreconditionError("base point is on the circle")
-        out = np.log(gaps[:s])
-        dmod = self.model.boundary_deriv_modulus(np.angle(pts[s:]))
-        tail = np.cumsum(np.concatenate(([out[-1]], -np.log(dmod))))
-        return np.concatenate((out, tail[1:]))
+def _walk(F: InnerModel, starts, n: int, choose,
+          on_boundary: bool = False) -> np.ndarray:
+    """The (m, n + 1) coordinates of backward orbits from the m `starts`,
+    one preimage solve per generation; `choose` maps the (m, d) rowwise
+    sorted roots to a branch per row.  Boundary roots are put back on the
+    circle."""
+    if n < 0:
+        raise PreconditionError("only backward coordinates exist")
+    coords = np.empty((len(starts), n + 1), dtype=complex)
+    coords[:, 0] = starts
+    rows = np.arange(len(starts))
+    for k in range(n):
+        roots = preimages_of_batch(F, coords[:, k])
+        if on_boundary:
+            roots = roots / np.abs(roots)
+        coords[:, k + 1] = roots[rows, choose(roots)]
+    return coords
 
 
-def branch_orbit(F: InnerModel, z0, n: int, policy) -> InverseOrbit:
-    """Backward orbit with a deterministic branch policy
-    (roots array -> index)."""
-    orbit = InverseOrbit(F, [complex(z0)], chooser=policy)
-    orbit.extend_to(n)
-    return orbit
+def _draw(rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
+    """One branch per row of the (m, d) probabilities `p`, drawn exactly as
+    `rng.choice(d, p=row)` draws it, row after row."""
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.sum(cdf <= rng.random((len(p), 1)), axis=1)
 
 
-def sample_interior_orbit(F: InnerModel, z0, n: int, seed: int = 0) -> InverseOrbit:
-    """Backward orbit from an interior point with branches drawn from the
-    normalized transverse weights log(1/|w|)/log(1/|z|)."""
+def branch_orbit(F: InnerModel, z0, n: int, policy) -> np.ndarray:
+    """The backward orbit z_0, ..., z_{-n} that takes branch `policy(roots)`
+    of the sorted preimages at every step."""
+    return _walk(F, [complex(z0)], n,
+                 lambda roots: [policy(row) for row in roots])[0]
+
+
+def sample_interior_orbit(F: InnerModel, z0, n: int, seed: int = 0) -> np.ndarray:
+    """Backward orbit z_0, ..., z_{-n} from an interior point with branches
+    drawn from the normalized transverse weights log(1/|w|)/log(1/|z|)."""
     z0 = complex(z0)
     if z0 == 0:
         raise PreconditionError("the constant orbit at 0 is excluded")
     rng = np.random.default_rng(seed)
 
-    def chooser(roots):
+    def choose(roots):
         w = np.log(1.0 / np.abs(roots))
-        total = np.sum(w)
-        if total < 1e-12:
+        total = np.sum(w, axis=1, keepdims=True)
+        flat = total[:, 0] < 1e-12
+        if np.any(flat):
             # Deep coordinates collapse onto the circle in doubles; the
             # normalized heights tend to the transfer weights 1/|F'|.
-            w = 1.0 / F.boundary_deriv_modulus(roots)
-            total = np.sum(w)
-        return rng.choice(len(roots), p=w / total)
+            w[flat] = 1.0 / F.boundary_deriv_modulus(roots[flat])
+            total[flat] = np.sum(w[flat], axis=1, keepdims=True)
+        return _draw(rng, w / total)
 
-    orbit = InverseOrbit(F, [z0], chooser=chooser)
-    orbit.extend_to(n)
-    return orbit
+    return _walk(F, [z0], n, choose)[0]
 
 
-# ---------------------------------------------------------------------------
-# Solenoid sampling
+def solenoid_orbits(F: InnerModel, n: int, paths: int = 1,
+                    seed: int = 0) -> np.ndarray:
+    """(paths, n + 1) boundary orbits sampling the natural extension of
+    Lebesgue measure m: a uniform start angle, then the preimage u' of u
+    with probability 1/|F'(u')|.  These transfer weights sum to 1, which is
+    invariance of m (so every column is m-distributed); a sum off by more
+    than 1e-10 raises NumericalError."""
+    if F.atoms or not F.centered or F.is_rotation:
+        raise PreconditionError("solenoid sampling needs a centered "
+                                "non-rotation finite Blaschke product")
+    rng = np.random.default_rng(seed)
+    starts = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=paths))
 
-
-@dataclass
-class SolenoidSampler:
-    """Backward sampling of the natural extension of Lebesgue measure.
-
-    A backward step from u picks the preimage u' with probability
-    1/|F'(u')| (the transfer-operator weights); their sum over the
-    preimages is 1 up to 1e-10, which is exactly invariance of m.
-    """
-
-    model: InnerModel
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.model.atoms or not self.model.centered or self.model.is_rotation:
-            raise PreconditionError("solenoid sampling needs a centered "
-                                    "non-rotation finite Blaschke product")
-        self._rng = np.random.default_rng(self.seed)
-
-    def _weights(self, roots: np.ndarray) -> np.ndarray:
-        w = 1.0 / self.model.boundary_deriv_modulus(roots)
-        total = float(np.sum(w))
-        if abs(total - 1.0) > 1e-10:
+    def choose(roots):
+        w = 1.0 / F.boundary_deriv_modulus(roots)
+        total = np.sum(w, axis=1, keepdims=True)
+        off = np.abs(total - 1.0) > 1e-10
+        if np.any(off):
             raise NumericalError(
-                f"transfer weights sum to {total}, not 1", context=self.model)
-        return w / total
+                f"transfer weights sum to {total[off][0]}, not 1", context=F)
+        return _draw(rng, w / total)
 
-    def orbit(self, n: int, start_angle: float | None = None) -> InverseOrbit:
-        """A boundary inverse orbit of length n, reproducible from the seed."""
-        if start_angle is None:
-            start_angle = self._rng.uniform(0.0, 2.0 * np.pi)
-        rng = self._rng
+    return _walk(F, starts, n, choose, on_boundary=True)
 
-        def chooser(roots):
-            return rng.choice(len(roots), p=self._weights(roots))
 
-        orbit = InverseOrbit(self.model, [complex(np.exp(1j * start_angle))],
-                             chooser=chooser, on_boundary=True)
-        orbit.extend_to(n)
-        return orbit
+def log_boundary_gaps(F: InnerModel, coords) -> np.ndarray:
+    """log(1 - |z_{-n}|) along a backward orbit, stable at any depth.
 
-    def marginal_sample(self, n_orbits: int, depth: int) -> np.ndarray:
-        """Vectorized u_{-depth} marginal over independent orbits; the
-        pushforward of the sampled measure under any coordinate is m."""
-        rng = self._rng
-        u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n_orbits))
-        F = self.model
-        for _ in range(depth):
-            roots = preimages_of_batch(F, u)
-            roots = roots / np.abs(roots)
-            w = 1.0 / F.boundary_deriv_modulus(roots)
-            w = w / np.sum(w, axis=1, keepdims=True)
-            picks = (np.cumsum(w, axis=1) < rng.uniform(size=(n_orbits, 1))).sum(axis=1)
-            u = roots[np.arange(n_orbits), picks]
-        return u
+    While the gap is representable it is computed directly; once the
+    coordinates collapse onto the circle in double precision the gaps
+    continue via the derivative recurrence h_{n+1} = h_n / |F'(z_{-n-1})|
+    (exact to first order near the boundary, where it is used).
+    """
+    pts = np.asarray(coords, dtype=complex)
+    gaps = 1.0 - np.abs(pts)
+    tiny = gaps <= 1e-10
+    s = int(np.argmax(tiny)) if np.any(tiny) else len(pts)
+    if s == 0:
+        raise PreconditionError("base point is on the circle")
+    out = np.log(gaps[:s])
+    dmod = F.boundary_deriv_modulus(np.angle(pts[s:]))
+    tail = np.cumsum(np.concatenate(([out[-1]], -np.log(dmod))))
+    return np.concatenate((out, tail[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +195,14 @@ class ExpMapResult:
     n_approx: int
 
 
-def _orbit_coordinates(u_orbit, upto: int) -> np.ndarray:
-    if isinstance(u_orbit, InverseOrbit):
-        if not u_orbit.on_boundary:
-            raise PreconditionError("exponential map needs a boundary orbit")
-        return u_orbit.coordinates(upto)
-    arr = np.asarray(u_orbit, dtype=complex)
-    if len(arr) < upto + 1:
+def _leading(coords, upto: int) -> np.ndarray:
+    """The coordinates z_0, ..., z_{-upto} of a backward orbit."""
+    if upto < 0:
+        raise PreconditionError("n_approx must be nonnegative")
+    coords = np.asarray(coords, dtype=complex)
+    if len(coords) < upto + 1:
         raise PreconditionError(f"orbit too short: need {upto + 1} coordinates")
-    return arr[: upto + 1]
+    return coords[: upto + 1]
 
 
 def _chain_derivs(F: InnerModel, coords: np.ndarray) -> np.ndarray:
@@ -273,21 +211,19 @@ def _chain_derivs(F: InnerModel, coords: np.ndarray) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod(mods[1:])))
 
 
-def exponential_map(u_orbit, t: float, n_approx: int,
-                    model: InnerModel | None = None,
-                    cap: float = EXP_MAP_CAP) -> ExpMapResult:
-    """E(u, t) ~ F^n(u_{-n} + v_{-n}) with v_{-n} = -t u_{-n}/|(F^n)'(u_{-n})|.
+def exponential_map(F: InnerModel, coords, t: float,
+                    n_approx: int) -> ExpMapResult:
+    """E(u, t) ~ F^n(u_{-n} + v_{-n}) with v_{-n} = -t u_{-n}/|(F^n)'(u_{-n})|
+    for the boundary orbit `coords` = (u_0, u_{-1}, ...).
 
     Returns the n_approx-th approximant of the 0-coordinate together with
     the Cauchy increment from the previous approximant as error proxy.
-    `t` must stay below `cap` so the perturbed points remain in the disk.
+    `t` must stay below EXP_MAP_CAP so the perturbed points remain in the
+    disk.
     """
-    if not 0 < t < cap:
-        raise DomainError(f"flow parameter t = {t} outside (0, {cap})")
-    if n_approx < 0:
-        raise PreconditionError("n_approx must be nonnegative")
-    F = model if model is not None else u_orbit.model
-    coords = _orbit_coordinates(u_orbit, n_approx)
+    if not 0 < t < EXP_MAP_CAP:
+        raise DomainError(f"flow parameter t = {t} outside (0, {EXP_MAP_CAP})")
+    coords = _leading(coords, n_approx)
     D = _chain_derivs(F, coords)
 
     def approximant(n: int) -> complex:
@@ -301,43 +237,39 @@ def exponential_map(u_orbit, t: float, n_approx: int,
     return ExpMapResult(value, inc, n_approx)
 
 
-def geodesic_intertwining_check(u_orbit, t: float, s: float, n_approx: int,
-                                rebase_depth: int | None = None,
-                                model: InnerModel | None = None,
-                                cap: float = EXP_MAP_CAP) -> float:
+def geodesic_intertwining_check(F: InnerModel, coords, t: float, s: float,
+                                n_approx: int) -> float:
     """Hyperbolic discrepancy between the geodesic flow of E(u, t) by time s
     realized two ways: directly as E(u, e^s t), and by re-basing the
-    approximation k indices deeper and applying F^k.
+    approximation k = max(1, ceil|s|) indices deeper and applying F^k.
 
     Exactly 0 at s = 0 (both sides collapse to the same approximant).
     """
-    if not (0 < t < cap and 0 < math.exp(s) * t < cap):
-        raise DomainError("both t and e^s t must lie in (0, cap)")
-    F = model if model is not None else u_orbit.model
+    if not (0 < t < EXP_MAP_CAP and 0 < math.exp(s) * t < EXP_MAP_CAP):
+        raise DomainError(f"both t and e^s t must lie in (0, {EXP_MAP_CAP})")
     if s == 0:
         return 0.0
-    k = rebase_depth if rebase_depth is not None else max(1, math.ceil(abs(s)))
-    coords = _orbit_coordinates(u_orbit, n_approx + k)
+    k = max(1, math.ceil(abs(s)))
+    coords = _leading(coords, n_approx + k)
     D = _chain_derivs(F, coords)
 
-    side_a = exponential_map(coords, math.exp(s) * t, n_approx, model=F).point
+    side_a = exponential_map(F, coords, math.exp(s) * t, n_approx).point
     # E(u, e^s t)_{-k} = E(shifted orbit, e^s t / |(F^k)'(u_{-k})|)_0.
     t_shift = math.exp(s) * t / D[k]
-    deep = exponential_map(coords[k:], t_shift, n_approx, model=F).point
+    deep = exponential_map(F, coords[k:], t_shift, n_approx).point
     side_b = complex(F.iterate(deep, k))
     return float(disk_distance(side_a, side_b))
 
 
-def h_action_limit(orbit_coords, w: complex, n_approx: int,
-                   model: InnerModel) -> complex:
+def h_action_limit(F: InnerModel, coords, w: complex, n_approx: int) -> complex:
     """The 0-coordinate of L(z, w) = lim F^n(Z_{-n}(w)) for an interior
     backward orbit, where Z_j(w) = z_j/|z_j| + (z_j - z_j/|z_j|) (w/i)."""
-    z = complex(orbit_coords[n_approx])
+    z = complex(_leading(coords, n_approx)[-1])
     u = z / abs(z)
     start = u + (z - u) * (w / 1j)
     if abs(start) >= 1.0:
         raise DomainError("half-plane parameter maps outside the disk")
-    return complex(model.iterate(start, n_approx))
+    return complex(F.iterate(start, n_approx))
 
 
 def fixedpoint_orbit_point(tau: complex, d: int, j: int) -> complex:
@@ -375,7 +307,7 @@ def gh_commutation_discrepancy(d: int, tau: complex, s: float, t: float,
     def apply_h(tau_val: complex, sigma: float) -> complex:
         """h_sigma via the H-action limit; returns the measured parameter."""
         coords = orbit_array(tau_val, n_approx)
-        out = h_action_limit(coords, 1j + sigma, n_approx, F)
+        out = h_action_limit(F, coords, 1j + sigma, n_approx)
         # Invert z_0 = exp(-tau): the measured parameter of the new orbit.
         return -complex(np.log(out))
 
@@ -525,16 +457,14 @@ def _fundamental_outer_radius(F: InnerModel, r0: float) -> float:
 
 
 def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
-                     seed: int = 0, strata: tuple = (16, 16),
-                     target_se: float | None = None,
-                     max_samples: int = 10 ** 8) -> TotalMassResult:
+                     seed: int = 0) -> TotalMassResult:
     """(1/2pi) int_{E*} log(1/|z|) dA_hyp over the fundamental annulus
     E* = F^{-1}(B(0,r0)) \\ B(0,r0), by stratified Monte Carlo with the
     membership test |z| >= r0, |F(z)| < r0; approaches chi as r0 -> 1.
 
-    Sampling is uniform in (log(1-r), theta) over a fixed grid of strata
-    with per-stratum substreams spawned from `seed`, so results are
-    bit-identical for a given `seed` and stratum grid.
+    Sampling is uniform in (log(1-r), theta) over a fixed 16 x 16 grid of
+    strata with per-stratum substreams spawned from `seed`, so results are
+    bit-identical for a given `seed`.
     """
     if F.atoms or not F.centered or F.is_rotation:
         raise PreconditionError("total mass check needs a centered "
@@ -544,40 +474,32 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     r1 = _fundamental_outer_radius(F, r0)
     u_lo, u_hi = math.log(1.0 - r1), math.log(1.0 - r0)
     L = u_hi - u_lo
-    su, st = strata
+    su, st = 16, 16
     chi_ref = chi_jensen_oracle(F).value if F.degree >= 2 else math.log(F.degree)
 
-    n = samples
-    while True:
-        seeds = np.random.SeedSequence(seed).spawn(su * st)
-        per = max(n // (su * st), 16)
-        means = np.empty(su * st)
-        variances = np.empty(su * st)
-        cell = 0
-        for iu in range(su):
-            for it in range(st):
-                rng = np.random.default_rng(seeds[cell])
-                u = u_lo + L * (iu + rng.uniform(size=per)) / su
-                th = 2.0 * np.pi * (it + rng.uniform(size=per)) / st
-                r = 1.0 - np.exp(u)
-                z = r * np.exp(1j * th)
-                inside = np.abs(F.eval(z)) < r0
-                f = np.where(
-                    inside,
-                    L * np.log(1.0 / r) * 4.0 * r / ((1.0 - r) * (1.0 + r) ** 2),
-                    0.0)
-                means[cell] = np.mean(f)
-                variances[cell] = np.var(f, ddof=1) / per
-                cell += 1
-        mass = float(np.mean(means))
-        se = float(np.sqrt(np.sum(variances))) / (su * st)
-        if target_se is None or se <= target_se:
-            return TotalMassResult(mass, se, chi_ref, r0, per * su * st)
-        n *= 4
-        if n > max_samples:
-            raise BudgetError(
-                f"needed more than {max_samples} samples for se <= {target_se}",
-                partial=TotalMassResult(mass, se, chi_ref, r0, per * su * st))
+    seeds = np.random.SeedSequence(seed).spawn(su * st)
+    per = max(samples // (su * st), 16)
+    means = np.empty(su * st)
+    variances = np.empty(su * st)
+    cell = 0
+    for iu in range(su):
+        for it in range(st):
+            rng = np.random.default_rng(seeds[cell])
+            u = u_lo + L * (iu + rng.uniform(size=per)) / su
+            th = 2.0 * np.pi * (it + rng.uniform(size=per)) / st
+            r = 1.0 - np.exp(u)
+            z = r * np.exp(1j * th)
+            inside = np.abs(F.eval(z)) < r0
+            f = np.where(
+                inside,
+                L * np.log(1.0 / r) * 4.0 * r / ((1.0 - r) * (1.0 + r) ** 2),
+                0.0)
+            means[cell] = np.mean(f)
+            variances[cell] = np.var(f, ddof=1) / per
+            cell += 1
+    mass = float(np.mean(means))
+    se = float(np.sqrt(np.sum(variances))) / (su * st)
+    return TotalMassResult(mass, se, chi_ref, r0, per * su * st)
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +528,10 @@ def _near_boundary_distance(dtheta, lh1, lh2):
     return out
 
 
-def radial_shadowing_stat(orbit: InverseOrbit, n_points: int | None = None,
-                          offset_window: float = 4.0,
-                          offset_step: float = 0.01) -> RadialShadowingStat:
-    """Best-offset time average of min(1, d(z_{-n}, radial ray)) along an
-    interior backward orbit, with time parameter -log(1 - |z_{-n}|).
+def radial_shadowing_stat(F: InnerModel, coords) -> RadialShadowingStat:
+    """Best-offset time average of min(1, d(z_{-n}, radial ray)) along the
+    interior backward orbit `coords`, with time parameter -log(1 - |z_{-n}|)
+    and the offset searched over [-4, 4] in steps of 0.01.
 
     The ray points at the empirical limit angle (circular mean of the last
     quarter); if that quarter has angular spread above 0.1 rad the result
@@ -618,8 +539,7 @@ def radial_shadowing_stat(orbit: InverseOrbit, n_points: int | None = None,
     statistic stays meaningful beyond the depth where the coordinates
     collapse onto the circle in double precision.
     """
-    n_points = n_points if n_points is not None else orbit.depth
-    pts = orbit.coordinates(n_points)
+    pts = np.asarray(coords, dtype=complex)
     if np.any(pts == 0):
         raise PreconditionError("the constant orbit at 0 is excluded")
     angles_tail = np.angle(pts[3 * len(pts) // 4:])
@@ -628,7 +548,7 @@ def radial_shadowing_stat(orbit: InverseOrbit, n_points: int | None = None,
     spread = float(np.max(np.abs(np.angle(np.exp(1j * (angles_tail - theta))))))
     conclusive = spread <= 0.1
 
-    lh = orbit.log_boundary_gaps(n_points)
+    lh = log_boundary_gaps(F, pts)
     times = -lh
     order = np.argsort(times)
     times, pts, lh = times[order], pts[order], lh[order]
@@ -637,7 +557,7 @@ def radial_shadowing_stat(orbit: InverseOrbit, n_points: int | None = None,
 
     best = math.inf
     span = times[-1] - times[0]
-    for t0 in np.arange(-offset_window, offset_window + offset_step, offset_step):
+    for t0 in np.arange(-4.0, 4.0 + 0.01, 0.01):
         ray_lh = -(times + t0)
         dist = np.empty(len(pts))
         if np.any(~near):

@@ -110,6 +110,26 @@ class TestOtherSubcommands:
         assert header == ["n", "re", "im"]
         assert len(rows) == 21
 
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_orbit_rows_follow_seed(self, deg2_file, tmp_path, interior):
+        F = InnerModel.from_zeros(0, 0.5)
+        mode = ["--interior", "--z", "0.3,0.2"] if interior else []
+        rows = {}
+        for seed in (3, 4):
+            out = tmp_path / f"orbit{seed}.csv"
+            assert cli.main(["orbit", "--model", deg2_file, "--n", "20",
+                             "--seed", str(seed), "--out", str(out)] + mode) == 0
+            rows[seed] = read_rows(out)[1]
+            if interior:
+                pts = lamination.sample_interior_orbit(F, 0.3 + 0.2j, 20, seed=seed)
+            else:
+                pts = lamination.solenoid_orbits(F, 20, seed=seed)[0]
+            assert rows[seed] == [[str(n), f"{p.real:.17g}", f"{p.imag:.17g}"]
+                                  for n, p in enumerate(pts)]
+        assert rows[3] != rows[4]
+        # An interior orbit starts at --z, a solenoid orbit at a seeded angle.
+        assert (rows[3][0] == rows[4][0]) == interior
+
     def test_xi_mass(self, deg2_file, tmp_path):
         out = tmp_path / "xi.csv"
         assert cli.main(["xi-mass", "--model", deg2_file,

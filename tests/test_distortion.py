@@ -216,20 +216,20 @@ class TestVectorIntegral:
 class TestCumulative:
     def test_zero_terms(self, deg2):
         orb = sample_interior_orbit(deg2, 0.3, 5, seed=1)
-        assert cumulative_orbit_distortion(orb, 0) == 0.0
+        assert cumulative_orbit_distortion(deg2, orb, 0) == 0.0
 
     def test_automorphism_formula_unrolled(self):
         aut = InnerModel.from_zeros(0.4)
         orb = branch_orbit(aut, 0.2 + 0.1j, 8, lambda roots: 0)
-        total = cumulative_orbit_distortion(orb, 5)
-        expect = sum(distortion_at_disk(aut, orb.point(n)).delta
+        total = cumulative_orbit_distortion(aut, orb, 5)
+        expect = sum(distortion_at_disk(aut, orb[n]).delta
                      for n in range(1, 6))
         assert total == pytest.approx(expect, abs=1e-14)
 
     def test_tail_is_small(self, deg2):
         orb = sample_interior_orbit(deg2, 0.3 + 0.2j, 400, seed=9)
-        c200 = cumulative_orbit_distortion(orb, 200)
-        c400 = cumulative_orbit_distortion(orb, 400)
+        c200 = cumulative_orbit_distortion(deg2, orb, 200)
+        c400 = cumulative_orbit_distortion(deg2, orb, 400)
         assert 0 <= c400 - c200 < 0.01
 
     def test_skips_undefined_directions(self, deg2):
@@ -237,8 +237,15 @@ class TestCumulative:
         # direction undefined at that coordinate.
         orb = branch_orbit(deg2, 0.5, 3,
                            lambda roots: int(np.argmax(roots.real)))
-        total = cumulative_orbit_distortion(orb, 3)
+        total = cumulative_orbit_distortion(deg2, orb, 3)
         assert np.isfinite(total)
+
+    def test_short_orbit_and_negative_n_rejected(self, deg2):
+        orb = sample_interior_orbit(deg2, 0.3, 5, seed=1)
+        with pytest.raises(PreconditionError, match="need 7 coordinates"):
+            cumulative_orbit_distortion(deg2, orb, 6)
+        with pytest.raises(PreconditionError):
+            cumulative_orbit_distortion(deg2, orb, -1)
 
 
 class TestStabilityAndCurvature:

@@ -10,26 +10,82 @@ from innerlab.errors import (BudgetError, DomainError, NumericalError,
                              PreconditionError)
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
-from innerlab.lamination import (AnnularBox, SolenoidSampler, bad_times_pow2,
+from innerlab.lamination import (AnnularBox, bad_times_pow2,
                                  box_thinness_reference, branch_orbit,
                                  exponential_map, fixedpoint_orbit_point,
                                  geodesic_intertwining_check,
                                  gh_commutation_discrepancy, h_action_limit,
-                                 radial_shadowing_stat, sample_interior_orbit,
-                                 shadowing_simulation, total_mass_check,
+                                 log_boundary_gaps, radial_shadowing_stat,
+                                 sample_interior_orbit, shadowing_simulation,
+                                 solenoid_orbits, total_mass_check,
                                  transverse_weights, xi_box_mass)
 from innerlab.lyapunov import chi_jensen_oracle
 from innerlab.preimage import preimages_of_batch
 
 
+def seeded_degree6():
+    """The first degree-6 model of a seeded random stream."""
+    rng = np.random.default_rng(0)
+    while True:
+        F = random_centered_blaschke(rng)
+        if F.degree == 6:
+            return F
+
+
+def per_step_interior_orbit(F, z0, n, seed):
+    """Reference: the one-orbit-at-a-time interior walk, one root solve and
+    one `rng.choice` per step."""
+    rng = np.random.default_rng(seed)
+    pts = [complex(z0)]
+    for _ in range(n):
+        roots = preimages_of_batch(F, [pts[-1]])[0]
+        w = np.log(1.0 / np.abs(roots))
+        total = np.sum(w)
+        if total < 1e-12:
+            w = 1.0 / F.boundary_deriv_modulus(roots)
+            total = np.sum(w)
+        pts.append(complex(roots[rng.choice(len(roots), p=w / total)]))
+    return np.array(pts)
+
+
+def per_step_solenoid_orbit(F, n, seed):
+    """Reference: the one-orbit-at-a-time boundary walk with transfer
+    weights, after one uniform start angle."""
+    rng = np.random.default_rng(seed)
+    pts = [complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))]
+    for _ in range(n):
+        roots = preimages_of_batch(F, [pts[-1]])[0]
+        roots = roots / np.abs(roots)
+        w = 1.0 / F.boundary_deriv_modulus(roots)
+        total = float(np.sum(w))
+        pts.append(complex(roots[rng.choice(len(roots), p=w / total)]))
+    return np.array(pts)
+
+
+def vectorized_marginal(F, m, depth, seed):
+    """Reference: the u_{-depth} marginal over m independent boundary
+    orbits, by counting cumulative weights below one uniform per row."""
+    rng = np.random.default_rng(seed)
+    u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))
+    for _ in range(depth):
+        roots = preimages_of_batch(F, u)
+        roots = roots / np.abs(roots)
+        w = 1.0 / F.boundary_deriv_modulus(roots)
+        w = w / np.sum(w, axis=1, keepdims=True)
+        picks = (np.cumsum(w, axis=1) < rng.uniform(size=(m, 1))).sum(axis=1)
+        u = roots[np.arange(m), picks]
+    return u
+
+
 class TestInverseOrbit:
     def test_residual_invariant(self, deg2):
         orb = sample_interior_orbit(deg2, 0.3 + 0.2j, 60, seed=3)
-        assert orb.residual() < 1e-10
+        assert orb.shape == (61,)
+        assert np.max(np.abs(deg2.eval(orb[1:]) - orb[:-1])) < 1e-10
 
     def test_schwarz_monotonicity(self, deg2):
         orb = sample_interior_orbit(deg2, 0.3, 80, seed=4)
-        mods = np.abs(orb.coordinates(80))
+        mods = np.abs(orb)
         started = False
         for n in range(80):
             if origin_distance(min(mods[n], 1 - 1e-17)) >= 1.0:
@@ -42,31 +98,49 @@ class TestInverseOrbit:
             sample_interior_orbit(deg2, 0.0, 5)
 
     def test_reproducible_from_seed(self, deg2):
-        a = sample_interior_orbit(deg2, 0.3, 30, seed=11).coordinates(30)
-        b = sample_interior_orbit(deg2, 0.3, 30, seed=11).coordinates(30)
+        a = sample_interior_orbit(deg2, 0.3, 30, seed=11)
+        b = sample_interior_orbit(deg2, 0.3, 30, seed=11)
         assert np.array_equal(a, b)
 
     def test_log_boundary_gaps(self, deg2):
         orb = sample_interior_orbit(deg2, 0.3, 120, seed=5)
-        lh = orb.log_boundary_gaps(120)
+        lh = log_boundary_gaps(deg2, orb)
+        assert lh.shape == orb.shape
         # Strictly decreasing (backward orbits approach the circle) and
         # consistent with the representable prefix.
-        pts = orb.coordinates(120)
         for n in range(0, 20):
-            assert lh[n] == pytest.approx(np.log(1 - abs(pts[n])), rel=1e-9)
+            assert lh[n] == pytest.approx(np.log(1 - abs(orb[n])), rel=1e-9)
         assert lh[-1] < -60
+
+    @pytest.mark.parametrize("model", ["deg2", "degree6"])
+    def test_walk_matches_per_step_reference(self, deg2, model):
+        F = deg2 if model == "deg2" else seeded_degree6()
+        for seed in (0, 3):
+            assert np.array_equal(sample_interior_orbit(F, 0.3 + 0.2j, 150, seed),
+                                  per_step_interior_orbit(F, 0.3 + 0.2j, 150, seed))
+            assert np.array_equal(solenoid_orbits(F, 150, paths=1, seed=seed)[0],
+                                  per_step_solenoid_orbit(F, 150, seed))
+
+    def test_height_fallback_taken_on_deep_orbit(self, deg2):
+        orb = sample_interior_orbit(deg2, 0.3, 150, seed=2)
+        heights = np.log(1.0 / np.abs(preimages_of_batch(deg2, orb[:-1])))
+        assert np.any(np.sum(heights, axis=1) < 1e-12)
+        assert np.max(np.abs(deg2.eval(orb[1:]) - orb[:-1])) < 1e-10
+
+    def test_negative_length_rejected(self, deg2):
+        with pytest.raises(PreconditionError):
+            sample_interior_orbit(deg2, 0.3, -1)
+        with pytest.raises(PreconditionError):
+            solenoid_orbits(deg2, -1)
 
 
 class TestSolenoidSampler:
     def test_weights_sum_to_one(self, deg2):
-        sampler = SolenoidSampler(deg2, seed=1)
-        orb = sampler.orbit(5)
-        roots = np.exp(1j * np.linspace(0.1, 5.9, 7))
-        for u in roots:
-            from innerlab.preimage import preimages_of
-            pre = preimages_of(deg2, u / abs(u))
-            w = np.array([1 / deg2.boundary_deriv_modulus(r) for r in pre])
-            assert np.sum(w) == pytest.approx(1.0, abs=1e-10)
+        u = np.exp(1j * np.linspace(0.1, 5.9, 7))
+        roots = preimages_of_batch(deg2, u)
+        roots = roots / np.abs(roots)
+        w = 1.0 / deg2.boundary_deriv_modulus(roots)
+        assert np.max(np.abs(np.sum(w, axis=1) - 1.0)) < 1e-10
 
     def test_power_map_weights_uniform(self, square):
         from innerlab.preimage import preimages_of
@@ -75,24 +149,44 @@ class TestSolenoidSampler:
         assert w == pytest.approx([0.5, 0.5])
 
     def test_orbit_stays_on_circle(self, deg2):
-        orb = SolenoidSampler(deg2, seed=2).orbit(40)
-        assert np.max(np.abs(np.abs(orb.coordinates(40)) - 1)) < 1e-14
+        orb = solenoid_orbits(deg2, 40, seed=2)
+        assert orb.shape == (1, 41)
+        assert np.max(np.abs(np.abs(orb) - 1)) < 1e-14
 
     def test_zero_length_orbit(self, deg2):
-        orb = SolenoidSampler(deg2, seed=3).orbit(0)
-        assert len(orb) == 1
+        assert solenoid_orbits(deg2, 0, seed=3).shape == (1, 1)
 
     def test_marginal_uniformity_ks(self, deg2):
         n = 2 * 10 ** 4
-        u = SolenoidSampler(deg2, seed=11).marginal_sample(n, depth=6)
+        u = solenoid_orbits(deg2, 6, paths=n, seed=11)[:, -1]
         ang = np.sort(np.angle(u) % (2 * np.pi)) / (2 * np.pi)
         ks = np.max(np.maximum(np.arange(1, n + 1) / n - ang,
                                ang - np.arange(0, n) / n))
         assert ks < 1.63 / np.sqrt(n)
 
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_paths_match_vectorized_marginal(self, deg2, seed):
+        u = solenoid_orbits(deg2, 6, paths=20000, seed=seed)[:, -1]
+        assert np.array_equal(u, vectorized_marginal(deg2, 20000, 6, seed))
+
+    def test_rows_are_independent_orbits(self, deg2):
+        orbs = solenoid_orbits(deg2, 10, paths=5, seed=4)
+        assert orbs.shape == (5, 11)
+        assert np.max(np.abs(deg2.eval(orbs[:, 1:]) - orbs[:, :-1])) < 1e-10
+        assert len(set(orbs[:, 0])) == 5
+
+    @pytest.mark.parametrize("paths", [1, 4])
+    def test_transfer_weight_guard(self, deg2, monkeypatch, paths):
+        # Doubling |F'| on the circle halves the transfer-weight sum.
+        modulus = InnerModel.boundary_deriv_modulus
+        monkeypatch.setattr(InnerModel, "boundary_deriv_modulus",
+                            lambda self, z: 2.0 * modulus(self, z))
+        with pytest.raises(NumericalError, match="transfer weights sum to 0.5"):
+            solenoid_orbits(deg2, 3, paths=paths, seed=1)
+
     def test_rotation_rejected(self):
         with pytest.raises(PreconditionError):
-            SolenoidSampler(InnerModel(zeros=(0j,)))
+            solenoid_orbits(InnerModel(zeros=(0j,)), 3)
 
 
 class TestTransverseWeights:
@@ -126,20 +220,20 @@ class TestTransverseWeights:
 class TestExponentialMap:
     def test_zeroth_approximant_exact(self, square):
         const = np.ones(5, dtype=complex)
-        r = exponential_map(const, 0.25, 0, model=square)
+        r = exponential_map(square, const, 0.25, 0)
         assert r.point == pytest.approx(0.75)
 
     def test_fixed_point_closed_form(self, square):
         const = np.ones(40, dtype=complex)
-        r = exponential_map(const, 0.5, 30, model=square)
+        r = exponential_map(square, const, 0.5, 30)
         assert abs(r.point - np.exp(-0.5)) < 1e-6
 
     def test_small_t_slope(self, square):
-        orb = SolenoidSampler(square, seed=5).orbit(35)
-        u0 = orb.point(0)
+        orb = solenoid_orbits(square, 35, seed=5)[0]
+        u0 = orb[0]
         errs = []
         for t in (1e-2, 1e-3):
-            r = exponential_map(orb, t, 30)
+            r = exponential_map(square, orb, t, 30)
             errs.append(abs(r.point - (1 - t) * u0) / t)
         # |E - (1-t) u0| = o(t): the normalized error drops with t.
         assert errs[1] < errs[0] / 2
@@ -147,11 +241,11 @@ class TestExponentialMap:
     def test_cap_enforced(self, square):
         const = np.ones(5, dtype=complex)
         with pytest.raises(DomainError):
-            exponential_map(const, 1.5, 3, model=square)
+            exponential_map(square, const, 1.5, 3)
 
     def test_cauchy_decay_before_roundoff(self, deg2):
-        orb = SolenoidSampler(deg2, seed=8).orbit(30)
-        vals = [exponential_map(orb, 0.5, n).point for n in range(10, 24)]
+        orb = solenoid_orbits(deg2, 30, seed=8)[0]
+        vals = [exponential_map(deg2, orb, 0.5, n).point for n in range(10, 24)]
         incs = np.abs(np.diff(vals))
         # Geometric decay in the truncation-dominated range: per-step
         # ratios fluctuate with |F'| along the orbit, so the pilot pins a
@@ -162,30 +256,44 @@ class TestExponentialMap:
         mean_ratio = (incs[-1] / incs[0]) ** (1.0 / (len(incs) - 1))
         assert mean_ratio < 0.9
 
+    def test_interior_orbit_rejected(self, deg2):
+        orb = sample_interior_orbit(deg2, 0.3, 10, seed=1)
+        with pytest.raises(PreconditionError):
+            exponential_map(deg2, orb, 0.5, 10)
+
+    def test_short_orbit_rejected(self, square):
+        const = np.ones(5, dtype=complex)
+        with pytest.raises(PreconditionError, match="need 6 coordinates"):
+            exponential_map(square, const, 0.5, 5)
+        with pytest.raises(PreconditionError, match="need 6 coordinates"):
+            geodesic_intertwining_check(square, const, 0.3, -0.5, 4)
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            exponential_map(square, const, 0.5, -1)
+
 
 class TestIntertwining:
     def test_zero_time_exact(self, square):
-        orb = SolenoidSampler(square, seed=5).orbit(40)
-        assert geodesic_intertwining_check(orb, 0.3, 0.0, 30) == 0.0
+        orb = solenoid_orbits(square, 40, seed=5)[0]
+        assert geodesic_intertwining_check(square, orb, 0.3, 0.0, 30) == 0.0
 
     def test_square_random_orbits(self, square):
         for seed in (1, 2):
-            orb = SolenoidSampler(square, seed=seed).orbit(45)
-            assert geodesic_intertwining_check(orb, 0.3, -0.5, 30) < 1e-3
+            orb = solenoid_orbits(square, 45, seed=seed)[0]
+            assert geodesic_intertwining_check(square, orb, 0.3, -0.5, 30) < 1e-3
 
     def test_fixed_point_both_sides_closed_form(self, square):
         # On the constant orbit both sides equal e^{-e^s t}.
         const = np.ones(45, dtype=complex)
         t, s = 0.3, -0.5
-        d = geodesic_intertwining_check(const, t, s, 30, model=square)
-        direct = exponential_map(const, np.exp(s) * t, 30, model=square).point
+        d = geodesic_intertwining_check(square, const, t, s, 30)
+        direct = exponential_map(square, const, np.exp(s) * t, 30).point
         assert abs(direct - np.exp(-np.exp(s) * t)) < 1e-6
         assert d < 1e-9
 
     def test_cap_check(self, square):
         const = np.ones(45, dtype=complex)
         with pytest.raises(DomainError):
-            geodesic_intertwining_check(const, 0.5, 1.0, 30, model=square)
+            geodesic_intertwining_check(square, const, 0.5, 1.0, 30)
 
 
 class TestGHCommutation:
@@ -195,7 +303,7 @@ class TestGHCommutation:
         d, tau, w = 2, 0.4 + 0.1j, 0.7 + 1.2j
         F = InnerModel.power_map(d)
         coords = np.array([fixedpoint_orbit_point(tau, d, j) for j in range(30)])
-        got = h_action_limit(coords, w, 24, F)
+        got = h_action_limit(F, coords, w, 24)
         expect_param = tau.real * w.imag + 1j * (tau.imag - tau.real * w.real)
         assert abs(got - np.exp(-expect_param)) < 1e-7
 
@@ -332,17 +440,12 @@ class TestTotalMass:
         b = total_mass_check(square, 0.95, samples=10 ** 4, seed=7)
         assert a.mass == b.mass
 
-    def test_target_se_budget(self, square):
-        with pytest.raises(BudgetError):
-            total_mass_check(square, 0.9, samples=10 ** 4, seed=1,
-                             target_se=1e-12, max_samples=2 * 10 ** 4)
-
 
 class TestRadialShadowing:
     def test_positive_axis_orbit_is_the_ray(self, square):
         orb = branch_orbit(square, 0.4, 60,
                            lambda roots: int(np.argmax(roots.real)))
-        st = radial_shadowing_stat(orb)
+        st = radial_shadowing_stat(square, orb)
         assert st.value < 1e-6
         assert st.conclusive
         assert st.limit_angle == pytest.approx(0.0, abs=1e-12)
@@ -351,14 +454,12 @@ class TestRadialShadowing:
         stats = {}
         for N in (100, 400):
             orb = sample_interior_orbit(deg2, 0.3, N, seed=17)
-            stats[N] = radial_shadowing_stat(orb).value
+            stats[N] = radial_shadowing_stat(deg2, orb).value
         assert stats[400] <= stats[100] + 0.02
 
     def test_constant_zero_orbit_rejected(self, square):
-        orb = branch_orbit(square, 0.2, 0, None)
-        orb.points = [0j, 0j, 0j]
         with pytest.raises(PreconditionError):
-            radial_shadowing_stat(orb, n_points=2)
+            radial_shadowing_stat(square, np.zeros(3, dtype=complex))
 
 
 class TestShadowingSimulation:
@@ -422,7 +523,6 @@ class TestShadowingSimulation:
 
 
 def test_sample_backward_orbit_helper(deg2):
-    sampler = SolenoidSampler(deg2, seed=4)
-    orb = sampler.orbit(12)
-    assert orb.depth == 12
-    assert orb.on_boundary
+    orb = solenoid_orbits(deg2, 12, seed=4)[0]
+    assert orb.shape == (13,)
+    assert np.max(np.abs(np.abs(orb) - 1)) < 1e-14
