@@ -1,0 +1,125 @@
+"""Adaptive Gauss-Legendre panel quadrature on arrays.
+
+One routine serves every 1-D integral of the package (the Lyapunov
+quadrature, the parabolic chi_ell and the radial distortion integrals).
+Each panel carries a Gauss-Legendre 21-point estimate and, as its error,
+the distance to the 10-point estimate, raised where a feature may hide
+from both rules (see `_integrate`).  Panels are bisected under one global
+error budget until every component of the (possibly vector-valued)
+integral meets max(atol, rtol |estimate|), and all the panels of a round
+are evaluated in one call of the integrand.
+"""
+
+from __future__ import annotations
+
+import logging
+
+import numpy as np
+from numpy.polynomial import legendre
+
+log = logging.getLogger("innerlab.quadrature")
+
+# At the cap the loop stops and returns the achieved error.  Each bisection
+# adds one panel, so no panel gets narrower than 2^(1 - MAX_PANELS) of its
+# break interval.
+MAX_PANELS = 1000
+
+_X21, _W21 = legendre.leggauss(21)
+_X10, _W10 = legendre.leggauss(10)
+_NODES = np.concatenate((_X21, _X10))
+# Rows over the 31 nodes: the 21-point rule, the 10-point rule, and the
+# values at -1 and 1 of the degree-20 interpolant through the 21 nodes,
+# whose Legendre coefficients are (k + 1/2) sum_j w_j P_k(x_j) f(x_j).
+_WEIGHTS = np.zeros((4, 31))
+_WEIGHTS[0, :21] = _W21
+_WEIGHTS[1, 21:] = _W10
+_WEIGHTS[2:, :21] = (legendre.legvander([-1.0, 1.0], 20) * (np.arange(21) + 0.5)) \
+    @ (legendre.legvander(_X21, 20) * _W21[:, None]).T
+# Share of a panel's width between one end and its nearest node.
+_END_GAP = 0.5 * (1.0 - _X21[-1])
+
+
+def _rule(f, lo, hi):
+    """Per panel, a (panels, 4, components) array: the 21-point estimate,
+    its distance to the 10-point one (inf where not finite) and the
+    interpolant's values at the left and the right end; and whether f is
+    scalar-valued."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (hi + lo))[:, None] + half[:, None] * _NODES
+    y = np.asarray(f(x.ravel()), dtype=float)
+    s = _WEIGHTS @ y.reshape(len(lo), 31, -1)
+    s[:, :2] *= half[:, None, None]
+    err = np.abs(s[:, 0] - s[:, 1])
+    s[:, 1] = np.where(np.isfinite(err), err, np.inf)
+    return s, y.ndim == 1
+
+
+def _integrate(f, breaks, atol: float, rtol: float):
+    """Integral of f over [breaks[0], breaks[-1]] with a panel edge at every
+    break: (estimate, achieved error, rounds, panels).
+
+    f maps a 1-D array of nodes to an array of values, one per node, or to
+    an (n, m) array for an m-component integral, whose estimate and error
+    are then (m,) arrays.  Each round bisects the fewest panels that carry
+    half of the summed error scaled by the tolerance of the components
+    still open, and evaluates all the new panels in one call of f.
+
+    A panel's error is the largest of three terms: the distance between
+    its two rules; half of |Q(parent) - Q(left) - Q(right)| from the
+    bisection that made it, so that what the parent's nodes saw and the
+    children's miss stays open; and, at each edge it shares with a panel
+    of the same break interval, the jump between the two panels'
+    interpolants there times the width from its end to its outermost node,
+    so that a step hiding between the nodes nearest an edge cannot pass as
+    converged.  A jump at a break is not charged.  atol > 0.  At
+    MAX_PANELS the loop stops, logs one INFO record on
+    `innerlab.quadrature` and returns the achieved error; nothing is
+    raised.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    lo, hi = breaks[:-1], breaks[1:]
+    s, scalar = _rule(f, lo, hi)
+    rounds = 1
+    while True:
+        # Panels are kept in order: panel i + 1 starts where panel i ends.
+        jump = np.abs(s[:-1, 3] - s[1:, 2])
+        jump[breaks[np.searchsorted(breaks, hi[:-1])] == hi[:-1]] = 0.0
+        gap = _END_GAP * (hi - lo)[:, None]
+        err = s[:, 1].copy()
+        err[:-1] = np.fmax(err[:-1], jump * gap[:-1])
+        err[1:] = np.fmax(err[1:], jump * gap[1:])
+        est, total = s[:, 0].sum(axis=0), err.sum(axis=0)
+        tol = np.where(np.isfinite(est), np.maximum(atol, rtol * np.abs(est)),
+                       atol)
+        open_ = ~(total <= tol)
+        room = MAX_PANELS - len(lo)
+        if not open_.any():
+            break
+        if room <= 0:
+            worst = np.argmax(total / tol)
+            log.info("panel cap %d reached on [%g, %g]: achieved err %.2e, "
+                     "requested %.2e", MAX_PANELS, breaks[0], breaks[-1],
+                     total[worst], tol[worst])
+            break
+        scaled = (err[:, open_] / tol[open_]).sum(axis=1)
+        order = np.argsort(-scaled, kind="stable")
+        cum = np.cumsum(scaled[order])
+        k = min(int(np.searchsorted(cum, 0.5 * cum[-1])) + 1, room)
+        split = np.sort(order[:k])
+        mid = 0.5 * (lo[split] + hi[split])
+        new, _ = _rule(f, np.concatenate((lo[split], mid)),
+                       np.concatenate((mid, hi[split])))
+        parent = 0.5 * np.abs(s[split, 0] - new[:k, 0] - new[k:, 0])
+        new[:, 1] = np.fmax(new[:, 1], np.concatenate((parent, parent)))
+        # The two children take their parent's place.
+        counts = np.ones(len(lo), dtype=int)
+        counts[split] = 2
+        at = np.repeat(np.arange(len(lo)), counts)
+        left = split + np.arange(k)
+        lo, hi, s = lo[at], hi[at], s[at]
+        hi[left] = lo[left + 1] = mid
+        s[left], s[left + 1] = new[:k], new[k:]
+        rounds += 1
+    if scalar:
+        return float(est[0]), float(total[0]), rounds, len(lo)
+    return est, total, rounds, len(lo)

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cubature
 
+from ._quadrature import _integrate
 from .errors import DomainError, PreconditionError
 from .innerfn import InnerModel, _boundary_value
 
@@ -137,14 +137,14 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
 
     `quantity` is one name of QUANTITIES, which gives a float, or a tuple
     of names, which gives an array of their integrals in that order.  A
-    tuple is integrated by one vector-valued `cubature` call per piece of
+    tuple is integrated by one vector-valued `_integrate` call per piece of
     the ray, so each node's comparison quotient is computed once, and a
     piece is subdivided until every component meets `tol`.
 
     Parameter punctures of width 1e-8 are excised around r = 0 and around
     any zero of F on the ray (the integrand is bounded, so the omitted mass
     is o(1)).  Monotone nondecreasing in r_max for nonnegative quantities.
-    Each `cubature` call logs one DEBUG record on `innerlab.distortion`.
+    Each piece logs one DEBUG record on `innerlab.distortion`.
     """
     if not 0 < r_max < 1:
         raise PreconditionError("need 0 < r_max < 1")
@@ -154,8 +154,7 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
     columns = [1 + QUANTITIES.index(q) for q in names]
     zeta = _boundary_value(zeta)
 
-    def integrand(x):
-        r = x[:, 0]
+    def integrand(r):
         qs = _quantities(p_disk(F, r * zeta))
         return np.stack([qs[c] for c in columns], axis=-1) * 2.0 \
             / (1.0 - r * r)[:, None]
@@ -169,15 +168,15 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
     for a, b in zip(cuts[::2], cuts[1::2]):
         if b <= a:
             continue
-        res = cubature(integrand, [a], [b], atol=tol, rtol=1e-11)
-        err = float(np.max(res.error))
-        log.debug("radial integral on [%.17g, %.17g]: %d subdivisions, "
-                  "achieved err %.2e, requested %.2e",
-                  a, b, res.subdivisions, err, tol)
+        est, err, rounds, panels = _integrate(integrand, (a, b), tol, 1e-11)
+        err = float(np.max(err))
+        log.debug("radial integral on [%.17g, %.17g]: %d panels, "
+                  "achieved err %.2e, requested %.2e, %d rounds",
+                  a, b, panels, err, tol, rounds)
         if err > 10 * max(tol, 1e-13):
             log.info("radial integral on [%g, %g] achieved err %.2e",
                      a, b, err)
-        total += res.estimate
+        total += est
     return float(total[0]) if isinstance(quantity, str) else total
 
 

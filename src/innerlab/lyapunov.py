@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import cubature
 
+from ._quadrature import _integrate
 from .errors import NumericalError, PreconditionError
 from .innerfn import InnerModel, _boundary_value
 
@@ -47,8 +47,8 @@ def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
     error estimate.
     Non-convergence is not an exception: the achieved error is reported.
     """
-    def integrand(x):
-        return np.log(F.boundary_deriv_modulus(x[:, 0]))
+    def integrand(theta):
+        return np.log(F.boundary_deriv_modulus(theta))
 
     if F.is_rotation:
         return LyapunovEstimate(0.0, "quadrature", 0.0)
@@ -61,12 +61,16 @@ def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
     for i, ang in enumerate(angles):
         nxt = angles[(i + 1) % len(angles)] + (TWO_PI if i + 1 == len(angles) else 0)
         bounds.append((ang + eps, nxt - eps))
+    atol = tol * TWO_PI
     for a, b in bounds:
         if b <= a:
             raise PreconditionError("atom exclusion windows overlap; lower tol")
-        res = cubature(integrand, [a], [b], atol=tol * TWO_PI, rtol=1e-13)
-        total += float(res.estimate)
-        err_total += float(res.error)
+        est, err, rounds, panels = _integrate(integrand, (a, b), atol, 1e-13)
+        log.debug("chi_quadrature on [%.17g, %.17g]: %d panels, "
+                  "achieved err %.2e, requested %.2e, %d rounds",
+                  a, b, panels, err, atol, rounds)
+        total += est
+        err_total += err
     # Bracket each excluded window [ang - eps, ang + eps]: on |u| <= eps
     # the singular term lies between 2w/u^2 and (pi^2/4) 2w/u^2, the rest
     # is bounded by its sup over the window, and

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cubature
 
+from ._quadrature import _integrate
 from ._roots import aberth_batch
 from .errors import BudgetError, NumericalError, PreconditionError
 
@@ -224,17 +224,17 @@ def chi_ell(F: HalfPlaneInner, tol: float = 1e-8) -> float:
         return 0.0
 
     def integrand(phi):
-        x = np.tan(phi[:, 0])
+        x = np.tan(phi)
         return np.log(F.deriv(x).real) * (1.0 + x * x)
 
     half = math.pi / 2.0
-    singular = [[math.atan(x)] for x, _ in F.atoms]
-    res = cubature(integrand, [-half], [half], points=singular,
-                   atol=tol, rtol=1e-12)
-    if res.error > tol:
-        log.info("chi_ell achieved error %.2e beyond requested %.2e",
-                 res.error, tol)
-    return float(res.estimate)
+    breaks = [-half, *sorted(math.atan(x) for x, _ in F.atoms), half]
+    est, err, rounds, panels = _integrate(integrand, breaks, tol, 1e-12)
+    log.debug("chi_ell on [%.17g, %.17g]: %d panels, achieved err %.2e, "
+              "requested %.2e, %d rounds", -half, half, panels, err, tol, rounds)
+    if err > tol:
+        log.info("chi_ell achieved error %.2e beyond requested %.2e", err, tol)
+    return est
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ class TestVectorIntegral:
             assert all(isinstance(v, float) for v in single)
             assert np.max(np.abs(vec - single)) <= 10 * tol
 
-    def test_one_debug_record_per_cubature_call(self, deg2, caplog):
+    def test_one_debug_record_per_piece(self, deg2, caplog):
         # The zero at 0.5 on the ray splits it into two pieces.
         with caplog.at_level(logging.DEBUG, logger="innerlab.distortion"):
             radial_distortion_integral(deg2, 1.0 + 0j, ("mu", "eta"), 0.99,
@@ -206,11 +206,12 @@ class TestVectorIntegral:
         records = [r for r in caplog.records
                    if r.name == "innerlab.distortion" and r.levelno == logging.DEBUG]
         assert len(records) == 2
-        (a0, b0, n0, err0, tol0), (a1, b1, _, _, tol1) = (r.args for r in records)
+        (a0, b0, n0, err0, tol0, rounds0), (a1, b1, _, _, tol1, _) = \
+            (r.args for r in records)
         assert (a0, b0, a1, b1) == (PUNCTURE, 0.5 - PUNCTURE, 0.5 + PUNCTURE, 0.99)
         assert tol0 == tol1 == 1e-9
-        assert n0 >= 0 and 0 <= err0 <= 1e-9
-        assert "subdivisions" in records[0].getMessage()
+        assert 1 <= rounds0 <= n0 and 0 <= err0 <= 1e-9
+        assert "panels" in records[0].getMessage()
 
 
 class TestCumulative:
@@ -328,3 +329,47 @@ class TestScan:
                for K in (6, 12)]
         rows = angular_derivative_criterion_scan(fam, 1.0 + 0j, [1 - 1e-4])
         assert rows[1].integral_mu - rows[0].integral_mu > 1.0
+
+    @pytest.mark.parametrize("K, r_max", [(12, 1 - 1e-6), (8, 0.93333),
+                                          (6, 1 - 1e-4)])
+    def test_truncation_alpha_matches_closed_form(self, K, r_max):
+        # On these rays alpha is a step function.  At (8, 0.93333) a step
+        # hides between a panel end and its outermost node at two levels,
+        # which only the interpolant-jump error term catches (without it
+        # the row is off by 7.7e-5 and reported converged).
+        zeros = [1 - 2.0 ** -k for k in range(1, K + 1)]
+        F = InnerModel.from_zeros(*zeros)
+        row, = angular_derivative_criterion_scan([F], 1.0 + 0j, [r_max])
+        exact = alpha_on_truncation_ray(zeros, r_max)
+        assert abs(row.integral_alpha - exact) <= 1e-8
+        if K == 12:
+            # scipy.integrate.cubature's value, 1.3e-9 above the closed form.
+            assert abs(row.integral_alpha - 16.026598663691434) <= 1e-8
+
+
+def alpha_on_truncation_ray(zeros, r_max):
+    """Closed form of the alpha-integral along [0, r_max] for increasing
+    real zeros a_1 < ... < a_K in (0, 1), punctures excised.
+
+    On the real ray p is real with the sign of F'/F, so alpha is pi where
+    F'/F < 0 and 0 elsewhere; the integral is pi times the hyperbolic length
+    2 artanh(y) - 2 artanh(x) of those arcs.  F'/F = sum of
+    (1 - a^2)/((r - a)(1 - a r)) is negative on (0, a_1) and, in each gap
+    (a_k, a_{k+1}), beyond the one critical point there (Rolle gives K - 1
+    of them, all the critical points), found by bisection on its sign.
+    """
+    a = np.asarray(zeros)
+
+    def dlog(r):
+        return np.sum((1 - a * a) / ((r[:, None] - a) * (1 - a * r[:, None])),
+                      axis=1)
+
+    lo, hi = a[:-1] + 1e-12, a[1:] - 1e-12
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        neg = dlog(mid) < 0
+        lo, hi = np.where(neg, lo, mid), np.where(neg, mid, hi)
+    starts = np.concatenate(([PUNCTURE], hi))
+    ends = a - PUNCTURE
+    x, y = np.minimum(starts, r_max), np.minimum(ends, r_max)
+    return float(np.pi * np.sum(2 * np.arctanh(y) - 2 * np.arctanh(x)))

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,24 @@ class TestQuadrature:
         for atoms, exact in cases:
             est = chi_quadrature(InnerModel(zeros=(), atoms=atoms))
             assert abs(est.value - exact) <= est.error <= 1e-9, atoms
+
+
+    def test_one_debug_record_per_arc(self, caplog):
+        # Two atoms leave two arcs between their exclusion windows.
+        F = InnerModel(zeros=(0j,), atoms=((0.0, 0.5), (np.pi, 0.5)))
+        tol = 1e-9
+        with caplog.at_level(logging.DEBUG, logger="innerlab.lyapunov"):
+            chi_quadrature(F, tol)
+        records = [r for r in caplog.records
+                   if r.name == "innerlab.lyapunov" and r.levelno == logging.DEBUG]
+        assert len(records) == 2
+        (a0, b0, n0, err0, tol0, rounds0), (a1, b1, _, _, tol1, _) = \
+            (r.args for r in records)
+        assert (a0, b0, a1, b1) == pytest.approx(
+            (tol, np.pi - tol, np.pi + tol, 2 * np.pi - tol), abs=1e-15)
+        assert tol0 == tol1 == tol * 2 * np.pi
+        assert 1 <= rounds0 <= n0 and 0 <= err0 <= tol0
+        assert "panels" in records[0].getMessage()
 
 
 class TestJensenOracle:

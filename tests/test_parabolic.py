@@ -134,6 +134,19 @@ class TestChiEll:
             2 * np.pi * np.sqrt(1.0 + 2.5 ** 2), abs=1e-6)
 
 
+    def test_one_debug_record(self, caplog):
+        F = HalfPlaneInner(beta=0.3, atoms=((-1.0, 0.5), (2.5, 1.0)))
+        with caplog.at_level(logging.DEBUG, logger="innerlab.parabolic"):
+            chi_ell(F, tol=1e-8)
+        records = [r for r in caplog.records
+                   if r.name == "innerlab.parabolic" and r.levelno == logging.DEBUG]
+        assert len(records) == 1
+        a, b, panels, err, tol, rounds = records[0].args
+        assert (a, b, tol) == (-np.pi / 2, np.pi / 2, 1e-8)
+        assert 1 <= rounds <= panels and 0 <= err <= 1e-8
+        assert "panels" in records[0].getMessage()
+
+
 class TestHeightClassify:
     def test_doubly_parabolic(self, zminus):
         cls = height_classify(zminus, 0.7j)
