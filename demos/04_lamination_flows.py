@@ -29,8 +29,8 @@ print("\nexponential map on the fixed-point orbit of z^2: "
       "E(u, t) = lim (1 - t/2^n)^(2^n) = e^-t")
 const = np.ones(40, dtype=complex)
 for t in (0.25, 0.5, 0.75):
-    r = lam.exponential_map(SQ, const, t, 30)
-    print(f"  t = {t}: E = {r.point.real:.9f}, e^-t = {np.exp(-t):.9f}")
+    E = lam.exponential_map(SQ, const, t, 30)
+    print(f"  t = {t}: E = {E.real:.9f}, e^-t = {np.exp(-t):.9f}")
 
 orb = lam.solenoid_orbits(SQ, 45, seed=5)[0]
 d = lam.geodesic_intertwining_check(SQ, orb, t=0.3, s=-0.5, n_approx=30)

@@ -71,10 +71,13 @@ def _integrate(f, breaks, atol: float, rtol: float):
     of the same break interval, the jump between the two panels'
     interpolants there times the width from its end to its outermost node,
     so that a step hiding between the nodes nearest an edge cannot pass as
-    converged.  A jump at a break is not charged.  atol > 0.  At
-    MAX_PANELS the loop stops, logs one INFO record on
-    `innerlab.quadrature` and returns the achieved error; nothing is
-    raised.
+    converged.  A jump at a break is not charged, and no panel across a
+    break is compared, so a caller must put every step of f on a break: a
+    step between a break and the node nearest it goes unseen
+    (`_integrate(lambda x: (x > 0.001) * 1.0, [0, 1], 1e-9, 0)` returns
+    1.0 with error 0).  atol > 0.  At MAX_PANELS the loop stops, logs one
+    INFO record on `innerlab.quadrature` and returns the achieved error;
+    nothing is raised.
     """
     breaks = np.asarray(breaks, dtype=float)
     lo, hi = breaks[:-1], breaks[1:]

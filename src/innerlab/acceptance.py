@@ -280,8 +280,8 @@ def criterion_10_exponential_map(fast=False) -> CriterionResult:
     z^2; intertwining discrepancy < 1e-3 on random solenoid orbits."""
     t0 = time.time()
     const = np.ones(40, dtype=complex)
-    r = lamination.exponential_map(SQUARE, const, 0.5, 30)
-    err_fp = abs(r.point - math.exp(-0.5))
+    err_fp = abs(lamination.exponential_map(SQUARE, const, 0.5, 30)
+                 - math.exp(-0.5))
     worst = 0.0
     for seed in (1, 2, 3):
         orb = lamination.solenoid_orbits(SQUARE, 45, seed=seed)[0]

@@ -232,6 +232,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="innerlab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices
 
     def common(sp, model=True):
         if model:
@@ -345,25 +346,48 @@ def build_parser() -> _Parser:
     return p
 
 
-def _apply_config(args, argv):
-    """Fill in config-file values for options not given on the command line."""
+def _apply_config(parser, args, argv):
+    """Fill in config-file values for options not given on the command
+    line, converted as the flag converts them: by the option's argparse
+    `type` and `choices`, a repeatable option from a comma-separated list,
+    a switch from a yes/no word.  A bad value is a usage error (exit 64),
+    as for the flag."""
     if not getattr(args, "config", None):
         return
+    sub = parser.commands[args.command]
+    flags = sub._option_string_actions
+    options = {a.dest.lower(): a for a in flags.values() if hasattr(args, a.dest)}
+    # A flag given on the command line wins; an abbreviated flag stands
+    # for the one option it is a prefix of (argparse has checked that).
     explicit = set()
     for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_").lower())
-    attr_by_lower = {name.lower(): name for name in vars(args)}
-    for lowered, val in _config_defaults(args.config).items():
-        key = attr_by_lower.get(lowered)
-        if key is None or lowered in explicit:
+        flag = token.split("=", 1)[0]
+        if flag.startswith("--"):
+            hits = ([flags[flag]] if flag in flags else
+                    [a for o, a in flags.items() if o.startswith(flag)])
+            explicit.update(a.dest.lower() for a in hits)
+    try:
+        defaults = _config_defaults(args.config)
+    except configparser.Error as exc:
+        sub.error(f"config file {args.config}: {exc}")
+    for key, text in defaults.items():
+        action = options.get(key)
+        if action is None or key in explicit:
             continue
-        current = getattr(args, key)
-        cast = type(current) if current is not None and not isinstance(current, bool) else str
-        if isinstance(current, bool):
-            setattr(args, key, val.strip().lower() in ("1", "true", "yes", "on"))
-        else:
-            setattr(args, key, cast(val))
+        if action.nargs == 0:
+            setattr(args, action.dest,
+                    text.strip().lower() in ("1", "true", "yes", "on"))
+            continue
+        repeatable = isinstance(action, argparse._AppendAction)
+        convert = action.type or str
+        try:
+            values = [convert(item.strip())
+                      for item in (text.split(",") if repeatable else [text])]
+        except ValueError:
+            sub.error(f"config {key}: invalid value {text!r}")
+        if action.choices is not None and not set(values) <= set(action.choices):
+            sub.error(f"config {key}: invalid choice {text!r}")
+        setattr(args, action.dest, values if repeatable else values[0])
 
 
 def main(argv=None) -> int:
@@ -375,7 +399,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         if getattr(args, "r_max", None) is None and args.command == "distortion-scan":
             args.r_max = [1.0 - 1e-4]
         return args.func(args)
@@ -388,6 +412,8 @@ def main(argv=None) -> int:
     except (PreconditionError, InnerlabError, FileNotFoundError) as exc:
         print(f"innerlab: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except SystemExit as exc:   # a bad config value, reported by the parser
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -74,24 +74,25 @@ def target_constant(z, chi: float) -> float:
     return 0.5 * float(np.log(1.0 / abs(z))) / chi
 
 
-def apriori_constant(profile: CountingProfile, r_step: float = 0.25) -> float:
+def apriori_constant(profile: CountingProfile) -> float:
     """Empirical constant C for N(z, R') <= C e^{R' - d(0,z)}: the max of
-    N(z, R') e^{-(R' - d(0,z))} over a grid of R' in (0, R]."""
+    N(z, R') e^{-(R' - d(0,z))} over the grid of R' in (0, R] of step 0.25
+    (and R itself)."""
     if len(profile.radii) == 0:
         return 0.0
     d0 = origin_distance(abs(profile.base))
-    grid = np.arange(r_step, profile.cutoff + 1e-9, r_step)
+    grid = np.arange(0.25, profile.cutoff + 1e-9, 0.25)
     if len(grid) == 0 or grid[-1] < profile.cutoff - 1e-9:
         grid = np.append(grid, profile.cutoff)
     counts = np.searchsorted(profile.radii, grid, side="right")
     return float(np.max(counts * np.exp(-(grid - d0))))
 
 
-def estimate_schwarz_gap(F: InnerModel, samples: int = 20000, seed: int = 0,
-                         d_min: float = 1.0, d_max: float = 12.0) -> float:
+def estimate_schwarz_gap(F: InnerModel, samples: int = 20000,
+                         seed: int = 0) -> float:
     """Empirical gamma of the minimal-translation lemma: one quarter of the
     smallest observed drop d(0,z) - d(0,F(z)) over a quasi-uniform
-    hyperbolic grid on d_min <= d(0,z) <= d_max, refined near the minimizer.
+    hyperbolic grid on 1 <= d(0,z) <= 12, refined near the minimizer.
 
     Rotations are degenerate (gap 0) and flagged with a log warning.
     """
@@ -111,15 +112,14 @@ def estimate_schwarz_gap(F: InnerModel, samples: int = 20000, seed: int = 0,
 
     n_rings = max(24, int(np.sqrt(samples)))
     per_ring = max(16, samples // n_rings)
-    dvals = np.repeat(np.linspace(d_min, d_max, n_rings), per_ring)
+    dvals = np.repeat(np.linspace(1.0, 12.0, n_rings), per_ring)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=len(dvals))
     best, z_best = min_drop(dvals, thetas)
     # Local refinement around the minimizer.
     d0 = origin_distance(abs(z_best))
     th0 = float(np.angle(z_best))
     for width in (0.3, 0.05, 0.01):
-        dloc = np.clip(d0 + rng.uniform(-width, width, size=2000),
-                       d_min, d_max)
+        dloc = np.clip(d0 + rng.uniform(-width, width, size=2000), 1.0, 12.0)
         thloc = th0 + rng.uniform(-width, width, size=2000)
         cand, z_cand = min_drop(dloc, thloc)
         if cand < best:

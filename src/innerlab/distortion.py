@@ -1,10 +1,10 @@
 """Distortion calculus for holomorphic self-maps.
 
-The comparison quotient p of the pushforward of the radial (disk) or
-downward (half-plane) unit field against the field at the image point,
-and the derived quantities: Moebius distortion mu = 1 - |p|, linear
-distortion delta = |1 - p|, vertical inefficiency eta = Re(1 - p), and
-vertical inclination alpha = |arg p|.  Also radial distortion integrals,
+The comparison quotient p of the pushforward of the radial unit field
+of the disk against the field at the image point, and the derived
+quantities: Moebius distortion mu = 1 - |p|, linear distortion
+delta = |1 - p|, vertical inefficiency eta = Re(1 - p), and vertical
+inclination alpha = |arg p|.  Also radial distortion integrals,
 cumulative distortion along backward orbits, and the angular-derivative
 criterion scan.
 """
@@ -25,23 +25,6 @@ log = logging.getLogger("innerlab.distortion")
 
 PUNCTURE = 1e-8
 QUANTITIES = ("mu", "delta", "eta", "alpha")
-
-
-@dataclass(frozen=True)
-class HoloMap:
-    """A holomorphic map given by callables for value and derivative."""
-
-    fn: object
-    dfn: object
-
-    def eval(self, z):
-        return self.fn(z)
-
-    def __call__(self, z):
-        return self.eval(z)
-
-    def deriv(self, z):
-        return self.dfn(z)
 
 
 @dataclass(frozen=True)
@@ -87,8 +70,8 @@ def p_disk(F, z):
 
     p(z) = F'(z) (1-|z|^2)/(1-|F(z)|^2) * (z/|z|) * (|F(z)|/F(z)); undefined
     where z = 0 or F(z) = 0.  F must provide a cancellation-free
-    `gap_ratio` for (1-|z|^2)/(1-|F(z)|^2), as inner models, Frostman
-    shifts and their compositions do.
+    `gap_ratio` for (1-|z|^2)/(1-|F(z)|^2), as inner models and Frostman
+    shifts do.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(F.eval(z), dtype=complex)
@@ -105,19 +88,6 @@ def distortion_at_disk(F, z) -> DistortionSample:
     accurate up to the circle."""
     z = complex(z)
     return DistortionSample.from_p(z, p_disk(F, z))
-
-
-def distortion_at_halfplane(F, z) -> DistortionSample:
-    """Distortion sample of a half-plane self-map, via the downward field:
-    p(z) = F'(z) Im(z)/Im(F(z))."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("point must lie in the upper half-plane")
-    w = complex(F.eval(z))
-    if w.imag <= 0:
-        raise DomainError(f"image {w!r} not in the upper half-plane")
-    p = complex(F.deriv(z)) * (z.imag / w.imag)
-    return DistortionSample.from_p(z, p)
 
 
 def _ray_punctures(F, zeta: complex):

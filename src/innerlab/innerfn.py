@@ -5,8 +5,8 @@ optional singular atom factors.  It evaluates F, F' and the
 cancellation-free gap ratio (1-|z|^2)/(1-|F(z)|^2) at a complex number or
 elementwise on a complex array, sums the angular-derivative series for
 |F'| on the circle, iterates, and reads and writes the text format of
-model files.  `FrostmanShift` and `ComposedMap` are lazy compositions with
-the same interface.
+model files.  `FrostmanShift` is a lazy composition with the same
+interface.
 
 Blaschke factor convention: b_a(z) = (|a|/a)(a - z)/(1 - conj(a) z) for
 a != 0 and b_0(z) = z, so that b_a(0) = |a| > 0 and products are real
@@ -150,13 +150,13 @@ class InnerModel:
         return self.zeros == (0j,) and not self.atoms
 
     @staticmethod
-    def power_map(d: int, rotation=1.0) -> "InnerModel":
-        """z -> rotation * z^d."""
-        return InnerModel(rotation=rotation, zeros=(0j,) * d)
+    def power_map(d: int) -> "InnerModel":
+        """z -> z^d."""
+        return InnerModel(zeros=(0j,) * d)
 
     @staticmethod
-    def from_zeros(*zeros, rotation=1.0) -> "InnerModel":
-        return InnerModel(rotation=rotation, zeros=tuple(zeros))
+    def from_zeros(*zeros) -> "InnerModel":
+        return InnerModel(zeros=tuple(zeros))
 
     @staticmethod
     def atom_map(angle=0.0, weight=1.0) -> "InnerModel":
@@ -375,11 +375,8 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class FrostmanShift:
-    """The lazy composition F_a = (F - a)/(1 - conj(a) F).
-
-    Kept as a composition for exactness; re-expansion into Blaschke form
-    is an explicit call in the preimage module.
-    """
+    """The lazy composition F_a = (F - a)/(1 - conj(a) F), kept as a
+    composition for exactness."""
 
     base: InnerModel
     a: complex
@@ -415,25 +412,3 @@ def frostman_shift(F: InnerModel, a) -> FrostmanShift | InnerModel:
     if a == 0:
         return F
     return FrostmanShift(F, a)
-
-
-@dataclass(frozen=True)
-class ComposedMap:
-    """outer o inner, evaluable with derivative by the chain rule."""
-
-    outer: object
-    inner: object
-
-    def eval(self, z):
-        return self.outer.eval(self.inner.eval(z))
-
-    def __call__(self, z):
-        return self.eval(z)
-
-    def deriv(self, z):
-        mid = self.inner.eval(z)
-        return self.outer.deriv(mid) * self.inner.deriv(z)
-
-    def gap_ratio(self, z):
-        mid = self.inner.eval(z)
-        return self.inner.gap_ratio(z) * self.outer.gap_ratio(mid)

@@ -3,11 +3,10 @@
 Backward orbits are complex arrays z_0, z_{-1}, ..., z_{-n} (rows of an
 (m, n + 1) array for m orbits), all stepped by one generation-batched walk:
 by a branch policy, by normalized heights, or by transfer-operator weights
-on the solenoid.  Also: transverse weight trees, the exponential map to
-geodesic-flow coordinates and its intertwining, box masses of the natural
-measure, the total-mass check against the Lyapunov exponent, radial
-shadowing statistics, and the good/bad-times shadowing simulation in the
-upper half-plane.
+on the solenoid.  Also: the exponential map to geodesic-flow coordinates
+and its intertwining, box masses of the natural measure, the total-mass
+check against the Lyapunov exponent, radial shadowing statistics, and the
+good/bad-times shadowing simulation in the upper half-plane.
 """
 
 from __future__ import annotations
@@ -136,63 +135,7 @@ def log_boundary_gaps(F: InnerModel, coords) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Transverse weights
-
-
-@dataclass(frozen=True)
-class TransverseWeight:
-    """Nevanlinna weight of the cylinder through a repeated preimage."""
-
-    base: complex
-    point: complex
-    weight: float
-    normalized: float
-
-
-@dataclass
-class TransverseTree:
-    """Full d-ary preimage tree of depth n with cylinder weights.
-
-    Children of node i at level g occupy indices i*d .. (i+1)*d - 1 at
-    level g+1 (preimages are emitted in sorted order per parent).
-    """
-
-    base: complex
-    degree: int
-    levels: list
-
-    def weights(self, level: int) -> np.ndarray:
-        return np.log(1.0 / np.abs(self.levels[level]))
-
-    def node(self, level: int, index: int) -> TransverseWeight:
-        w = float(np.log(1.0 / abs(self.levels[level][index])))
-        return TransverseWeight(self.base, complex(self.levels[level][index]),
-                                w, w / math.log(1.0 / abs(self.base)))
-
-
-def transverse_weights(F: InnerModel, z, depth: int) -> TransverseTree:
-    """Cylinder weight tree of depth `depth` below z (no pruning)."""
-    z = complex(z)
-    if z == 0:
-        raise PreconditionError("base point must be nonzero")
-    if F.degree ** depth > TREE_BUDGET:
-        raise BudgetError(f"depth {depth} exceeds the tree budget")
-    levels = [np.array([z], dtype=complex)]
-    for _ in range(depth):
-        roots = preimages_of_batch(F, levels[-1])
-        levels.append(roots.reshape(-1))
-    return TransverseTree(z, F.degree, levels)
-
-
-# ---------------------------------------------------------------------------
 # Exponential map and geodesic flow
-
-
-@dataclass(frozen=True)
-class ExpMapResult:
-    point: complex
-    increment: float
-    n_approx: int
 
 
 def _leading(coords, upto: int) -> np.ndarray:
@@ -211,30 +154,21 @@ def _chain_derivs(F: InnerModel, coords: np.ndarray) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod(mods[1:])))
 
 
-def exponential_map(F: InnerModel, coords, t: float,
-                    n_approx: int) -> ExpMapResult:
-    """E(u, t) ~ F^n(u_{-n} + v_{-n}) with v_{-n} = -t u_{-n}/|(F^n)'(u_{-n})|
-    for the boundary orbit `coords` = (u_0, u_{-1}, ...).
+def exponential_map(F: InnerModel, coords, t: float, n_approx: int) -> complex:
+    """The n_approx-th approximant of the 0-coordinate of E(u, t),
+    F^n(u_{-n} + v_{-n}) with v_{-n} = -t u_{-n}/|(F^n)'(u_{-n})| and
+    n = n_approx, for the boundary orbit `coords` = (u_0, u_{-1}, ...).
 
-    Returns the n_approx-th approximant of the 0-coordinate together with
-    the Cauchy increment from the previous approximant as error proxy.
-    `t` must stay below EXP_MAP_CAP so the perturbed points remain in the
+    `t` must stay below EXP_MAP_CAP so the perturbed point remains in the
     disk.
     """
     if not 0 < t < EXP_MAP_CAP:
         raise DomainError(f"flow parameter t = {t} outside (0, {EXP_MAP_CAP})")
     coords = _leading(coords, n_approx)
-    D = _chain_derivs(F, coords)
-
-    def approximant(n: int) -> complex:
-        start = coords[n] * (1.0 - t / D[n])
-        if abs(start) >= 1.0:
-            raise DomainError("perturbed start left the disk; reduce t")
-        return complex(F.iterate(start, n))
-
-    value = approximant(n_approx)
-    inc = abs(value - approximant(n_approx - 1)) if n_approx >= 1 else math.nan
-    return ExpMapResult(value, inc, n_approx)
+    start = coords[-1] * (1.0 - t / _chain_derivs(F, coords)[-1])
+    if abs(start) >= 1.0:
+        raise DomainError("perturbed start left the disk; reduce t")
+    return complex(F.iterate(start, n_approx))
 
 
 def geodesic_intertwining_check(F: InnerModel, coords, t: float, s: float,
@@ -251,12 +185,11 @@ def geodesic_intertwining_check(F: InnerModel, coords, t: float, s: float,
         return 0.0
     k = max(1, math.ceil(abs(s)))
     coords = _leading(coords, n_approx + k)
-    D = _chain_derivs(F, coords)
 
-    side_a = exponential_map(F, coords, math.exp(s) * t, n_approx).point
+    side_a = exponential_map(F, coords, math.exp(s) * t, n_approx)
     # E(u, e^s t)_{-k} = E(shifted orbit, e^s t / |(F^k)'(u_{-k})|)_0.
-    t_shift = math.exp(s) * t / D[k]
-    deep = exponential_map(F, coords[k:], t_shift, n_approx).point
+    t_shift = math.exp(s) * t / _chain_derivs(F, coords[: k + 1])[k]
+    deep = exponential_map(F, coords[k:], t_shift, n_approx)
     side_b = complex(F.iterate(deep, k))
     return float(disk_distance(side_a, side_b))
 
@@ -284,20 +217,20 @@ def leaf_depth_for(d: int) -> int:
     return max(8, int(round(18.0 / math.log(d))))
 
 
-def gh_commutation_discrepancy(d: int, tau: complex, s: float, t: float,
-                               n_approx: int | None = None) -> float:
+def gh_commutation_discrepancy(d: int, tau: complex, s: float,
+                               t: float) -> float:
     """Numeric realization of g_{-t} h_s = h_{e^t s} g_{-t} on the z^d
     fixed-point leaf.
 
     Orbits on this leaf have coordinates exp(-tau' d^j); the flows act on
     the parameter by g_t: Re tau -> e^t Re tau and h_s: Im tau -> Im tau
     - s Re tau.  Each side is realized through the H-action limit applied
-    to numerically computed orbits, and the 0-coordinates are compared.
+    to numerically computed orbits at depth `leaf_depth_for(d)`, and the
+    0-coordinates are compared.
     """
     if tau.real <= 0:
         raise PreconditionError("leaf parameter needs Re tau > 0")
-    if n_approx is None:
-        n_approx = leaf_depth_for(d)
+    n_approx = leaf_depth_for(d)
     F = InnerModel.power_map(d)
 
     def orbit_array(tau_val: complex, upto: int) -> np.ndarray:
@@ -409,14 +342,6 @@ def xi_box_mass(F: InnerModel, region: AnnularBox, max_depth: int,
         raise BudgetError(f"depth {reach + 1} exceeds the quadrature budget",
                           partial=estimates)
     return estimates
-
-
-def box_thinness_reference(region: AnnularBox) -> float:
-    """(1/2pi) int_A dA(z)/(1 - |z|), the comparability reference for thin
-    boxes near the circle: int r dr/(1 - r) = -log(1 - r) - r."""
-    r_lo, r_hi = region.r_lo, region.r_hi
-    radial = math.log1p(-r_lo) - math.log1p(-r_hi) - (r_hi - r_lo)
-    return (region.theta_hi - region.theta_lo) * radial / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -154,10 +154,9 @@ def chi_jensen_oracle(F: InnerModel) -> LyapunovEstimate:
     return LyapunovEstimate(chi, "jensen", 1e-12)
 
 
-def chi_birkhoff(F: InnerModel, zeta0, n: int, seed: int = 0,
-                 batches: int = 32) -> LyapunovEstimate:
+def chi_birkhoff(F: InnerModel, zeta0, n: int, seed: int = 0) -> LyapunovEstimate:
     """(1/n) sum of log |F'| over n boundary orbit points, split across
-    min(batches, n) independent orbits.
+    min(32, n) independent orbits.
 
     Orbit 0 starts at zeta0, the others at angles drawn from `seed`; since
     Lebesgue measure is F-invariant every orbit is stationary.  The orbits
@@ -170,7 +169,7 @@ def chi_birkhoff(F: InnerModel, zeta0, n: int, seed: int = 0,
                                 "non-rotation finite Blaschke product")
     if n < 1:
         raise PreconditionError("need n >= 1")
-    lanes = min(batches, n)
+    lanes = min(32, n)
     rng = np.random.default_rng(seed)
     starts = np.exp(1j * rng.uniform(0.0, TWO_PI, size=lanes - 1))
     z = np.concatenate(([_boundary_value(zeta0)], starts))

@@ -114,15 +114,18 @@ def hp_preimages_batch(F: HalfPlaneInner, zs, warm=None) -> np.ndarray:
     """The degree-many preimages of each z in the open upper half-plane, as
     an (m, degree) array sorted rowwise by (Re, Im).
 
-    Clears denominators to a degree-(k+1) polynomial; all roots must lie in
-    H and satisfy the height identity sum Im w = Im z to 1e-9, else a
-    consistency error is raised.  `warm` optionally seeds the root solve
-    with finite (m, degree) guesses, one row per z, such as the preimage
-    row of the parent of z; a missing, non-finite or wrongly shaped `warm`
-    is ignored and the default start used.  Warm starts change the
-    iteration count, not the checks the roots must pass.
+    A z outside H is a PreconditionError.  Clears denominators to a
+    degree-(k+1) polynomial; all roots must lie in H and satisfy the height
+    identity sum Im w = Im z to 1e-9, else a consistency error is raised.
+    `warm` optionally seeds the root solve with finite (m, degree) guesses,
+    one row per z, such as the preimage row of the parent of z; a missing,
+    non-finite or wrongly shaped `warm` is ignored and the default start
+    used.  Warm starts change the iteration count, not the checks the roots
+    must pass.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    if np.any(zs.imag <= 0):
+        raise PreconditionError("points must lie in the upper half-plane")
     k = len(F.atoms)
     # P(w) = (w + beta - z) prod (x_l - w) + sum_k c_k (1 + w x_k) prod_{l != k}.
     prod_all = np.array([1.0 + 0j])
@@ -164,14 +167,6 @@ def hp_preimages_batch(F: HalfPlaneInner, zs, warm=None) -> np.ndarray:
     return np.take_along_axis(roots, order, axis=1)
 
 
-def hp_preimages(F: HalfPlaneInner, z) -> np.ndarray:
-    """All solutions of F(w) = z in H, sorted by (Re, Im)."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise PreconditionError("base point must lie in the upper half-plane")
-    return hp_preimages_batch(F, [z])[0]
-
-
 @dataclass(frozen=True)
 class HeightClass:
     kind: str            # "finite-height" | "infinite-height"
@@ -179,17 +174,15 @@ class HeightClass:
     detail: str
 
 
-def height_classify(F: HalfPlaneInner, z0=0.7j, n_iters: int = 2000) -> HeightClass:
+def height_classify(F: HalfPlaneInner) -> HeightClass:
     """Classify F as finite or infinite height.
 
     For symmetric atom measures the Taylor expansion at infinity (via the
     w = -1/z conjugation) decides exactly: the quadratic coefficient is
     beta - sum c_k x_k, zero iff doubly parabolic iff infinite height.
-    Otherwise the orbit of z0 is iterated and the classification is the
-    heuristic doubling test on Im F^n(z0).
+    Otherwise the orbit of 0.7i is iterated 2000 times and the
+    classification is the heuristic doubling test on its Im.
     """
-    if n_iters < 1000:
-        raise PreconditionError("need n_iters >= 1000 for the iterate test")
     pairs = sorted((x, c) for x, c in F.atoms)
     mirrored = sorted((-x, c) for x, c in F.atoms)
     symmetric = len(pairs) == len(mirrored) and all(
@@ -202,15 +195,14 @@ def height_classify(F: HalfPlaneInner, z0=0.7j, n_iters: int = 2000) -> HeightCl
                                "doubly parabolic: quadratic coefficient 0 at infinity")
         return HeightClass("finite-height", "analytic",
                            f"singly parabolic: quadratic coefficient {b:g}")
-    z = complex(z0)
-    y0 = z.imag
-    for _ in range(n_iters):
+    z = 0.7j
+    for _ in range(2000):
         z = F.eval(z)
-    if z.imag >= 2.0 * y0:
+    if z.imag >= 2.0 * 0.7:
         return HeightClass("infinite-height", "heuristic",
-                           f"Im grew {z.imag / y0:.2f}x over {n_iters} iterates")
+                           f"Im grew {z.imag / 0.7:.2f}x over 2000 iterates")
     return HeightClass("finite-height", "heuristic",
-                       f"Im grew only {z.imag / y0:.2f}x over {n_iters} iterates")
+                       f"Im grew only {z.imag / 0.7:.2f}x over 2000 iterates")
 
 
 def chi_ell(F: HalfPlaneInner, tol: float = 1e-8) -> float:
@@ -361,15 +353,13 @@ class StripRow:
     ratio: float
 
 
-def strip_counting_report(profile: StripProfile, chi: float, R_values=None) -> list:
+def strip_counting_report(profile: StripProfile, chi: float, R_values) -> list:
     """Rows (R, N_I, N_I e^{-R}, cesaro, target = |I|/chi, ratio) for each
     requested R; ratio is the Cesaro one, cesaro/target."""
     if not chi > 0:
         raise PreconditionError("chi_ell must be positive")
     x_lo, x_hi = profile.interval
     target = (x_hi - x_lo) / chi
-    if R_values is None:
-        R_values = [profile.cutoff]
     rows = []
     for R in R_values:
         n = profile.count(R)

@@ -75,9 +75,9 @@ def preimages_of_batch(F: InnerModel, zs, warm=None):
     return _sort_roots(roots)
 
 
-def _newton_polish(F: InnerModel, roots, zs, sweeps=3):
+def _newton_polish(F: InnerModel, roots, zs):
     zz = zs[:, None]
-    for _ in range(sweeps):
+    for _ in range(3):
         fw = F.eval(roots) - zz
         dfw = F.deriv(roots)
         with np.errstate(all="ignore"):
@@ -88,39 +88,15 @@ def _newton_polish(F: InnerModel, roots, zs, sweeps=3):
     return roots
 
 
-def preimages_of(F: InnerModel, z):
-    """All solutions of F(w) = z for a finite Blaschke product, sorted by
-    (argument, modulus), polished to |F(w) - z| < 1e-12."""
-    return preimages_of_batch(F, [z])[0]
-
-
-def expand_frostman(F: InnerModel, a) -> InnerModel:
-    """Re-expand the Frostman shift F_a of a centered finite Blaschke
-    product into Blaschke form, by solving F = a for the zero set."""
-    _require_blaschke(F)
-    zeros = preimages_of(F, a)
-    lead = np.prod(np.abs(zeros[np.abs(zeros) > 0]))
-    value0 = (F.eval(0.0) - a) / (1.0 - np.conj(a) * F.eval(0.0))
-    if abs(lead) < 1e-300:
-        raise NumericalError("degenerate Frostman expansion")
-    rotation = value0 / lead
-    model = InnerModel(rotation=rotation / abs(rotation), zeros=tuple(zeros))
-    probe = np.array([0.3 + 0.1j, -0.2 + 0.45j, 0.05 - 0.6j])
-    shift = (F.eval(probe) - a) / (1.0 - np.conj(a) * F.eval(probe))
-    if np.max(np.abs(model.eval(probe) - shift)) > 1e-10:
-        raise NumericalError("Frostman expansion failed verification")
-    return model
-
-
 @dataclass
 class PreimageTree:
     """Repeated preimages of `base` under `model` with hyperbolic radius
     <= cutoff, grouped by generation.
 
-    `points[g]` holds generation g, `parents[g]` the index of each node's
-    parent within generation g-1, and `branches[g]` the branch number of
-    the preimage solve.  `pruned_from` is the first generation at which any
-    child was discarded (radius cutoff or dedup), or None.
+    `points[g]` holds generation g and `parents[g]` the index of each
+    node's parent within generation g-1.  `pruned_from` is the first
+    generation at which any child was discarded (radius cutoff or dedup),
+    or None.
     """
 
     model: InnerModel
@@ -128,7 +104,6 @@ class PreimageTree:
     cutoff: float
     points: list = field(default_factory=list)
     parents: list = field(default_factory=list)
-    branches: list = field(default_factory=list)
     pruned_from: int | None = None
     collisions: int = 0
     explored: int = 0
@@ -158,21 +133,6 @@ class PreimageTree:
             target = self.points[g - 1][self.parents[g]]
             worst = max(worst, float(np.max(np.abs(self.model.eval(w) - target))))
         return worst
-
-    def to_csv(self, path):
-        """Dump: header comments with the model serialization and R, then
-        rows generation, re, im, height, radius, parent_index."""
-        with open(path, "w", newline="") as fh:
-            for line in self.model.to_text().splitlines():
-                fh.write(f"# {line}\n")
-            fh.write(f"# R={self.cutoff:.17g}\n")
-            fh.write("generation,re,im,height,radius,parent_index\n")
-            for g, pts in enumerate(self.points):
-                h = self.heights(g)
-                r = origin_distance(np.abs(pts))
-                for i, p in enumerate(pts):
-                    fh.write(f"{g},{p.real:.17g},{p.imag:.17g},"
-                             f"{h[i]:.17g},{r[i]:.17g},{self.parents[g][i]}\n")
 
 
 # A point's cell (cx, cy) = floor((Re, Im) / DEDUP_TOL) is packed into the
@@ -244,7 +204,6 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
         return tree
     tree.points.append(np.array([z], dtype=complex))
     tree.parents.append(np.array([-1], dtype=np.int64))
-    tree.branches.append(np.array([0], dtype=np.int64))
 
     d = F.degree
     warm = None
@@ -281,7 +240,6 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
             break
         tree.points.append(pts[keep])
         tree.parents.append(par[keep])
-        tree.branches.append(br[keep])
         # Each kept child inherits its own sibling constellation as the
         # warm start for expanding it.
         warm = warm[par[keep]]

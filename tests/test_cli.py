@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from innerlab import cli, lamination
+from innerlab import cli, lamination, lyapunov
 from innerlab.errors import NumericalError
 from innerlab.innerfn import InnerModel
 from innerlab.parabolic import HalfPlaneInner
@@ -130,6 +130,29 @@ class TestOtherSubcommands:
         # An interior orbit starts at --z, a solenoid orbit at a seeded angle.
         assert (rows[3][0] == rows[4][0]) == interior
 
+    @pytest.mark.parametrize("command", ["lyapunov", "total-mass"])
+    def test_rows_follow_seed(self, deg2_file, tmp_path, command):
+        F = InnerModel.from_zeros(0, 0.5)
+        rows = {}
+        for seed in (3, 4):
+            out = tmp_path / f"{command}{seed}.csv"
+            if command == "lyapunov":
+                argv = ["--method", "birkhoff", "--n", "2000"]
+                est = lyapunov.chi_birkhoff(F, 0.7, 2000, seed=seed)
+                expect = [["birkhoff", f"{est.value:.17g}", f"{est.error:.17g}"]]
+            else:
+                argv = ["--samples", "20000"]
+                res = lamination.total_mass_check(F, 0.99, samples=20000,
+                                                  seed=seed)
+                expect = [[f"{res.r0:.17g}", f"{res.mass:.17g}",
+                           f"{res.stderr:.17g}", f"{res.chi_ref:.17g}",
+                           str(res.samples)]]
+            assert cli.main([command, "--model", deg2_file, "--seed", str(seed),
+                             "--out", str(out)] + argv) == 0
+            rows[seed] = read_rows(out)[1]
+            assert rows[seed] == expect
+        assert rows[3] != rows[4]
+
     def test_xi_mass(self, deg2_file, tmp_path):
         out = tmp_path / "xi.csv"
         assert cli.main(["xi-mass", "--model", deg2_file,
@@ -217,6 +240,58 @@ class TestConfigFile:
                          "--out", str(out)]) == 0
         header, rows = read_rows(out)
         assert [float(r[0]) for r in rows] == [3.0, 6.0]
+
+    def test_abbreviated_flag_overrides_config(self, deg2_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[count]\nR-step = 2.0\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["count", "--model", deg2_file, "--z", "0.3,0",
+                         "--R", "6", "--R-st", "3.0", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        assert [float(r[0]) for r in rows] == [3.0, 6.0]
+
+
+    @pytest.mark.parametrize("command, config, flags", [
+        (["count", "--z", "0.3,0", "--R", "5"], "chi = 0.62\n",
+         ["--chi", "0.62"]),
+        (["distortion-scan"], "truncation-K = 4, 6\nr-max = 0.99\n",
+         ["--truncation-K", "4", "--truncation-K", "6", "--r-max", "0.99"]),
+        (["orbit", "--n", "5"], "interior = yes\nz = 0.3,0.2\n",
+         ["--interior", "--z", "0.3,0.2"]),
+        (["lyapunov"], "method = jensen\n", ["--method", "jensen"]),
+    ], ids=["none-default", "repeatable", "switch", "choices"])
+    def test_config_matches_flags(self, deg2_file, tmp_path, command, config,
+                                  flags):
+        # Values are converted by each option's type: options defaulting to
+        # None or to a list, repeatable options and switches included.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        model = [] if command[0] == "distortion-scan" else ["--model", deg2_file]
+        codes, bodies = [], []
+        for name, extra in (("cfg", ["--config", str(cfg)]), ("flags", flags)):
+            out = tmp_path / f"{name}.csv"
+            codes.append(cli.main(command + model + extra + ["--out", str(out)]))
+            bodies.append(read_rows(out) if out.exists() else None)
+        assert codes[0] == codes[1]
+        assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("config", ["node-budget = abc\n",
+                                        "R-step = 1,2\n", "[count\n"],
+                             ids=["int", "float", "file"])
+    def test_bad_config_value_is_64(self, deg2_file, tmp_path, capsys, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert cli.main(["count", "--model", deg2_file, "--z", "0.3,0",
+                         "--R", "5", "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv")]) == 64
+        assert "config" in capsys.readouterr().err
+
+    def test_bad_config_choice_is_64(self, deg2_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = bogus\n")
+        assert cli.main(["lyapunov", "--model", deg2_file, "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv")]) == 64
 
 
 class TestDeterminism:

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_centered_blaschke, random_disk_point
-from innerlab.distortion import (PUNCTURE, HoloMap, DistortionSample,
+from conftest import (Composed, geodesic_curvature, random_centered_blaschke,
+                      random_disk_point)
+from innerlab.distortion import (PUNCTURE, DistortionSample,
                                  angular_derivative_criterion_scan,
                                  cumulative_orbit_distortion,
-                                 distortion_at_disk, distortion_at_halfplane,
+                                 distortion_at_disk,
                                  radial_distortion_integral, subadditivity_gap,
                                  write_scan_csv)
 from innerlab.errors import DomainError, PreconditionError
-from innerlab.hypgeo import disk_distance, geodesic_curvature
-from innerlab.innerfn import ComposedMap, InnerModel
+from innerlab.hypgeo import disk_distance
+from innerlab.innerfn import InnerModel
 from innerlab.lamination import branch_orbit, sample_interior_orbit
 
 unit_p = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
@@ -83,33 +84,6 @@ class TestDiskSamples:
             assert 0 <= s.mu < 1e-6
 
 
-class TestHalfplaneSamples:
-    def test_hand_example(self):
-        F = HoloMap(lambda z: z - 1 / z, lambda z: 1 + 1 / z ** 2)
-        s = distortion_at_halfplane(F, 2j)
-        assert s.p == pytest.approx(0.6)
-        assert (s.mu, s.delta, s.eta, s.alpha) == pytest.approx(
-            (0.4, 0.4, 0.4, 0.0))
-
-    def test_affine_maps_have_no_distortion(self):
-        F = HoloMap(lambda z: 2 * z, lambda z: 2.0)
-        s = distortion_at_halfplane(F, 0.7 + 1.3j)
-        assert s.p == pytest.approx(1.0)
-
-    def test_vertical_translation(self):
-        F = HoloMap(lambda z: z + 1j, lambda z: 1.0)
-        y = 3.0
-        s = distortion_at_halfplane(F, 1j * y)
-        assert s.p == pytest.approx(y / (y + 1))
-        assert s.alpha == 0.0
-        assert s.mu == pytest.approx(1 / (y + 1))
-
-    def test_domain_error(self):
-        F = HoloMap(lambda z: z - 10j, lambda z: 1.0)
-        with pytest.raises(DomainError):
-            distortion_at_halfplane(F, 1j)
-
-
 class TestSubadditivity:
     def test_composition_bound(self, rng):
         for _ in range(100):
@@ -123,7 +97,7 @@ class TestSubadditivity:
 
     def test_matches_composed_map(self, rng, square, deg2):
         z = 0.32 + 0.18j
-        comp = ComposedMap(square, deg2)
+        comp = Composed(square, deg2)
         s_comp = distortion_at_disk(comp, z)
         s_f = distortion_at_disk(square, deg2.eval(z))
         s_g = distortion_at_disk(deg2, z)

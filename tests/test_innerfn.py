@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_centered_blaschke, random_disk_point
+from conftest import Composed, random_centered_blaschke, random_disk_point
 from innerlab.errors import DomainError, PreconditionError
 from innerlab.hypgeo import disk_distance
 from innerlab import innerfn
-from innerlab.innerfn import ComposedMap, InnerModel, frostman_shift
+from innerlab.innerfn import InnerModel, frostman_shift
 
 
 class TestConstruction:
@@ -341,7 +341,8 @@ class TestFrostman:
         assert fd == pytest.approx(Fa.deriv(z), rel=1e-8)
 
     def test_composed_map(self, square, deg2):
-        comp = ComposedMap(square, deg2)
+        # The composition oracle of the distortion tests.
+        comp = Composed(square, deg2)
         z = 0.3 + 0.2j
         assert comp.eval(z) == pytest.approx(square.eval(deg2.eval(z)))
         h = 1e-6

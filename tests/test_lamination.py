@@ -10,15 +10,14 @@ from innerlab.errors import (BudgetError, DomainError, NumericalError,
                              PreconditionError)
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
-from innerlab.lamination import (AnnularBox, bad_times_pow2,
-                                 box_thinness_reference, branch_orbit,
+from innerlab.lamination import (AnnularBox, bad_times_pow2, branch_orbit,
                                  exponential_map, fixedpoint_orbit_point,
                                  geodesic_intertwining_check,
                                  gh_commutation_discrepancy, h_action_limit,
                                  log_boundary_gaps, radial_shadowing_stat,
                                  sample_interior_orbit, shadowing_simulation,
                                  solenoid_orbits, total_mass_check,
-                                 transverse_weights, xi_box_mass)
+                                 xi_box_mass)
 from innerlab.lyapunov import chi_jensen_oracle
 from innerlab.preimage import preimages_of_batch
 
@@ -143,8 +142,7 @@ class TestSolenoidSampler:
         assert np.max(np.abs(np.sum(w, axis=1) - 1.0)) < 1e-10
 
     def test_power_map_weights_uniform(self, square):
-        from innerlab.preimage import preimages_of
-        pre = preimages_of(square, np.exp(0.7j))
+        pre = preimages_of_batch(square, [np.exp(0.7j)])[0]
         w = [1 / square.boundary_deriv_modulus(r) for r in pre]
         assert w == pytest.approx([0.5, 0.5])
 
@@ -190,51 +188,43 @@ class TestSolenoidSampler:
 
 
 class TestTransverseWeights:
+    """The cylinder weights log(1/|w|) of the preimages w of z, whose
+    normalized values are the branch probabilities of
+    `sample_interior_orbit`."""
+
     def test_power_map_equal_split(self, square):
         z = 0.4 + 0.1j
-        tree = transverse_weights(square, z, 1)
-        w = tree.weights(1)
+        w = np.log(1 / np.abs(preimages_of_batch(square, [z])[0]))
         assert w == pytest.approx(np.full(2, np.log(1 / abs(z)) / 2), abs=1e-12)
 
     def test_kolmogorov_consistency(self, deg2):
-        z = 0.3
-        tree = transverse_weights(deg2, z, 3)
-        assert len(tree.levels[3]) == 8
-        for level in range(3):
-            w_parent = tree.weights(level)
-            w_child = tree.weights(level + 1).reshape(len(w_parent), -1)
+        levels = [np.array([0.3 + 0j])]
+        for _ in range(3):
+            levels.append(preimages_of_batch(deg2, levels[-1]).reshape(-1))
+        assert len(levels[3]) == 8
+        for parent, child in zip(levels[:-1], levels[1:]):
+            w_parent = np.log(1 / np.abs(parent))
+            w_child = np.log(1 / np.abs(child)).reshape(len(parent), -1)
             assert np.max(np.abs(w_child.sum(axis=1) - w_parent)) < 1e-8
-        assert np.sum(tree.weights(3)) == pytest.approx(np.log(1 / 0.3), abs=1e-9)
-
-    def test_normalized_node(self, deg2):
-        tree = transverse_weights(deg2, 0.3, 2)
-        node = tree.node(1, 0)
-        assert node.normalized == pytest.approx(
-            node.weight / np.log(1 / 0.3), rel=1e-12)
-
-    def test_depth_budget(self, deg2):
-        with pytest.raises(BudgetError):
-            transverse_weights(deg2, 0.3, 40)
+        assert np.sum(np.log(1 / np.abs(levels[3]))) == pytest.approx(
+            np.log(1 / 0.3), abs=1e-9)
 
 
 class TestExponentialMap:
     def test_zeroth_approximant_exact(self, square):
         const = np.ones(5, dtype=complex)
-        r = exponential_map(square, const, 0.25, 0)
-        assert r.point == pytest.approx(0.75)
+        assert exponential_map(square, const, 0.25, 0) == pytest.approx(0.75)
 
     def test_fixed_point_closed_form(self, square):
         const = np.ones(40, dtype=complex)
-        r = exponential_map(square, const, 0.5, 30)
-        assert abs(r.point - np.exp(-0.5)) < 1e-6
+        assert abs(exponential_map(square, const, 0.5, 30) - np.exp(-0.5)) < 1e-6
 
     def test_small_t_slope(self, square):
         orb = solenoid_orbits(square, 35, seed=5)[0]
         u0 = orb[0]
         errs = []
         for t in (1e-2, 1e-3):
-            r = exponential_map(square, orb, t, 30)
-            errs.append(abs(r.point - (1 - t) * u0) / t)
+            errs.append(abs(exponential_map(square, orb, t, 30) - (1 - t) * u0) / t)
         # |E - (1-t) u0| = o(t): the normalized error drops with t.
         assert errs[1] < errs[0] / 2
 
@@ -245,7 +235,7 @@ class TestExponentialMap:
 
     def test_cauchy_decay_before_roundoff(self, deg2):
         orb = solenoid_orbits(deg2, 30, seed=8)[0]
-        vals = [exponential_map(deg2, orb, 0.5, n).point for n in range(10, 24)]
+        vals = [exponential_map(deg2, orb, 0.5, n) for n in range(10, 24)]
         incs = np.abs(np.diff(vals))
         # Geometric decay in the truncation-dominated range: per-step
         # ratios fluctuate with |F'| along the orbit, so the pilot pins a
@@ -286,7 +276,7 @@ class TestIntertwining:
         const = np.ones(45, dtype=complex)
         t, s = 0.3, -0.5
         d = geodesic_intertwining_check(square, const, t, s, 30)
-        direct = exponential_map(square, const, np.exp(s) * t, 30).point
+        direct = exponential_map(square, const, np.exp(s) * t, 30)
         assert abs(direct - np.exp(-np.exp(s) * t)) < 1e-6
         assert d < 1e-9
 
@@ -408,7 +398,9 @@ class TestXiBoxMass:
     def test_thin_box_comparability(self, deg2):
         box = AnnularBox(0.985, 0.995, 0.2, 0.9)
         est = xi_box_mass(deg2, box, 6, grid=(12, 12))[-1]
-        ref = box_thinness_reference(box)
+        # (1/2pi) int_A dA/(1 - |z|), with int r dr/(1 - r) = -log(1 - r) - r.
+        radial = np.log1p(-box.r_lo) - np.log1p(-box.r_hi) - (box.r_hi - box.r_lo)
+        ref = (box.theta_hi - box.theta_lo) * radial / (2 * np.pi)
         assert 0.5 <= est.value / ref <= 2.0
 
     def test_box_validation(self):

@@ -127,10 +127,10 @@ class TestBirkhoff:
         assert chi_birkhoff(deg2, 0.7, 10 ** 4, seed=1) == a
 
     def test_fewer_steps_than_batches(self, deg2, square):
-        est = chi_birkhoff(deg2, 0.7, 5, batches=32)
+        est = chi_birkhoff(deg2, 0.7, 5)
         assert np.isfinite(est.value) and 0 < est.error < np.inf
         # Five one-step orbits of a constant integrand: no spread at all.
-        est = chi_birkhoff(square, 0.7, 5, batches=32)
+        est = chi_birkhoff(square, 0.7, 5)
         assert est.value == pytest.approx(np.log(2), abs=1e-12)
         assert est.error < 1e-12
 

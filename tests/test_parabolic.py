@@ -7,9 +7,9 @@ from innerlab import parabolic
 from innerlab._roots import aberth_batch
 from innerlab.errors import PreconditionError
 from innerlab.parabolic import (HalfPlaneInner, chi_ell, enumerate_strip,
-                                height_classify, hp_preimages,
-                                hp_preimages_batch, strip_counting_report,
-                                write_strip_csv, write_strip_points_csv)
+                                height_classify, hp_preimages_batch,
+                                strip_counting_report, write_strip_csv,
+                                write_strip_points_csv)
 
 
 @pytest.fixture(scope="module")
@@ -88,18 +88,18 @@ class TestEvalDeriv:
 
 class TestPreimages:
     def test_quadratic_values(self, zminus):
-        got = hp_preimages(zminus, 2.5j)
+        got = hp_preimages_batch(zminus, [2.5j])[0]
         assert np.allclose(np.sort_complex(got), [0.5j, 2j], atol=1e-12)
 
     def test_half_imaginary(self, zminus):
-        got = hp_preimages(zminus, 0.5j)
+        got = hp_preimages_batch(zminus, [0.5j])[0]
         expect = np.array([-0.96824584 + 0.25j, 0.96824584 + 0.25j])
         assert np.allclose(got, expect, atol=1e-8)
         assert np.sum(got.imag) == pytest.approx(0.5, abs=1e-12)
 
     def test_translation_single_branch(self):
         F = HalfPlaneInner(beta=2.0)
-        got = hp_preimages(F, 1 + 1j)
+        got = hp_preimages_batch(F, [1 + 1j])[0]
         assert np.allclose(got, [-1 + 1j])
 
     def test_height_identity_generations(self, zminus):
@@ -111,7 +111,7 @@ class TestPreimages:
 
     def test_lower_halfplane_rejected(self, zminus):
         with pytest.raises(PreconditionError):
-            hp_preimages(zminus, -1j)
+            hp_preimages_batch(zminus, [0.5j, -1j])
 
 
 class TestChiEll:
@@ -149,30 +149,26 @@ class TestChiEll:
 
 class TestHeightClassify:
     def test_doubly_parabolic(self, zminus):
-        cls = height_classify(zminus, 0.7j)
+        cls = height_classify(zminus)
         assert cls.kind == "infinite-height"
         assert cls.confidence == "analytic"
 
     def test_singly_parabolic(self):
-        cls = height_classify(HalfPlaneInner(beta=3.0, atoms=((0.0, 1.0),)), 0.7j)
+        cls = height_classify(HalfPlaneInner(beta=3.0, atoms=((0.0, 1.0),)))
         assert cls.kind == "finite-height"
         assert cls.confidence == "analytic"
 
     def test_pure_translation_finite(self):
-        cls = height_classify(HalfPlaneInner(beta=1.0), 0.7j)
+        cls = height_classify(HalfPlaneInner(beta=1.0))
         assert cls.kind == "finite-height"
 
     def test_asymmetric_uses_iterates(self):
         # Asymmetric atoms with zero drift: still doubly parabolic, but
         # classified by the iterate heuristic.
         F = HalfPlaneInner(beta=0.5, atoms=((0.5, 1.0),))  # drift = 0
-        cls = height_classify(F, 0.7j, n_iters=5000)
+        cls = height_classify(F)
         assert cls.confidence == "heuristic"
         assert cls.kind == "infinite-height"
-
-    def test_min_iterations(self, zminus):
-        with pytest.raises(PreconditionError):
-            height_classify(zminus, 0.7j, n_iters=10)
 
 
 class TestEnumerateStrip:

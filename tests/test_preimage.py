@@ -11,8 +11,7 @@ from innerlab._roots import aberth_batch
 from innerlab.errors import BudgetError, NumericalError, PreconditionError
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
-from innerlab.preimage import (DEDUP_TOL, enumerate_ball, expand_frostman,
-                               preimages_of, preimages_of_batch,
+from innerlab.preimage import (DEDUP_TOL, enumerate_ball, preimages_of_batch,
                                verify_sum_of_heights)
 
 
@@ -54,17 +53,17 @@ def per_child_ball(F, z, R):
 
 class TestPreimagesOf:
     def test_square_roots(self, square):
-        roots = preimages_of(square, 0.25)
+        roots = preimages_of_batch(square, [0.25])[0]
         assert sorted(np.round(roots.real, 12)) == [-0.5, 0.5]
         assert np.max(np.abs(roots.imag)) < 1e-12
 
     def test_double_root(self, square):
-        roots = preimages_of(square, 0.0)
+        roots = preimages_of_batch(square, [0.0])[0]
         assert len(roots) == 2
         assert np.max(np.abs(roots)) < 1e-6  # residual |w^2| < 1e-12
 
     def test_deg2_height_identity(self, deg2):
-        roots = preimages_of(deg2, 0.3)
+        roots = preimages_of_batch(deg2, [0.3])[0]
         total = np.sum(np.log(1.0 / np.abs(roots)))
         assert total == pytest.approx(np.log(1 / 0.3), abs=1e-12)
 
@@ -73,7 +72,7 @@ class TestPreimagesOf:
         # solved by the companion matrix, independent of the Aberth path.
         z = 0.31 - 0.17j
         expect = np.roots([1.0, -0.5 * (1 + z), z])
-        got = preimages_of(deg2, z)
+        got = preimages_of_batch(deg2, [z])[0]
         assert np.allclose(np.sort_complex(got), np.sort_complex(expect),
                            atol=1e-12)
 
@@ -81,7 +80,7 @@ class TestPreimagesOf:
         for _ in range(20):
             F = random_centered_blaschke(rng)
             z = random_disk_point(rng)
-            roots = preimages_of(F, z)
+            roots = preimages_of_batch(F, [z])[0]
             assert len(roots) == F.degree
             assert np.max(np.abs(F.eval(roots) - z)) < 1e-12
 
@@ -93,12 +92,12 @@ class TestPreimagesOf:
         assert np.array_equal(a, b)
 
     def test_boundary_points_stay_on_circle(self, deg2):
-        roots = preimages_of(deg2, np.exp(0.4j))
+        roots = preimages_of_batch(deg2, [np.exp(0.4j)])[0]
         assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-12
 
     def test_atom_model_rejected(self):
         with pytest.raises(PreconditionError):
-            preimages_of(InnerModel.atom_map(0.0, 1.0), 0.3)
+            preimages_of_batch(InnerModel.atom_map(0.0, 1.0), [0.3])
 
 
 class TestFallbacks:
@@ -266,19 +265,6 @@ class TestEnumerateBall:
         for g, (pts, par, br) in enumerate(gens):
             assert np.array_equal(tree.points[g], pts)
             assert np.array_equal(tree.parents[g], par)
-            assert np.array_equal(tree.branches[g], br)
-
-    def test_csv_dump(self, deg2, tmp_path):
-        tree = enumerate_ball(deg2, 0.3, 3.0)
-        path = tmp_path / "tree.csv"
-        tree.to_csv(path)
-        lines = path.read_text().splitlines()
-        header = [ln for ln in lines if ln.startswith("#")]
-        assert any("rotation=" in ln for ln in header)
-        assert any("R=3" in ln for ln in header)
-        cols = [ln for ln in lines if not ln.startswith("#")][0]
-        assert cols == "generation,re,im,height,radius,parent_index"
-        assert len(lines) > 3
 
 
 class TestSumOfHeights:
@@ -307,14 +293,3 @@ class TestSumOfHeights:
         tree = enumerate_ball(deg2, 0.3, 4.0)
         with pytest.raises(PreconditionError):
             verify_sum_of_heights(tree, tree.pruned_from)
-
-
-class TestFrostmanExpansion:
-    def test_matches_shift(self, deg2, rng):
-        model = expand_frostman(deg2, 0.2 - 0.1j)
-        assert model.degree == deg2.degree
-        for _ in range(10):
-            z = random_disk_point(rng)
-            w = deg2.eval(z)
-            shift = (w - (0.2 - 0.1j)) / (1 - np.conj(0.2 - 0.1j) * w)
-            assert model.eval(z) == pytest.approx(shift, abs=1e-10)
