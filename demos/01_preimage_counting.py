@@ -21,7 +21,7 @@ print(f"tree: {tree.size()} preimages inside radius 12 "
       f"({tree.explored} solves, {tree.generations} generations)")
 print(f"worst defining-equation residual: {tree.max_residual():.2e}")
 
-profile = counting.CountingProfile.from_tree(tree, chi)
+profile = counting.CountingProfile.from_tree(tree)
 target = counting.target_constant(z, chi)
 print(f"\ntarget constant (1/2) log(1/|z|)/chi = {target:.6f}")
 print(f"{'R':>4} {'N(z,R)':>8} {'N e^-R / target':>16} {'cesaro / target':>16}")

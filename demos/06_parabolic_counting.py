@@ -8,6 +8,7 @@ int log(1 + 1/x^2) dx = 2 pi.
 
 import numpy as np
 
+from innerlab import counting
 from innerlab import parabolic as pb
 
 F = pb.HalfPlaneInner(beta=0.0, atoms=((0.0, 1.0),))
@@ -25,9 +26,10 @@ print(f"\nstrip tree below z = {z}: {profile.explored} solves, "
 print(f"\n{'R':>4} {'N_I':>7} {'N_I e^-R':>10} {'cesaro':>9} "
       f"{'/ (Im z |I|/chi)':>17}")
 corrected = z.imag * (I[1] - I[0]) / chi
+heights = counting.CountingProfile.from_strip(profile)
 for R_val in (4.0, 6.0, 8.0, 10.0):
-    n = profile.count(R_val)
-    ces = profile.cesaro(R_val)
+    n = counting.count(heights, R_val)
+    ces = counting.cesaro(heights, R_val)
     print(f"{R_val:>4} {n:>7} {n * np.exp(-R_val):>10.5f} {ces:>9.5f} "
           f"{n * np.exp(-R_val) / corrected:>17.4f}")
 

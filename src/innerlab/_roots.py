@@ -1,4 +1,5 @@
-"""Batched polynomial root finding for preimage solves.
+"""Batched polynomial root finding, and the one preimage solve of the
+disk and the strip (`_preimage_roots`).
 
 Aberth-Ehrlich simultaneous iteration, vectorized across many polynomials
 of the same degree.  Coefficients are lowest-degree first.
@@ -30,6 +31,8 @@ import numpy as np
 from .errors import NumericalError
 
 log = logging.getLogger("innerlab.roots")
+
+RESIDUAL_TOL = 1e-12
 
 
 def _default_start(m: int, d: int) -> np.ndarray:
@@ -105,3 +108,35 @@ def aberth_batch(coeffs, warm=None, tol=5e-14, max_iter=60):
     log.debug("aberth_batch: %d rows, degree %d, %d iterations, %d fallback rows",
               m, d, iters, len(rows))
     return w
+
+
+def _preimage_roots(F, zs, warm, step_cap, resid_scale):
+    """The roots w of F(w) = z for each z of the 1-D array `zs`, one row
+    per z, polished and checked to |F(w) - z| <= RESIDUAL_TOL * resid_scale.
+
+    `F` has `eval`, `deriv` and the rational form `rational_coeffs` = (N, D),
+    lowest-degree first.  A Newton step of modulus `step_cap` or more is
+    not taken (near a multiple root F' ~ 0), which leaves that root to the
+    residual check.
+    """
+    N, D = F.rational_coeffs
+    coeffs = np.zeros((len(zs), len(N)), dtype=complex)
+    coeffs[:] = N
+    coeffs[:, :len(D)] -= zs[:, None] * D
+    roots = aberth_batch(coeffs, warm=warm)
+    zz = zs[:, None]
+    for _ in range(3):
+        fw = F.eval(roots) - zz
+        dfw = F.deriv(roots)
+        with np.errstate(all="ignore"):
+            step = fw / dfw
+        ok = np.isfinite(step) & (np.abs(step) < step_cap)
+        roots = np.where(ok, roots - step, roots)
+    resid = np.abs(F.eval(roots) - zz)
+    worst = float(np.max(resid))
+    if worst > RESIDUAL_TOL * resid_scale:
+        i, j = np.unravel_index(np.argmax(resid), resid.shape)
+        raise NumericalError(
+            f"root polish stalled at residual {worst:.3e}",
+            context={"model": F, "z": complex(zs[i]), "root": complex(roots[i, j])})
+    return roots

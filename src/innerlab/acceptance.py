@@ -126,7 +126,7 @@ def criterion_4_counting_asymptotics(fast=False) -> CriterionResult:
     t0 = time.time()
     chi = lyapunov.chi_jensen_oracle(DEG2).value
     tree = enumerate_ball(DEG2, 0.3, 12.0, node_budget=5 * 10 ** 6)
-    profile = counting.CountingProfile.from_tree(tree, chi)
+    profile = counting.CountingProfile.from_tree(tree)
     tgt = counting.target_constant(0.3, chi)
     r10 = counting.count(profile, 10.0) * math.exp(-10.0) / tgt
     r12 = counting.count(profile, 12.0) * math.exp(-12.0) / tgt
@@ -316,12 +316,13 @@ def criterion_11_parabolic(fast=False) -> CriterionResult:
         pts = parabolic.hp_preimages_batch(F, pts).reshape(-1)
         worst_im = max(worst_im, abs(np.sum(pts.imag) - 0.5))
     R = 8.0 if fast else 10.0
-    profile = parabolic.enumerate_strip(F, z, (-1.0, 1.0), R)
+    profile = counting.CountingProfile.from_strip(
+        parabolic.enumerate_strip(F, z, (-1.0, 1.0), R))
     target_literal = 2.0 / chi
     target = z.imag * target_literal
-    n_ratio = profile.count(R) * math.exp(-R) / target
-    ces_lo = profile.cesaro(R - 2.0) / target
-    ces_hi = profile.cesaro(R) / target
+    n_ratio = counting.count(profile, R) * math.exp(-R) / target
+    ces_lo = counting.cesaro(profile, R - 2.0) / target
+    ces_hi = counting.cesaro(profile, R) / target
     dt = time.time() - t0
     ok = (chi_err < 1e-6 and worst_im < 1e-9
           and 0.75 <= n_ratio <= 1.3

@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 2 precondition error, 3 resource/budget error,
 4 numerical error, 64 usage error.  Config files are flat `key = value`
-text with [section] headers; complex numbers are written `re,im`.
+text; keys before any [section] header apply to every subcommand, keys
+under [name] only to subcommand `name`.  Complex numbers are written
+`re,im`.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 
 import numpy as np
@@ -17,7 +20,7 @@ from . import __version__, counting, distortion, lamination, lyapunov, parabolic
 from .errors import BudgetError, InnerlabError, NumericalError, PreconditionError
 from .innerfn import InnerModel
 from .parabolic import HalfPlaneInner
-from .preimage import enumerate_ball
+from .preimage import DEFAULT_NODE_BUDGET, enumerate_ball
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -53,14 +56,17 @@ def load_model(path: str):
     return InnerModel.from_text(text)
 
 
-def _config_defaults(path: str) -> dict:
+def _config_defaults(path: str, section: str) -> dict:
+    """The sectionless keys of a config file, then those of its [section];
+    every other section is ignored."""
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_string("[top]\n" + fh.read())
     out = {}
-    for section in cp.sections():
-        for key, val in cp.items(section):
-            out[key.replace("-", "_")] = val
+    for name in ("top", section):
+        if cp.has_section(name):
+            for key, val in cp.items(name):
+                out[key.replace("-", "_")] = val
     return out
 
 
@@ -72,6 +78,21 @@ def _header(args, extra=()):
         lines.append(f"config {key} = {val}")
     lines.extend(extra)
     return lines
+
+
+def _write_csv(path, header_lines, columns: str, rows):
+    """The `#` header lines, the column line, then one line per row of
+    values: floats as .17g (round-trip exact), anything else by str()."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(columns + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+COUNT_COLUMNS = "R,count,count_over_eR,cesaro,target,ratio"
 
 
 def _grid(upto: float, step: float = 1.0):
@@ -86,10 +107,12 @@ def cmd_count(args):
     z = _parse_complex(args.z)
     chi = args.chi if args.chi is not None else lyapunov.chi(F)
     tree = enumerate_ball(F, z, args.R, node_budget=args.node_budget)
-    profile = counting.CountingProfile.from_tree(tree, chi)
-    rows = counting.counting_report(profile, _grid(args.R, args.R_step), chi)
-    counting.write_counting_csv(rows, args.out, _header(args, (
-        f"chi = {chi:.17g}", f"tree_nodes = {tree.size()}")))
+    rows = counting.counting_report(counting.CountingProfile.from_tree(tree),
+                                    _grid(args.R, args.R_step),
+                                    counting.target_constant(z, chi))
+    _write_csv(args.out, _header(args, (
+        f"chi = {chi:.17g}", f"tree_nodes = {tree.size()}")), COUNT_COLUMNS,
+        (r + (r.count_over_eR / r.target,) for r in rows))
     return EXIT_OK
 
 
@@ -105,13 +128,8 @@ def cmd_lyapunov(args):
             est = lyapunov.chi_jensen_oracle(F)
         else:
             est = lyapunov.chi_birkhoff(F, args.angle, args.n, seed=args.seed)
-        rows.append(est)
-    with open(args.out, "w") as fh:
-        for line in _header(args):
-            fh.write(f"# {line}\n")
-        fh.write("method,value,error\n")
-        for est in rows:
-            fh.write(f"{est.method},{est.value:.17g},{est.error:.17g}\n")
+        rows.append((est.method, est.value, est.error))
+    _write_csv(args.out, _header(args), "method,value,error", rows)
     return EXIT_OK
 
 
@@ -123,7 +141,9 @@ def cmd_distortion_scan(args):
         family = [load_model(p) for p in args.model]
     rows = distortion.angular_derivative_criterion_scan(
         family, args.zeta, args.r_max, tol=args.tol)
-    distortion.write_scan_csv(rows, args.out, _header(args))
+    _write_csv(args.out, _header(args),
+               "model_id,r_max,integral_mu,integral_eta,integral_delta,"
+               "integral_alpha,log_angular_derivative", rows)
     return EXIT_OK
 
 
@@ -134,12 +154,8 @@ def cmd_orbit(args):
                                                args.n, seed=args.seed)
     else:
         pts = lamination.solenoid_orbits(F, args.n, seed=args.seed)[0]
-    with open(args.out, "w") as fh:
-        for line in _header(args):
-            fh.write(f"# {line}\n")
-        fh.write("n,re,im\n")
-        for n, p in enumerate(pts):
-            fh.write(f"{n},{p.real:.17g},{p.imag:.17g}\n")
+    _write_csv(args.out, _header(args), "n,re,im",
+               ((n, p.real, p.imag) for n, p in enumerate(pts)))
     return EXIT_OK
 
 
@@ -147,21 +163,17 @@ def cmd_xi_mass(args):
     F = load_model(args.model)
     r1, r2, t1, t2 = (float(v) for v in args.box.split(","))
     box = lamination.AnnularBox(r1, r2, t1, t2)
-    with open(args.out, "w") as fh:
-        for line in _header(args):
-            fh.write(f"# {line}\n")
-        fh.write("depth,mass,error\n")
-
-        def write_rows(estimates):
-            for est in estimates:
-                fh.write(f"{est.depth},{est.value:.17g},{est.error:.17g}\n")
-        try:
-            estimates = lamination.xi_box_mass(F, box, args.max_depth,
-                                               grid=(args.grid, args.grid))
-        except BudgetError as exc:
-            write_rows(exc.partial)
-            raise
-        write_rows(estimates)
+    estimates = []
+    try:
+        estimates = lamination.xi_box_mass(F, box, args.max_depth,
+                                           grid=(args.grid, args.grid))
+    except BudgetError as exc:
+        estimates = exc.partial
+        raise
+    finally:
+        # Also on failure: a budget error's partial rows, else none.
+        _write_csv(args.out, _header(args), "depth,mass,error",
+                   ((e.depth, e.value, e.error) for e in estimates))
     return EXIT_OK
 
 
@@ -169,12 +181,8 @@ def cmd_total_mass(args):
     F = load_model(args.model)
     res = lamination.total_mass_check(F, args.r0, samples=args.samples,
                                       seed=args.seed)
-    with open(args.out, "w") as fh:
-        for line in _header(args):
-            fh.write(f"# {line}\n")
-        fh.write("r0,mass,stderr,chi_ref,samples\n")
-        fh.write(f"{res.r0:.17g},{res.mass:.17g},{res.stderr:.17g},"
-                 f"{res.chi_ref:.17g},{res.samples}\n")
+    _write_csv(args.out, _header(args), "r0,mass,stderr,chi_ref,samples",
+               [(res.r0, res.mass, res.stderr, res.chi_ref, res.samples)])
     return EXIT_OK
 
 
@@ -192,12 +200,9 @@ def cmd_shadow_sim(args):
                                           start=_parse_complex(args.start),
                                           step=args.step)
     keep = max(1, len(run.times) // args.curve_points)
-    with open(args.out, "w") as fh:
-        for line in _header(args, (f"zeta_estimate = {run.zeta:.17g}",)):
-            fh.write(f"# {line}\n")
-        fh.write("t,avg_min_distance\n")
-        for t, v in zip(run.times[::keep], run.avg_curve[::keep]):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+    _write_csv(args.out, _header(args, (f"zeta_estimate = {run.zeta:.17g}",)),
+               "t,avg_min_distance",
+               zip(run.times[::keep], run.avg_curve[::keep]))
     return EXIT_OK
 
 
@@ -211,14 +216,22 @@ def cmd_parabolic_count(args):
     chi = parabolic.chi_ell(F)
     profile = parabolic.enumerate_strip(F, z, (lo, hi), args.R,
                                         node_budget=args.node_budget)
-    rows = parabolic.strip_counting_report(profile, chi, _grid(args.R, args.R_step))
-    parabolic.write_strip_csv(rows, args.out, _header(args, (
+    rows = counting.counting_report(counting.CountingProfile.from_strip(profile),
+                                    _grid(args.R, args.R_step), (hi - lo) / chi)
+    _write_csv(args.out, _header(args, (
         f"chi_ell = {chi:.17g}",
         f"explored = {profile.explored}",
         f"target carries no Im(z) factor; multiply by Im(z) = {z.imag:.17g} "
-        "for the empirically sharp constant",)))
+        "for the empirically sharp constant",)), COUNT_COLUMNS,
+        (r + (r.cesaro / r.target,) for r in rows))
     if args.dump_points:
-        parabolic.write_strip_points_csv(profile, args.dump_points)
+        _write_csv(args.dump_points, [
+            *F.to_text().splitlines(),
+            f"z={z.real:.17g},{z.imag:.17g}",
+            f"I=[{lo:.17g},{hi:.17g}] R={profile.cutoff:.17g}"],
+            "generation,re,im,Im_height",
+            ((g, p.real, p.imag, -math.log(p.imag)) for g, p in
+             zip(profile.counted_generations, profile.counted_points)))
     return EXIT_OK
 
 
@@ -252,7 +265,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--R-step", type=float, default=1.0)
     sp.add_argument("--chi", type=float, default=None,
                     help="override the Jensen-oracle Lyapunov exponent")
-    sp.add_argument("--node-budget", type=int, default=5 * 10 ** 7)
+    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("lyapunov", help="chi by quadrature/jensen/birkhoff",
@@ -326,15 +339,16 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_shadow_sim)
 
     sp = sub.add_parser("parabolic-count", help="strip counting N_I(z,R)",
-                        epilog="CSV columns as for count with target = |I|/chi_ell; "
-                               "--dump-points adds generation, re, im, Im_height.")
+                        epilog="CSV columns: R, count, count_over_eR, cesaro, "
+                               "target (= |I|/chi_ell), ratio (= cesaro/target); "
+                               "--dump-points writes generation, re, im, Im_height.")
     common(sp)
     sp.add_argument("--z", required=True)
     sp.add_argument("--I", required=True,
                     help="x_lo,x_hi (write --I=-1,1 for negative endpoints)")
     sp.add_argument("--R", type=float, required=True)
     sp.add_argument("--R-step", type=float, default=1.0)
-    sp.add_argument("--node-budget", type=int, default=5 * 10 ** 7)
+    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     sp.add_argument("--dump-points", default=None,
                     help="also dump counted points with Im_height column")
     sp.set_defaults(func=cmd_parabolic_count)
@@ -366,8 +380,9 @@ def _apply_config(parser, args, argv):
             hits = ([flags[flag]] if flag in flags else
                     [a for o, a in flags.items() if o.startswith(flag)])
             explicit.update(a.dest.lower() for a in hits)
+    # An alias (cesaro) reads the section of its command (count).
     try:
-        defaults = _config_defaults(args.config)
+        defaults = _config_defaults(args.config, sub.prog.split()[-1])
     except configparser.Error as exc:
         sub.error(f"config file {args.config}: {exc}")
     for key, text in defaults.items():

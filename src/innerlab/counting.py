@@ -1,14 +1,16 @@
-"""Counting functionals over preimage trees.
+"""Counting functionals over preimage trees, in the disk and the strip.
 
 The step-counting function N(z, S), its exact Cesaro average
 (1/R) sum (e^{-d_w} - e^{-R}), the asymptotic target constant
 (1/2) log(1/|z|) / chi, the empirical a-priori constant, and the
-empirical Schwarz gap.
+empirical Schwarz gap.  Heights are hyperbolic radii in the disk
+(`from_tree`) and -log Im w in the strip (`from_strip`).
 """
 
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .hypgeo import origin_distance
 from .innerfn import InnerModel
+from .parabolic import StripProfile
 from .preimage import PreimageTree
 
 log = logging.getLogger("innerlab.counting")
@@ -29,7 +32,6 @@ class CountingProfile:
     base: complex
     radii: np.ndarray
     cutoff: float
-    chi: float | None = None
 
     def __post_init__(self):
         r = np.sort(np.asarray(self.radii, dtype=float))
@@ -39,8 +41,15 @@ class CountingProfile:
         object.__setattr__(self, "base", complex(self.base))
 
     @staticmethod
-    def from_tree(tree: PreimageTree, chi=None) -> "CountingProfile":
-        return CountingProfile(tree.base, tree.radii(), tree.cutoff, chi)
+    def from_tree(tree: PreimageTree) -> "CountingProfile":
+        return CountingProfile(tree.base, tree.radii(), tree.cutoff)
+
+    @staticmethod
+    def from_strip(profile: StripProfile) -> "CountingProfile":
+        """Heights -log Im w of the points counted in I x [e^{-R}, 1], up to
+        the strip's cutoff R."""
+        return CountingProfile(profile.base, -np.log(profile.counted_points.imag),
+                               profile.cutoff)
 
 
 def count(profile: CountingProfile, S: float) -> int:
@@ -128,34 +137,16 @@ def estimate_schwarz_gap(F: InnerModel, samples: int = 20000,
     return max(best, 0.0) / 4.0
 
 
-@dataclass(frozen=True)
-class CountingRow:
-    R: float
-    count: int
-    count_over_eR: float
-    cesaro: float
-    target: float
-    ratio: float
+CountingRow = namedtuple("CountingRow", "R count count_over_eR cesaro target")
 
 
-def counting_report(profile: CountingProfile, R_values, chi: float) -> list:
-    """Rows (R, count, count/e^R, cesaro, target, ratio) per requested R;
-    ratio is the pointwise one, N(z,R) e^{-R} / target."""
-    tgt = target_constant(profile.base, chi)
+def counting_report(profile: CountingProfile, R_values, target: float) -> list:
+    """Rows (R, count, count/e^R, cesaro, target) per requested R; each
+    caller forms its ratio column from them (pointwise count_over_eR/target
+    in the disk, cesaro/target in the strip)."""
     rows = []
     for R in R_values:
         n = count(profile, R)
-        over = n * float(np.exp(-R))
-        rows.append(CountingRow(float(R), n, over, cesaro(profile, R),
-                                tgt, over / tgt))
+        rows.append(CountingRow(float(R), n, n * float(np.exp(-R)),
+                                cesaro(profile, R), target))
     return rows
-
-
-def write_counting_csv(rows, path, header_lines=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("R,count,count_over_eR,cesaro,target,ratio\n")
-        for row in rows:
-            fh.write(f"{row.R:.17g},{row.count},{row.count_over_eR:.17g},"
-                     f"{row.cesaro:.17g},{row.target:.17g},{row.ratio:.17g}\n")

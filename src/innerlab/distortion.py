@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,15 +186,8 @@ def subadditivity_gap(F, G, a) -> float:
     return abs(1.0 - pf * pg) - abs(1.0 - pf) - abs(1.0 - pg)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    model_id: str
-    r_max: float
-    integral_mu: float
-    integral_eta: float
-    integral_delta: float
-    integral_alpha: float
-    log_angular_derivative: float
+ScanRow = namedtuple("ScanRow", "model_id r_max integral_mu integral_eta "
+                     "integral_delta integral_alpha log_angular_derivative")
 
 
 def angular_derivative_criterion_scan(family, zeta, r_grid,
@@ -221,15 +215,3 @@ def angular_derivative_criterion_scan(family, zeta, r_grid,
                                 float(eta), float(delta), float(alpha),
                                 math.log(ad) if np.isfinite(ad) else math.inf))
     return rows
-
-
-def write_scan_csv(rows, path, header_lines=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("model_id,r_max,integral_mu,integral_eta,integral_delta,"
-                 "integral_alpha,log_angular_derivative\n")
-        for r in rows:
-            fh.write(f"{r.model_id},{r.r_max:.17g},{r.integral_mu:.17g},"
-                     f"{r.integral_eta:.17g},{r.integral_delta:.17g},"
-                     f"{r.integral_alpha:.17g},{r.log_angular_derivative:.17g}\n")

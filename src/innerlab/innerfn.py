@@ -44,6 +44,7 @@ Scalars and one-point arrays agree with the reference to rounding only
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -314,8 +315,10 @@ class InnerModel:
 
     # -- rational form (finite Blaschke only) ------------------------------
 
+    @cached_property
     def rational_coeffs(self):
-        """(P, Q) lowest-degree-first coefficients with F = P/Q.
+        """(P, Q) lowest-degree-first coefficients with F = P/Q, built on
+        first use and kept, read-only.
 
         Only available when there are no atom factors.
         """
@@ -330,6 +333,7 @@ class InnerModel:
                 u = abs(a) / a
                 P = np.convolve(P, [u * a, -u])
                 Q = np.convolve(Q, [1.0, -np.conj(a)])
+        P.flags.writeable = Q.flags.writeable = False
         return P, Q
 
     # -- serialization -----------------------------------------------------

@@ -124,7 +124,7 @@ def chi_jensen_oracle(F: InnerModel) -> LyapunovEstimate:
     d = F.degree
     if d < 2:
         raise PreconditionError("Jensen oracle needs degree >= 2")
-    P, Q = F.rational_coeffs()
+    P, Q = F.rational_coeffs
     N = npoly.polysub(npoly.polymul(npoly.polyder(P), Q),
                       npoly.polymul(P, npoly.polyder(Q)))
     N = np.trim_zeros(N, "b")

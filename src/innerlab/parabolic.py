@@ -2,9 +2,11 @@
 measures.
 
 Models F(z) = z + beta + sum c_k (1 + z x_k)/(x_k - z) (alpha = 1, so the
-fixed point at infinity is parabolic), their preimages, strip counting
-N_I(z, R) with Im-threshold pruning, the boundary Lyapunov exponent
-chi_ell, and height classification.
+fixed point at infinity is parabolic), their preimages (the disk's solve
+on the cached rational form F = N/D), the strip enumeration behind
+N_I(z, R) with Im-threshold pruning (counted by `counting` on heights
+-log Im w), the boundary Lyapunov exponent chi_ell, and height
+classification.
 """
 
 from __future__ import annotations
@@ -12,18 +14,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ._quadrature import _integrate
-from ._roots import aberth_batch
+from ._roots import _preimage_roots
 from .errors import BudgetError, NumericalError, PreconditionError
+from .preimage import DEFAULT_NODE_BUDGET
 
 log = logging.getLogger("innerlab.parabolic")
 
-RESIDUAL_TOL = 1e-12
 IM_SUM_TOL = 1e-9
-DEFAULT_NODE_BUDGET = 5 * 10 ** 7
 FARFIELD_SAFETY = 4.0
 
 
@@ -81,6 +83,27 @@ class HalfPlaneInner:
                 out = out + c * (x * x + 1.0) / (x - z) ** 2
         return complex(out) if out.ndim == 0 else out
 
+    @cached_property
+    def rational_coeffs(self):
+        """(N, D) lowest-degree-first coefficients with F = N/D, built on
+        first use and kept, read-only: D(w) = prod (x_k - w) and
+        N(w) = (w + beta) D(w) + sum c_k (1 + w x_k) prod_{l != k} (x_l - w).
+        """
+        D = np.array([1.0 + 0j])
+        for x, _ in self.atoms:
+            D = np.convolve(D, [x, -1.0])
+        corr = np.zeros(len(D) + 1, dtype=complex)
+        for x, c in self.atoms:
+            others = np.array([1.0 + 0j])
+            for x2, _ in self.atoms:
+                if x2 != x:
+                    others = np.convolve(others, [x2, -1.0])
+            term = c * np.convolve([1.0, x], others)
+            corr[: len(term)] += term
+        N = np.convolve([self.beta, 1.0], D) + corr
+        N.flags.writeable = D.flags.writeable = False
+        return N, D
+
     def to_text(self) -> str:
         lines = [f"beta={format(self.beta, '.17g')}"]
         for x, c in self.atoms:
@@ -114,8 +137,8 @@ def hp_preimages_batch(F: HalfPlaneInner, zs, warm=None) -> np.ndarray:
     """The degree-many preimages of each z in the open upper half-plane, as
     an (m, degree) array sorted rowwise by (Re, Im).
 
-    A z outside H is a PreconditionError.  Clears denominators to a
-    degree-(k+1) polynomial; all roots must lie in H and satisfy the height
+    A z outside H is a PreconditionError.  Residuals are kept below
+    1e-12 * max(1, max |z|); all roots must lie in H and satisfy the height
     identity sum Im w = Im z to 1e-9, else a consistency error is raised.
     `warm` optionally seeds the root solve with finite (m, degree) guesses,
     one row per z, such as the preimage row of the parent of z; a missing,
@@ -126,37 +149,8 @@ def hp_preimages_batch(F: HalfPlaneInner, zs, warm=None) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.imag <= 0):
         raise PreconditionError("points must lie in the upper half-plane")
-    k = len(F.atoms)
-    # P(w) = (w + beta - z) prod (x_l - w) + sum_k c_k (1 + w x_k) prod_{l != k}.
-    prod_all = np.array([1.0 + 0j])
-    for x, _ in F.atoms:
-        prod_all = np.convolve(prod_all, [x, -1.0])
-    base = np.convolve([F.beta, 1.0], prod_all)          # (w + beta) prod
-    corr = np.zeros(k + 2, dtype=complex)
-    for x, c in F.atoms:
-        others = np.array([1.0 + 0j])
-        for x2, _ in F.atoms:
-            if x2 != x:
-                others = np.convolve(others, [x2, -1.0])
-        term = c * np.convolve([1.0, x], others)
-        corr[: len(term)] += term
-    coeffs = np.zeros((len(zs), k + 2), dtype=complex)
-    coeffs[:, : len(base)] = base
-    coeffs[:, : len(corr)] += corr
-    coeffs[:, : len(prod_all)] -= zs[:, None] * prod_all
-    roots = aberth_batch(coeffs, warm=warm)
-    # Newton polish on F(w) - z.
-    for _ in range(3):
-        fw = F.eval(roots) - zs[:, None]
-        dfw = F.deriv(roots)
-        with np.errstate(all="ignore"):
-            step = fw / dfw
-        ok = np.isfinite(step) & (np.abs(step) < 1.0)
-        roots = np.where(ok, roots - step, roots)
-    resid = np.max(np.abs(F.eval(roots) - zs[:, None]))
-    if resid > RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(zs))):
-        raise NumericalError(f"preimage polish stalled at residual {resid:.3e}",
-                             context={"model": F})
+    roots = _preimage_roots(F, zs, warm, step_cap=1.0,
+                            resid_scale=max(1.0, float(np.max(np.abs(zs)))))
     im_sum = np.abs(np.sum(roots.imag, axis=1) - zs.imag)
     if np.any(roots.imag <= 0) or np.any(im_sum > IM_SUM_TOL):
         raise NumericalError(
@@ -235,7 +229,8 @@ def chi_ell(F: HalfPlaneInner, tol: float = 1e-8) -> float:
 
 @dataclass
 class StripProfile:
-    """Counted preimages in I x [e^{-R}, 1] plus the pruning audit trail."""
+    """Counted preimages in I x [e^{-R}, 1] plus the pruning audit trail;
+    `counting.CountingProfile.from_strip` counts them by height -log Im w."""
 
     model: HalfPlaneInner
     base: complex
@@ -245,26 +240,6 @@ class StripProfile:
     counted_generations: np.ndarray = field(default_factory=lambda: np.empty(0, int))
     farfield_pruned: int = 0
     explored: int = 0
-
-    @property
-    def counted_heights(self) -> np.ndarray:
-        return np.sort(-np.log(self.counted_points.imag))
-
-    def count(self, R: float) -> int:
-        """N_I(z, R): counted points with Im >= e^{-R} (heights <= R)."""
-        if R > self.cutoff + 1e-12:
-            raise PreconditionError(f"R = {R} beyond the enumeration cutoff")
-        return int(np.searchsorted(self.counted_heights, R, side="right"))
-
-    def cesaro(self, R: float) -> float:
-        """(1/R) int_0^R N_I(z, S) e^{-S} dS, exactly."""
-        if not 0 < R <= self.cutoff + 1e-12:
-            raise PreconditionError(f"need 0 < R <= cutoff, got {R}")
-        h = self.counted_heights
-        h = h[h <= R]
-        if len(h) == 0:
-            return 0.0
-        return float(np.sum(np.exp(-h) - math.exp(-R))) / R
 
 
 def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
@@ -341,53 +316,3 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
     profile.counted_points = np.asarray(counted_pts, dtype=complex)
     profile.counted_generations = np.asarray(counted_gen, dtype=int)
     return profile
-
-
-@dataclass(frozen=True)
-class StripRow:
-    R: float
-    count: int
-    count_over_eR: float
-    cesaro: float
-    target: float
-    ratio: float
-
-
-def strip_counting_report(profile: StripProfile, chi: float, R_values) -> list:
-    """Rows (R, N_I, N_I e^{-R}, cesaro, target = |I|/chi, ratio) for each
-    requested R; ratio is the Cesaro one, cesaro/target."""
-    if not chi > 0:
-        raise PreconditionError("chi_ell must be positive")
-    x_lo, x_hi = profile.interval
-    target = (x_hi - x_lo) / chi
-    rows = []
-    for R in R_values:
-        n = profile.count(R)
-        ces = profile.cesaro(R)
-        rows.append(StripRow(float(R), n, n * math.exp(-R), ces, target,
-                             ces / target))
-    return rows
-
-
-def write_strip_csv(rows, path, header_lines=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("R,count,count_over_eR,cesaro,target,ratio\n")
-        for r in rows:
-            fh.write(f"{r.R:.17g},{r.count},{r.count_over_eR:.17g},"
-                     f"{r.cesaro:.17g},{r.target:.17g},{r.ratio:.17g}\n")
-
-
-def write_strip_points_csv(profile: StripProfile, path):
-    """Counted points with the Im_height = -log Im column."""
-    with open(path, "w", newline="") as fh:
-        for line in profile.model.to_text().splitlines():
-            fh.write(f"# {line}\n")
-        fh.write(f"# z={profile.base.real:.17g},{profile.base.imag:.17g}\n")
-        fh.write(f"# I=[{profile.interval[0]:.17g},{profile.interval[1]:.17g}]"
-                 f" R={profile.cutoff:.17g}\n")
-        fh.write("generation,re,im,Im_height\n")
-        for g, p in zip(profile.counted_generations, profile.counted_points):
-            fh.write(f"{g},{p.real:.17g},{p.imag:.17g},"
-                     f"{-math.log(p.imag):.17g}\n")

@@ -1,7 +1,9 @@
 """Exact preimages of finite Blaschke products and preimage trees.
 
-Solves F(w) = z by clearing denominators to a degree-d polynomial
-(Aberth-Ehrlich with warm starts, Newton polish on F(w) - z), and
+Solves F(w) = z through the model's cached rational form F = P/Q by the
+preimage solve shared with the strip (`_roots._preimage_roots`: Aberth-
+Ehrlich with warm starts, Newton polish on F(w) - z, an absolute 1e-12
+residual check), clips rounding overshoot back into the disk, and
 enumerates the tree of repeated preimages inside hyperbolic balls with
 Schwarz-lemma pruning.  Enumeration is breadth-first, batched per
 generation, and deterministic.
@@ -14,14 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._roots import aberth_batch
-from .errors import BudgetError, NumericalError, PreconditionError
+from ._roots import _preimage_roots
+from .errors import BudgetError, PreconditionError
 from .hypgeo import origin_distance
 from .innerfn import InnerModel
 
 log = logging.getLogger("innerlab.preimage")
 
-RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-9
 DEFAULT_NODE_BUDGET = 5 * 10 ** 7
 
@@ -51,20 +52,7 @@ def preimages_of_batch(F: InnerModel, zs, warm=None):
     (m, d) array sorted rowwise by (argument, modulus)."""
     _require_blaschke(F, centered=False)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    P, Q = F.rational_coeffs()
-    d = F.degree
-    coeffs = np.zeros((len(zs), d + 1), dtype=complex)
-    coeffs[:, : len(P)] = P
-    coeffs[:, : len(Q)] -= zs[:, None] * Q
-    roots = aberth_batch(coeffs, warm=warm)
-    roots = _newton_polish(F, roots, zs)
-    resid = np.abs(F.eval(roots) - zs[:, None])
-    worst = float(np.max(resid))
-    if worst > RESIDUAL_TOL:
-        i, j = np.unravel_index(np.argmax(resid), resid.shape)
-        raise NumericalError(
-            f"root polish stalled at residual {worst:.3e}",
-            context={"model": F, "z": complex(zs[i]), "root": complex(roots[i, j])})
+    roots = _preimage_roots(F, zs, warm, step_cap=0.1, resid_scale=1.0)
     # Preimages of interior points are interior; clip rounding overshoot.
     mods = np.abs(roots)
     overshoot = mods >= 1.0
@@ -73,19 +61,6 @@ def preimages_of_batch(F: InnerModel, zs, warm=None):
         fix = overshoot & np.broadcast_to(interior, roots.shape)
         roots[fix] *= (1.0 - 1e-16) / mods[fix]
     return _sort_roots(roots)
-
-
-def _newton_polish(F: InnerModel, roots, zs):
-    zz = zs[:, None]
-    for _ in range(3):
-        fw = F.eval(roots) - zz
-        dfw = F.deriv(roots)
-        with np.errstate(all="ignore"):
-            step = fw / dfw
-        # Multiple roots have dfw ~ 0; leave those to the residual check.
-        ok = np.isfinite(step) & (np.abs(step) < 0.1)
-        roots = np.where(ok, roots - step, roots)
-    return roots
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,84 @@ def geodesic_curvature(points, index, params=None):
     if abs(d1) < 1e-13:
         raise ValueError("degenerate stencil: vanishing tangent")
     return 0.5 * abs((np.conj(d1) * d2).imag) / abs(d1) ** 3
+
+
+# Copies of the per-file CSV writers that `cli._write_csv` replaced, kept
+# as the reference for its output: the CLI's data rows must equal theirs
+# byte for byte on the same results.
+
+def write_counting_csv(rows, path, header_lines=()):
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write("R,count,count_over_eR,cesaro,target,ratio\n")
+        for row in rows:
+            fh.write(f"{row.R:.17g},{row.count},{row.count_over_eR:.17g},"
+                     f"{row.cesaro:.17g},{row.target:.17g},{row.ratio:.17g}\n")
+
+
+# The strip report writer had the same body.
+write_strip_csv = write_counting_csv
+
+
+def write_scan_csv(rows, path, header_lines=()):
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write("model_id,r_max,integral_mu,integral_eta,integral_delta,"
+                 "integral_alpha,log_angular_derivative\n")
+        for r in rows:
+            fh.write(f"{r.model_id},{r.r_max:.17g},{r.integral_mu:.17g},"
+                     f"{r.integral_eta:.17g},{r.integral_delta:.17g},"
+                     f"{r.integral_alpha:.17g},{r.log_angular_derivative:.17g}\n")
+
+
+def write_strip_points_csv(profile, path):
+    with open(path, "w", newline="") as fh:
+        for line in profile.model.to_text().splitlines():
+            fh.write(f"# {line}\n")
+        fh.write(f"# z={profile.base.real:.17g},{profile.base.imag:.17g}\n")
+        fh.write(f"# I=[{profile.interval[0]:.17g},{profile.interval[1]:.17g}]"
+                 f" R={profile.cutoff:.17g}\n")
+        fh.write("generation,re,im,Im_height\n")
+        for g, p in zip(profile.counted_generations, profile.counted_points):
+            fh.write(f"{g},{p.real:.17g},{p.imag:.17g},"
+                     f"{-math.log(p.imag):.17g}\n")
+
+
+def write_lyapunov_csv(estimates, path):
+    with open(path, "w") as fh:
+        fh.write("method,value,error\n")
+        for est in estimates:
+            fh.write(f"{est.method},{est.value:.17g},{est.error:.17g}\n")
+
+
+def write_orbit_csv(pts, path):
+    with open(path, "w") as fh:
+        fh.write("n,re,im\n")
+        for n, p in enumerate(pts):
+            fh.write(f"{n},{p.real:.17g},{p.imag:.17g}\n")
+
+
+def write_xi_mass_csv(estimates, path):
+    with open(path, "w") as fh:
+        fh.write("depth,mass,error\n")
+        for est in estimates:
+            fh.write(f"{est.depth},{est.value:.17g},{est.error:.17g}\n")
+
+
+def write_total_mass_csv(res, path):
+    with open(path, "w") as fh:
+        fh.write("r0,mass,stderr,chi_ref,samples\n")
+        fh.write(f"{res.r0:.17g},{res.mass:.17g},{res.stderr:.17g},"
+                 f"{res.chi_ref:.17g},{res.samples}\n")
+
+
+def write_shadow_csv(run, keep, path):
+    with open(path, "w") as fh:
+        fh.write("t,avg_min_distance\n")
+        for t, v in zip(run.times[::keep], run.avg_curve[::keep]):
+            fh.write(f"{t:.17g},{v:.17g}\n")
 
 
 @pytest.fixture

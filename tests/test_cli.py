@@ -1,10 +1,17 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
+from conftest import (write_counting_csv, write_lyapunov_csv, write_orbit_csv,
+                      write_scan_csv, write_shadow_csv, write_strip_csv,
+                      write_strip_points_csv, write_total_mass_csv,
+                      write_xi_mass_csv)
 
-from innerlab import cli, lamination, lyapunov
-from innerlab.errors import NumericalError
+from innerlab import cli, counting, distortion, lamination, lyapunov, parabolic
+from innerlab.errors import BudgetError, NumericalError
 from innerlab.innerfn import InnerModel
 from innerlab.parabolic import HalfPlaneInner
+from innerlab.preimage import enumerate_ball
 
 
 @pytest.fixture
@@ -19,6 +26,10 @@ def hp_file(tmp_path):
     path = tmp_path / "zminus.hp"
     path.write_text(HalfPlaneInner(beta=0.0, atoms=((0.0, 1.0),)).to_text())
     return str(path)
+
+
+def data_lines(path):
+    return [ln for ln in open(path).read().splitlines() if not ln.startswith("#")]
 
 
 def read_rows(path):
@@ -212,6 +223,23 @@ class TestOtherSubcommands:
         assert float(rows[-1][4]) == pytest.approx(1 / np.pi)
         assert dump.exists()
 
+    @pytest.mark.parametrize("command, numerator", [
+        (["count", "--z", "0.3,0", "--R", "6"], "count_over_eR"),
+        (["parabolic-count", "--z", "0,0.5", "--I=-1,1", "--R", "5"], "cesaro"),
+    ], ids=["count", "parabolic-count"])
+    def test_ratio_column(self, deg2_file, hp_file, tmp_path, command,
+                          numerator):
+        # count's ratio is the pointwise one, parabolic-count's the Cesaro
+        # one, each as its --help epilog says.
+        model = hp_file if command[0] == "parabolic-count" else deg2_file
+        out = tmp_path / "run.csv"
+        assert cli.main(command + ["--model", model, "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        last = dict(zip(header, map(float, rows[-1])))
+        assert last["ratio"] == last[numerator] / last["target"]
+        epilog = cli.build_parser().commands[command[0]].epilog
+        assert f"ratio (= {numerator}/target)" in epilog
+
     def test_wrong_model_kind(self, deg2_file, tmp_path):
         assert cli.main(["parabolic-count", "--model", deg2_file,
                          "--z", "0,0.5", "--I=-1,1", "--R", "3",
@@ -287,6 +315,36 @@ class TestConfigFile:
                          "--out", str(tmp_path / "x.csv")]) == 64
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, n_rows", [
+        ("[lyapunov]\nn = 5\n", 101),
+        ("n = 3\n[lyapunov]\nn = 5\n", 4),
+        ("n = 3\n[orbit]\nn = 7\n[lyapunov]\nn = 5\n", 8),
+    ], ids=["foreign", "sectionless", "own"])
+    def test_only_own_section_applies(self, deg2_file, tmp_path, config,
+                                      n_rows):
+        # Sectionless keys apply to every subcommand; under a [section]
+        # only to the subcommand of that name.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "orbit.csv"
+        assert cli.main(["orbit", "--model", deg2_file, "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        assert len(read_rows(out)[1]) == n_rows
+
+    @pytest.mark.parametrize("section, steps", [("count", [2.0, 4.0, 6.0]),
+                                                ("cesaro", [1.0, 2.0, 3.0, 4.0,
+                                                            5.0, 6.0])],
+                             ids=["count", "cesaro"])
+    def test_alias_reads_its_command_section(self, deg2_file, tmp_path,
+                                             section, steps):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\nR-step = 2.0\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["cesaro", "--model", deg2_file, "--z", "0.3,0",
+                         "--R", "6", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        assert [float(r[0]) for r in read_rows(out)[1]] == steps
+
     def test_bad_config_choice_is_64(self, deg2_file, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("method = bogus\n")
@@ -304,3 +362,112 @@ class TestDeterminism:
             bodies.append("\n".join(ln for ln in out.read_text().splitlines()
                                     if not ln.startswith("#")))
         assert len(set(bodies)) == 1
+
+
+OldRow = namedtuple("OldRow", "R count count_over_eR cesaro target ratio")
+
+
+class TestCsvRows:
+    """Each subcommand's data rows equal, byte for byte, the output of the
+    writer it used before `cli._write_csv` (copies in conftest) on the
+    same in-process results."""
+
+    @staticmethod
+    def check(tmp_path, argv, write_old, code=0):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        assert cli.main(argv + ["--out", str(new)]) == code
+        write_old(old)
+        assert data_lines(new) == data_lines(old)
+
+    def test_count(self, deg2_file, tmp_path):
+        F = InnerModel.from_zeros(0, 0.5)
+        chi = lyapunov.chi(F)
+        tree = enumerate_ball(F, 0.3, 6.0)
+        rows = counting.counting_report(counting.CountingProfile.from_tree(tree),
+                                        cli._grid(6.0, 0.5),
+                                        counting.target_constant(0.3, chi))
+        old = [OldRow(*r, r.count_over_eR / r.target) for r in rows]
+        self.check(tmp_path, ["count", "--model", deg2_file, "--z", "0.3,0",
+                              "--R", "6", "--R-step", "0.5"],
+                   lambda path: write_counting_csv(old, path))
+
+    def test_parabolic_count(self, hp_file, tmp_path):
+        F = HalfPlaneInner(beta=0.0, atoms=((0.0, 1.0),))
+        chi = parabolic.chi_ell(F)
+        profile = parabolic.enumerate_strip(F, 0.5j, (-1.0, 1.0), 5.0)
+        rows = counting.counting_report(
+            counting.CountingProfile.from_strip(profile), cli._grid(5.0, 0.5),
+            2.0 / chi)
+        old = [OldRow(*r, r.cesaro / r.target) for r in rows]
+        dump = tmp_path / "pts.csv"
+        self.check(tmp_path, ["parabolic-count", "--model", hp_file,
+                              "--z", "0,0.5", "--I=-1,1", "--R", "5",
+                              "--R-step", "0.5", "--dump-points", str(dump)],
+                   lambda path: write_strip_csv(old, path))
+        write_strip_points_csv(profile, tmp_path / "old_pts.csv")
+        assert dump.read_text() == (tmp_path / "old_pts.csv").read_text()
+
+    def test_lyapunov(self, deg2_file, tmp_path):
+        F = InnerModel.from_zeros(0, 0.5)
+        ests = [lyapunov.chi_quadrature(F, 1e-10), lyapunov.chi_jensen_oracle(F),
+                lyapunov.chi_birkhoff(F, 0.7, 2000, seed=0)]
+        self.check(tmp_path, ["lyapunov", "--model", deg2_file, "--n", "2000"],
+                   lambda path: write_lyapunov_csv(ests, path))
+
+    def test_distortion_scan(self, tmp_path):
+        family = [InnerModel.from_zeros(*[1.0 - 2.0 ** (-k) for k in range(1, K + 1)])
+                  for K in (3, 4)]
+        rows = distortion.angular_derivative_criterion_scan(
+            family, 0.0, [0.99, 1.0 - 1e-4], tol=1e-9)
+        self.check(tmp_path, ["distortion-scan", "--truncation-K", "3",
+                              "--truncation-K", "4", "--r-max", "0.99",
+                              "--r-max", str(1.0 - 1e-4)],
+                   lambda path: write_scan_csv(rows, path))
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_orbit(self, deg2_file, tmp_path, interior):
+        F = InnerModel.from_zeros(0, 0.5)
+        if interior:
+            pts = lamination.sample_interior_orbit(F, 0.3 + 0.2j, 20, seed=3)
+        else:
+            pts = lamination.solenoid_orbits(F, 20, seed=3)[0]
+        mode = ["--interior", "--z", "0.3,0.2"] if interior else []
+        self.check(tmp_path, ["orbit", "--model", deg2_file, "--n", "20",
+                              "--seed", "3"] + mode,
+                   lambda path: write_orbit_csv(pts, path))
+
+    def test_xi_mass(self, deg2_file, tmp_path):
+        F = InnerModel.from_zeros(0, 0.5)
+        box = lamination.AnnularBox(0.5, 0.7, 0.3, 1.1)
+        ests = lamination.xi_box_mass(F, box, 3, grid=(10, 10))
+        self.check(tmp_path, ["xi-mass", "--model", deg2_file,
+                              "--box", "0.5,0.7,0.3,1.1", "--max-depth", "3",
+                              "--grid", "10"],
+                   lambda path: write_xi_mass_csv(ests, path))
+
+    def test_xi_mass_partial_rows(self, deg2_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(lamination, "TREE_BUDGET", 10)
+        F = InnerModel.from_zeros(0, 0.5)
+        box = lamination.AnnularBox(0.5, 0.7, 0.3, 1.1)
+        with pytest.raises(BudgetError) as info:
+            lamination.xi_box_mass(F, box, 6, grid=(4, 4))
+        self.check(tmp_path, ["xi-mass", "--model", deg2_file,
+                              "--box", "0.5,0.7,0.3,1.1", "--max-depth", "6",
+                              "--grid", "4"],
+                   lambda path: write_xi_mass_csv(info.value.partial, path),
+                   code=3)
+
+    def test_total_mass(self, deg2_file, tmp_path):
+        F = InnerModel.from_zeros(0, 0.5)
+        res = lamination.total_mass_check(F, 0.99, samples=20000, seed=0)
+        self.check(tmp_path, ["total-mass", "--model", deg2_file,
+                              "--samples", "20000"],
+                   lambda path: write_total_mass_csv(res, path))
+
+    def test_shadow_sim(self, tmp_path):
+        run = lamination.shadowing_simulation(
+            lamination.bad_times_pow2(500.0), 500.0, adversary="up_right",
+            start=2 + 1j, step=0.02)
+        keep = max(1, len(run.times) // 100)
+        self.check(tmp_path, ["shadow-sim", "--T", "500", "--curve-points", "100"],
+                   lambda path: write_shadow_csv(run, keep, path))

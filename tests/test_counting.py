@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from innerlab.cli import COUNT_COLUMNS, _write_csv
 from innerlab.counting import (CountingProfile, apriori_constant, cesaro,
                                count, counting_report, estimate_schwarz_gap,
-                               target_constant, write_counting_csv)
+                               target_constant)
 from innerlab.errors import DomainError, PreconditionError
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
@@ -12,8 +13,8 @@ from innerlab.lyapunov import chi_jensen_oracle
 from innerlab.preimage import enumerate_ball
 
 
-def profile_for(F, z, R, chi=None):
-    return CountingProfile.from_tree(enumerate_ball(F, z, R), chi)
+def profile_for(F, z, R):
+    return CountingProfile.from_tree(enumerate_ball(F, z, R))
 
 
 @pytest.fixture(scope="module")
@@ -150,15 +151,18 @@ class TestSchwarzGap:
 class TestReport:
     def test_rows_and_csv(self, deg2, tmp_path):
         chi = chi_jensen_oracle(deg2).value
-        prof = profile_for(deg2, 0.3, 6.0, chi)
-        rows = counting_report(prof, [2.0, 4.0, 6.0], chi)
+        prof = profile_for(deg2, 0.3, 6.0)
+        rows = counting_report(prof, [2.0, 4.0, 6.0], target_constant(0.3, chi))
         assert [r.R for r in rows] == [2.0, 4.0, 6.0]
         for r in rows:
             assert r.count_over_eR == pytest.approx(r.count * np.exp(-r.R))
-            assert r.ratio == pytest.approx(r.count_over_eR / r.target)
+            assert r.target == target_constant(0.3, chi)
         path = tmp_path / "report.csv"
-        write_counting_csv(rows, path, ["model deg2"])
+        _write_csv(path, ["model deg2"], COUNT_COLUMNS,
+                   ((r.R, r.count, r.count_over_eR, r.cesaro, r.target,
+                     r.count_over_eR / r.target) for r in rows))
         lines = path.read_text().splitlines()
         assert lines[0] == "# model deg2"
         assert lines[1] == "R,count,count_over_eR,cesaro,target,ratio"
+        assert lines[2].startswith(f"2,{rows[0].count},")
         assert len(lines) == 5

@@ -11,8 +11,7 @@ from innerlab.distortion import (PUNCTURE, DistortionSample,
                                  angular_derivative_criterion_scan,
                                  cumulative_orbit_distortion,
                                  distortion_at_disk,
-                                 radial_distortion_integral, subadditivity_gap,
-                                 write_scan_csv)
+                                 radial_distortion_integral, subadditivity_gap)
 from innerlab.errors import DomainError, PreconditionError
 from innerlab.hypgeo import disk_distance
 from innerlab.innerfn import InnerModel
@@ -270,14 +269,11 @@ class TestStabilityAndCurvature:
 
 
 class TestScan:
-    def test_identity_row(self, tmp_path):
+    def test_identity_row(self):
         ident = InnerModel(zeros=(0j,))
         rows = angular_derivative_criterion_scan([ident], 0.0, [0.9])
         assert rows[0].integral_mu == 0.0
         assert rows[0].log_angular_derivative == pytest.approx(0.0)
-        write_scan_csv(rows, tmp_path / "scan.csv")
-        lines = (tmp_path / "scan.csv").read_text().splitlines()
-        assert lines[0].startswith("model_id,")
 
     def test_small_powers_finite(self):
         fam = [InnerModel.power_map(2), InnerModel.power_map(3)]

@@ -3,13 +3,14 @@ import logging
 import numpy as np
 import pytest
 
-from innerlab import parabolic
+from innerlab import _roots
 from innerlab._roots import aberth_batch
-from innerlab.errors import PreconditionError
+from innerlab.counting import CountingProfile, cesaro, count, counting_report
+from innerlab.errors import NumericalError, PreconditionError
+from innerlab.innerfn import InnerModel
 from innerlab.parabolic import (HalfPlaneInner, chi_ell, enumerate_strip,
-                                height_classify, hp_preimages_batch,
-                                strip_counting_report, write_strip_csv,
-                                write_strip_points_csv)
+                                height_classify, hp_preimages_batch)
+from innerlab.preimage import preimages_of_batch
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,13 @@ class TestPreimages:
         with pytest.raises(PreconditionError):
             hp_preimages_batch(zminus, [0.5j, -1j])
 
+    def test_stalled_polish_raises_with_context(self, zminus, monkeypatch):
+        monkeypatch.setattr(_roots, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError) as info:
+            hp_preimages_batch(zminus, [0.5j, 0.3 + 0.2j])
+        assert set(info.value.context) == {"model", "z", "root"}
+        assert info.value.context["model"] is zminus
+
 
 class TestChiEll:
     def test_reference_value_2pi(self, zminus):
@@ -174,14 +182,15 @@ class TestHeightClassify:
 class TestEnumerateStrip:
     def test_R_zero_counts_nothing(self, zminus):
         profile = enumerate_strip(zminus, 0.5j, (-1.0, 1.0), 0.0)
-        assert profile.count(0.0) == 0
+        assert count(CountingProfile.from_strip(profile), 0.0) == 0
 
     def test_base_point_counted(self, zminus):
         profile = enumerate_strip(zminus, 0.5j, (-1.0, 1.0), 2.0)
-        assert profile.count(2.0) >= 1
+        heights = CountingProfile.from_strip(profile)
+        assert count(heights, 2.0) >= 1
         assert np.any(np.isclose(profile.counted_points, 0.5j))
         # Base height -log(0.5) = 0.693 <= 2.
-        assert profile.count(0.5) == 0
+        assert count(heights, 0.5) == 0
 
     def test_empty_interval(self, zminus):
         profile = enumerate_strip(zminus, 0.5j, (2.0, 2.0), 3.0)
@@ -255,7 +264,7 @@ class TestWarmStart:
 
     def test_strip_matches_cold_start(self, zminus, monkeypatch):
         warm = enumerate_strip(zminus, 0.5j, (-1, 1), 8.0)
-        monkeypatch.setattr(parabolic, "aberth_batch",
+        monkeypatch.setattr(_roots, "aberth_batch",
                             lambda coeffs, warm=None: aberth_batch(coeffs))
         cold = enumerate_strip(zminus, 0.5j, (-1, 1), 8.0)
         assert warm.explored == cold.explored
@@ -266,37 +275,74 @@ class TestWarmStart:
 
 class TestStripReport:
     def test_target_arithmetic(self, zminus):
+        # The strip's rows are the disk's report on heights -log Im w.
         profile = enumerate_strip(zminus, 0.5j, (-1.0, 1.0), 4.0)
-        rows = strip_counting_report(profile, 2 * np.pi, [4.0])
-        assert rows[0].target == pytest.approx(1 / np.pi)
+        [row] = counting_report(CountingProfile.from_strip(profile), [4.0],
+                                1 / np.pi)
+        assert row.target == 1 / np.pi
+        h = -np.log(profile.counted_points.imag)
+        assert row.count == np.sum(h <= 4.0) > 0
+        assert row.count_over_eR == row.count * np.exp(-4.0)
 
     def test_cesaro_exactness_vs_quadrature(self, zminus):
         from scipy.integrate import quad
-        profile = enumerate_strip(zminus, 0.5j, (-1.0, 1.0), 6.0)
-        h = profile.counted_heights
+        profile = CountingProfile.from_strip(
+            enumerate_strip(zminus, 0.5j, (-1.0, 1.0), 6.0))
+        h = profile.radii
         R = 5.5
 
         def integrand(S):
             return np.searchsorted(h, S, "right") * np.exp(-S)
 
         val, _ = quad(integrand, 0, R, points=list(h[h <= R][:40]), limit=300)
-        assert profile.cesaro(R) == pytest.approx(val / R, abs=1e-9)
+        assert cesaro(profile, R) == pytest.approx(val / R, abs=1e-9)
 
     def test_pointwise_ratio_with_mass_factor(self, zminus):
         # N_I(z, R) e^{-R} approaches Im(z) |I| / chi_ell (the printed
         # theorem omits the Im(z) transverse-mass factor).
         profile = enumerate_strip(zminus, 0.5j, (-1.0, 1.0), 9.0)
-        rows = strip_counting_report(profile, 2 * np.pi, [9.0])
+        rows = counting_report(CountingProfile.from_strip(profile), [9.0],
+                               2.0 / (2 * np.pi))
         corrected = rows[0].count_over_eR / (0.5 * rows[0].target)
         assert 0.9 <= corrected <= 1.1
 
-    def test_csv_writers(self, zminus, tmp_path):
-        profile = enumerate_strip(zminus, 0.5j, (-1.0, 1.0), 3.0)
-        rows = strip_counting_report(profile, 2 * np.pi, [2.0, 3.0])
-        write_strip_csv(rows, tmp_path / "rows.csv", ["hello"])
-        lines = (tmp_path / "rows.csv").read_text().splitlines()
-        assert lines[0] == "# hello"
-        assert lines[1] == "R,count,count_over_eR,cesaro,target,ratio"
-        write_strip_points_csv(profile, tmp_path / "pts.csv")
-        lines = (tmp_path / "pts.csv").read_text().splitlines()
-        assert "generation,re,im,Im_height" in lines
+
+class TestRationalForm:
+    MODEL = HalfPlaneInner(beta=0.25, atoms=((-1.5, 0.3), (0.0, 1.0), (2.0, 0.7)))
+
+    def test_quotient_matches_eval(self, rng):
+        N, D = self.MODEL.rational_coeffs
+        xs = np.array([x for x, _ in self.MODEL.atoms])
+        far = rng.uniform(-5, 5, 200) + 1j * rng.uniform(1e-3, 5, 200)
+        # Points within 1e-3 of each pole, in H.
+        near = (xs[:, None] + 1e-3 * np.exp(1j * rng.uniform(0.05, np.pi - 0.05,
+                                                            (len(xs), 50)))).ravel()
+        for w in (far, near):
+            got = np.polynomial.polynomial.polyval(w, N) \
+                / np.polynomial.polynomial.polyval(w, D)
+            want = self.MODEL.eval(w)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+    def test_denominator_roots_are_atoms(self):
+        _, D = self.MODEL.rational_coeffs
+        roots = np.sort(np.roots(D[::-1]).real)
+        assert np.max(np.abs(roots - sorted(x for x, _ in self.MODEL.atoms))) < 1e-12
+
+    def test_built_once_per_model(self, monkeypatch):
+        calls = []
+        convolve = np.convolve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return convolve(*args, **kwargs)
+        monkeypatch.setattr(np, "convolve", counted)
+        hp = HalfPlaneInner(beta=0.0, atoms=((-1.0, 0.5), (1.0, 0.5)))
+        disk = InnerModel.from_zeros(0, 0.5, 0.3j)
+        for solve, F, zs in ((hp_preimages_batch, hp, [0.5j, 1 + 0.2j]),
+                             (preimages_of_batch, disk, [0.3, 0.1j])):
+            solve(F, zs)
+            assert calls
+            calls.clear()
+            solve(F, zs)
+            solve(F, zs)
+            assert calls == []

@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from conftest import random_centered_blaschke, random_disk_point
-from innerlab import preimage
+from innerlab import _roots
 from innerlab._roots import aberth_batch
 from innerlab.errors import BudgetError, NumericalError, PreconditionError
 from innerlab.hypgeo import origin_distance
@@ -127,7 +127,7 @@ class TestFallbacks:
         assert np.max(np.abs(np.sort_complex(roots) - np.sort_complex(exact))) < 1e-12
 
     def test_residual_check_raises_with_context(self, deg2, monkeypatch):
-        monkeypatch.setattr(preimage, "RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(_roots, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericalError) as info:
             preimages_of_batch(deg2, [0.3, 0.1 + 0.2j])
         assert set(info.value.context) == {"model", "z", "root"}
