@@ -7,7 +7,8 @@ the distance to the 10-point estimate, raised where a feature may hide
 from both rules (see `_integrate`).  Panels are bisected under one global
 error budget until every component of the (possibly vector-valued)
 integral meets max(atol, rtol |estimate|), and all the panels of a round
-are evaluated in one call of the integrand.
+are evaluated in one call of the integrand.  Every integral's log records
+go to `innerlab.quadrature`.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ def _integrate(f, breaks, atol: float, rtol: float):
     step between a break and the node nearest it goes unseen
     (`_integrate(lambda x: (x > 0.001) * 1.0, [0, 1], 1e-9, 0)` returns
     1.0 with error 0).  atol > 0.  At MAX_PANELS the loop stops, logs one
-    INFO record on `innerlab.quadrature` and returns the achieved error;
-    nothing is raised.
+    INFO record and returns the achieved error; nothing is raised.  Each
+    call logs one DEBUG record, args (breaks[0], breaks[-1], panels, the
+    largest achieved error, atol, rounds), with the caller as funcName.
     """
     breaks = np.asarray(breaks, dtype=float)
     lo, hi = breaks[:-1], breaks[1:]
@@ -102,7 +104,7 @@ def _integrate(f, breaks, atol: float, rtol: float):
             worst = np.argmax(total / tol)
             log.info("panel cap %d reached on [%g, %g]: achieved err %.2e, "
                      "requested %.2e", MAX_PANELS, breaks[0], breaks[-1],
-                     total[worst], tol[worst])
+                     total[worst], tol[worst], stacklevel=2)
             break
         scaled = (err[:, open_] / tol[open_]).sum(axis=1)
         order = np.argsort(-scaled, kind="stable")
@@ -123,6 +125,9 @@ def _integrate(f, breaks, atol: float, rtol: float):
         hi[left] = lo[left + 1] = mid
         s[left], s[left + 1] = new[:k], new[k:]
         rounds += 1
+    log.debug("integral on [%.17g, %.17g]: %d panels, achieved err %.2e, "
+              "requested %.2e, %d rounds", breaks[0], breaks[-1], len(lo),
+              np.max(total), atol, rounds, stacklevel=2)
     if scalar:
         return float(est[0]), float(total[0]), rounds, len(lo)
     return est, total, rounds, len(lo)

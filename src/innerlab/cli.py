@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, counting, distortion, lamination, lyapunov, parabolic
 from .errors import BudgetError, InnerlabError, NumericalError, PreconditionError
-from .innerfn import InnerModel
+from .innerfn import InnerModel, _model_lines
 from .parabolic import HalfPlaneInner
 from .preimage import DEFAULT_NODE_BUDGET, enumerate_ball
 
@@ -36,12 +36,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_floats(text: str, form: str, sep: str = ",") -> list:
+    """The floats of `text` split at `sep`, one per field of `form` (such
+    as "re,im"); a wrong count or a field that is not a number is a
+    PreconditionError."""
     try:
-        re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
-    except ValueError as exc:
-        raise PreconditionError(f"bad complex literal {text!r}; use re,im") from exc
+        values = [float(v) for v in text.split(sep)]
+    except ValueError:
+        values = []
+    if len(values) != len(form.split(sep)):
+        raise PreconditionError(f"bad value {text!r}; use {form}")
+    return values
+
+
+def _parse_complex(text: str) -> complex:
+    return complex(*_parse_floats(text, "re,im"))
 
 
 def load_model(path: str):
@@ -49,9 +58,7 @@ def load_model(path: str):
     presence of a `beta=` line selects the half-plane form)."""
     with open(path) as fh:
         text = fh.read()
-    keys = {line.split("=", 1)[0].strip() for line in text.splitlines()
-            if "=" in line and not line.lstrip().startswith("#")}
-    if "beta" in keys:
+    if any(key == "beta" for key, _ in _model_lines(text)):
         return HalfPlaneInner.from_text(text)
     return InnerModel.from_text(text)
 
@@ -161,8 +168,8 @@ def cmd_orbit(args):
 
 def cmd_xi_mass(args):
     F = load_model(args.model)
-    r1, r2, t1, t2 = (float(v) for v in args.box.split(","))
-    box = lamination.AnnularBox(r1, r2, t1, t2)
+    box = lamination.AnnularBox(
+        *_parse_floats(args.box, "r_lo,r_hi,theta_lo,theta_hi"))
     estimates = []
     try:
         estimates = lamination.xi_box_mass(F, box, args.max_depth,
@@ -194,7 +201,7 @@ def cmd_shadow_sim(args):
     elif args.bad_times == "all":
         bad = [(0.0, args.T)]
     else:
-        bad = [tuple(float(v) for v in pair.split(":"))
+        bad = [tuple(_parse_floats(pair, "a:b", ":"))
                for pair in args.bad_times.split(",")]
     run = lamination.shadowing_simulation(bad, args.T, adversary=args.adversary,
                                           start=_parse_complex(args.start),
@@ -212,7 +219,7 @@ def cmd_parabolic_count(args):
         raise PreconditionError("parabolic-count needs a half-plane model "
                                 "(beta= serialization)")
     z = _parse_complex(args.z)
-    lo, hi = (float(v) for v in args.I.split(","))
+    lo, hi = _parse_floats(args.I, "x_lo,x_hi")
     chi = parabolic.chi_ell(F)
     profile = parabolic.enumerate_strip(F, z, (lo, hi), args.R,
                                         node_budget=args.node_budget)

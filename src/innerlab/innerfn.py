@@ -348,29 +348,56 @@ class InnerModel:
 
     @staticmethod
     def from_text(text: str) -> "InnerModel":
-        rotation = 1.0 + 0j
-        zeros = []
-        atoms = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                key, payload = line.split("=", 1)
-                x, y = (float(p) for p in payload.split(","))
-            except ValueError as exc:
-                raise PreconditionError(
-                    f"bad model line {lineno}: {raw!r}") from exc
-            key = key.strip()
+        rotation, zeros, atoms = 1.0 + 0j, [], []
+        for key, (x, y) in _model_lines(text, {"rotation": 2, "zero": 2,
+                                               "atom": 2}):
             if key == "rotation":
                 rotation = complex(x, y)
             elif key == "zero":
                 zeros.append(complex(x, y))
-            elif key == "atom":
-                atoms.append((x, y))
             else:
-                raise PreconditionError(f"unknown model key {key!r} on line {lineno}")
+                atoms.append((x, y))
         return InnerModel(rotation=rotation, zeros=tuple(zeros), atoms=tuple(atoms))
+
+
+def _model_lines(text: str, arity=None):
+    """(key, values) of each `key=x[,y...]` line of a model file, skipping
+    blank lines and # comments; values is a tuple of floats.
+
+    A line without `=` or with a value that is not a number is a
+    PreconditionError naming its line number; so, given `arity` (key ->
+    number of values), are a key outside it and a wrong count."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, payload = line.partition("=")
+        key = key.strip()
+        if arity is not None and eq and key not in arity:
+            raise PreconditionError(f"unknown model key {key!r} on line {lineno}")
+        try:
+            values = tuple(float(p) for p in payload.split(","))
+        except ValueError:
+            values = None
+        if not eq or values is None or (arity is not None
+                                        and len(values) != arity[key]):
+            raise PreconditionError(f"bad model line {lineno}: {raw!r}")
+        yield key, values
+
+
+def _require_blaschke(F: InnerModel, centered=True, reject_rotation=False):
+    """PreconditionError unless F is a finite Blaschke product of degree
+    >= 1, centered (a zero at the origin) unless `centered` is False, and
+    not a rotation when `reject_rotation`."""
+    if F.atoms:
+        raise PreconditionError("model must be a finite Blaschke product "
+                                "(no atoms)")
+    if F.degree < 1:
+        raise PreconditionError("model needs at least one zero")
+    if centered and not F.centered:
+        raise PreconditionError("model must be centered (a zero at the origin)")
+    if reject_rotation and F.is_rotation:
+        raise PreconditionError("model must not be a rotation")
 
 
 def _fmt(x: float) -> str:

@@ -11,7 +11,6 @@ good/bad-times shadowing simulation in the upper half-plane.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -19,11 +18,9 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, NumericalError, PreconditionError
 from .hypgeo import disk_distance, origin_distance
-from .innerfn import InnerModel
+from .innerfn import InnerModel, _require_blaschke
 from .lyapunov import chi_jensen_oracle
 from .preimage import preimages_of_batch
-
-log = logging.getLogger("innerlab.lamination")
 
 EXP_MAP_CAP = 1.0
 TREE_BUDGET = 2 * 10 ** 6
@@ -96,9 +93,7 @@ def solenoid_orbits(F: InnerModel, n: int, paths: int = 1,
     with probability 1/|F'(u')|.  These transfer weights sum to 1, which is
     invariance of m (so every column is m-distributed); a sum off by more
     than 1e-10 raises NumericalError."""
-    if F.atoms or not F.centered or F.is_rotation:
-        raise PreconditionError("solenoid sampling needs a centered "
-                                "non-rotation finite Blaschke product")
+    _require_blaschke(F, reject_rotation=True)
     rng = np.random.default_rng(seed)
     starts = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=paths))
 
@@ -391,9 +386,7 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     strata with per-stratum substreams spawned from `seed`, so results are
     bit-identical for a given `seed`.
     """
-    if F.atoms or not F.centered or F.is_rotation:
-        raise PreconditionError("total mass check needs a centered "
-                                "non-rotation finite Blaschke product")
+    _require_blaschke(F, reject_rotation=True)
     if not 0 < r0 < 1:
         raise PreconditionError("need r0 in (0, 1)")
     r1 = _fundamental_outer_radius(F, r0)

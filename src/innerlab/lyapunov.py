@@ -8,7 +8,6 @@ boundary orbits.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -17,9 +16,7 @@ from numpy.polynomial import polynomial as npoly
 
 from ._quadrature import _integrate
 from .errors import NumericalError, PreconditionError
-from .innerfn import InnerModel, _boundary_value
-
-log = logging.getLogger("innerlab.lyapunov")
+from .innerfn import InnerModel, _boundary_value, _require_blaschke
 
 TWO_PI = 2.0 * np.pi
 _ORIGIN_ROOT_TOL = 1e-8
@@ -39,62 +36,26 @@ class LyapunovEstimate:
 
 
 def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
-    """Adaptive quadrature of (1/2pi) int log |F'| d theta.
+    """Adaptive quadrature of (1/2pi) int log |F'| d theta over one turn,
+    with a break at each distinct atom angle, where |F'| = +inf.
 
-    Atom base points are +inf points of the integrand; each gets an
-    exclusion window of half-width tol whose contribution is bracketed
-    analytically with the 1/|zeta - z|^2 envelope and folded into the
-    error estimate.
-    Non-convergence is not an exception: the achieved error is reported.
+    On atom models tol is floored at 1e-12, below which panels reach the
+    +inf within 1e-13 of an atom.  A non-finite estimate (atoms less than
+    about 3e-11 apart) is a NumericalError; a missed tol is not: the
+    achieved error is reported.
     """
-    def integrand(theta):
-        return np.log(F.boundary_deriv_modulus(theta))
-
     if F.is_rotation:
         return LyapunovEstimate(0.0, "quadrature", 0.0)
-    eps = max(tol, 1e-12) if F.atoms else 0.0
-    angles = sorted(ang for ang, _ in F.atoms) or [0.0]
-    total, err_total = 0.0, 0.0
-    # Smooth arcs between consecutive exclusion windows (one full turn
-    # without atoms).
-    bounds = []
-    for i, ang in enumerate(angles):
-        nxt = angles[(i + 1) % len(angles)] + (TWO_PI if i + 1 == len(angles) else 0)
-        bounds.append((ang + eps, nxt - eps))
-    atol = tol * TWO_PI
-    for a, b in bounds:
-        if b <= a:
-            raise PreconditionError("atom exclusion windows overlap; lower tol")
-        est, err, rounds, panels = _integrate(integrand, (a, b), atol, 1e-13)
-        log.debug("chi_quadrature on [%.17g, %.17g]: %d panels, "
-                  "achieved err %.2e, requested %.2e, %d rounds",
-                  a, b, panels, err, atol, rounds)
-        total += est
-        err_total += err
-    # Bracket each excluded window [ang - eps, ang + eps]: on |u| <= eps
-    # the singular term lies between 2w/u^2 and (pi^2/4) 2w/u^2, the rest
-    # is bounded by its sup over the window, and
-    # int_{-eps}^{eps} log(c/u^2) du = 2 eps log c + 4 eps (1 + log(1/eps)).
-    for ang, w in F.atoms:
-        rest = 0.0
-        zeta = np.exp(1j * (ang + eps))
-        for a in F.zeros:
-            rest += (1.0 - abs(a) ** 2) / max(abs(zeta - a) - 2 * eps, 1e-6) ** 2
-        for ang2, w2 in F.atoms:
-            if ang2 != ang:
-                gap = 2.0 * abs(math.sin((ang - ang2) / 2.0)) - 2 * eps
-                rest += 2.0 * w2 / max(gap, 1e-6) ** 2
-        c_lo = 2.0 * w
-        c_hi = (math.pi ** 2 / 2.0) * w + rest * eps ** 2
-        base = 4.0 * eps * (1.0 + math.log(1.0 / eps))
-        lo = 2.0 * eps * math.log(c_lo) + base
-        hi = 2.0 * eps * math.log(c_hi) + base
-        total += 0.5 * (lo + hi)
-        err_total += 0.5 * (hi - lo) + base * 1e-14
-    if err_total > tol * TWO_PI:
-        log.info("chi_quadrature achieved %.2e, requested %.2e",
-                 err_total / TWO_PI, tol)
-    return LyapunovEstimate(total / TWO_PI, "quadrature", err_total / TWO_PI)
+    tol = max(tol, 1e-12) if F.atoms else tol
+    angles = sorted({ang for ang, _ in F.atoms}) or [0.0]
+    with np.errstate(invalid="ignore"):     # NaN panels raise below
+        est, err, _, _ = _integrate(
+            lambda theta: np.log(F.boundary_deriv_modulus(theta)),
+            [*angles, angles[0] + TWO_PI], tol * TWO_PI, 1e-13)
+    if not math.isfinite(est):
+        raise NumericalError("chi quadrature is not finite; atoms too close?",
+                             context={"model": F})
+    return LyapunovEstimate(est / TWO_PI, "quadrature", err / TWO_PI)
 
 
 def _series_div(num, den, nterms: int):
@@ -164,9 +125,7 @@ def chi_birkhoff(F: InnerModel, zeta0, n: int, seed: int = 0) -> LyapunovEstimat
     step, so they cannot drift off the circle.  The error estimate is one
     standard error from the per-orbit means (inf for a single orbit).
     """
-    if F.atoms or not F.centered or F.is_rotation or F.degree < 1:
-        raise PreconditionError("Birkhoff average needs a centered "
-                                "non-rotation finite Blaschke product")
+    _require_blaschke(F, reject_rotation=True)
     if n < 1:
         raise PreconditionError("need n >= 1")
     lanes = min(32, n)

@@ -11,7 +11,6 @@ classification.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,9 +20,8 @@ import numpy as np
 from ._quadrature import _integrate
 from ._roots import _preimage_roots
 from .errors import BudgetError, NumericalError, PreconditionError
+from .innerfn import _model_lines
 from .preimage import DEFAULT_NODE_BUDGET
-
-log = logging.getLogger("innerlab.parabolic")
 
 IM_SUM_TOL = 1e-9
 FARFIELD_SAFETY = 4.0
@@ -112,24 +110,12 @@ class HalfPlaneInner:
 
     @staticmethod
     def from_text(text: str) -> "HalfPlaneInner":
-        beta = 0.0
-        atoms = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                key, payload = line.split("=", 1)
-            except ValueError as exc:
-                raise PreconditionError(f"bad model line {lineno}: {raw!r}") from exc
-            key = key.strip()
+        beta, atoms = 0.0, []
+        for key, values in _model_lines(text, {"beta": 1, "atom": 2}):
             if key == "beta":
-                beta = float(payload)
-            elif key == "atom":
-                x, c = (float(p) for p in payload.split(","))
-                atoms.append((x, c))
+                (beta,) = values
             else:
-                raise PreconditionError(f"unknown model key {key!r} on line {lineno}")
+                atoms.append(values)
         return HalfPlaneInner(beta=beta, atoms=tuple(atoms))
 
 
@@ -215,12 +201,7 @@ def chi_ell(F: HalfPlaneInner, tol: float = 1e-8) -> float:
 
     half = math.pi / 2.0
     breaks = [-half, *sorted(math.atan(x) for x, _ in F.atoms), half]
-    est, err, rounds, panels = _integrate(integrand, breaks, tol, 1e-12)
-    log.debug("chi_ell on [%.17g, %.17g]: %d panels, achieved err %.2e, "
-              "requested %.2e, %d rounds", -half, half, panels, err, tol, rounds)
-    if err > tol:
-        log.info("chi_ell achieved error %.2e beyond requested %.2e", err, tol)
-    return est
+    return _integrate(integrand, breaks, tol, 1e-12)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +244,13 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
         raise PreconditionError("strip enumeration needs at least one atom")
     if not R >= 0:
         raise PreconditionError("cutoff must be nonnegative")
+    x_lo, x_hi = (float(interval[0]), float(interval[1]))
+    if not x_lo < x_hi:
+        raise PreconditionError(f"empty interval [{x_lo:g}, {x_hi:g}]; "
+                                "need x_lo < x_hi")
     cls = height_classify(F)
     if cls.kind != "infinite-height":
         raise PreconditionError(f"model is not infinite height ({cls.detail})")
-    x_lo, x_hi = (float(interval[0]), float(interval[1]))
 
     eps = math.exp(-R)
     poles = np.array([x for x, _ in F.atoms])

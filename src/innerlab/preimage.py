@@ -19,23 +19,12 @@ import numpy as np
 from ._roots import _preimage_roots
 from .errors import BudgetError, PreconditionError
 from .hypgeo import origin_distance
-from .innerfn import InnerModel
+from .innerfn import InnerModel, _require_blaschke
 
 log = logging.getLogger("innerlab.preimage")
 
 DEDUP_TOL = 1e-9
 DEFAULT_NODE_BUDGET = 5 * 10 ** 7
-
-
-def _require_blaschke(F: InnerModel, centered=True, reject_rotation=False):
-    if F.atoms:
-        raise PreconditionError("preimage enumeration needs a finite Blaschke product")
-    if F.degree < 1:
-        raise PreconditionError("model has no zeros to pull back through")
-    if centered and not F.centered:
-        raise PreconditionError("model must be centered (a zero at the origin)")
-    if reject_rotation and F.is_rotation:
-        raise PreconditionError("rotations have a trivial preimage tree")
 
 
 def _sort_roots(roots):

@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every public top-level function and class of the package has a caller,
+and every module-level logger has a record written to it.
 
 A name counts as used when code in `src/`, `demos/` or `bench/` refers to
 it (a name, an attribute or an import) outside its own definition; a
@@ -61,3 +62,22 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_is_current():
     defined = {name for _, name, _, _ in definitions()}
     assert set(ALLOWED) <= defined
+
+
+def test_every_module_logger_is_logged_to():
+    # A module-level `name = logging.getLogger(...)` needs at least one
+    # `name.<method>(...)` call in the same module.
+    silent = []
+    for path in sorted((ROOT / "src" / "innerlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loggers = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Call)
+                   and isinstance(node.value.func, ast.Attribute)
+                   and node.value.func.attr == "getLogger"
+                   for target in node.targets if isinstance(target, ast.Name)}
+        called = {node.func.value.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)}
+        silent += [f"{path.name} {name}" for name in sorted(loggers - called)]
+    assert silent == []

@@ -246,6 +246,64 @@ class TestOtherSubcommands:
                          "--out", str(tmp_path / "x.csv")]) == 2
 
 
+class TestBadInput:
+    """Malformed comma lists and model lines exit 2 with a message, before
+    any enumeration and without a traceback."""
+
+    @pytest.mark.parametrize("interval", ["--I=2,2", "--I=1,-1", "--I=1",
+                                          "--I=0,x", "--I=-1,0,1"])
+    def test_parabolic_interval(self, hp_file, tmp_path, capsys, interval):
+        assert cli.main(["parabolic-count", "--model", hp_file, "--z", "0,0.5",
+                         interval, "--R", "3",
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "innerlab: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("z", ["0.3", "0.3,0,1", "a,b"])
+    def test_complex(self, deg2_file, tmp_path, capsys, z):
+        assert cli.main(["count", "--model", deg2_file, f"--z={z}", "--R", "3",
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "use re,im" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box", ["0.5,0.7", "0.5,0.7,0,1,2", "0.5,0.7,0,x"])
+    def test_xi_mass_box(self, deg2_file, tmp_path, capsys, box):
+        assert cli.main(["xi-mass", "--model", deg2_file, "--box", box,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "use r_lo,r_hi,theta_lo,theta_hi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["1:2:3", "1", "1:2,3", "1:x"])
+    def test_shadow_bad_times(self, tmp_path, capsys, bad):
+        assert cli.main(["shadow-sim", "--T", "10", "--bad-times", bad,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "use a:b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["beta=abc", "atom=1", "atom=1,2,3",
+                                      "atom", "zero=0,0"])
+    def test_bad_halfplane_line(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.hp"
+        path.write_text(f"beta=0\n# comment\n{line}\n")
+        assert cli.main(["parabolic-count", "--model", str(path), "--z", "0,0.5",
+                         "--I=-1,1", "--R", "3",
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["zero=abc,0", "zero=0.5", "beta"])
+    def test_bad_disk_line(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.inner"
+        path.write_text(f"zero=0,0\n{line}\n")
+        assert cli.main(["lyapunov", "--model", str(path),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "bad model line 2" in capsys.readouterr().err
+
+    def test_close_atoms_are_numerical(self, tmp_path):
+        # The estimate is not finite: exit 4, where the exclusion windows
+        # this replaced exited 2.
+        path = tmp_path / "close.inner"
+        path.write_text(InnerModel(atoms=((1.0, 0.5), (1.0 + 1e-11, 0.5)))
+                        .to_text())
+        assert cli.main(["lyapunov", "--model", str(path), "--method",
+                         "quadrature", "--out", str(tmp_path / "x.csv")]) == 4
+
+
 class TestConfigFile:
     def test_defaults_from_config(self, deg2_file, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -173,12 +173,12 @@ class TestVectorIntegral:
 
     def test_one_debug_record_per_piece(self, deg2, caplog):
         # The zero at 0.5 on the ray splits it into two pieces.
-        with caplog.at_level(logging.DEBUG, logger="innerlab.distortion"):
+        with caplog.at_level(logging.DEBUG, logger="innerlab.quadrature"):
             radial_distortion_integral(deg2, 1.0 + 0j, ("mu", "eta"), 0.99,
                                        tol=1e-9)
         records = [r for r in caplog.records
-                   if r.name == "innerlab.distortion" and r.levelno == logging.DEBUG]
-        assert len(records) == 2
+                   if r.name == "innerlab.quadrature" and r.levelno == logging.DEBUG]
+        assert [r.funcName for r in records] == ["radial_distortion_integral"] * 2
         (a0, b0, n0, err0, tol0, rounds0), (a1, b1, _, _, tol1, _) = \
             (r.args for r in records)
         assert (a0, b0, a1, b1) == (PUNCTURE, 0.5 - PUNCTURE, 0.5 + PUNCTURE, 0.99)

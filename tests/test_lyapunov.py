@@ -1,10 +1,11 @@
 import logging
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import random_centered_blaschke
-from innerlab.errors import PreconditionError
+from innerlab.errors import NumericalError, PreconditionError
 from innerlab.innerfn import InnerModel
 from innerlab.lyapunov import (chi, chi_birkhoff, chi_jensen_oracle,
                                chi_quadrature)
@@ -41,33 +42,82 @@ class TestQuadrature:
             assert est.value == pytest.approx(np.log(2 * w), abs=1e-6)
             assert est.error < 1e-5
 
-    def test_atom_windows_closed_form(self):
+    def test_atom_breaks_closed_form(self):
         # One atom: chi = log(2w).  Two antipodal atoms of weight w:
         # |F'| = 2w/sin^2(theta), whose log-mean is log(8w).  The reported
-        # error must cover the true error, both excluded windows included.
+        # error must cover the true error, log singularities included.
         cases = [(((0.0, w),), np.log(2 * w)) for w in (0.5, 1.0, 2.0)]
         cases += [(((0.0, w), (np.pi, w)), np.log(8 * w)) for w in (0.5, 2.0)]
         for atoms, exact in cases:
             est = chi_quadrature(InnerModel(zeros=(), atoms=atoms))
             assert abs(est.value - exact) <= est.error <= 1e-9, atoms
 
+    @pytest.mark.parametrize("zeros, atoms", [
+        ((0j, 0.5), ((1.0, 0.7),)),
+        ((0j,), ((0.3, 0.4), (2.0, 0.8), (4.5, 0.2))),
+    ])
+    def test_atoms_against_mpmath(self, zeros, atoms):
+        F = InnerModel(zeros=zeros, atoms=atoms)
+        est = chi_quadrature(F, 1e-10)
+        assert abs(est.value - _mp_chi(F)) <= est.error <= 1e-9
 
-    def test_one_debug_record_per_arc(self, caplog):
-        # Two atoms leave two arcs between their exclusion windows.
+    def test_close_atoms_raise(self):
+        F = InnerModel(atoms=((1.0, 0.5), (1.0 + 1e-11, 0.5)))
+        with pytest.raises(NumericalError, match="not finite"):
+            chi_quadrature(F)
+
+    def test_duplicate_atom_angles_merge(self):
+        # 2 (w/2)/g^2 twice sums to 2w/g^2 exactly, so the integrands and
+        # the estimates agree bit for bit without zeros, and to the
+        # reported error with one.
+        twice = chi_quadrature(InnerModel(atoms=((1.0, 0.5), (1.0, 0.5))))
+        assert twice == chi_quadrature(InnerModel(atoms=((1.0, 1.0),)))
+        twice = chi_quadrature(InnerModel(zeros=(0j,),
+                                          atoms=((1.0, 0.5), (1.0, 0.5))))
+        merged = chi_quadrature(InnerModel(zeros=(0j,), atoms=((1.0, 1.0),)))
+        assert abs(twice.value - merged.value) <= twice.error + merged.error
+
+    def test_tol_below_atom_floor(self):
+        # The requested tol is floored at 1e-12 on atom models.
+        est = chi_quadrature(InnerModel.atom_map(0.0, 0.7), 1e-15)
+        assert np.isfinite(est.value)
+        assert abs(est.value - np.log(1.4)) <= est.error <= 1e-11
+        assert est == chi_quadrature(InnerModel.atom_map(0.0, 0.7), 1e-12)
+
+    def test_one_debug_record(self, caplog):
+        # One integral over one turn, with breaks at the two atoms.
         F = InnerModel(zeros=(0j,), atoms=((0.0, 0.5), (np.pi, 0.5)))
         tol = 1e-9
-        with caplog.at_level(logging.DEBUG, logger="innerlab.lyapunov"):
+        with caplog.at_level(logging.DEBUG, logger="innerlab.quadrature"):
             chi_quadrature(F, tol)
         records = [r for r in caplog.records
-                   if r.name == "innerlab.lyapunov" and r.levelno == logging.DEBUG]
-        assert len(records) == 2
-        (a0, b0, n0, err0, tol0, rounds0), (a1, b1, _, _, tol1, _) = \
-            (r.args for r in records)
-        assert (a0, b0, a1, b1) == pytest.approx(
-            (tol, np.pi - tol, np.pi + tol, 2 * np.pi - tol), abs=1e-15)
-        assert tol0 == tol1 == tol * 2 * np.pi
-        assert 1 <= rounds0 <= n0 and 0 <= err0 <= tol0
+                   if r.name == "innerlab.quadrature" and r.levelno == logging.DEBUG]
+        assert [r.funcName for r in records] == ["chi_quadrature"]
+        a, b, panels, err, atol, rounds = records[0].args
+        assert (a, b) == (0.0, 2 * np.pi)
+        assert atol == tol * 2 * np.pi
+        assert 1 <= rounds <= panels and 0 <= err <= atol
         assert "panels" in records[0].getMessage()
+
+
+def _mp_chi(F):
+    """(1/2pi) int log |F'| at 30 digits by mpmath's tanh-sinh, with the
+    atom angles as breaks and |e^{it} - zeta_k|^2 = 4 sin^2((t - ang)/2),
+    which does not cancel near an atom."""
+    with mpmath.workdps(30):
+        zeros = [mpmath.mpc(a.real, a.imag) for a in F.zeros]
+
+        def log_modulus(t):
+            z = mpmath.expj(t)
+            s = sum(((1 - abs(a) ** 2) / abs(z - a) ** 2 for a in zeros),
+                    mpmath.mpf(0))
+            s += sum(2 * w / (4 * mpmath.sin((t - ang) / 2) ** 2)
+                     for ang, w in F.atoms)
+            return mpmath.log(s)
+
+        angles = [mpmath.mpf(a) for a in sorted({a for a, _ in F.atoms})]
+        total = mpmath.quad(log_modulus, [*angles, angles[0] + 2 * mpmath.pi])
+        return float(total / (2 * mpmath.pi))
 
 
 class TestJensenOracle:

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from innerlab import _roots
+from innerlab import _roots, parabolic
 from innerlab._roots import aberth_batch
 from innerlab.counting import CountingProfile, cesaro, count, counting_report
 from innerlab.errors import NumericalError, PreconditionError
@@ -144,11 +144,11 @@ class TestChiEll:
 
     def test_one_debug_record(self, caplog):
         F = HalfPlaneInner(beta=0.3, atoms=((-1.0, 0.5), (2.5, 1.0)))
-        with caplog.at_level(logging.DEBUG, logger="innerlab.parabolic"):
+        with caplog.at_level(logging.DEBUG, logger="innerlab.quadrature"):
             chi_ell(F, tol=1e-8)
         records = [r for r in caplog.records
-                   if r.name == "innerlab.parabolic" and r.levelno == logging.DEBUG]
-        assert len(records) == 1
+                   if r.name == "innerlab.quadrature" and r.levelno == logging.DEBUG]
+        assert [r.funcName for r in records] == ["chi_ell"]
         a, b, panels, err, tol, rounds = records[0].args
         assert (a, b, tol) == (-np.pi / 2, np.pi / 2, 1e-8)
         assert 1 <= rounds <= panels and 0 <= err <= 1e-8
@@ -192,10 +192,15 @@ class TestEnumerateStrip:
         # Base height -log(0.5) = 0.693 <= 2.
         assert count(heights, 0.5) == 0
 
-    def test_empty_interval(self, zminus):
-        profile = enumerate_strip(zminus, 0.5j, (2.0, 2.0), 3.0)
-        assert len(profile.counted_points) == 0
-        assert profile.explored > 1
+    def test_empty_interval(self, zminus, monkeypatch):
+        # x_lo >= x_hi (or NaN) is rejected before any preimage is solved.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("enumerated an empty interval")
+
+        monkeypatch.setattr(parabolic, "hp_preimages_batch", no_solve)
+        for interval in ((2.0, 2.0), (1.0, -1.0), (float("nan"), 1.0)):
+            with pytest.raises(PreconditionError, match="x_lo < x_hi"):
+                enumerate_strip(zminus, 0.5j, interval, 3.0)
 
     def test_finite_height_rejected(self):
         F = HalfPlaneInner(beta=3.0, atoms=((0.0, 1.0),))
