@@ -20,10 +20,12 @@ from numpy.polynomial import legendre
 
 log = logging.getLogger("innerlab.quadrature")
 
-# At the cap the loop stops and returns the achieved error.  Each bisection
-# adds one panel, so no panel gets narrower than 2^(1 - MAX_PANELS) of its
-# break interval.
+# The cap is MAX_PANELS panels per piece; no panel gets narrower than
+# 2^(1 - MAX_PANELS * pieces) of its piece.  While any panel is non-finite
+# each round bisects one panel: if their count has not fallen in
+# STALL_ROUNDS rounds, it will not.
 MAX_PANELS = 1000
+STALL_ROUNDS = 10
 
 _X21, _W21 = legendre.leggauss(21)
 _X10, _W10 = legendre.leggauss(10)
@@ -55,40 +57,44 @@ def _rule(f, lo, hi):
     return s, y.ndim == 1
 
 
-def _integrate(f, breaks, atol: float, rtol: float):
-    """Integral of f over [breaks[0], breaks[-1]] with a panel edge at every
-    break: (estimate, achieved error, rounds, panels).
+def _integrate(f, pieces, atol: float, rtol: float):
+    """Sum of the integrals of f over the pieces, an ascending (n, 2) array
+    of disjoint [a, b] (a piece may start where the one before ends):
+    (estimate, achieved error, rounds, panels).
 
     f maps a 1-D array of nodes to an array of values, one per node, or to
     an (n, m) array for an m-component integral, whose estimate and error
-    are then (m,) arrays.  Each round bisects the fewest panels that carry
-    half of the summed error scaled by the tolerance of the components
-    still open, and evaluates all the new panels in one call of f.
+    are then (m,) arrays.  The pieces share one loop: each round bisects
+    the fewest panels, of any piece, that carry half of the summed error
+    scaled by the tolerance of the components still open, and evaluates
+    all the new panels in one call of f.
 
     A panel's error is the largest of three terms: the distance between
     its two rules; half of |Q(parent) - Q(left) - Q(right)| from the
     bisection that made it, so that what the parent's nodes saw and the
     children's miss stays open; and, at each edge it shares with a panel
-    of the same break interval, the jump between the two panels'
-    interpolants there times the width from its end to its outermost node,
-    so that a step hiding between the nodes nearest an edge cannot pass as
-    converged.  A jump at a break is not charged, and no panel across a
-    break is compared, so a caller must put every step of f on a break: a
-    step between a break and the node nearest it goes unseen
-    (`_integrate(lambda x: (x > 0.001) * 1.0, [0, 1], 1e-9, 0)` returns
-    1.0 with error 0).  atol > 0.  At MAX_PANELS the loop stops, logs one
-    INFO record and returns the achieved error; nothing is raised.  Each
-    call logs one DEBUG record, args (breaks[0], breaks[-1], panels, the
-    largest achieved error, atol, rounds), with the caller as funcName.
+    of the same piece, the jump between the two panels' interpolants there
+    times the width from its end to its outermost node, so that a step
+    hiding between the nodes nearest an edge cannot pass as converged.  No
+    jump between pieces is charged, so a caller must put every step of f on
+    a piece's end: a step between an end and the node nearest it goes
+    unseen (`_integrate(lambda x: (x > 0.001) * 1.0, [(0, 1)], 1e-9, 0)`
+    returns 1.0 with error 0).  atol > 0.  At MAX_PANELS panels per piece,
+    or once the count of non-finite panels (error inf) has not fallen for
+    STALL_ROUNDS rounds, the loop stops, logs one INFO record and returns
+    the achieved error; nothing is raised.  Each call logs one DEBUG record,
+    args (first a, last b, panels, the largest achieved error, atol,
+    rounds), with the caller as funcName.
     """
-    breaks = np.asarray(breaks, dtype=float)
-    lo, hi = breaks[:-1], breaks[1:]
+    pieces = np.asarray(pieces, dtype=float)
+    lo, hi = pieces[:, 0], pieces[:, 1]
+    piece, cap = np.arange(len(lo)), MAX_PANELS * len(lo)
     s, scalar = _rule(f, lo, hi)
-    rounds = 1
+    rounds, fewest, since = 1, np.inf, 1
     while True:
-        # Panels are kept in order: panel i + 1 starts where panel i ends.
+        # Panels are kept in order, each with the index of its piece.
         jump = np.abs(s[:-1, 3] - s[1:, 2])
-        jump[breaks[np.searchsorted(breaks, hi[:-1])] == hi[:-1]] = 0.0
+        jump[piece[:-1] != piece[1:]] = 0.0
         gap = _END_GAP * (hi - lo)[:, None]
         err = s[:, 1].copy()
         err[:-1] = np.fmax(err[:-1], jump * gap[:-1])
@@ -97,13 +103,17 @@ def _integrate(f, breaks, atol: float, rtol: float):
         tol = np.where(np.isfinite(est), np.maximum(atol, rtol * np.abs(est)),
                        atol)
         open_ = ~(total <= tol)
-        room = MAX_PANELS - len(lo)
+        room = cap - len(lo)
+        bad = np.count_nonzero(np.isinf(s[:, 1]).any(axis=1))
+        if bad < fewest or not bad:
+            fewest, since = bad, rounds
         if not open_.any():
             break
-        if room <= 0:
+        if room <= 0 or rounds - since >= STALL_ROUNDS:
             worst = np.argmax(total / tol)
-            log.info("panel cap %d reached on [%g, %g]: achieved err %.2e, "
-                     "requested %.2e", MAX_PANELS, breaks[0], breaks[-1],
+            log.info("stopped at %d panels (panel cap %d), %d non-finite, on "
+                     "[%g, %g]: achieved err %.2e, requested %.2e", len(lo),
+                     cap, bad, pieces[0, 0], pieces[-1, 1],
                      total[worst], tol[worst], stacklevel=2)
             break
         scaled = (err[:, open_] / tol[open_]).sum(axis=1)
@@ -121,12 +131,12 @@ def _integrate(f, breaks, atol: float, rtol: float):
         counts[split] = 2
         at = np.repeat(np.arange(len(lo)), counts)
         left = split + np.arange(k)
-        lo, hi, s = lo[at], hi[at], s[at]
+        lo, hi, s, piece = lo[at], hi[at], s[at], piece[at]
         hi[left] = lo[left + 1] = mid
         s[left], s[left + 1] = new[:k], new[k:]
         rounds += 1
     log.debug("integral on [%.17g, %.17g]: %d panels, achieved err %.2e, "
-              "requested %.2e, %d rounds", breaks[0], breaks[-1], len(lo),
+              "requested %.2e, %d rounds", pieces[0, 0], pieces[-1, 1], len(lo),
               np.max(total), atol, rounds, stacklevel=2)
     if scalar:
         return float(est[0]), float(total[0]), rounds, len(lo)

@@ -91,31 +91,21 @@ def distortion_at_disk(F, z) -> DistortionSample:
     return DistortionSample.from_p(z, p_disk(F, z))
 
 
-def _ray_punctures(F, zeta: complex):
-    """Radii in (0,1) where F vanishes on the ray r*zeta (plus the origin)."""
-    rs = []
-    if isinstance(F, InnerModel):
-        for a in F.zeros:
-            if a != 0 and abs(a / abs(a) - zeta) < 1e-9:
-                rs.append(abs(a))
-    return sorted(set(rs))
-
-
 def radial_distortion_integral(F, zeta, quantity, r_max: float,
                                tol: float = 1e-9):
     """int_0^{r_max} quantity(r zeta) d rho along the radius, with the
     hyperbolic line element d rho = 2 dr/(1 - r^2).
 
     `quantity` is one name of QUANTITIES, which gives a float, or a tuple
-    of names, which gives an array of their integrals in that order.  A
-    tuple is integrated by one vector-valued `_integrate` call per piece of
-    the ray, so each node's comparison quotient is computed once, and a
-    piece is subdivided until every component meets `tol`.
+    of names, which gives an array of their integrals in that order.
 
     Parameter punctures of width 1e-8 are excised around r = 0 and around
     any zero of F on the ray (the integrand is bounded, so the omitted mass
-    is o(1)).  Monotone nondecreasing in r_max for nonnegative quantities.
-    Each piece logs one DEBUG record on `innerlab.quadrature`.
+    is o(1)).  The pieces left are integrated by one vector-valued
+    `_integrate` call (one DEBUG record on `innerlab.quadrature`), so each
+    node's comparison quotient is computed once and the ray's total meets
+    `tol` in every component; with no piece left it is 0.  Monotone
+    nondecreasing in r_max for nonnegative quantities.
     """
     if not 0 < r_max < 1:
         raise PreconditionError("need 0 < r_max < 1")
@@ -130,16 +120,15 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
         return np.stack([qs[c] for c in columns], axis=-1) * 2.0 \
             / (1.0 - r * r)[:, None]
 
+    zeros = F.zeros if isinstance(F, InnerModel) else ()
+    on_ray = {abs(a) for a in zeros if a != 0 and abs(a / abs(a) - zeta) < 1e-9}
     cuts = [PUNCTURE]
-    for r0 in _ray_punctures(F, zeta):
-        if PUNCTURE < r0 < r_max:
-            cuts.extend((r0 - PUNCTURE, r0 + PUNCTURE))
+    for r0 in sorted(r for r in on_ray if PUNCTURE < r < r_max):
+        cuts.extend((r0 - PUNCTURE, r0 + PUNCTURE))
     cuts.append(r_max)
-    total = np.zeros(len(names))
-    for a, b in zip(cuts[::2], cuts[1::2]):
-        if b <= a:
-            continue
-        total += _integrate(integrand, (a, b), tol, 1e-11)[0]
+    pieces = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+    total = _integrate(integrand, pieces, tol, 1e-11)[0] if pieces \
+        else np.zeros(len(names))
     return float(total[0]) if isinstance(quantity, str) else total
 
 

@@ -47,11 +47,11 @@ def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
     if F.is_rotation:
         return LyapunovEstimate(0.0, "quadrature", 0.0)
     tol = max(tol, 1e-12) if F.atoms else tol
-    angles = sorted({ang for ang, _ in F.atoms}) or [0.0]
+    a = sorted({ang for ang, _ in F.atoms}) or [0.0]
     with np.errstate(invalid="ignore"):     # NaN panels raise below
         est, err, _, _ = _integrate(
             lambda theta: np.log(F.boundary_deriv_modulus(theta)),
-            [*angles, angles[0] + TWO_PI], tol * TWO_PI, 1e-13)
+            list(zip(a, [*a[1:], a[0] + TWO_PI])), tol * TWO_PI, 1e-13)
     if not math.isfinite(est):
         raise NumericalError("chi quadrature is not finite; atoms too close?",
                              context={"model": F})

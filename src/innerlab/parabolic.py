@@ -201,7 +201,7 @@ def chi_ell(F: HalfPlaneInner, tol: float = 1e-8) -> float:
 
     half = math.pi / 2.0
     breaks = [-half, *sorted(math.atan(x) for x, _ in F.atoms), half]
-    return _integrate(integrand, breaks, tol, 1e-12)[0]
+    return _integrate(integrand, list(zip(breaks, breaks[1:])), tol, 1e-12)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -171,20 +171,54 @@ class TestVectorIntegral:
             assert all(isinstance(v, float) for v in single)
             assert np.max(np.abs(vec - single)) <= 10 * tol
 
-    def test_one_debug_record_per_piece(self, deg2, caplog):
-        # The zero at 0.5 on the ray splits it into two pieces.
+    def test_one_debug_record_per_ray(self, deg2, caplog):
+        # The zero at 0.5 on the ray splits it into two pieces, integrated
+        # together under one tol.
         with caplog.at_level(logging.DEBUG, logger="innerlab.quadrature"):
             radial_distortion_integral(deg2, 1.0 + 0j, ("mu", "eta"), 0.99,
                                        tol=1e-9)
         records = [r for r in caplog.records
                    if r.name == "innerlab.quadrature" and r.levelno == logging.DEBUG]
-        assert [r.funcName for r in records] == ["radial_distortion_integral"] * 2
-        (a0, b0, n0, err0, tol0, rounds0), (a1, b1, _, _, tol1, _) = \
-            (r.args for r in records)
-        assert (a0, b0, a1, b1) == (PUNCTURE, 0.5 - PUNCTURE, 0.5 + PUNCTURE, 0.99)
-        assert tol0 == tol1 == 1e-9
-        assert 1 <= rounds0 <= n0 and 0 <= err0 <= 1e-9
+        assert [r.funcName for r in records] == ["radial_distortion_integral"]
+        a, b, panels, err, tol, rounds = records[0].args
+        assert (a, b, tol) == (PUNCTURE, 0.99, 1e-9)
+        assert 1 <= rounds <= panels and 0 <= err <= 1e-9
         assert "panels" in records[0].getMessage()
+
+    def test_no_piece_left_is_zero(self, deg2):
+        # r_max inside the puncture at the origin leaves nothing to
+        # integrate.
+        assert radial_distortion_integral(deg2, 1.0 + 0j, "mu", 5e-9) == 0.0
+        vec = radial_distortion_integral(deg2, 1.0 + 0j, ("mu", "eta"), 5e-9)
+        assert vec.shape == (2,) and not vec.any()
+
+    def test_zero_within_puncture_of_r_max(self, deg2):
+        # With r_max inside the puncture after the zero at 0.5 the ray
+        # ends at the puncture before it; just short of the zero there is
+        # no puncture, and the bounded integrand adds O(PUNCTURE).
+        below = radial_distortion_integral(deg2, 1.0 + 0j, "delta",
+                                           0.5 - PUNCTURE)
+        inside = radial_distortion_integral(deg2, 1.0 + 0j, "delta",
+                                            0.5 + 0.5 * PUNCTURE)
+        short = radial_distortion_integral(deg2, 1.0 + 0j, "delta",
+                                           0.5 - 0.5 * PUNCTURE)
+        assert inside == below
+        assert np.isfinite(short) and 0 <= short - below <= 1e-7
+
+    @pytest.mark.parametrize("K", [16, 20, 24])
+    def test_long_truncation_ray_meets_tol(self, K, caplog):
+        # K + 1 pieces share the ray's panels: with one cap of MAX_PANELS
+        # for the whole ray, K = 20 and 24 stop at it and miss tol.
+        F = InnerModel.from_zeros(*[1 - 2.0 ** -k for k in range(1, K + 1)])
+        names = ("mu", "eta", "delta", "alpha")
+        with caplog.at_level(logging.INFO, logger="innerlab.quadrature"):
+            vec = radial_distortion_integral(F, 1.0 + 0j, names, 1 - 1e-6,
+                                             tol=1e-9)
+        assert not [r for r in caplog.records if r.name == "innerlab.quadrature"
+                    and r.levelno >= logging.INFO]
+        ref = radial_distortion_integral(F, 1.0 + 0j, names, 1 - 1e-6,
+                                         tol=1e-12)
+        assert np.max(np.abs(vec - ref)) <= 1e-9
 
 
 class TestCumulative:

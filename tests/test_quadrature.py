@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import innerlab
-from innerlab._quadrature import MAX_PANELS, _X21, _integrate, _rule
+from innerlab._quadrature import (MAX_PANELS, STALL_ROUNDS, _X21, _integrate,
+                                  _rule)
+from innerlab.errors import NumericalError
+from innerlab.innerfn import InnerModel
+from innerlab.lyapunov import chi_quadrature
+from innerlab.parabolic import HalfPlaneInner, chi_ell
 
 
 class TestPanelRule:
@@ -18,7 +23,7 @@ class TestPanelRule:
         # one panel converges in one round; the oracle is the antiderivative.
         P = np.polynomial.Polynomial(rng.normal(size=degree + 1))
         a, b = -0.3, 1.2
-        est, err, rounds, panels = _integrate(P, [a, b], 1e-12, 1e-13)
+        est, err, rounds, panels = _integrate(P, [(a, b)], 1e-12, 1e-13)
         exact = P.integ()(b) - P.integ()(a)
         assert (rounds, panels) == (1, 1)
         assert isinstance(est, float)
@@ -42,7 +47,7 @@ class TestPanelRule:
                           2.0 * 3.0 ** 1.5 / 3.0,
                           (np.arctan(20.0) + np.arctan(10.0)) / 10.0])
         atol, rtol = 1e-10, 1e-12
-        est, err, rounds, panels = _integrate(f, [0.0, 3.0], atol, rtol)
+        est, err, rounds, panels = _integrate(f, [(0.0, 3.0)], atol, rtol)
         tol = np.maximum(atol, rtol * np.abs(exact))
         assert est.shape == err.shape == (4,)
         assert np.all(err <= tol)
@@ -53,7 +58,7 @@ class TestPanelRule:
         # A step on a break is exact in one round: the break is a panel
         # edge, and the jump between the interpolants there is not charged.
         f = lambda x: (x > 0.3).astype(float)  # noqa: E731
-        est, err, rounds, panels = _integrate(f, [0.0, 0.3, 1.0], 1e-12, 0.0)
+        est, err, rounds, panels = _integrate(f, [(0.0, 0.3), (0.3, 1.0)], 1e-12, 0.0)
         assert (rounds, panels) == (1, 2)
         assert est == pytest.approx(0.7, abs=1e-15) and err <= 1e-15
 
@@ -72,7 +77,7 @@ class TestHiddenStep:
         child, _ = _rule(f, np.array([0.5]), np.array([1.0]))
         assert child[0, 1, 0] == 0.0
         tol = 1e-9
-        est, err, rounds, panels = _integrate(f, [0.0, 1.0], tol, 0.0)
+        est, err, rounds, panels = _integrate(f, [(0.0, 1.0)], tol, 0.0)
         assert abs(est - (1.0 - s)) <= tol
         assert err <= tol and panels < MAX_PANELS
 
@@ -85,14 +90,14 @@ class TestHiddenStep:
         f = lambda x: np.maximum(0.0, 1.0 - ((x - 0.5) / eps) ** 2)  # noqa: E731
         children, _ = _rule(f, np.array([0.0, 0.5]), np.array([0.5, 1.0]))
         assert not children.any()
-        est, err, rounds, panels = _integrate(f, [0.0, 1.0], 1e-10, 0.0)
+        est, err, rounds, panels = _integrate(f, [(0.0, 1.0)], 1e-10, 0.0)
         assert abs(est - 4 * eps / 3) <= 1e-10 and err <= 1e-10
 
 
 class TestPanelCap:
     def test_non_integrable_stops_at_cap(self, caplog):
         with caplog.at_level(logging.INFO, logger="innerlab.quadrature"):
-            est, err, rounds, panels = _integrate(lambda x: 1.0 / x, [0.0, 1.0],
+            est, err, rounds, panels = _integrate(lambda x: 1.0 / x, [(0.0, 1.0)],
                                                   1e-9, 0.0)
         assert np.isfinite(est) and err > 1e-9
         assert panels == MAX_PANELS and rounds <= MAX_PANELS
@@ -100,13 +105,110 @@ class TestPanelCap:
                  and r.levelno == logging.INFO]
         assert len(infos) == 1 and "panel cap" in infos[0].getMessage()
 
-    def test_non_finite_values_count_as_open(self):
+    def test_cap_is_per_piece(self):
+        # The second piece converges at once; the first takes the room of
+        # both.
+        _, err, _, panels = _integrate(lambda x: 1.0 / x,
+                                       [(0.0, 1.0), (2.0, 3.0)], 1e-9, 0.0)
+        assert err > 1e-9 and panels == 2 * MAX_PANELS
+
+    def test_non_finite_values_count_as_open(self, caplog):
         # NaN on a window wider than any gap between nodes of [0, 1]: the
-        # error is inf, not NaN, so the loop refines to the cap and reports
-        # the failure instead of passing it as converged.
+        # error is inf, not NaN, so the failure is reported instead of
+        # passing as converged.  Bisecting never lowers the count of NaN
+        # panels, so the loop stops STALL_ROUNDS rounds after the first,
+        # far below the cap.
         f = lambda x: np.where(np.abs(x - 0.25) < 0.05, np.nan, 1.0)  # noqa: E731
-        _, err, _, panels = _integrate(f, [0.0, 1.0], 1e-9, 0.0)
-        assert err == np.inf and panels == MAX_PANELS
+        with caplog.at_level(logging.INFO, logger="innerlab.quadrature"):
+            _, err, rounds, panels = _integrate(f, [(0.0, 1.0)], 1e-9, 0.0)
+        assert err == np.inf
+        assert rounds == STALL_ROUNDS + 1 and panels <= STALL_ROUNDS + 1
+        infos = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.INFO]
+        assert len(infos) == 1 and "non-finite" in infos[0]
+        # Two atoms 1e-11 apart put nodes within 1e-13 of an atom, where
+        # log |F'| is +inf, at every depth: chi_quadrature raises after
+        # about a dozen panels rather than at the cap of its two pieces.
+        caplog.clear()
+        F = InnerModel(atoms=((1.0, 0.5), (1.0 + 1e-11, 0.5)))
+        with caplog.at_level(logging.DEBUG, logger="innerlab.quadrature"):
+            with pytest.raises(NumericalError):
+                chi_quadrature(F)
+        debug, = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert debug.args[2] <= 50 and debug.args[3] == np.inf
+
+    def test_non_finite_value_that_clears_is_refined(self):
+        # log|x - 1/2| is -inf at the centre node of [0, 1] and finite at
+        # every node of its halves: one bisection clears it and the loop
+        # goes on to meet tol.  The oracle is log(1/2) - 1.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            est, err, _, panels = _integrate(lambda x: np.log(np.abs(x - 0.5)),
+                                             [(0.0, 1.0)], 1e-9, 0.0)
+        assert err <= 1e-9 and panels < MAX_PANELS
+        assert abs(est - (math.log(0.5) - 1.0)) <= 1e-9
+
+
+class TestPieces:
+    PIECES = [(0.0, 0.7), (1.1, 2.0), (2.0, 3.5)]
+
+    def test_sum_of_per_piece_calls(self):
+        # x cos 8x, antiderivative (cos 8x + 8x sin 8x) / 64.
+        f = lambda x: x * np.cos(8.0 * x)  # noqa: E731
+        F = lambda x: (np.cos(8.0 * x) + 8.0 * x * np.sin(8.0 * x)) / 64.0  # noqa: E731
+        tol = 1e-10
+        est, err, _, _ = _integrate(f, self.PIECES, tol, 0.0)
+        single = [_integrate(f, [p], tol, 0.0) for p in self.PIECES]
+        exact = sum(F(b) - F(a) for a, b in self.PIECES)
+        assert err <= tol and abs(est - exact) <= tol
+        assert abs(est - sum(v[0] for v in single)) <= tol + sum(
+            v[1] for v in single)
+
+    def test_no_node_in_a_gap(self):
+        # A peak at the gap's left end draws panels to it from both sides.
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1.0 / (1e-4 + (x - 0.7) ** 2)
+
+        _, err, rounds, _ = _integrate(f, self.PIECES, 1e-9, 0.0)
+        x = np.concatenate(seen)
+        assert err <= 1e-9 and rounds > 5
+        assert np.all((x > 0.0) & (x < 3.5))
+        assert not np.any((x >= 0.7) & (x <= 1.1))
+
+    def test_jump_across_a_gap_not_charged(self):
+        # f is 0 on the first piece and 1 on the second: both rules are
+        # exact, and the interpolants' jump between the pieces is no error.
+        f = lambda x: (x > 1.0).astype(float)  # noqa: E731
+        est, err, rounds, panels = _integrate(f, [(0.0, 0.5), (1.5, 2.0)],
+                                              1e-12, 0.0)
+        assert (rounds, panels) == (1, 2)
+        assert est == pytest.approx(0.5, abs=1e-15) and err == 0.0
+
+    # Values and errors of chi_quadrature and chi_ell when they integrated
+    # over a list of breaks instead of a list of pieces (float.hex).
+    CHI = [((), ((0.0, 0.7),), 1.0, "0x1.588c2d91067fep-2", "0x1.857597eceb777p-34"),
+           ((0j, 0.5 + 0j), (), 1.0, "0x1.3f641e435ce7ap-1", "0x1.35a85632d86f3p-35"),
+           ((0j,), ((0.3, 0.4), (2.0, 0.8), (4.5, 0.2)), 1.0,
+            "0x1.20345821ef73bp+1", "0x1.505a78e33feb9p-34"),
+           ((0j, 0.3 + 0.5j, -0.7 + 0.1j, 0.2 - 0.8j, -0.4 - 0.4j, 0.85 + 0j), (),
+            0.6 + 0.8j, "0x1.b9782fb233628p+0", "0x1.7276e8bd5a8a4p-34")]
+    ELL = [("beta=0\natom=0,1\n", "0x1.921fb5436fe72p+2"),
+           ("beta=0.5\natom=0,1\natom=2,0.3\natom=-1.5,2\n",
+            "0x1.93da0038ddce9p+4")]
+
+    @pytest.mark.parametrize("zeros, atoms, rotation, value, error", CHI)
+    def test_chi_quadrature_bit_identical(self, zeros, atoms, rotation, value,
+                                          error):
+        est = chi_quadrature(InnerModel(rotation=rotation, zeros=zeros,
+                                        atoms=atoms))
+        assert (est.value, est.error) == (float.fromhex(value),
+                                          float.fromhex(error))
+
+    @pytest.mark.parametrize("text, value", ELL)
+    def test_chi_ell_bit_identical(self, text, value):
+        assert chi_ell(HalfPlaneInner.from_text(text)) == float.fromhex(value)
 
 
 def test_package_imports_no_scipy():
