@@ -21,9 +21,9 @@ from numpy.polynomial import legendre
 log = logging.getLogger("innerlab.quadrature")
 
 # The cap is MAX_PANELS panels per piece; no panel gets narrower than
-# 2^(1 - MAX_PANELS * pieces) of its piece.  While any panel is non-finite
-# each round bisects one panel: if their count has not fallen in
-# STALL_ROUNDS rounds, it will not.
+# 2^(1 - MAX_PANELS * pieces) of its piece.  Each round bisects every
+# non-finite panel: if their count has not fallen in STALL_ROUNDS rounds,
+# it will not.
 MAX_PANELS = 1000
 STALL_ROUNDS = 10
 
@@ -65,9 +65,11 @@ def _integrate(f, pieces, atol: float, rtol: float):
     f maps a 1-D array of nodes to an array of values, one per node, or to
     an (n, m) array for an m-component integral, whose estimate and error
     are then (m,) arrays.  The pieces share one loop: each round bisects
-    the fewest panels, of any piece, that carry half of the summed error
-    scaled by the tolerance of the components still open, and evaluates
-    all the new panels in one call of f.
+    every non-finite panel and, unless the finite panels already meet tol,
+    the fewest finite panels, of any piece, that carry half of their summed
+    error scaled by the tolerance of the components still open, and
+    evaluates all the new panels in one call of f, so a non-finite panel
+    neither holds up nor over-refines the other pieces.
 
     A panel's error is the largest of three terms: the distance between
     its two rules; half of |Q(parent) - Q(left) - Q(right)| from the
@@ -81,8 +83,9 @@ def _integrate(f, pieces, atol: float, rtol: float):
     unseen (`_integrate(lambda x: (x > 0.001) * 1.0, [(0, 1)], 1e-9, 0)`
     returns 1.0 with error 0).  atol > 0.  At MAX_PANELS panels per piece,
     or once the count of non-finite panels (error inf) has not fallen for
-    STALL_ROUNDS rounds, the loop stops, logs one INFO record and returns
-    the achieved error; nothing is raised.  Each call logs one DEBUG record,
+    STALL_ROUNDS rounds, the loop stops, logs one INFO record naming the
+    piece of the panel with the largest scaled error and returns the
+    achieved error; nothing is raised.  Each call logs one DEBUG record,
     args (first a, last b, panels, the largest achieved error, atol,
     rounds), with the caller as funcName.
     """
@@ -109,17 +112,21 @@ def _integrate(f, pieces, atol: float, rtol: float):
             fewest, since = bad, rounds
         if not open_.any():
             break
+        scaled = (err[:, open_] / tol[open_]).sum(axis=1)
         if room <= 0 or rounds - since >= STALL_ROUNDS:
             worst = np.argmax(total / tol)
             log.info("stopped at %d panels (panel cap %d), %d non-finite, on "
-                     "[%g, %g]: achieved err %.2e, requested %.2e", len(lo),
-                     cap, bad, pieces[0, 0], pieces[-1, 1],
+                     "piece [%.17g, %.17g]: achieved err %.2e, requested %.2e",
+                     len(lo), cap, bad, *pieces[piece[np.argmax(scaled)]],
                      total[worst], tol[worst], stacklevel=2)
             break
-        scaled = (err[:, open_] / tol[open_]).sum(axis=1)
+        stuck = np.isinf(scaled)
         order = np.argsort(-scaled, kind="stable")
-        cum = np.cumsum(scaled[order])
-        k = min(int(np.searchsorted(cum, 0.5 * cum[-1])) + 1, room)
+        cum = np.cumsum(np.where(stuck, 0.0, scaled)[order])
+        k = int(np.searchsorted(cum, 0.5 * cum[-1])) + 1
+        if stuck.any() and cum[-1] <= 1.0:
+            k = 0   # the finite panels already meet tol
+        k = min(max(k, np.count_nonzero(stuck)), room)
         split = np.sort(order[:k])
         mid = 0.5 * (lo[split] + hi[split])
         new, _ = _rule(f, np.concatenate((lo[split], mid)),

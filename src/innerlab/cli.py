@@ -141,6 +141,8 @@ def cmd_lyapunov(args):
 
 
 def cmd_distortion_scan(args):
+    if args.r_max is None:
+        args.r_max = [1.0 - 1e-4]
     if args.truncation_K:
         family = [InnerModel.from_zeros(*[1.0 - 2.0 ** (-k) for k in range(1, K + 1)])
                   for K in args.truncation_K]
@@ -292,6 +294,7 @@ def build_parser() -> _Parser:
                         epilog="CSV columns: model_id, r_max, integral_mu, "
                                "integral_eta, integral_delta, integral_alpha, "
                                "log_angular_derivative.")
+    common(sp, model=False)
     sp.add_argument("--model", action="append", default=[],
                     help="model file (repeatable)")
     sp.add_argument("--truncation-K", type=int, action="append", default=[],
@@ -299,8 +302,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--zeta", type=float, default=0.0, help="boundary angle")
     sp.add_argument("--r-max", type=float, action="append", default=None)
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--config", default=None)
     sp.set_defaults(func=cmd_distortion_scan)
 
     sp = sub.add_parser("orbit", help="sample a backward orbit to CSV",
@@ -332,6 +333,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("shadow-sim", help="good/bad-times shadowing run",
                         epilog="CSV columns: t, avg_min_distance; the landing "
                                "estimate is in the header.")
+    common(sp, model=False)
     sp.add_argument("--T", type=float, default=10 ** 4)
     sp.add_argument("--bad-times", default="pow2",
                     help="none | pow2 | all | a:b,c:d interval list")
@@ -341,8 +343,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--step", type=float, default=0.02,
                     help="output time-grid spacing; the integration is exact")
     sp.add_argument("--curve-points", type=int, default=500)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--config", default=None)
     sp.set_defaults(func=cmd_shadow_sim)
 
     sp = sub.add_parser("parabolic-count", help="strip counting N_I(z,R)",
@@ -422,8 +422,6 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         _apply_config(parser, args, argv)
-        if getattr(args, "r_max", None) is None and args.command == "distortion-scan":
-            args.r_max = [1.0 - 1e-4]
         return args.func(args)
     except BudgetError as exc:
         print(f"innerlab: budget exhausted: {exc}", file=sys.stderr)

@@ -2,10 +2,11 @@
 
 Backward orbits are complex arrays z_0, z_{-1}, ..., z_{-n} (rows of an
 (m, n + 1) array for m orbits), all stepped by one generation-batched walk:
-by a branch policy, by normalized heights, or by transfer-operator weights
-on the solenoid.  Also: the exponential map to geodesic-flow coordinates
-and its intertwining, box masses of the natural measure, the total-mass
-check against the Lyapunov exponent, radial shadowing statistics, and the
+by a branch policy, or at random by exact height ratios from the gap ratio
+(1 - |w|^2)/(1 - |F(w)|^2), which also gives the log gaps near the circle.
+Also: the exponential map to geodesic-flow coordinates and its
+intertwining, box masses of the natural measure, the total-mass check
+against the Lyapunov exponent, radial shadowing statistics, and the
 good/bad-times shadowing simulation in the upper half-plane.
 """
 
@@ -33,9 +34,9 @@ TREE_BUDGET = 2 * 10 ** 6
 def _walk(F: InnerModel, starts, n: int, choose,
           on_boundary: bool = False) -> np.ndarray:
     """The (m, n + 1) coordinates of backward orbits from the m `starts`,
-    one preimage solve per generation; `choose` maps the (m, d) rowwise
-    sorted roots to a branch per row.  Boundary roots are put back on the
-    circle."""
+    one preimage solve per generation; `choose` maps the parent column and
+    the (m, d) rowwise sorted roots to a branch per row.  Boundary roots
+    are put back on the circle."""
     if n < 0:
         raise PreconditionError("only backward coordinates exist")
     coords = np.empty((len(starts), n + 1), dtype=complex)
@@ -45,45 +46,62 @@ def _walk(F: InnerModel, starts, n: int, choose,
         roots = preimages_of_batch(F, coords[:, k])
         if on_boundary:
             roots = roots / np.abs(roots)
-        coords[:, k + 1] = roots[rows, choose(roots)]
+        coords[:, k + 1] = roots[rows, choose(coords[:, k], roots)]
     return coords
 
 
-def _draw(rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
-    """One branch per row of the (m, d) probabilities `p`, drawn exactly as
+def _branch_weights(F: InnerModel, z, roots, on_circle: bool = False):
+    """Weights p_j = log(1/|w_j|)/log(1/|z|) of the preimages w_j (rows of
+    `roots`) of the points z, exact at any depth: log1p(-x g_j)/log1p(-x)
+    with x = 1 - |z|^2, g_j = F.gap_ratio(w_j) = (1 - |w_j|^2)/x (near the
+    origin, the logs of |z|^2 and |w_j|^2).  On the circle (x = 0: every
+    boundary walk) p_j is the limit g_j = 1/|F'(w_j)|.  They sum to 1 (the
+    height identity inside, invariance of Lebesgue measure on the circle);
+    a sum off by more than 1e-10 raises NumericalError."""
+    def log_mod2(mod, gap):
+        return np.where(gap < 0.5, np.log1p(-gap), 2.0 * np.log(mod))
+
+    mod = np.abs(z)[:, None]
+    x = 0.0 if on_circle else (1.0 - mod) * (1.0 + mod)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = F.gap_ratio(roots)
+        p = np.where(x > 0, log_mod2(np.abs(roots), x * g) / log_mod2(mod, x), g)
+    total = np.sum(p, axis=1)
+    off = np.abs(total - 1.0) > 1e-10
+    if np.any(off):
+        raise NumericalError(f"branch weights sum to {total[off][0]}, not 1",
+                             context=F)
+    return p
+
+
+def _weighted_walk(F: InnerModel, starts, n: int, rng: np.random.Generator,
+                   on_boundary: bool = False) -> np.ndarray:
+    """`_walk` drawing each branch by `_branch_weights`, as
     `rng.choice(d, p=row)` draws it, row after row."""
-    cdf = np.cumsum(p, axis=1)
-    cdf /= cdf[:, -1:]
-    return np.sum(cdf <= rng.random((len(p), 1)), axis=1)
+
+    def choose(z, roots):
+        cdf = np.cumsum(_branch_weights(F, z, roots, on_boundary), axis=1)
+        return np.sum(cdf / cdf[:, -1:] <= rng.random((len(z), 1)), axis=1)
+
+    return _walk(F, starts, n, choose, on_boundary)
 
 
 def branch_orbit(F: InnerModel, z0, n: int, policy) -> np.ndarray:
     """The backward orbit z_0, ..., z_{-n} that takes branch `policy(roots)`
     of the sorted preimages at every step."""
     return _walk(F, [complex(z0)], n,
-                 lambda roots: [policy(row) for row in roots])[0]
+                 lambda z, roots: [policy(row) for row in roots])[0]
 
 
 def sample_interior_orbit(F: InnerModel, z0, n: int, seed: int = 0) -> np.ndarray:
     """Backward orbit z_0, ..., z_{-n} from an interior point with branches
-    drawn from the normalized transverse weights log(1/|w|)/log(1/|z|)."""
+    drawn from the transverse weights log(1/|w|)/log(1/|z|), exact at any
+    depth (see `_branch_weights`)."""
+    _require_blaschke(F)
     z0 = complex(z0)
     if z0 == 0:
         raise PreconditionError("the constant orbit at 0 is excluded")
-    rng = np.random.default_rng(seed)
-
-    def choose(roots):
-        w = np.log(1.0 / np.abs(roots))
-        total = np.sum(w, axis=1, keepdims=True)
-        flat = total[:, 0] < 1e-12
-        if np.any(flat):
-            # Deep coordinates collapse onto the circle in doubles; the
-            # normalized heights tend to the transfer weights 1/|F'|.
-            w[flat] = 1.0 / F.boundary_deriv_modulus(roots[flat])
-            total[flat] = np.sum(w[flat], axis=1, keepdims=True)
-        return _draw(rng, w / total)
-
-    return _walk(F, [z0], n, choose)[0]
+    return _weighted_walk(F, [z0], n, np.random.default_rng(seed))[0]
 
 
 def solenoid_orbits(F: InnerModel, n: int, paths: int = 1,
@@ -96,37 +114,21 @@ def solenoid_orbits(F: InnerModel, n: int, paths: int = 1,
     _require_blaschke(F, reject_rotation=True)
     rng = np.random.default_rng(seed)
     starts = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=paths))
-
-    def choose(roots):
-        w = 1.0 / F.boundary_deriv_modulus(roots)
-        total = np.sum(w, axis=1, keepdims=True)
-        off = np.abs(total - 1.0) > 1e-10
-        if np.any(off):
-            raise NumericalError(
-                f"transfer weights sum to {total[off][0]}, not 1", context=F)
-        return _draw(rng, w / total)
-
-    return _walk(F, starts, n, choose, on_boundary=True)
+    return _weighted_walk(F, starts, n, rng, on_boundary=True)
 
 
 def log_boundary_gaps(F: InnerModel, coords) -> np.ndarray:
-    """log(1 - |z_{-n}|) along a backward orbit, stable at any depth.
-
-    While the gap is representable it is computed directly; once the
-    coordinates collapse onto the circle in double precision the gaps
-    continue via the derivative recurrence h_{n+1} = h_n / |F'(z_{-n-1})|
-    (exact to first order near the boundary, where it is used).
-    """
+    """log(1 - |z_{-n}|) along a backward orbit, exact at any depth:
+    log(1 - |z_0|^2) plus the running sum of log F.gap_ratio(z_{-k})
+    = log((1 - |z_{-k}|^2)/(1 - |z_{-k+1}|^2)), minus log(1 + |z_{-n}|).
+    The gap ratio needs no subtraction near the circle, so the gaps stay
+    exact where the coordinates collapse onto the circle in doubles."""
     pts = np.asarray(coords, dtype=complex)
-    gaps = 1.0 - np.abs(pts)
-    tiny = gaps <= 1e-10
-    s = int(np.argmax(tiny)) if np.any(tiny) else len(pts)
-    if s == 0:
+    mod = np.abs(pts)
+    if mod[0] >= 1.0:
         raise PreconditionError("base point is on the circle")
-    out = np.log(gaps[:s])
-    dmod = F.boundary_deriv_modulus(np.angle(pts[s:]))
-    tail = np.cumsum(np.concatenate(([out[-1]], -np.log(dmod))))
-    return np.concatenate((out, tail[1:]))
+    ratios = np.concatenate(([(1.0 - mod[0]) * (1.0 + mod[0])], F.gap_ratio(pts[1:])))
+    return np.cumsum(np.log(ratios)) - np.log1p(mod)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +395,7 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     u_lo, u_hi = math.log(1.0 - r1), math.log(1.0 - r0)
     L = u_hi - u_lo
     su, st = 16, 16
-    chi_ref = chi_jensen_oracle(F).value if F.degree >= 2 else math.log(F.degree)
+    chi_ref = chi_jensen_oracle(F).value
 
     seeds = np.random.SeedSequence(seed).spawn(su * st)
     per = max(samples // (su * st), 16)
@@ -431,21 +433,6 @@ class RadialShadowingStat:
     limit_angle: float
 
 
-def _near_boundary_distance(dtheta, lh1, lh2):
-    """Hyperbolic distance between (theta_i, log gap_i) points near the
-    circle: arccosh(1 + (dtheta^2 + dh^2)/(2 h1 h2)), all in log space."""
-    log_dth2 = 2.0 * np.log(np.maximum(np.abs(dtheta), 1e-300))
-    with np.errstate(divide="ignore"):
-        log_dh2 = 2.0 * (np.maximum(lh1, lh2)
-                         + np.log1p(-np.exp(-np.abs(lh1 - lh2))))
-    log_e = np.logaddexp(log_dth2, log_dh2) - math.log(2.0) - lh1 - lh2
-    out = np.where(log_e > 1.0, np.inf, 0.0)
-    small = log_e <= 1.0
-    out = np.array(out, dtype=float)
-    out[small] = np.arccosh(1.0 + np.exp(log_e[small]))
-    return out
-
-
 def radial_shadowing_stat(F: InnerModel, coords) -> RadialShadowingStat:
     """Best-offset time average of min(1, d(z_{-n}, radial ray)) along the
     interior backward orbit `coords`, with time parameter -log(1 - |z_{-n}|)
@@ -453,9 +440,11 @@ def radial_shadowing_stat(F: InnerModel, coords) -> RadialShadowingStat:
 
     The ray points at the empirical limit angle (circular mean of the last
     quarter); if that quarter has angular spread above 0.1 rad the result
-    is flagged inconclusive.  Boundary gaps are tracked in log space so the
-    statistic stays meaningful beyond the depth where the coordinates
-    collapse onto the circle in double precision.
+    is flagged inconclusive.  Every distance is the exact sinh^2(d/2) =
+    |z - w|^2/((1 - |z|^2)(1 - |w|^2)) in (angle, log gap) coordinates
+    (gaps from `log_boundary_gaps`), so it stays exact past the depth where
+    coordinates collapse onto the circle in doubles.  All 801 offsets are
+    one (801, n) broadcast: about 40 kB of temporaries per orbit point.
     """
     pts = np.asarray(coords, dtype=complex)
     if np.any(pts == 0):
@@ -467,27 +456,22 @@ def radial_shadowing_stat(F: InnerModel, coords) -> RadialShadowingStat:
     conclusive = spread <= 0.1
 
     lh = log_boundary_gaps(F, pts)
-    times = -lh
-    order = np.argsort(times)
-    times, pts, lh = times[order], pts[order], lh[order]
-    dtheta = np.angle(pts * np.exp(-1j * theta))
-    near = lh < math.log(1e-6)
-
-    best = math.inf
+    order = np.argsort(-lh)
+    times, lh = -lh[order], lh[order]
+    half = 0.5 * np.angle(pts[order] * np.exp(-1j * theta))
+    # Per offset, the ray points w = 1 - e^ray, clamped at the origin; with
+    # z = (1 - e^lh) e^{2i half}, sinh^2(d/2) is (4 sinh^2((lh - ray)/2) +
+    # 4 (1 - e^lh)(1 - e^ray) sin^2(half) e^{-lh-ray}) / ((2 - e^lh)(2 - e^ray)).
+    ray = np.minimum(lh - np.arange(-400, 401)[:, None] / 100.0, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        cross = np.expm1(lh) * np.expm1(ray) * np.exp(
+            2.0 * np.log(np.abs(np.sin(half))) - lh - ray)
+        s2 = 4.0 * (np.sinh(0.5 * (lh - ray)) ** 2 + cross) / (
+            (1.0 - np.expm1(lh)) * (1.0 - np.expm1(ray)))
+    dist = np.minimum(1.0, 2.0 * np.arcsinh(np.sqrt(s2)))
     span = times[-1] - times[0]
-    for t0 in np.arange(-4.0, 4.0 + 0.01, 0.01):
-        ray_lh = -(times + t0)
-        dist = np.empty(len(pts))
-        if np.any(~near):
-            ray_r = np.clip(1.0 - np.exp(ray_lh[~near]), 0.0, 1.0 - 1e-16)
-            dist[~near] = disk_distance(pts[~near], ray_r * np.exp(1j * theta))
-        if np.any(near):
-            dist[near] = _near_boundary_distance(dtheta[near], lh[near],
-                                                 np.minimum(ray_lh[near], -1e-300))
-        dist = np.minimum(1.0, dist)
-        avg = float(np.trapezoid(dist, times) / span) if span > 0 else float(dist[0])
-        best = min(best, avg)
-    return RadialShadowingStat(best, conclusive, theta)
+    avg = np.trapezoid(dist, times, axis=1) / span if span > 0 else dist[:, 0]
+    return RadialShadowingStat(float(np.min(avg)), conclusive, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -58,19 +58,6 @@ def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
     return LyapunovEstimate(est / TWO_PI, "quadrature", err / TWO_PI)
 
 
-def _series_div(num, den, nterms: int):
-    """First nterms Taylor coefficients of num/den (lowest-first input)."""
-    num = np.asarray(num, dtype=complex)
-    den = np.asarray(den, dtype=complex)
-    t = np.zeros(nterms, dtype=complex)
-    for k in range(nterms):
-        acc = num[k] if k < len(num) else 0.0
-        for j in range(max(0, k - len(den) + 1), k):
-            acc -= t[j] * den[k - j]
-        t[k] = acc / den[0]
-    return t
-
-
 def chi_jensen_oracle(F: InnerModel) -> LyapunovEstimate:
     """Jensen's formula applied to F' for a finite Blaschke product of
     degree >= 2: chi = log |c_lead| + sum over nonzero critical points
@@ -103,8 +90,8 @@ def chi_jensen_oracle(F: InnerModel) -> LyapunovEstimate:
             f"critical-point count {len(inside)} != degree-1 = {d - 1}",
             context={"model": F, "roots": roots})
     m = int(np.sum(np.abs(inside) < _ORIGIN_ROOT_TOL))
-    taylor = _series_div(N, npoly.polymul(Q, Q), m + 1)
-    c_lead = taylor[m]
+    # F' = N/Q^2 with Q(0) = 1 and N[j] = 0 for j < m.
+    c_lead = N[m]
     if abs(c_lead) < _ORIGIN_ROOT_TOL:
         raise NumericalError("leading Taylor coefficient of F' inconsistent "
                              f"with critical multiplicity {m}")

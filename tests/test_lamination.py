@@ -33,31 +33,30 @@ def seeded_degree6():
 
 def per_step_interior_orbit(F, z0, n, seed):
     """Reference: the one-orbit-at-a-time interior walk, one root solve and
-    one `rng.choice` per step."""
+    one `rng.choice` per step, with the weights log1p(-x g)/log1p(-x) of
+    x = 1 - |z|^2 and the gap ratios g of the preimages."""
     rng = np.random.default_rng(seed)
     pts = [complex(z0)]
     for _ in range(n):
         roots = preimages_of_batch(F, [pts[-1]])[0]
-        w = np.log(1.0 / np.abs(roots))
-        total = np.sum(w)
-        if total < 1e-12:
-            w = 1.0 / F.boundary_deriv_modulus(roots)
-            total = np.sum(w)
-        pts.append(complex(roots[rng.choice(len(roots), p=w / total)]))
+        x = 1.0 - np.abs(pts[-1]) ** 2
+        g = F.gap_ratio(roots)
+        w = np.log1p(-x * g) / np.log1p(-x) if x > 0 else g
+        pts.append(complex(roots[rng.choice(len(roots), p=w / np.sum(w))]))
     return np.array(pts)
 
 
 def per_step_solenoid_orbit(F, n, seed):
-    """Reference: the one-orbit-at-a-time boundary walk with transfer
-    weights, after one uniform start angle."""
+    """Reference: the one-orbit-at-a-time boundary walk with the gap ratios
+    of the preimages (1/|F'| on the circle) as weights, after one uniform
+    start angle."""
     rng = np.random.default_rng(seed)
     pts = [complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))]
     for _ in range(n):
         roots = preimages_of_batch(F, [pts[-1]])[0]
         roots = roots / np.abs(roots)
-        w = 1.0 / F.boundary_deriv_modulus(roots)
-        total = float(np.sum(w))
-        pts.append(complex(roots[rng.choice(len(roots), p=w / total)]))
+        w = F.gap_ratio(roots)
+        pts.append(complex(roots[rng.choice(len(roots), p=w / np.sum(w))]))
     return np.array(pts)
 
 
@@ -120,17 +119,70 @@ class TestInverseOrbit:
             assert np.array_equal(solenoid_orbits(F, 150, paths=1, seed=seed)[0],
                                   per_step_solenoid_orbit(F, 150, seed))
 
-    def test_height_fallback_taken_on_deep_orbit(self, deg2):
+    def test_weights_exact_where_coordinates_collapse(self, deg2):
+        # Past 1 - |z| ~ 1e-16 the heights log(1/|w|) of the coordinates
+        # are lost in doubles; the gap-ratio weights still sum to 1 at
+        # every step, and the log gaps keep falling.
         orb = sample_interior_orbit(deg2, 0.3, 150, seed=2)
-        heights = np.log(1.0 / np.abs(preimages_of_batch(deg2, orb[:-1])))
+        roots = preimages_of_batch(deg2, orb[:-1])
+        heights = np.log(1.0 / np.abs(roots))
         assert np.any(np.sum(heights, axis=1) < 1e-12)
+        p = lamination._branch_weights(deg2, orb[:-1], roots)
+        assert np.max(np.abs(np.sum(p, axis=1) - 1.0)) < 1e-14
+        assert np.all(np.diff(log_boundary_gaps(deg2, orb)) < 0)
         assert np.max(np.abs(deg2.eval(orb[1:]) - orb[:-1])) < 1e-10
+
+    def test_tiny_start(self, deg2):
+        # Near the origin the weights take logs of |z|^2 and |w|^2, not of
+        # 1 - (1 - |w|^2), so a start far inside the disk keeps its digits.
+        for z0 in (1e-4, 1e-9, 1e-200):
+            orb = sample_interior_orbit(deg2, z0, 20, seed=1)
+            assert np.max(np.abs(deg2.eval(orb[1:]) - orb[:-1])) < 1e-10
+
+    def test_non_centered_model_rejected(self):
+        # The heights of the preimages sum to the height of z only when
+        # F(0) = 0.
+        with pytest.raises(PreconditionError, match="centered"):
+            sample_interior_orbit(InnerModel.from_zeros(0.5, 0.2j), 0.3, 5)
 
     def test_negative_length_rejected(self, deg2):
         with pytest.raises(PreconditionError):
             sample_interior_orbit(deg2, 0.3, -1)
         with pytest.raises(PreconditionError):
             solenoid_orbits(deg2, -1)
+
+
+class TestDeepOrbitOracle:
+    """Log gaps and branch weights along a seeded deg2 orbit from 0.3, 160
+    generations deep (1 - |z| ~ e^-115, far past double precision),
+    against a 120-digit mpmath orbit that takes the same branches."""
+
+    def test_gaps_and_weights_against_mpmath(self, deg2):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 120
+        orb = sample_interior_orbit(deg2, 0.3, 160, seed=6)
+        roots = preimages_of_batch(deg2, orb[:-1])
+        p = lamination._branch_weights(deg2, orb[:-1], roots)
+        lh = log_boundary_gaps(deg2, orb)
+        z = mp.mpc(0.3)
+        gap_err = weight_err = 0.0
+        for k in range(160):
+            # deg2(w) = w (1/2 - w)/(1 - w/2) = z: w^2 - (1 + z) w / 2 + z = 0.
+            b = (1 + z) / 2
+            disc = mp.sqrt(b * b - 4 * z)
+            exact = [(b + disc) / 2, (b - disc) / 2]
+            for j, w in enumerate(roots[k]):
+                near = min(exact, key=lambda e: abs(e - mp.mpc(w.real, w.imag)))
+                weight_err = max(weight_err, abs(
+                    float(mp.log(abs(near)) / mp.log(abs(z))) - p[k, j]))
+            z = min(exact, key=lambda e: abs(e - mp.mpc(orb[k + 1].real,
+                                                         orb[k + 1].imag)))
+            ref = mp.log(1 - abs(z))
+            gap_err = max(gap_err, abs(float((lh[k + 1] - ref) / ref)))
+        assert float(mp.log(1 - abs(z))) < -110
+        assert gap_err <= 1e-14
+        assert weight_err <= 1e-14
 
 
 class TestSolenoidSampler:
@@ -175,12 +227,15 @@ class TestSolenoidSampler:
 
     @pytest.mark.parametrize("paths", [1, 4])
     def test_transfer_weight_guard(self, deg2, monkeypatch, paths):
-        # Doubling |F'| on the circle halves the transfer-weight sum.
-        modulus = InnerModel.boundary_deriv_modulus
-        monkeypatch.setattr(InnerModel, "boundary_deriv_modulus",
-                            lambda self, z: 2.0 * modulus(self, z))
-        with pytest.raises(NumericalError, match="transfer weights sum to 0.5"):
+        # Doubling the gap ratios doubles the transfer weights on the
+        # circle and breaks the height identity inside.
+        ratio = InnerModel.gap_ratio
+        monkeypatch.setattr(InnerModel, "gap_ratio",
+                            lambda self, z: 2.0 * ratio(self, z))
+        with pytest.raises(NumericalError, match="branch weights sum to 2.0,"):
             solenoid_orbits(deg2, 3, paths=paths, seed=1)
+        with pytest.raises(NumericalError, match="branch weights sum to"):
+            sample_interior_orbit(deg2, 0.9, 3, seed=paths)
 
     def test_rotation_rejected(self):
         with pytest.raises(PreconditionError):
