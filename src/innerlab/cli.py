@@ -112,7 +112,7 @@ def _grid(upto: float, step: float = 1.0):
 def cmd_count(args):
     F = load_model(args.model)
     z = _parse_complex(args.z)
-    chi = args.chi if args.chi is not None else lyapunov.chi(F)
+    chi = args.chi if args.chi is not None else lyapunov.chi_jensen_oracle(F).value
     tree = enumerate_ball(F, z, args.R, node_budget=args.node_budget)
     rows = counting.counting_report(counting.CountingProfile.from_tree(tree),
                                     _grid(args.R, args.R_step),

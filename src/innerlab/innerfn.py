@@ -13,7 +13,7 @@ a != 0 and b_0(z) = z, so that b_a(0) = |a| > 0 and products are real
 positive at the origin; any unimodular constant is carried by `rotation`.
 
 Evaluation core.  `__post_init__` stores the factors once as columns:
-(d, 1) arrays of the zeros a, of conj(a) and of 1 - |a|^2; (m, 1) arrays
+(d, 1) arrays of conj(a) and of 1 - |a|^2 for the zeros a; (m, 1) arrays
 of the m nonzero zeros, their conjugates, u = |a|/a (Python complex
 division) and u (|a|^2 - 1); (k, 1) arrays of the atom base points
 zeta_k, of -w_k, 2 w_k and -2 w_k zeta_k.  `eval`, `deriv`, `gap_ratio`
@@ -33,8 +33,11 @@ b_0(z) = z copied and b_a(z) = u * (a - z) / (1 - conj(a) z): it reduces
 the stack [rotation, b_1, ..., b_d] left to right.  numpy's AVX-512
 complex multiply is fused (FMA), so it is not commutative in the last
 bit: the core always forms u * (a - z) and rotation * x, in that
-operand order.  `boundary_deriv_modulus` sums
-(1 - |a|^2)/hypot(zeta - a)^2 in factor order, then the atom terms.
+operand order.  `gap_ratio` and `boundary_deriv_modulus` read one
+(d + k, n) array of Poisson terms, (1 - |a|^2)/|1 - conj(a) z|^2 per
+zero, then 2 w/|zeta - z|^2 per atom; |F'| on the circle is its column
+sum, taken row after row in that order (zeros in factor order, then
+atoms), and `gap_ratio` there is one over the same sum.
 `deriv` merges (b', b) pairs pairwise by the product rule: bit-identical
 to the sequential product rule for d <= 2 and equal to rounding beyond.
 Scalars and one-point arrays agree with the reference to rounding only
@@ -117,7 +120,6 @@ class InnerModel:
                 "(the rotation map itself is zeros=(0,))")
         moved = [a for a in zs if a != 0]
         columns = {
-            "_a": _column(zs),
             "_ac": _column(a.conjugate() for a in zs),
             "_c": _column((1.0 - abs(a) ** 2 for a in zs), float),
             "_a_moved": _column(moved),
@@ -263,22 +265,31 @@ class InnerModel:
             out = self.eval(out)
         return complex(out) if np.ndim(out) == 0 else out
 
+    def _poisson_block(self, z):
+        """The (d + k, n) Poisson terms at the points z: one row
+        (1 - |a|^2)/|1 - conj(a) z|^2 per zero, then one row
+        2 w/|zeta - z|^2 per atom, +inf within 1e-13 of zeta."""
+        d = self.degree
+        terms = np.empty((d + len(self.atoms), z.size))
+        np.divide(self._c, np.abs(1.0 - self._ac * z) ** 2, out=terms[:d])
+        if self.atoms:
+            gap = np.abs(self._zeta - z)
+            with np.errstate(divide="ignore"):
+                np.divide(self._2w, gap ** 2, out=terms[d:])
+            terms[d:][gap < 1e-13] = np.inf
+        return terms
+
     def _gap_ratio_block(self, z, out):
         mod = np.abs(z)
         s = (1.0 - mod) * (1.0 + mod)
-        csum = logmod2 = 0.0
-        if self.zeros:
-            c = self._c / np.abs(1.0 - self._ac * z) ** 2
-            csum = np.add.reduce(c, axis=0)
-            logmod2 = np.add.reduce(np.log1p(c * -s), axis=0)
-        if self.atoms:
-            kern = self._2w / np.abs(self._zeta - z) ** 2
-            csum = csum + np.add.reduce(kern, axis=0)
-            logmod2 = logmod2 - np.add.reduce(kern * s, axis=0)
-        denom = -np.expm1(logmod2)
+        terms = self._poisson_block(z)
         with np.errstate(invalid="ignore", divide="ignore"):
+            logmod2 = np.add.reduce(np.log1p(terms[:self.degree] * -s), axis=0)
+            if self.atoms:
+                logmod2 = logmod2 - np.add.reduce(terms[self.degree:] * s, axis=0)
+            denom = -np.expm1(logmod2)
             out[:] = np.where(s > 1e-30, s / np.where(denom == 0, 1.0, denom),
-                              1.0 / csum)
+                              1.0 / np.add.reduce(terms, axis=0))
 
     def gap_ratio(self, z):
         """(1 - |z|^2)/(1 - |F(z)|^2), cancellation-free.
@@ -286,27 +297,15 @@ class InnerModel:
         Uses 1 - |b_a(z)|^2 = (1 - |a|^2)(1 - |z|^2)/|1 - conj(a) z|^2 per
         factor and the Poisson kernel for atom factors, so the quotient
         stays accurate up to (and on) the unit circle, where it equals
-        1/|F'(z/|z|)|."""
+        1/|F'(z/|z|)|: one over the column sum of the Poisson terms."""
         return self._blocked(self._gap_ratio_block, z, float)
 
     def _boundary_block(self, z, out):
-        # hypot agrees with abs() of a Python complex to the last bit;
-        # numpy's complex abs does not.
-        terms = []
-        if self.zeros:
-            dz = z - self._a
-            terms.append(self._c / np.hypot(dz.real, dz.imag) ** 2)
-        if self.atoms:
-            dz = z - self._zeta
-            gap = np.hypot(dz.real, dz.imag)
-            with np.errstate(divide="ignore"):
-                terms.append(np.where(gap < 1e-13, np.inf, self._2w / gap ** 2))
-        np.add.reduce(np.concatenate(terms) if len(terms) > 1 else terms[0],
-                      axis=0, out=out)
+        np.add.reduce(self._poisson_block(z), axis=0, out=out)
 
     def boundary_deriv_modulus(self, zeta):
         """|F'(zeta)| on the circle via the angular-derivative sum
-        sum (1-|a_i|^2)/|zeta-a_i|^2 + sum 2 w_k/|zeta-zeta_k|^2.
+        sum (1-|a_i|^2)/|1-conj(a_i) zeta|^2 + sum 2 w_k/|zeta-zeta_k|^2.
 
         `zeta` is an angle, a point on the circle, or an array of angles
         or points; returns a float for scalar input, else an array of the

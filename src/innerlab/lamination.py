@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, NumericalError, PreconditionError
 from .hypgeo import disk_distance, origin_distance
-from .innerfn import InnerModel, _require_blaschke
+from .innerfn import BLOCK_ENTRIES, InnerModel, _require_blaschke
 from .lyapunov import chi_jensen_oracle
 from .preimage import preimages_of_batch
 
@@ -31,12 +31,10 @@ TREE_BUDGET = 2 * 10 ** 6
 # Backward orbits
 
 
-def _walk(F: InnerModel, starts, n: int, choose,
-          on_boundary: bool = False) -> np.ndarray:
+def _walk(F: InnerModel, starts, n: int, choose) -> np.ndarray:
     """The (m, n + 1) coordinates of backward orbits from the m `starts`,
     one preimage solve per generation; `choose` maps the parent column and
-    the (m, d) rowwise sorted roots to a branch per row.  Boundary roots
-    are put back on the circle."""
+    the (m, d) rowwise sorted roots to a branch per row."""
     if n < 0:
         raise PreconditionError("only backward coordinates exist")
     coords = np.empty((len(starts), n + 1), dtype=complex)
@@ -44,25 +42,23 @@ def _walk(F: InnerModel, starts, n: int, choose,
     rows = np.arange(len(starts))
     for k in range(n):
         roots = preimages_of_batch(F, coords[:, k])
-        if on_boundary:
-            roots = roots / np.abs(roots)
         coords[:, k + 1] = roots[rows, choose(coords[:, k], roots)]
     return coords
 
 
-def _branch_weights(F: InnerModel, z, roots, on_circle: bool = False):
+def _branch_weights(F: InnerModel, z, roots):
     """Weights p_j = log(1/|w_j|)/log(1/|z|) of the preimages w_j (rows of
     `roots`) of the points z, exact at any depth: log1p(-x g_j)/log1p(-x)
     with x = 1 - |z|^2, g_j = F.gap_ratio(w_j) = (1 - |w_j|^2)/x (near the
-    origin, the logs of |z|^2 and |w_j|^2).  On the circle (x = 0: every
-    boundary walk) p_j is the limit g_j = 1/|F'(w_j)|.  They sum to 1 (the
-    height identity inside, invariance of Lebesgue measure on the circle);
-    a sum off by more than 1e-10 raises NumericalError."""
+    origin, the logs of |z|^2 and |w_j|^2).  On the circle x is 0 or a
+    few ulp, and p_j is the limit g_j = 1/|F'(w_j)| to rounding.  They sum
+    to 1 (the height identity inside, invariance of Lebesgue measure on
+    the circle); a sum off by more than 1e-10 raises NumericalError."""
     def log_mod2(mod, gap):
         return np.where(gap < 0.5, np.log1p(-gap), 2.0 * np.log(mod))
 
     mod = np.abs(z)[:, None]
-    x = 0.0 if on_circle else (1.0 - mod) * (1.0 + mod)
+    x = (1.0 - mod) * (1.0 + mod)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = F.gap_ratio(roots)
         p = np.where(x > 0, log_mod2(np.abs(roots), x * g) / log_mod2(mod, x), g)
@@ -74,16 +70,16 @@ def _branch_weights(F: InnerModel, z, roots, on_circle: bool = False):
     return p
 
 
-def _weighted_walk(F: InnerModel, starts, n: int, rng: np.random.Generator,
-                   on_boundary: bool = False) -> np.ndarray:
+def _weighted_walk(F: InnerModel, starts, n: int,
+                   rng: np.random.Generator) -> np.ndarray:
     """`_walk` drawing each branch by `_branch_weights`, as
     `rng.choice(d, p=row)` draws it, row after row."""
 
     def choose(z, roots):
-        cdf = np.cumsum(_branch_weights(F, z, roots, on_boundary), axis=1)
+        cdf = np.cumsum(_branch_weights(F, z, roots), axis=1)
         return np.sum(cdf / cdf[:, -1:] <= rng.random((len(z), 1)), axis=1)
 
-    return _walk(F, starts, n, choose, on_boundary)
+    return _walk(F, starts, n, choose)
 
 
 def branch_orbit(F: InnerModel, z0, n: int, policy) -> np.ndarray:
@@ -114,7 +110,7 @@ def solenoid_orbits(F: InnerModel, n: int, paths: int = 1,
     _require_blaschke(F, reject_rotation=True)
     rng = np.random.default_rng(seed)
     starts = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=paths))
-    return _weighted_walk(F, starts, n, rng, on_boundary=True)
+    return _weighted_walk(F, starts, n, rng)
 
 
 def log_boundary_gaps(F: InnerModel, coords) -> np.ndarray:
@@ -443,8 +439,9 @@ def radial_shadowing_stat(F: InnerModel, coords) -> RadialShadowingStat:
     is flagged inconclusive.  Every distance is the exact sinh^2(d/2) =
     |z - w|^2/((1 - |z|^2)(1 - |w|^2)) in (angle, log gap) coordinates
     (gaps from `log_boundary_gaps`), so it stays exact past the depth where
-    coordinates collapse onto the circle in doubles.  All 801 offsets are
-    one (801, n) broadcast: about 40 kB of temporaries per orbit point.
+    coordinates collapse onto the circle in doubles.  The 801 offsets go
+    in blocks of BLOCK_ENTRIES // n rows, so the temporaries stay
+    cache-sized at any orbit length.
     """
     pts = np.asarray(coords, dtype=complex)
     if np.any(pts == 0):
@@ -462,15 +459,21 @@ def radial_shadowing_stat(F: InnerModel, coords) -> RadialShadowingStat:
     # Per offset, the ray points w = 1 - e^ray, clamped at the origin; with
     # z = (1 - e^lh) e^{2i half}, sinh^2(d/2) is (4 sinh^2((lh - ray)/2) +
     # 4 (1 - e^lh)(1 - e^ray) sin^2(half) e^{-lh-ray}) / ((2 - e^lh)(2 - e^ray)).
-    ray = np.minimum(lh - np.arange(-400, 401)[:, None] / 100.0, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        cross = np.expm1(lh) * np.expm1(ray) * np.exp(
-            2.0 * np.log(np.abs(np.sin(half))) - lh - ray)
-        s2 = 4.0 * (np.sinh(0.5 * (lh - ray)) ** 2 + cross) / (
-            (1.0 - np.expm1(lh)) * (1.0 - np.expm1(ray)))
-    dist = np.minimum(1.0, 2.0 * np.arcsinh(np.sqrt(s2)))
+    offsets = np.arange(-400, 401)[:, None] / 100.0
     span = times[-1] - times[0]
-    avg = np.trapezoid(dist, times, axis=1) / span if span > 0 else dist[:, 0]
+    rows = max(1, BLOCK_ENTRIES // len(lh))
+    avg = np.empty(len(offsets))
+    em_lh = np.expm1(lh)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_sin2 = 2.0 * np.log(np.abs(np.sin(half))) - lh
+        for i in range(0, len(offsets), rows):
+            ray = np.minimum(lh - offsets[i:i + rows], 0.0)
+            cross = em_lh * np.expm1(ray) * np.exp(log_sin2 - ray)
+            s2 = 4.0 * (np.sinh(0.5 * (lh - ray)) ** 2 + cross) / (
+                (1.0 - em_lh) * (1.0 - np.expm1(ray)))
+            dist = np.minimum(1.0, 2.0 * np.arcsinh(np.sqrt(s2)))
+            avg[i:i + rows] = (np.trapezoid(dist, times, axis=1) / span
+                               if span > 0 else dist[:, 0])
     return RadialShadowingStat(float(np.min(avg)), conclusive, theta)
 
 

@@ -108,9 +108,10 @@ def chi_birkhoff(F: InnerModel, zeta0, n: int, seed: int = 0) -> LyapunovEstimat
 
     Orbit 0 starts at zeta0, the others at angles drawn from `seed`; since
     Lebesgue measure is F-invariant every orbit is stationary.  The orbits
-    advance together in complex coordinates renormalized to modulus 1 each
-    step, so they cannot drift off the circle.  The error estimate is one
-    standard error from the per-orbit means (inf for a single orbit).
+    advance together in complex coordinates renormalized to modulus 1 once
+    each step, where |F'| is summed unchecked, so they cannot drift off the
+    circle.  The error estimate is one standard error from the per-orbit
+    means (inf for a single orbit).
     """
     _require_blaschke(F, reject_rotation=True)
     if n < 1:
@@ -123,7 +124,8 @@ def chi_birkhoff(F: InnerModel, zeta0, n: int, seed: int = 0) -> LyapunovEstimat
     steps[: n % lanes] += 1
     sums = np.zeros(lanes)
     for k in range(steps[0]):
-        sums += np.where(steps > k, np.log(F.boundary_deriv_modulus(z)), 0.0)
+        modulus = F._blocked(F._boundary_block, z, float)
+        sums += np.where(steps > k, np.log(modulus), 0.0)
         w = F.eval(z)
         z = w / np.abs(w)
     value = float(np.sum(sums) / n)
@@ -131,11 +133,3 @@ def chi_birkhoff(F: InnerModel, zeta0, n: int, seed: int = 0) -> LyapunovEstimat
         return LyapunovEstimate(value, "birkhoff", math.inf)
     stderr = float(np.std(sums / steps, ddof=1) / math.sqrt(lanes))
     return LyapunovEstimate(value, "birkhoff", stderr)
-
-
-def chi(F: InnerModel, tol: float = 1e-10) -> float:
-    """Best available chi: the Jensen oracle when applicable, else
-    quadrature."""
-    if not F.atoms and F.degree >= 2:
-        return chi_jensen_oracle(F).value
-    return chi_quadrature(F, tol).value

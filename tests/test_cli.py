@@ -303,6 +303,18 @@ class TestBadInput:
         assert cli.main(["lyapunov", "--model", str(path), "--method",
                          "quadrature", "--out", str(tmp_path / "x.csv")]) == 4
 
+    @pytest.mark.parametrize("chi", [[], ["--chi", "0.6"]])
+    def test_count_rejects_atoms_before_chi(self, tmp_path, chi):
+        # count takes chi from Jensen's formula, which rejects a model with
+        # atoms as enumerate_ball does: exit 2 with or without --chi, never
+        # the quadrature's numerical error on close atoms.
+        path = tmp_path / "close.inner"
+        path.write_text(InnerModel(atoms=((1.0, 0.5), (1.0 + 1e-11, 0.5)))
+                        .to_text())
+        assert cli.main(["count", "--model", str(path), "--z", "0.3,0",
+                         "--R", "3", "--out", str(tmp_path / "x.csv")]
+                        + chi) == 2
+
 
 class TestConfigFile:
     def test_defaults_from_config(self, deg2_file, tmp_path):
@@ -439,7 +451,7 @@ class TestCsvRows:
 
     def test_count(self, deg2_file, tmp_path):
         F = InnerModel.from_zeros(0, 0.5)
-        chi = lyapunov.chi(F)
+        chi = lyapunov.chi_jensen_oracle(F).value
         tree = enumerate_ball(F, 0.3, 6.0)
         rows = counting.counting_report(counting.CountingProfile.from_tree(tree),
                                         cli._grid(6.0, 0.5),

@@ -172,6 +172,15 @@ class TestGapRatio:
         assert deg2.gap_ratio(zeta) == pytest.approx(
             1.0 / deg2.boundary_deriv_modulus(0.3), rel=1e-13)
 
+    @pytest.mark.parametrize("name", ["deg2", "seeded_d6", "three_atoms"])
+    def test_circle_value_is_one_over_boundary_modulus(self, deg2, name):
+        # At |z| == 1.0 both read the column sum of the same Poisson terms.
+        F = deg2 if name == "deg2" else ORACLE_MODELS[name]()
+        z = np.exp(2j * np.pi * np.random.default_rng(3).uniform(size=4000))
+        z = z[np.abs(z) == 1.0]
+        assert len(z) > 1000
+        assert np.array_equal(F.gap_ratio(z), 1.0 / F.boundary_deriv_modulus(z))
+
     def test_atom_model(self):
         F = InnerModel.atom_map(0.0, 0.8)
         z = 0.5j

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,15 +32,15 @@ def seeded_degree6():
             return F
 
 
-def per_step_interior_orbit(F, z0, n, seed):
-    """Reference: the one-orbit-at-a-time interior walk, one root solve and
-    one `rng.choice` per step, with the weights log1p(-x g)/log1p(-x) of
-    x = 1 - |z|^2 and the gap ratios g of the preimages."""
-    rng = np.random.default_rng(seed)
+def per_step_orbit(F, z0, n, rng):
+    """Reference: the one-orbit-at-a-time walk, one root solve and one
+    `rng.choice` per step, with the weights log1p(-x g)/log1p(-x) of
+    x = (1 - |z|)(1 + |z|) and the gap ratios g of the preimages, and g
+    itself (1/|F'| on the circle) where x is not positive."""
     pts = [complex(z0)]
     for _ in range(n):
         roots = preimages_of_batch(F, [pts[-1]])[0]
-        x = 1.0 - np.abs(pts[-1]) ** 2
+        x = (1.0 - abs(pts[-1])) * (1.0 + abs(pts[-1]))
         g = F.gap_ratio(roots)
         w = np.log1p(-x * g) / np.log1p(-x) if x > 0 else g
         pts.append(complex(roots[rng.choice(len(roots), p=w / np.sum(w))]))
@@ -47,17 +48,10 @@ def per_step_interior_orbit(F, z0, n, seed):
 
 
 def per_step_solenoid_orbit(F, n, seed):
-    """Reference: the one-orbit-at-a-time boundary walk with the gap ratios
-    of the preimages (1/|F'| on the circle) as weights, after one uniform
-    start angle."""
+    """Reference: `per_step_orbit` from one uniform start angle; the roots
+    are taken as solved, never put back on the circle."""
     rng = np.random.default_rng(seed)
-    pts = [complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))]
-    for _ in range(n):
-        roots = preimages_of_batch(F, [pts[-1]])[0]
-        roots = roots / np.abs(roots)
-        w = F.gap_ratio(roots)
-        pts.append(complex(roots[rng.choice(len(roots), p=w / np.sum(w))]))
-    return np.array(pts)
+    return per_step_orbit(F, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), n, rng)
 
 
 def vectorized_marginal(F, m, depth, seed):
@@ -67,7 +61,6 @@ def vectorized_marginal(F, m, depth, seed):
     u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))
     for _ in range(depth):
         roots = preimages_of_batch(F, u)
-        roots = roots / np.abs(roots)
         w = 1.0 / F.boundary_deriv_modulus(roots)
         w = w / np.sum(w, axis=1, keepdims=True)
         picks = (np.cumsum(w, axis=1) < rng.uniform(size=(m, 1))).sum(axis=1)
@@ -114,8 +107,9 @@ class TestInverseOrbit:
     def test_walk_matches_per_step_reference(self, deg2, model):
         F = deg2 if model == "deg2" else seeded_degree6()
         for seed in (0, 3):
-            assert np.array_equal(sample_interior_orbit(F, 0.3 + 0.2j, 150, seed),
-                                  per_step_interior_orbit(F, 0.3 + 0.2j, 150, seed))
+            assert np.array_equal(
+                sample_interior_orbit(F, 0.3 + 0.2j, 150, seed),
+                per_step_orbit(F, 0.3 + 0.2j, 150, np.random.default_rng(seed)))
             assert np.array_equal(solenoid_orbits(F, 150, paths=1, seed=seed)[0],
                                   per_step_solenoid_orbit(F, 150, seed))
 
@@ -203,6 +197,14 @@ class TestSolenoidSampler:
         assert orb.shape == (1, 41)
         assert np.max(np.abs(np.abs(orb) - 1)) < 1e-14
 
+    @pytest.mark.parametrize("model", ["deg2", "degree6"])
+    def test_long_orbits_do_not_drift(self, deg2, model):
+        # The walk takes the roots as solved, never putting them back on
+        # the circle: 2,000 generations of 64 paths stay within 1e-15.
+        F = deg2 if model == "deg2" else seeded_degree6()
+        orbs = solenoid_orbits(F, 2000, paths=64, seed=1)
+        assert np.max(np.abs(np.abs(orbs) - 1.0)) <= 1e-15
+
     def test_zero_length_orbit(self, deg2):
         assert solenoid_orbits(deg2, 0, seed=3).shape == (1, 1)
 
@@ -228,11 +230,13 @@ class TestSolenoidSampler:
     @pytest.mark.parametrize("paths", [1, 4])
     def test_transfer_weight_guard(self, deg2, monkeypatch, paths):
         # Doubling the gap ratios doubles the transfer weights on the
-        # circle and breaks the height identity inside.
+        # circle (to the last bits, where |z| is an ulp off 1) and breaks
+        # the height identity inside.
         ratio = InnerModel.gap_ratio
         monkeypatch.setattr(InnerModel, "gap_ratio",
                             lambda self, z: 2.0 * ratio(self, z))
-        with pytest.raises(NumericalError, match="branch weights sum to 2.0,"):
+        with pytest.raises(NumericalError,
+                           match=r"branch weights sum to 2\.0(0{12,}\d)?,"):
             solenoid_orbits(deg2, 3, paths=paths, seed=1)
         with pytest.raises(NumericalError, match="branch weights sum to"):
             sample_interior_orbit(deg2, 0.9, 3, seed=paths)
@@ -507,6 +511,20 @@ class TestRadialShadowing:
     def test_constant_zero_orbit_rejected(self, square):
         with pytest.raises(PreconditionError):
             radial_shadowing_stat(square, np.zeros(3, dtype=complex))
+
+    def test_memory_does_not_grow_with_offsets(self, square):
+        # The positive-axis orbit of z^2 in closed form, 0.4^(2^-n), 5,000
+        # generations deep: one (801, n) broadcast of the offsets would
+        # peak near 180 MB.
+        orb = 0.4 ** (2.0 ** -np.arange(5001)) + 0j
+        tracemalloc.start()
+        try:
+            st = radial_shadowing_stat(square, orb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.value < 1e-6
+        assert peak < 8e6
 
 
 class TestShadowingSimulation:

@@ -210,13 +210,14 @@ class TestPieces:
         assert est == pytest.approx(0.5, abs=1e-15) and err == 0.0
 
     # Values and errors of chi_quadrature and chi_ell when they integrated
-    # over a list of breaks instead of a list of pieces (float.hex).
-    CHI = [((), ((0.0, 0.7),), 1.0, "0x1.588c2d91067fep-2", "0x1.857597eceb777p-34"),
-           ((0j, 0.5 + 0j), (), 1.0, "0x1.3f641e435ce7ap-1", "0x1.35a85632d86f3p-35"),
+    # over a list of breaks instead of a list of pieces (float.hex), with
+    # |F'| the column sum of the Poisson terms that gap_ratio reads.
+    CHI = [((), ((0.0, 0.7),), 1.0, "0x1.588c2d91067fep-2", "0x1.85759752e3aeep-34"),
+           ((0j, 0.5 + 0j), (), 1.0, "0x1.3f641e435ce7ap-1", "0x1.35a855e612767p-35"),
            ((0j,), ((0.3, 0.4), (2.0, 0.8), (4.5, 0.2)), 1.0,
-            "0x1.20345821ef73bp+1", "0x1.505a78e33feb9p-34"),
+            "0x1.20345821ef73bp+1", "0x1.505a712a37ebap-34"),
            ((0j, 0.3 + 0.5j, -0.7 + 0.1j, 0.2 - 0.8j, -0.4 - 0.4j, 0.85 + 0j), (),
-            0.6 + 0.8j, "0x1.b9782fb233628p+0", "0x1.7276e8bd5a8a4p-34")]
+            0.6 + 0.8j, "0x1.b9782fb233628p+0", "0x1.7276ffced4022p-34")]
     ELL = [("beta=0\natom=0,1\n", "0x1.921fb5436fe72p+2"),
            ("beta=0.5\natom=0,1\natom=2,0.3\natom=-1.5,2\n",
             "0x1.93da0038ddce9p+4")]
