@@ -10,16 +10,14 @@ the rows still moving, with their row indices.  On an iteration where
 some rows finish, those rows are written back to the (m, d) result once
 and the working set shrinks to the rest.  p and p' come from one Horner
 pass, and the Aberth sum over the other roots is d - 1 broadcasts of the
-rotated iterates.  Rows still moving after `max_iter` iterations are
+rotated iterates.  Rows still moving after MAX_ITER iterations are
 re-solved by companion-matrix eigenvalues.
 
-Warm starts: a finite `warm` array of the result's shape (m, d) seeds the
-iteration, row by row; any other `warm` (None, the wrong shape, or a
-non-finite entry) is ignored in favour of the fixed default ring.  A
-warm start changes how many iterations a row needs, not which roots it
-converges to.  Deterministic: fixed starting configuration, fixed
-iteration policy, no randomness.  Each call logs one DEBUG record with
-its rows, degree, iterations run and companion-matrix fallback rows.
+An optional `start` array of the result's shape (m, d) replaces the
+fixed, symmetry-breaking default ring as the starting configuration.
+Deterministic: fixed starting configuration, fixed iteration policy, no
+randomness.  Each call logs one DEBUG record with its rows, degree,
+iterations run and companion-matrix fallback rows.
 """
 
 from __future__ import annotations
@@ -33,6 +31,8 @@ from .errors import NumericalError
 log = logging.getLogger("innerlab.roots")
 
 RESIDUAL_TOL = 1e-12
+ABERTH_TOL = 5e-14
+MAX_ITER = 60
 
 
 def _default_start(m: int, d: int) -> np.ndarray:
@@ -42,11 +42,11 @@ def _default_start(m: int, d: int) -> np.ndarray:
     return np.broadcast_to(ring, (m, d)).copy()
 
 
-def aberth_batch(coeffs, warm=None, tol=5e-14, max_iter=60):
+def aberth_batch(coeffs, start=None):
     """All roots of each row of `coeffs` (lowest-degree first).
 
-    Returns an (m, d) complex array, d = degree.  `warm` optionally seeds
-    the iteration (same shape, finite).  Rows where Aberth stalls are
+    Returns an (m, d) complex array, d = degree.  `start`, if given, is
+    the (m, d) array of starting points.  Rows where Aberth stalls are
     re-solved by companion-matrix eigenvalues; a residual floor is
     enforced by the caller's Newton polish, not here.
     """
@@ -64,10 +64,7 @@ def aberth_batch(coeffs, warm=None, tol=5e-14, max_iter=60):
         log.debug("aberth_batch: %d rows, degree 1, 0 iterations, 0 fallback rows", m)
         return (-monic[:, :1]).copy()
 
-    if warm is not None and np.shape(warm) == (m, d) and np.all(np.isfinite(warm)):
-        w = np.array(warm, dtype=complex)
-    else:
-        w = _default_start(m, d)
+    w = _default_start(m, d) if start is None else np.array(start, dtype=complex)
 
     # The working set, one column per row still moving.
     rows = np.arange(m)
@@ -76,7 +73,7 @@ def aberth_batch(coeffs, warm=None, tol=5e-14, max_iter=60):
     scale = np.maximum(np.max(np.abs(monic), axis=1), 1.0)
     iters = 0
     with np.errstate(all="ignore"):
-        while iters < max_iter and len(rows):
+        while iters < MAX_ITER and len(rows):
             iters += 1
             dp = c[d]
             p = dp * wa + c[d - 1]
@@ -97,7 +94,7 @@ def aberth_batch(coeffs, warm=None, tol=5e-14, max_iter=60):
             wa -= step
             res = np.max(np.abs(p), axis=0) / scale
             moved = np.max(np.abs(step), axis=0)
-            done = (res < tol) | (moved < 1e-15)
+            done = (res < ABERTH_TOL) | (moved < 1e-15)
             if done.any():
                 w[rows[done]] = wa[:, done].T
                 keep = ~done
@@ -110,20 +107,20 @@ def aberth_batch(coeffs, warm=None, tol=5e-14, max_iter=60):
     return w
 
 
-def _preimage_roots(F, zs, warm, step_cap, resid_scale):
+def _preimage_roots(F, zs, step_cap, resid_scale, start=None):
     """The roots w of F(w) = z for each z of the 1-D array `zs`, one row
     per z, polished and checked to |F(w) - z| <= RESIDUAL_TOL * resid_scale.
 
     `F` has `eval`, `deriv` and the rational form `rational_coeffs` = (N, D),
     lowest-degree first.  A Newton step of modulus `step_cap` or more is
     not taken (near a multiple root F' ~ 0), which leaves that root to the
-    residual check.
+    residual check.  `start` is passed on to `aberth_batch`.
     """
     N, D = F.rational_coeffs
     coeffs = np.zeros((len(zs), len(N)), dtype=complex)
     coeffs[:] = N
     coeffs[:, :len(D)] -= zs[:, None] * D
-    roots = aberth_batch(coeffs, warm=warm)
+    roots = aberth_batch(coeffs, start)
     zz = zs[:, None]
     for _ in range(3):
         fw = F.eval(roots) - zz

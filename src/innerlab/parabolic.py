@@ -119,24 +119,27 @@ class HalfPlaneInner:
         return HalfPlaneInner(beta=beta, atoms=tuple(atoms))
 
 
-def hp_preimages_batch(F: HalfPlaneInner, zs, warm=None) -> np.ndarray:
+def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
     """The degree-many preimages of each z in the open upper half-plane, as
     an (m, degree) array sorted rowwise by (Re, Im).
 
     A z outside H is a PreconditionError.  Residuals are kept below
     1e-12 * max(1, max |z|); all roots must lie in H and satisfy the height
     identity sum Im w = Im z to 1e-9, else a consistency error is raised.
-    `warm` optionally seeds the root solve with finite (m, degree) guesses,
-    one row per z, such as the preimage row of the parent of z; a missing,
-    non-finite or wrongly shaped `warm` is ignored and the default start
-    used.  Warm starts change the iteration count, not the checks the roots
-    must pass.
+    The root solve starts each row at z - beta (the drift root) and next
+    to each atom base point (one root near each pole), nudged off the
+    vertical through the pole so that no start is symmetric under a
+    reflection of the model.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.imag <= 0):
         raise PreconditionError("points must lie in the upper half-plane")
-    roots = _preimage_roots(F, zs, warm, step_cap=1.0,
-                            resid_scale=max(1.0, float(np.max(np.abs(zs)))))
+    start = np.empty((len(zs), F.degree), dtype=complex)
+    start[:, 0] = zs - F.beta
+    start[:, 1:] = [x + 0.1 * np.exp(0.5j) for x, _ in F.atoms]
+    roots = _preimage_roots(F, zs, step_cap=1.0,
+                            resid_scale=max(1.0, float(np.max(np.abs(zs)))),
+                            start=start)
     im_sum = np.abs(np.sum(roots.imag, axis=1) - zs.imag)
     if np.any(roots.imag <= 0) or np.any(im_sum > IM_SUM_TOL):
         raise NumericalError(
@@ -265,7 +268,6 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
                 & (pts.imag >= eps) & (pts.imag <= 1.0 + 1e-15))
 
     current = np.array([z], dtype=complex)
-    warm = None
     if window_mask(current)[0]:
         counted_pts.append(z)
         counted_gen.append(0)
@@ -278,8 +280,7 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
         if profile.explored > node_budget:
             raise BudgetError(f"node budget {node_budget} exceeded at "
                               f"generation {gen}", partial=profile)
-        rows = hp_preimages_batch(F, current, warm=warm)
-        roots = rows.reshape(-1)
+        roots = hp_preimages_batch(F, current).reshape(-1)
         keep = roots.imag >= eps
         if farfield_prune:
             far = np.abs(roots.real) >= re_safe
@@ -295,8 +296,6 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
         counted_pts.extend(kept[inwin].tolist())
         counted_gen.extend([gen] * int(np.sum(inwin)))
         current = kept
-        # Each kept child's preimages start from its siblings' positions.
-        warm = rows[np.flatnonzero(keep) // F.degree]
     profile.counted_points = np.asarray(counted_pts, dtype=complex)
     profile.counted_generations = np.asarray(counted_gen, dtype=int)
     return profile

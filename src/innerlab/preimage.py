@@ -2,11 +2,11 @@
 
 Solves F(w) = z through the model's cached rational form F = P/Q by the
 preimage solve shared with the strip (`_roots._preimage_roots`: Aberth-
-Ehrlich with warm starts, Newton polish on F(w) - z, an absolute 1e-12
-residual check), clips rounding overshoot back into the disk, and
-enumerates the tree of repeated preimages inside hyperbolic balls with
-Schwarz-lemma pruning.  Enumeration is breadth-first, batched per
-generation, and deterministic.
+Ehrlich from one fixed ring of starts, Newton polish on F(w) - z, an
+absolute 1e-12 residual check), clips rounding overshoot back into the
+disk, and enumerates the tree of repeated preimages inside hyperbolic
+balls with Schwarz-lemma pruning.  Enumeration is breadth-first, batched
+per generation, and deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .innerfn import InnerModel, _require_blaschke
 
 log = logging.getLogger("innerlab.preimage")
 
-DEDUP_TOL = 1e-9
+DEDUP_TOL = 1e-7
 DEFAULT_NODE_BUDGET = 5 * 10 ** 7
 
 
@@ -36,12 +36,12 @@ def _sort_roots(roots):
     return np.take_along_axis(roots, order, axis=1)
 
 
-def preimages_of_batch(F: InnerModel, zs, warm=None):
+def preimages_of_batch(F: InnerModel, zs):
     """The d preimages of each point of `zs` (with multiplicity), as an
     (m, d) array sorted rowwise by (argument, modulus)."""
     _require_blaschke(F, centered=False)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    roots = _preimage_roots(F, zs, warm, step_cap=0.1, resid_scale=1.0)
+    roots = _preimage_roots(F, zs, step_cap=0.1, resid_scale=1.0)
     # Preimages of interior points are interior; clip rounding overshoot.
     mods = np.abs(roots)
     overshoot = mods >= 1.0
@@ -100,7 +100,7 @@ class PreimageTree:
 
 
 # A point's cell (cx, cy) = floor((Re, Im) / DEDUP_TOL) is packed into the
-# int64 key cx * _CELL_SPAN + cy, unique since |cy| <= 1e9 < _CELL_SPAN / 2
+# int64 key cx * _CELL_SPAN + cy, unique since |cy| <= 1e7 < _CELL_SPAN / 2
 # in the disk.  The forward neighbours (0, 1), (1, -1), (1, 0), (1, 1) of a
 # cell are key offsets.
 _CELL_SPAN = 1 << 32
@@ -170,7 +170,6 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
     tree.parents.append(np.array([-1], dtype=np.int64))
 
     d = F.degree
-    warm = None
     gen = 0
     while len(tree.points[gen]) > 0:
         if max_generation is not None and gen >= max_generation:
@@ -182,13 +181,8 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
             raise BudgetError(
                 f"node budget {node_budget} exceeded at generation {gen + 1}",
                 partial=tree)
-        roots = preimages_of_batch(F, parents, warm=warm)
-        # Children sit farther out; push the sibling constellation outward
-        # to warm-start the next generation.
-        mods = np.abs(roots)
-        warm = np.where(mods > 0, roots * mods ** (1.0 / d - 1.0), roots)
-
-        radii = origin_distance(mods)
+        roots = preimages_of_batch(F, parents)
+        radii = origin_distance(np.abs(roots))
         inside = radii <= R
         par, br = np.nonzero(inside)
         pts = roots[par, br]
@@ -204,9 +198,6 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
             break
         tree.points.append(pts[keep])
         tree.parents.append(par[keep])
-        # Each kept child inherits its own sibling constellation as the
-        # warm start for expanding it.
-        warm = warm[par[keep]]
         gen += 1
     return tree
 

@@ -225,57 +225,40 @@ class TestEnumerateStrip:
         assert np.array_equal(a.counted_points, b.counted_points)
 
 
-class TestWarmStart:
+def ring_start(coeffs, start=None):
+    """aberth_batch with any `start` dropped for the default ring."""
+    return aberth_batch(coeffs)
+
+
+class TestRootStart:
+    ZS = np.array([0.5j, 0.3 + 0.2j, -1.5 + 0.05j])
+
     @staticmethod
-    def iterations(caplog, F, zs, warm=None):
+    def iterations(caplog, F, zs):
         """hp_preimages_batch and the iteration count its root solve logs."""
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
-            rows = hp_preimages_batch(F, zs, warm=warm)
+            rows = hp_preimages_batch(F, zs)
         [record] = caplog.records
         return rows, record.args[2]
 
-    def test_sibling_warm_start_matches_cold(self, zminus):
-        # Three generations below 0.5i, each point's solve seeded with the
-        # preimage row of its parent, as enumerate_strip does.
-        rows = hp_preimages_batch(zminus, [0.5j])
-        for _ in range(3):
-            zs = rows.reshape(-1)
-            warm = rows[np.arange(len(zs)) // zminus.degree]
-            got = hp_preimages_batch(zminus, zs, warm=warm)
-            cold = hp_preimages_batch(zminus, zs)
-            assert np.max(np.abs(got - cold)) < 1e-12
-            rows = cold
-
-    def test_exact_warm_start_is_used(self, zminus, caplog):
-        zs = np.array([0.5j, 0.3 + 0.2j, -1.5 + 0.05j])
-        cold, n_cold = self.iterations(caplog, zminus, zs)
-        warm, n_warm = self.iterations(caplog, zminus, zs, warm=cold)
-        assert n_warm == 1 < n_cold
-        assert np.max(np.abs(warm - cold)) < 1e-12
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "shape"])
-    def test_unusable_warm_falls_back(self, zminus, caplog, bad):
-        zs = np.array([0.5j, 0.3 + 0.2j, -1.5 + 0.05j])
-        cold, n_cold = self.iterations(caplog, zminus, zs)
-        warm = cold.copy()
-        if bad == "shape":
-            warm = warm[:2]
-        else:
-            warm[1, 0] = float(bad)
-        got, n_got = self.iterations(caplog, zminus, zs, warm=warm)
-        assert np.array_equal(got, cold)
-        assert n_got == n_cold
+    def test_pole_start_beats_ring(self, zminus, caplog, monkeypatch):
+        # Why hp_preimages_batch passes a start at all: from z - beta and
+        # next to the pole Aberth needs fewer iterations than from the ring.
+        poles, n_poles = self.iterations(caplog, zminus, self.ZS)
+        monkeypatch.setattr(_roots, "aberth_batch", ring_start)
+        ring, n_ring = self.iterations(caplog, zminus, self.ZS)
+        assert n_poles < n_ring
+        assert np.max(np.abs(poles - ring)) < 1e-12
 
     def test_strip_matches_cold_start(self, zminus, monkeypatch):
-        warm = enumerate_strip(zminus, 0.5j, (-1, 1), 8.0)
-        monkeypatch.setattr(_roots, "aberth_batch",
-                            lambda coeffs, warm=None: aberth_batch(coeffs))
-        cold = enumerate_strip(zminus, 0.5j, (-1, 1), 8.0)
-        assert warm.explored == cold.explored
-        assert warm.farfield_pruned == cold.farfield_pruned
-        assert np.array_equal(warm.counted_generations, cold.counted_generations)
-        assert np.max(np.abs(warm.counted_points - cold.counted_points)) < 1e-12
+        poles = enumerate_strip(zminus, 0.5j, (-1, 1), 8.0)
+        monkeypatch.setattr(_roots, "aberth_batch", ring_start)
+        ring = enumerate_strip(zminus, 0.5j, (-1, 1), 8.0)
+        assert poles.explored == ring.explored
+        assert poles.farfield_pruned == ring.farfield_pruned
+        assert np.array_equal(poles.counted_generations, ring.counted_generations)
+        assert np.max(np.abs(poles.counted_points - ring.counted_points)) < 1e-12
 
 
 class TestStripReport:

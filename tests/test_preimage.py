@@ -3,6 +3,8 @@ import logging
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import random_centered_blaschke, random_disk_point
@@ -28,12 +30,9 @@ def per_child_ball(F, z, R):
     gens = [(np.array([z], dtype=complex), np.array([-1]), np.array([0]))]
     seen = [z]
     collisions = 0
-    warm = None
     while len(gens[-1][0]):
-        roots = preimages_of_batch(F, gens[-1][0], warm=warm)
-        mods = np.abs(roots)
-        warm = np.where(mods > 0, roots * mods ** (1.0 / F.degree - 1.0), roots)
-        radii = origin_distance(mods)
+        roots = preimages_of_batch(F, gens[-1][0])
+        radii = origin_distance(np.abs(roots))
         kept = []
         for i, j in np.ndindex(roots.shape):
             if radii[i, j] > R:
@@ -47,7 +46,6 @@ def per_child_ball(F, z, R):
             break
         par, br = np.array(kept).T
         gens.append((roots[par, br], par, br))
-        warm = warm[par]
     return gens, collisions
 
 
@@ -101,15 +99,16 @@ class TestPreimagesOf:
 
 
 class TestFallbacks:
-    def test_companion_matrix_fallback(self, rng):
+    def test_companion_matrix_fallback(self, rng, monkeypatch):
         # One Aberth sweep converges no row, so every row is re-solved by
         # companion-matrix eigenvalues.
         coeffs = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
-        fallback = np.sort_complex(aberth_batch(coeffs, max_iter=1))
         aberth = np.sort_complex(aberth_batch(coeffs))
+        monkeypatch.setattr(_roots, "MAX_ITER", 1)
+        fallback = np.sort_complex(aberth_batch(coeffs))
         assert np.max(np.abs(fallback - aberth)) < 1e-12
 
-    def test_compaction_writes_rows_back_in_place(self, rng, caplog):
+    def test_compaction_writes_rows_back_in_place(self, rng, caplog, monkeypatch):
         # Rows 0, 4, 8, ... start at their roots and finish on the first
         # iteration; rows 2, 6, 10, ... start 1e-6 off and finish on the
         # second, after the working set has shrunk; odd rows start far off,
@@ -118,10 +117,11 @@ class TestFallbacks:
         coeffs = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
         exact = np.array([np.roots(c[::-1]) for c in coeffs])
         kind = (np.arange(16) % 4)[:, None]
-        warm = np.where(kind == 0, exact,
-                        np.where(kind == 2, exact + 1e-6, [5.0, 6.0, 7.0]))
+        start = np.where(kind == 0, exact,
+                         np.where(kind == 2, exact + 1e-6, [5.0, 6.0, 7.0]))
+        monkeypatch.setattr(_roots, "MAX_ITER", 2)
         with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
-            roots = aberth_batch(coeffs, warm=warm, max_iter=2)
+            roots = aberth_batch(coeffs, start=start)
         [record] = caplog.records
         assert record.args == (16, 3, 2, 8)    # rows, degree, iterations, fallback
         assert np.max(np.abs(np.sort_complex(roots) - np.sort_complex(exact))) < 1e-12
@@ -169,6 +169,83 @@ class TestMpmathOracle:
             dist = np.abs(row[:, None] - mp_preimages(F, z)[None, :])
             assert sorted(np.argmin(dist, axis=1)) == list(range(F.degree))
             assert np.max(np.min(dist, axis=1)) < 1e-13
+
+
+def polar(r, turn):
+    return r * np.exp(2j * np.pi * turn)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+def radius(r_max):
+    # Subnormal moduli are left out: see test_subnormal_zero_height_identity.
+    return st.floats(0.0, r_max, allow_subnormal=False)
+
+
+@st.composite
+def near_degenerate(draw, kind):
+    """A centered model of degree <= 8 with near-degenerate zeros of the
+    given kind, and a point z with 0.05 <= |z| <= 0.95."""
+    k = draw(st.integers(1, 7))
+    if kind == "clustered":
+        c = polar(draw(radius(0.9)), draw(unit))
+        spread = 10.0 ** draw(st.floats(-9.0, -2.0))
+        zeros = [c + polar(spread * draw(st.floats(0.1, 1.0)), draw(unit))
+                 for _ in range(k)]
+    elif kind == "repeated":
+        zeros = [polar(draw(radius(0.95)), draw(unit))] * k
+    else:
+        gap = {"near-circle": (-3.0, -0.5), "on-circle": (-9.0, -5.0)}[kind]
+        zeros = [polar(1.0 - 10.0 ** draw(st.floats(*gap)), draw(unit))
+                 for _ in range(k)]
+    F = InnerModel(rotation=polar(1.0, draw(unit)), zeros=(0j, *zeros))
+    return F, polar(draw(st.floats(0.05, 0.95)), draw(unit))
+
+
+def assert_checked_preimages(F, z, roots):
+    """The residual, the disk and the height identity of a preimage row."""
+    assert len(roots) == F.degree
+    assert np.max(np.abs(F.eval(roots) - z)) <= 1e-12
+    assert np.max(np.abs(roots)) < 1.0
+    heights = np.sum(np.log(1.0 / np.abs(roots)))
+    assert abs(heights - np.log(1.0 / abs(z))) <= 1e-12
+
+
+class TestNearDegenerate:
+    @pytest.mark.parametrize("kind", ["clustered", "repeated"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_preimages_are_checked(self, kind, data):
+        F, z = data.draw(near_degenerate(kind))
+        assert_checked_preimages(F, z, preimages_of_batch(F, [z])[0])
+
+    @pytest.mark.parametrize("kind", ["near-circle", "on-circle"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_zeros_near_circle_raise_or_are_checked(self, kind, data):
+        # Near a zero a with 1 - |a| small, F's own rounding error, about
+        # eps / (1 - |a|) per factor, and |F'| * eps reach the absolute
+        # 1e-12 residual: within 1e-5 of the circle, or for several zeros
+        # bunched near it, the solve raises.  It never returns a row that
+        # has not passed the checks.
+        F, z = data.draw(near_degenerate(kind))
+        try:
+            roots = preimages_of_batch(F, [z])[0]
+        except NumericalError:
+            return
+        assert_checked_preimages(F, z, roots)
+
+    @pytest.mark.xfail(strict=True, reason="|a|/a of a subnormal zero a is "
+                       "unimodular only to about 1e-11, so F is not inner")
+    def test_subnormal_zero_height_identity(self):
+        F = InnerModel.from_zeros(0, 1.573364814e-313 * (1 - 1j))
+        assert_checked_preimages(F, 0.5, preimages_of_batch(F, [0.5])[0])
+
+    def test_zero_on_circle_raises(self):
+        F = InnerModel.from_zeros(0, 1.0 - 1e-6)
+        with pytest.raises(NumericalError, match="root polish stalled"):
+            preimages_of_batch(F, [0.5])
 
 
 class TestEnumerateBall:
@@ -237,18 +314,29 @@ class TestEnumerateBall:
             assert np.array_equal(t1.points[g], t2.points[g])
             assert np.array_equal(t1.parents[g], t2.parents[g])
 
-    def test_critical_value_dedup(self, deg2):
+    @pytest.mark.parametrize("turn", [0.0, 0.3, 1.1, 2.5])
+    def test_critical_value_dedup(self, deg2, turn, monkeypatch, caplog):
         # 2 - sqrt(3) is the critical point of deg2, so the base F(F(c))
-        # has a near-double pair of pullbacks two generations up; their
-        # descendants come within DEDUP_TOL of each other and are merged.
+        # has a double pullback two generations up, split by the solve by
+        # less than DEDUP_TOL and merged into one node.  The tree must not
+        # depend on how the default ring of Aberth starts is turned, and
+        # no row may need the companion-matrix fallback.
+        ring = _roots._default_start
+        monkeypatch.setattr(_roots, "_default_start",
+                            lambda m, d: ring(m, d) * np.exp(1j * turn))
         c = 2.0 - np.sqrt(3.0)
-        tree = enumerate_ball(deg2, deg2.eval(deg2.eval(c)), 6.0)
-        assert tree.size() == 719
-        assert tree.collisions == 24
-        assert tree.pruned_from == 6
+        z = deg2.eval(deg2.eval(c))
+        tree = enumerate_ball(deg2, z, 6.0)
+        assert tree.size() == 696
+        assert tree.collisions == 1
+        assert tree.pruned_from == 2
         pts = np.concatenate(tree.points)
         kd = cKDTree(np.column_stack([pts.real, pts.imag]))
         assert kd.query_pairs(DEDUP_TOL) == set()
+        with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
+            enumerate_ball(deg2, z, 7.0)
+        assert caplog.records
+        assert all(record.args[3] == 0 for record in caplog.records)
 
     @pytest.mark.parametrize("case", ["deg2", "critical", "square", "random"])
     def test_matches_per_child_loop(self, case, deg2, square, rng):
