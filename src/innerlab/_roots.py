@@ -1,23 +1,32 @@
 """Batched polynomial root finding, and the one preimage solve of the
 disk and the strip (`_preimage_roots`).
 
-Aberth-Ehrlich simultaneous iteration, vectorized across many polynomials
-of the same degree.  Coefficients are lowest-degree first.
+Roots of many polynomials of the same degree at once; coefficients are
+lowest-degree first.  Degrees 1 and 2 are solved in closed form (the
+stable quadratic formula at degree 2), degree >= 3 by Aberth-Ehrlich
+simultaneous iteration, vectorized across the rows.
 
-Each iteration touches only the working set: contiguous (degree, rows)
-copies of the iterates, the monic coefficients and the residual scales of
-the rows still moving, with their row indices.  On an iteration where
-some rows finish, those rows are written back to the (m, d) result once
-and the working set shrinks to the rest.  p and p' come from one Horner
-pass, and the Aberth sum over the other roots is d - 1 broadcasts of the
-rotated iterates.  Rows still moving after MAX_ITER iterations are
-re-solved by companion-matrix eigenvalues.
+Aberth iterates the rows in blocks of at most BLOCK_ROWS, one block
+after the other, so the memory of a call stays a few MB however many rows
+it has; a row's iterates never depend on the other rows, so the blocks
+change no digit.  Each iteration touches only the working set of its
+block: contiguous (degree, rows) copies of the iterates, the monic
+coefficients and the residual scales of the rows still moving, with
+their row indices.  On an iteration where some rows finish, those rows
+are written back to the (m, d) result once and the working set shrinks
+to the rest.  p and p' come from one Horner pass, and the Aberth sum
+over the other roots is d - 1 broadcasts of the rotated iterates.  A row
+stops when its residual is small or no root moves by more than 1e-15
+relative to max(1, |w|).  Rows still moving after MAX_ITER iterations
+are re-solved by companion-matrix eigenvalues.
 
 An optional `start` array of the result's shape (m, d) replaces the
-fixed, symmetry-breaking default ring as the starting configuration.
+fixed, symmetry-breaking default ring as the starting configuration; it
+is read only at degree >= 3.
 Deterministic: fixed starting configuration, fixed iteration policy, no
 randomness.  Each call logs one DEBUG record with its rows, degree,
-iterations run and companion-matrix fallback rows.
+iterations run (the most of any block) and companion-matrix fallback
+rows (0 and 0 in closed form).
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ log = logging.getLogger("innerlab.roots")
 RESIDUAL_TOL = 1e-12
 ABERTH_TOL = 5e-14
 MAX_ITER = 60
+BLOCK_ROWS = 4096
+_RECORD = "aberth_batch: %d rows, degree %d, %d iterations, %d fallback rows"
 
 
 def _default_start(m: int, d: int) -> np.ndarray:
@@ -42,11 +53,26 @@ def _default_start(m: int, d: int) -> np.ndarray:
     return np.broadcast_to(ring, (m, d)).copy()
 
 
+def _quadratic_roots(monic):
+    """Both roots of each monic row w^2 + b w + c, in closed form.
+
+    q = -(b + s)/2 with s = sqrt(b^2 - 4c) signed so that b and s do not
+    cancel, and the second root c/q from Vieta.  q = 0 only where
+    b = c = 0, and there both roots are 0.
+    """
+    c, b = monic[:, 0], monic[:, 1]
+    s = np.sqrt(b * b - 4.0 * c)
+    s = np.where((b.conj() * s).real < 0.0, -s, s)
+    q = -0.5 * (b + s)
+    return np.stack((q, c / np.where(q == 0, 1.0, q)), axis=1)
+
+
 def aberth_batch(coeffs, start=None):
     """All roots of each row of `coeffs` (lowest-degree first).
 
     Returns an (m, d) complex array, d = degree.  `start`, if given, is
-    the (m, d) array of starting points.  Rows where Aberth stalls are
+    the (m, d) array of Aberth starting points (degree >= 3 only; degrees
+    1 and 2 are solved in closed form).  Rows where Aberth stalls are
     re-solved by companion-matrix eigenvalues; a residual floor is
     enforced by the caller's Newton polish, not here.
     """
@@ -60,14 +86,32 @@ def aberth_batch(coeffs, start=None):
         raise NumericalError("vanishing leading coefficient in batch")
     monic = coeffs / lead[:, None]
 
-    if d == 1:
-        log.debug("aberth_batch: %d rows, degree 1, 0 iterations, 0 fallback rows", m)
-        return (-monic[:, :1]).copy()
+    if d <= 2:
+        log.debug(_RECORD, m, d, 0, 0)
+        if d == 1:
+            return (-monic[:, :1]).copy()
+        return _quadratic_roots(monic)
 
     w = _default_start(m, d) if start is None else np.array(start, dtype=complex)
+    iters, stalled = 0, []
+    for lo in range(0, m, BLOCK_ROWS):
+        block = slice(lo, lo + BLOCK_ROWS)
+        block_iters, left = _aberth_block(monic[block], w[block])
+        iters = max(iters, block_iters)
+        stalled.extend(lo + left)
+    for i in stalled:
+        w[i] = np.sort_complex(np.roots(monic[i, ::-1]))
+    log.debug(_RECORD, m, d, iters, len(stalled))
+    return w
 
+
+def _aberth_block(monic, w):
+    """Aberth iteration on the rows of `monic`, from and into `w` (an
+    (m, d) view, updated in place).  Returns the iterations run and the
+    indices of the rows still moving after MAX_ITER."""
+    d = monic.shape[1] - 1
     # The working set, one column per row still moving.
-    rows = np.arange(m)
+    rows = np.arange(len(w))
     c = monic.T.copy()
     wa = w.T.copy()
     scale = np.maximum(np.max(np.abs(monic), axis=1), 1.0)
@@ -93,18 +137,13 @@ def aberth_batch(coeffs, start=None):
                 step[~np.isfinite(step)] = 0.1
             wa -= step
             res = np.max(np.abs(p), axis=0) / scale
-            moved = np.max(np.abs(step), axis=0)
+            moved = np.max(np.abs(step) / np.maximum(np.abs(wa), 1.0), axis=0)
             done = (res < ABERTH_TOL) | (moved < 1e-15)
             if done.any():
                 w[rows[done]] = wa[:, done].T
                 keep = ~done
                 rows, c, wa, scale = rows[keep], c[:, keep], wa[:, keep], scale[keep]
-
-    for i in rows:
-        w[i] = np.sort_complex(np.roots(monic[i, ::-1]))
-    log.debug("aberth_batch: %d rows, degree %d, %d iterations, %d fallback rows",
-              m, d, iters, len(rows))
-    return w
+    return iters, rows
 
 
 def _preimage_roots(F, zs, step_cap, resid_scale, start=None):
@@ -114,7 +153,8 @@ def _preimage_roots(F, zs, step_cap, resid_scale, start=None):
     `F` has `eval`, `deriv` and the rational form `rational_coeffs` = (N, D),
     lowest-degree first.  A Newton step of modulus `step_cap` or more is
     not taken (near a multiple root F' ~ 0), which leaves that root to the
-    residual check.  `start` is passed on to `aberth_batch`.
+    residual check.  `start` is passed on to `aberth_batch`, which reads it
+    only at degree >= 3.
     """
     N, D = F.rational_coeffs
     coeffs = np.zeros((len(zs), len(N)), dtype=complex)

@@ -126,9 +126,10 @@ def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
     A z outside H is a PreconditionError.  Residuals are kept below
     1e-12 * max(1, max |z|); all roots must lie in H and satisfy the height
     identity sum Im w = Im z to 1e-9, else a consistency error is raised.
-    The root solve starts each row at z - beta (the drift root) and next
-    to each atom base point (one root near each pole), nudged off the
-    vertical through the pole so that no start is symmetric under a
+    A one-atom model (degree 2) is solved in closed form.  From degree 3
+    on, the root solve starts each row at z - beta (the drift root) and
+    next to each atom base point (one root near each pole), nudged off
+    the vertical through the pole so that no start is symmetric under a
     reflection of the model.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))

@@ -230,6 +230,17 @@ def ring_start(coeffs, start=None):
     return aberth_batch(coeffs)
 
 
+def companion_roots(coeffs, start=None):
+    """Every row rooted by companion-matrix eigenvalues (`np.roots`)."""
+    return np.array([np.roots(row[::-1]) for row in np.atleast_2d(coeffs)])
+
+
+@pytest.fixture(scope="module")
+def three_atoms():
+    """A degree-4 model: its strip solve runs Aberth from the pole start."""
+    return HalfPlaneInner(beta=0.0, atoms=((-1.0, 0.5), (0.0, 1.0), (1.0, 0.5)))
+
+
 class TestRootStart:
     ZS = np.array([0.5j, 0.3 + 0.2j, -1.5 + 0.05j])
 
@@ -242,23 +253,44 @@ class TestRootStart:
         [record] = caplog.records
         return rows, record.args[2]
 
-    def test_pole_start_beats_ring(self, zminus, caplog, monkeypatch):
+    def test_pole_start_beats_ring(self, three_atoms, caplog, monkeypatch):
         # Why hp_preimages_batch passes a start at all: from z - beta and
-        # next to the pole Aberth needs fewer iterations than from the ring.
-        poles, n_poles = self.iterations(caplog, zminus, self.ZS)
+        # next to each pole Aberth needs fewer iterations than from the ring.
+        poles, n_poles = self.iterations(caplog, three_atoms, self.ZS)
         monkeypatch.setattr(_roots, "aberth_batch", ring_start)
-        ring, n_ring = self.iterations(caplog, zminus, self.ZS)
+        ring, n_ring = self.iterations(caplog, three_atoms, self.ZS)
         assert n_poles < n_ring
         assert np.max(np.abs(poles - ring)) < 1e-12
 
-    def test_strip_matches_cold_start(self, zminus, monkeypatch):
-        poles = enumerate_strip(zminus, 0.5j, (-1, 1), 8.0)
+    def test_strip_matches_cold_start(self, three_atoms, monkeypatch):
+        poles = enumerate_strip(three_atoms, 0.5j, (-1, 1), 8.0)
         monkeypatch.setattr(_roots, "aberth_batch", ring_start)
-        ring = enumerate_strip(zminus, 0.5j, (-1, 1), 8.0)
+        ring = enumerate_strip(three_atoms, 0.5j, (-1, 1), 8.0)
         assert poles.explored == ring.explored
         assert poles.farfield_pruned == ring.farfield_pruned
         assert np.array_equal(poles.counted_generations, ring.counted_generations)
         assert np.max(np.abs(poles.counted_points - ring.counted_points)) < 1e-12
+
+    def test_large_roots_stop_without_fallback(self, three_atoms, caplog,
+                                               monkeypatch):
+        # Far-field rows have a root near z, of modulus up to ~26 at R = 8.
+        # Aberth's step test is relative to max(1, |w|), so those rows stop
+        # instead of running out of iterations into the companion-matrix
+        # fallback.
+        with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
+            strip = enumerate_strip(three_atoms, 0.5j, (-1, 1), 8.0)
+        assert caplog.records
+        assert all(record.args[3] == 0 for record in caplog.records)
+        assert strip.explored == 6613
+        assert np.array_equal(
+            np.bincount(strip.counted_generations),
+            [1, 2, 8, 32, 44, 32, 20] + [4] * 14 + [2])
+        monkeypatch.setattr(_roots, "aberth_batch", companion_roots)
+        companion = enumerate_strip(three_atoms, 0.5j, (-1, 1), 8.0)
+        assert companion.explored == strip.explored
+        assert np.array_equal(companion.counted_generations,
+                              strip.counted_generations)
+        assert np.max(np.abs(companion.counted_points - strip.counted_points)) < 1e-12
 
 
 class TestStripReport:

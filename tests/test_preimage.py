@@ -108,17 +108,23 @@ class TestFallbacks:
         fallback = np.sort_complex(aberth_batch(coeffs))
         assert np.max(np.abs(fallback - aberth)) < 1e-12
 
-    def test_compaction_writes_rows_back_in_place(self, rng, caplog, monkeypatch):
-        # Rows 0, 4, 8, ... start at their roots and finish on the first
-        # iteration; rows 2, 6, 10, ... start 1e-6 off and finish on the
-        # second, after the working set has shrunk; odd rows start far off,
-        # run out of iterations and go to np.roots.  Each row must land
-        # back in its own position.
+    @staticmethod
+    def compaction_case(rng):
+        """(coeffs, start, exact) of 16 cubics.  Rows 0, 4, 8, ... start at
+        their roots and finish on the first iteration; rows 2, 6, 10, ...
+        start 1e-6 off and finish on the second, after the working set has
+        shrunk; odd rows start far off and, with MAX_ITER = 2, run out of
+        iterations and go to np.roots."""
         coeffs = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
         exact = np.array([np.roots(c[::-1]) for c in coeffs])
         kind = (np.arange(16) % 4)[:, None]
         start = np.where(kind == 0, exact,
                          np.where(kind == 2, exact + 1e-6, [5.0, 6.0, 7.0]))
+        return coeffs, start, exact
+
+    def test_compaction_writes_rows_back_in_place(self, rng, caplog, monkeypatch):
+        # Each row must land back in its own position.
+        coeffs, start, exact = self.compaction_case(rng)
         monkeypatch.setattr(_roots, "MAX_ITER", 2)
         with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
             roots = aberth_batch(coeffs, start=start)
@@ -126,12 +132,81 @@ class TestFallbacks:
         assert record.args == (16, 3, 2, 8)    # rows, degree, iterations, fallback
         assert np.max(np.abs(np.sort_complex(roots) - np.sort_complex(exact))) < 1e-12
 
+    def test_row_blocks_change_no_digit(self, rng, caplog, monkeypatch):
+        # The rows of the compaction test in blocks of 5, 5, 5 and 1: the
+        # same roots bit for bit, the fallback rows at their own positions,
+        # and one record with the most iterations of any block.
+        coeffs, start, _ = self.compaction_case(rng)
+        monkeypatch.setattr(_roots, "MAX_ITER", 2)
+        whole = aberth_batch(coeffs, start=start)
+        monkeypatch.setattr(_roots, "BLOCK_ROWS", 5)
+        with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
+            blocked = aberth_batch(coeffs, start=start)
+        [record] = caplog.records
+        assert record.args == (16, 3, 2, 8)
+        assert np.array_equal(blocked, whole)
+
     def test_residual_check_raises_with_context(self, deg2, monkeypatch):
         monkeypatch.setattr(_roots, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericalError) as info:
             preimages_of_batch(deg2, [0.3, 0.1 + 0.2j])
         assert set(info.value.context) == {"model", "z", "root"}
         assert info.value.context["model"] is deg2
+
+
+def mp_quadratic_roots(b, c):
+    """Both roots of w^2 + b w + c, by mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        roots = mpmath.polyroots([1, mpmath.mpc(b), mpmath.mpc(c)],
+                                 maxsteps=200, extraprec=200)
+        return np.array([complex(r) for r in roots])
+
+
+class TestQuadratic:
+    @staticmethod
+    def cases():
+        """(b, c) rows: seeded random quadratics and the edge cases."""
+        rng = np.random.default_rng(19)
+        r1, r2 = (rng.normal(size=(2, 100)) + 1j * rng.normal(size=(2, 100)))
+        far = 1e3 * np.exp(2j * np.pi * rng.uniform(size=10))
+        b = [-(r1 + r2), rng.normal(size=20) + 1j * rng.normal(size=20)]
+        c = [r1 * r2, 5 * (rng.normal(size=20) + 1j * rng.normal(size=20))]
+        edge = [(0.0, -0.25),                   # z^2 = 0.25: +-0.5
+                (0.0, 0.3 - 0.7j),              # b = 0: +-sqrt(-c)
+                (0.4 - 1.1j, 0.0),              # c = 0: a root at 0
+                (0.0, 0.0),                     # the double root 0
+                (-0.75 + 1.25j, -0.25 - 0.46875j),  # b^2 = 4c exactly
+                (-1.0 - 1.0j, 0.5j - 2.5e-17)]  # roots (1 + i)/2 +- 5e-9
+        b.append(np.array([e[0] for e in edge], dtype=complex))
+        c.append(np.array([e[1] for e in edge], dtype=complex))
+        # The strip's far field: one root near z, one near -1/z; and two
+        # roots of modulus ~1e3.
+        b += [-(far - 1 / far), -(far + 1.5 * far * np.exp(1j))]
+        c += [-np.ones(10, dtype=complex), 1.5 * far * far * np.exp(1j)]
+        return np.concatenate(b), np.concatenate(c)
+
+    def test_matches_mpmath(self, caplog):
+        b, c = self.cases()
+        with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
+            got = aberth_batch(np.column_stack([c, b, np.ones_like(b)]))
+        [record] = caplog.records
+        assert record.args == (len(b), 2, 0, 0)
+        for row, bi, ci in zip(got, b, c):
+            want = mp_quadratic_roots(bi, ci)
+            err = min(np.max(np.abs(row - w) / np.maximum(1.0, np.abs(w)))
+                      for w in (want, want[::-1]))
+            assert err <= 4 * np.finfo(float).eps, (bi, ci)
+
+    def test_ignores_start_and_scales_rows(self, caplog):
+        # A leading coefficient other than 1 is divided out; `start` is
+        # not read at degree 2.
+        b, c = self.cases()
+        coeffs = np.column_stack([c, b, np.ones_like(b)])
+        with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
+            plain = aberth_batch(coeffs)
+            started = aberth_batch(4 * coeffs, start=np.full(plain.shape, np.nan))
+        assert [r.args for r in caplog.records] == [(len(b), 2, 0, 0)] * 2
+        assert np.array_equal(plain, started)
 
 
 def mp_preimages(F, z):
@@ -314,29 +389,45 @@ class TestEnumerateBall:
             assert np.array_equal(t1.points[g], t2.points[g])
             assert np.array_equal(t1.parents[g], t2.parents[g])
 
-    @pytest.mark.parametrize("turn", [0.0, 0.3, 1.1, 2.5])
-    def test_critical_value_dedup(self, deg2, turn, monkeypatch, caplog):
-        # 2 - sqrt(3) is the critical point of deg2, so the base F(F(c))
-        # has a double pullback two generations up, split by the solve by
-        # less than DEDUP_TOL and merged into one node.  The tree must not
-        # depend on how the default ring of Aberth starts is turned, and
-        # no row may need the companion-matrix fallback.
-        ring = _roots._default_start
-        monkeypatch.setattr(_roots, "_default_start",
-                            lambda m, d: ring(m, d) * np.exp(1j * turn))
-        c = 2.0 - np.sqrt(3.0)
-        z = deg2.eval(deg2.eval(c))
-        tree = enumerate_ball(deg2, z, 6.0)
-        assert tree.size() == 696
+    @staticmethod
+    def assert_critical_value_tree(F, c, size, caplog):
+        """The tree of F(F(c)) at R = 6, for a critical point c of F, has a
+        double pullback two generations up, split by the solve by less
+        than DEDUP_TOL and merged into one node; the R = 7 tree needs no
+        companion-matrix fallback."""
+        z = F.eval(F.eval(c))
+        tree = enumerate_ball(F, z, 6.0)
+        assert tree.size() == size
         assert tree.collisions == 1
         assert tree.pruned_from == 2
         pts = np.concatenate(tree.points)
         kd = cKDTree(np.column_stack([pts.real, pts.imag]))
         assert kd.query_pairs(DEDUP_TOL) == set()
+        caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
-            enumerate_ball(deg2, z, 7.0)
+            enumerate_ball(F, z, 7.0)
         assert caplog.records
         assert all(record.args[3] == 0 for record in caplog.records)
+
+    def test_critical_value_dedup_deg2(self, deg2, caplog):
+        # 2 - sqrt(3) is the critical point of deg2.
+        self.assert_critical_value_tree(deg2, 2.0 - np.sqrt(3.0), 696, caplog)
+
+    @pytest.mark.parametrize("turn", [0.0, 0.3, 1.1, 2.5])
+    def test_critical_value_dedup(self, turn, monkeypatch, caplog):
+        # At degree >= 3 the solve is Aberth's, and the tree must not
+        # depend on how the default ring of starts is turned.
+        ring = _roots._default_start
+        monkeypatch.setattr(_roots, "_default_start",
+                            lambda m, d: ring(m, d) * np.exp(1j * turn))
+        F = InnerModel.from_zeros(0, 0.5, 0.4j)
+        N, D = F.rational_coeffs
+        P = np.polynomial.polynomial
+        crit = P.polyroots(P.polysub(P.polymul(P.polyder(N), D),
+                                     P.polymul(N, P.polyder(D))))
+        c = crit[np.argmin(np.abs(crit - 0.2j))]
+        assert abs(F.deriv(c)) < 1e-14
+        self.assert_critical_value_tree(F, c, 760, caplog)
 
     @pytest.mark.parametrize("case", ["deg2", "critical", "square", "random"])
     def test_matches_per_child_loop(self, case, deg2, square, rng):
