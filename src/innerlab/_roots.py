@@ -27,6 +27,14 @@ Deterministic: fixed starting configuration, fixed iteration policy, no
 randomness.  Each call logs one DEBUG record with its rows, degree,
 iterations run (the most of any block) and companion-matrix fallback
 rows (0 and 0 in closed form).
+
+`_preimage_roots` takes one Newton step on F(w) - z from each root and
+checks the residual at the returned roots.  On the disk and strip trees a
+second or third step would move the roots only by rounding (below 1e-15
+relative to max(1, |w|)); only rows that fail the check get them.  Each
+solve logs one DEBUG record with its rows, degree, rows given more steps,
+worst residual over its scale and largest first Newton step relative to
+max(1, |w|).
 """
 
 from __future__ import annotations
@@ -43,7 +51,10 @@ RESIDUAL_TOL = 1e-12
 ABERTH_TOL = 5e-14
 MAX_ITER = 60
 BLOCK_ROWS = 4096
+MAX_RESWEEPS = 2
 _RECORD = "aberth_batch: %d rows, degree %d, %d iterations, %d fallback rows"
+_SOLVE_RECORD = ("preimage solve: %d rows, degree %d, %d rows re-swept, "
+                 "residual %.3e of its scale, largest first Newton step %.3e")
 
 
 def _default_start(m: int, d: int) -> np.ndarray:
@@ -74,7 +85,7 @@ def aberth_batch(coeffs, start=None):
     the (m, d) array of Aberth starting points (degree >= 3 only; degrees
     1 and 2 are solved in closed form).  Rows where Aberth stalls are
     re-solved by companion-matrix eigenvalues; a residual floor is
-    enforced by the caller's Newton polish, not here.
+    enforced by the caller's Newton step and residual check, not here.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     m, n1 = coeffs.shape
@@ -146,32 +157,53 @@ def _aberth_block(monic, w):
     return iters, rows
 
 
+def _newton_sweep(F, w, z, step_cap):
+    """One Newton step on F(w) - z from the roots `w`, not taken where it is
+    not finite or of modulus `step_cap` or more.  Returns the new roots,
+    their residuals |F(w) - z| and the steps taken (0 where none is)."""
+    step = F.eval(w) - z
+    with np.errstate(all="ignore"):
+        step /= F.deriv(w)
+    step[~(np.abs(step) < step_cap)] = 0.0      # also where NaN or inf
+    w = w - step
+    return w, np.abs(F.eval(w) - z), step
+
+
 def _preimage_roots(F, zs, step_cap, resid_scale, start=None):
     """The roots w of F(w) = z for each z of the 1-D array `zs`, one row
-    per z, polished and checked to |F(w) - z| <= RESIDUAL_TOL * resid_scale.
+    per z, each given one Newton step on F(w) - z and checked to
+    |F(w) - z| <= RESIDUAL_TOL * resid_scale.
 
     `F` has `eval`, `deriv` and the rational form `rational_coeffs` = (N, D),
     lowest-degree first.  A Newton step of modulus `step_cap` or more is
     not taken (near a multiple root F' ~ 0), which leaves that root to the
-    residual check.  `start` is passed on to `aberth_batch`, which reads it
-    only at degree >= 3.
+    residual check.  Rows that fail the check get up to MAX_RESWEEPS more
+    steps, the others none: where the rational form's coefficients are
+    ill-conditioned (a zero of high multiplicity near the circle) the
+    solver's roots can be off by 1e-6, and one step leaves a residual
+    above the bound.  `start` is passed on to `aberth_batch`, which reads
+    it only at degree >= 3.
     """
     N, D = F.rational_coeffs
     coeffs = np.zeros((len(zs), len(N)), dtype=complex)
     coeffs[:] = N
     coeffs[:, :len(D)] -= zs[:, None] * D
-    roots = aberth_batch(coeffs, start)
     zz = zs[:, None]
-    for _ in range(3):
-        fw = F.eval(roots) - zz
-        dfw = F.deriv(roots)
-        with np.errstate(all="ignore"):
-            step = fw / dfw
-        ok = np.isfinite(step) & (np.abs(step) < step_cap)
-        roots = np.where(ok, roots - step, roots)
-    resid = np.abs(F.eval(roots) - zz)
+    tol = RESIDUAL_TOL * resid_scale
+    roots, resid, step = _newton_sweep(F, aberth_batch(coeffs, start), zz, step_cap)
+    again = np.flatnonzero(np.max(resid, axis=1) > tol)
+    resweeps = len(again)
+    for _ in range(MAX_RESWEEPS):
+        if not len(again):
+            break
+        roots[again], resid[again], _ = _newton_sweep(F, roots[again], zz[again], step_cap)
+        again = again[np.max(resid[again], axis=1) > tol]
     worst = float(np.max(resid))
-    if worst > RESIDUAL_TOL * resid_scale:
+    if log.isEnabledFor(logging.DEBUG):
+        moved = float(np.max(np.abs(step) / np.maximum(np.abs(roots), 1.0)))
+        log.debug(_SOLVE_RECORD, len(zs), roots.shape[1], resweeps,
+                  worst / resid_scale, moved)
+    if worst > tol:
         i, j = np.unravel_index(np.argmax(resid), resid.shape)
         raise NumericalError(
             f"root polish stalled at residual {worst:.3e}",

@@ -15,7 +15,8 @@ positive at the origin; any unimodular constant is carried by `rotation`.
 Evaluation core.  `__post_init__` stores the factors once as columns:
 (d, 1) arrays of conj(a) and of 1 - |a|^2 for the zeros a; (m, 1) arrays
 of the m nonzero zeros, their conjugates, u = |a|/a (Python complex
-division) and u (|a|^2 - 1); (k, 1) arrays of the atom base points
+division, on a scaled by 2^600 so that a subnormal a keeps |u| = 1) and
+u (|a|^2 - 1); (k, 1) arrays of the atom base points
 zeta_k, of -w_k, 2 w_k and -2 w_k zeta_k.  `eval`, `deriv`, `gap_ratio`
 and `boundary_deriv_modulus` flatten their input and broadcast a row of
 points against these columns, so the factor axis leads and no Python
@@ -82,6 +83,14 @@ def _column(values, dtype=complex):
     return np.array(list(values), dtype=dtype).reshape(-1, 1)
 
 
+def _unimodular(a):
+    """|a|/a for a zero a != 0, computed on a * 2^600: the power-of-two
+    scale is exact, so it is bit for bit |a|/a for normal a, and lifts a
+    subnormal a, whose own quotient is unimodular only to about 1e-11."""
+    b = a * 2.0 ** 600
+    return abs(b) / b
+
+
 def _rows(idx):
     """Index array of the factor rows in `idx`, None when it is empty."""
     return np.array(idx, dtype=np.intp) if idx else None
@@ -124,8 +133,8 @@ class InnerModel:
             "_c": _column((1.0 - abs(a) ** 2 for a in zs), float),
             "_a_moved": _column(moved),
             "_ac_moved": _column(a.conjugate() for a in moved),
-            "_u": _column(abs(a) / a for a in moved),
-            "_du": _column(abs(a) / a * (abs(a) ** 2 - 1.0) for a in moved),
+            "_u": _column(_unimodular(a) for a in moved),
+            "_du": _column(_unimodular(a) * (abs(a) ** 2 - 1.0) for a in moved),
             "_zeta": _column(np.exp(1j * ang) for ang, _ in ats),
             "_neg_w": _column((-w for _, w in ats), float),
             "_2w": _column((2.0 * w for _, w in ats), float),
@@ -329,7 +338,7 @@ class InnerModel:
             if a == 0:
                 P = np.convolve(P, [0.0, 1.0])
             else:
-                u = abs(a) / a
+                u = _unimodular(a)
                 P = np.convolve(P, [u * a, -u])
                 Q = np.convolve(Q, [1.0, -np.conj(a)])
         P.flags.writeable = Q.flags.writeable = False

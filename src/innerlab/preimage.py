@@ -3,7 +3,7 @@
 Solves F(w) = z through the model's cached rational form F = P/Q by the
 preimage solve shared with the strip (`_roots._preimage_roots`: the
 stable quadratic formula at degree 2, Aberth-Ehrlich from one fixed ring
-of starts at degree >= 3, then a Newton polish on F(w) - z and an
+of starts at degree >= 3, then one Newton step on F(w) - z and an
 absolute 1e-12 residual check), clips rounding overshoot back into the
 disk, and enumerates the tree of repeated preimages inside hyperbolic
 balls with Schwarz-lemma pruning.  Enumeration is breadth-first, batched

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from innerlab import _roots
 from innerlab.innerfn import InnerModel
 
 
@@ -22,6 +23,11 @@ def random_centered_blaschke(rng, dmax=6, rmax=0.9, rotate=True):
 def random_disk_point(rng, rmin=0.05, rmax=0.9):
     r = rng.uniform(rmin, rmax)
     return r * np.exp(2j * np.pi * rng.uniform())
+
+
+def aberth_records(caplog):
+    """The captured `aberth_batch` records, without the preimage solve's."""
+    return [r for r in caplog.records if r.msg == _roots._RECORD]
 
 
 @dataclass(frozen=True)

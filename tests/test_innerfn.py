@@ -33,6 +33,15 @@ class TestConstruction:
         assert InnerModel.from_zeros(0, 0.5).centered
         assert not InnerModel.from_zeros(0.5).centered
 
+    def test_unimodular_constant(self, rng):
+        # Scaling by 2^600 is exact: normal zeros get |a|/a bit for bit,
+        # subnormal ones a constant of modulus 1 (|a|/a is off by ~1e-11).
+        mods = 10.0 ** rng.uniform(-300.0, 0.0, 20000)
+        for a in (mods * np.exp(2j * np.pi * rng.uniform(size=mods.size))).tolist():
+            assert innerfn._unimodular(a) == abs(a) / a
+        for a in (1.573364814e-313 * (1 - 1j), 5e-324j, -3e-320 + 1e-310j):
+            assert abs(abs(innerfn._unimodular(a)) - 1.0) <= 2.3e-16
+
 
 class TestEval:
     def test_power_map(self, square):

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import aberth_records
 from innerlab import _roots, parabolic
 from innerlab._roots import aberth_batch
 from innerlab.counting import CountingProfile, cesaro, count, counting_report
@@ -250,7 +251,7 @@ class TestRootStart:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
             rows = hp_preimages_batch(F, zs)
-        [record] = caplog.records
+        [record] = aberth_records(caplog)
         return rows, record.args[2]
 
     def test_pole_start_beats_ring(self, three_atoms, caplog, monkeypatch):
@@ -279,8 +280,8 @@ class TestRootStart:
         # fallback.
         with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
             strip = enumerate_strip(three_atoms, 0.5j, (-1, 1), 8.0)
-        assert caplog.records
-        assert all(record.args[3] == 0 for record in caplog.records)
+        assert aberth_records(caplog)
+        assert all(record.args[3] == 0 for record in aberth_records(caplog))
         assert strip.explored == 6613
         assert np.array_equal(
             np.bincount(strip.counted_generations),
