@@ -17,24 +17,21 @@ are written back to the (m, d) result once and the working set shrinks
 to the rest.  p and p' come from one Horner pass, and the Aberth sum
 over the other roots is d - 1 broadcasts of the rotated iterates.  A row
 stops when its residual is small or no root moves by more than 1e-15
-relative to max(1, |w|).  Rows still moving after MAX_ITER iterations
-are re-solved by companion-matrix eigenvalues.
+relative to max(1, |w|); rows still moving after MAX_ITER iterations
+are written back with their last iterates.
 
-An optional `start` array of the result's shape (m, d) replaces the
-fixed, symmetry-breaking default ring as the starting configuration; it
-is read only at degree >= 3.
-Deterministic: fixed starting configuration, fixed iteration policy, no
-randomness.  Each call logs one DEBUG record with its rows, degree,
-iterations run (the most of any block) and companion-matrix fallback
-rows (0 and 0 in closed form).
+Deterministic: fixed starting configuration (a symmetry-breaking ring,
+or the caller's `start`), fixed iteration policy, no randomness.  Each call logs one DEBUG record with its rows, degree,
+iterations run (the most of any block) and rows left moving (0 and 0 in
+closed form).
 
 `_preimage_roots` takes one Newton step on F(w) - z from each root and
-checks the residual at the returned roots.  On the disk and strip trees a
-second or third step would move the roots only by rounding (below 1e-15
-relative to max(1, |w|)); only rows that fail the check get them.  Each
-solve logs one DEBUG record with its rows, degree, rows given more steps,
-worst residual over its scale and largest first Newton step relative to
-max(1, |w|).
+checks the residual at the returned roots.  Rows that fail it go to one
+rescue: Aberth iteration, with the same step, on p = D (F - z) in
+product form, never on the expanded N - z D, whose coefficients can lose
+the roots' digits.  Each solve logs one DEBUG record with its rows,
+degree, rows rescued, worst residual over its scale and largest first
+Newton step relative to max(1, |w|).
 """
 
 from __future__ import annotations
@@ -51,9 +48,8 @@ RESIDUAL_TOL = 1e-12
 ABERTH_TOL = 5e-14
 MAX_ITER = 60
 BLOCK_ROWS = 4096
-MAX_RESWEEPS = 2
-_RECORD = "aberth_batch: %d rows, degree %d, %d iterations, %d fallback rows"
-_SOLVE_RECORD = ("preimage solve: %d rows, degree %d, %d rows re-swept, "
+_RECORD = "aberth_batch: %d rows, degree %d, %d iterations, %d rows left moving"
+_SOLVE_RECORD = ("preimage solve: %d rows, degree %d, %d rows rescued, "
                  "residual %.3e of its scale, largest first Newton step %.3e")
 
 
@@ -83,9 +79,9 @@ def aberth_batch(coeffs, start=None):
 
     Returns an (m, d) complex array, d = degree.  `start`, if given, is
     the (m, d) array of Aberth starting points (degree >= 3 only; degrees
-    1 and 2 are solved in closed form).  Rows where Aberth stalls are
-    re-solved by companion-matrix eigenvalues; a residual floor is
-    enforced by the caller's Newton step and residual check, not here.
+    1 and 2 are solved in closed form).  Rows still moving after MAX_ITER
+    iterations come back with their last iterates; the caller's residual
+    check and rescue take them up.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     m, n1 = coeffs.shape
@@ -104,22 +100,40 @@ def aberth_batch(coeffs, start=None):
         return _quadratic_roots(monic)
 
     w = _default_start(m, d) if start is None else np.array(start, dtype=complex)
-    iters, stalled = 0, []
+    iters, moving = 0, 0
     for lo in range(0, m, BLOCK_ROWS):
         block = slice(lo, lo + BLOCK_ROWS)
         block_iters, left = _aberth_block(monic[block], w[block])
-        iters = max(iters, block_iters)
-        stalled.extend(lo + left)
-    for i in stalled:
-        w[i] = np.sort_complex(np.roots(monic[i, ::-1]))
-    log.debug(_RECORD, m, d, iters, len(stalled))
+        iters, moving = max(iters, block_iters), moving + left
+    log.debug(_RECORD, m, d, iters, moving)
     return w
+
+
+def _aberth_step(newton, wa):
+    """Takes the Aberth step at the (d, n) iterates `wa` (one column per
+    row, in place) from their Newton steps p/p': newton / (1 - newton
+    sum_{j != i} 1/(w_i - w_j)), the Newton step where that is not finite,
+    and 0.1 where neither is (at d = 1 the sum is 1/0, so the step is
+    Newton's).  Returns each column's largest step relative to max(1, |w|)."""
+    d = len(wa)
+    # sum_{j != i} 1 / (w_i - w_j), with w_j = w_{i+k mod d}.
+    ww = np.concatenate((wa, wa))
+    s = 1.0 / (wa - ww[1:d + 1])
+    for k in range(2, d):
+        s += 1.0 / (wa - ww[k:k + d])
+    step = newton / (1.0 - newton * s)
+    if not np.isfinite(step).all():
+        bad = ~np.isfinite(step)
+        step[bad] = newton[bad]
+        step[~np.isfinite(step)] = 0.1
+    wa -= step
+    return np.max(np.abs(step) / np.maximum(np.abs(wa), 1.0), axis=0)
 
 
 def _aberth_block(monic, w):
     """Aberth iteration on the rows of `monic`, from and into `w` (an
-    (m, d) view, updated in place).  Returns the iterations run and the
-    indices of the rows still moving after MAX_ITER."""
+    (m, d) view, updated in place; rows still moving after MAX_ITER keep
+    their last iterates).  Returns the iterations run and those rows' count."""
     d = monic.shape[1] - 1
     # The working set, one column per row still moving.
     rows = np.arange(len(w))
@@ -135,75 +149,71 @@ def _aberth_block(monic, w):
             for k in range(d - 2, -1, -1):
                 dp = dp * wa + p
                 p = p * wa + c[k]
-            # sum_{j != i} 1 / (w_i - w_j), with w_j = w_{i+k mod d}.
-            ww = np.concatenate((wa, wa))
-            s = 1.0 / (wa - ww[1:d + 1])
-            for k in range(2, d):
-                s += 1.0 / (wa - ww[k:k + d])
-            newton = p / dp
-            step = newton / (1.0 - newton * s)
-            if not np.isfinite(step).all():
-                bad = ~np.isfinite(step)
-                step[bad] = newton[bad]
-                step[~np.isfinite(step)] = 0.1
-            wa -= step
+            moved = _aberth_step(p / dp, wa)
             res = np.max(np.abs(p), axis=0) / scale
-            moved = np.max(np.abs(step) / np.maximum(np.abs(wa), 1.0), axis=0)
             done = (res < ABERTH_TOL) | (moved < 1e-15)
             if done.any():
                 w[rows[done]] = wa[:, done].T
                 keep = ~done
                 rows, c, wa, scale = rows[keep], c[:, keep], wa[:, keep], scale[keep]
-    return iters, rows
+    w[rows] = wa.T
+    return iters, len(rows)
 
 
-def _newton_sweep(F, w, z, step_cap):
+def _rescue(F, w, z):
+    """Aberth iteration on p = D (F - z) in product form, with p/p' from
+    `F._preimage_newton`, from the (n, d) roots `w` of the n points `z`,
+    until no root moves by more than 1e-15 relative to max(1, |w|),
+    or for MAX_ITER iterations."""
+    wa = w.T.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(MAX_ITER):
+            if np.max(_aberth_step(F._preimage_newton(wa, z), wa)) < 1e-15:
+                break
+    return wa.T
+
+
+def _newton_sweep(F, w, z):
     """One Newton step on F(w) - z from the roots `w`, not taken where it is
-    not finite or of modulus `step_cap` or more.  Returns the new roots,
-    their residuals |F(w) - z| and the steps taken (0 where none is)."""
+    not finite or of modulus 0.1 max(1, |w|) or more (near a multiple
+    root).  Returns the new roots, their residuals and the steps taken."""
     step = F.eval(w) - z
     with np.errstate(all="ignore"):
         step /= F.deriv(w)
-    step[~(np.abs(step) < step_cap)] = 0.0      # also where NaN or inf
+    step[~(np.abs(step) < 0.1 * np.maximum(np.abs(w), 1.0))] = 0.0  # also NaN
     w = w - step
     return w, np.abs(F.eval(w) - z), step
 
 
-def _preimage_roots(F, zs, step_cap, resid_scale, start=None):
+def _preimage_roots(F, zs, start=None):
     """The roots w of F(w) = z for each z of the 1-D array `zs`, one row
     per z, each given one Newton step on F(w) - z and checked to
-    |F(w) - z| <= RESIDUAL_TOL * resid_scale.
+    |F(w) - z| <= RESIDUAL_TOL * max(1, max |z|).
 
-    `F` has `eval`, `deriv` and the rational form `rational_coeffs` = (N, D),
-    lowest-degree first.  A Newton step of modulus `step_cap` or more is
-    not taken (near a multiple root F' ~ 0), which leaves that root to the
-    residual check.  Rows that fail the check get up to MAX_RESWEEPS more
-    steps, the others none: where the rational form's coefficients are
-    ill-conditioned (a zero of high multiplicity near the circle) the
-    solver's roots can be off by 1e-6, and one step leaves a residual
-    above the bound.  `start` is passed on to `aberth_batch`, which reads
-    it only at degree >= 3.
+    `F` has `eval`, `deriv`, `_preimage_newton` and the rational form
+    `rational_coeffs` = (N, D), lowest-degree first.  Rows that fail the
+    check (rows Aberth left moving, rows whose N - z D lost the roots'
+    digits) go to `_rescue` and are kept from it where their worst
+    residual went down.  `start` is passed on to `aberth_batch`.
     """
     N, D = F.rational_coeffs
-    coeffs = np.zeros((len(zs), len(N)), dtype=complex)
-    coeffs[:] = N
-    coeffs[:, :len(D)] -= zs[:, None] * D
     zz = zs[:, None]
-    tol = RESIDUAL_TOL * resid_scale
-    roots, resid, step = _newton_sweep(F, aberth_batch(coeffs, start), zz, step_cap)
-    again = np.flatnonzero(np.max(resid, axis=1) > tol)
-    resweeps = len(again)
-    for _ in range(MAX_RESWEEPS):
-        if not len(again):
-            break
-        roots[again], resid[again], _ = _newton_sweep(F, roots[again], zz[again], step_cap)
-        again = again[np.max(resid[again], axis=1) > tol]
+    coeffs = np.array(np.broadcast_to(N, (len(zs), len(N))), dtype=complex)
+    coeffs[:, :len(D)] -= zz * D
+    scale = max(1.0, float(np.max(np.abs(zs))))
+    roots, resid, step = _newton_sweep(F, aberth_batch(coeffs, start), zz)
+    again = np.flatnonzero(np.max(resid, axis=1) > RESIDUAL_TOL * scale)
+    if len(again):
+        w = _rescue(F, roots[again], zs[again])
+        r = np.abs(F.eval(w) - zz[again])
+        ok = np.max(r, axis=1) < np.max(resid[again], axis=1)
+        roots[again[ok]], resid[again[ok]] = w[ok], r[ok]
     worst = float(np.max(resid))
     if log.isEnabledFor(logging.DEBUG):
         moved = float(np.max(np.abs(step) / np.maximum(np.abs(roots), 1.0)))
-        log.debug(_SOLVE_RECORD, len(zs), roots.shape[1], resweeps,
-                  worst / resid_scale, moved)
-    if worst > tol:
+        log.debug(_SOLVE_RECORD, len(zs), roots.shape[1], len(again),
+                  worst / scale, moved)
+    if worst > RESIDUAL_TOL * scale:
         i, j = np.unravel_index(np.argmax(resid), resid.shape)
         raise NumericalError(
             f"root polish stalled at residual {worst:.3e}",

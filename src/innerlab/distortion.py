@@ -136,26 +136,22 @@ def cumulative_orbit_distortion(F: InnerModel, coords, N: int) -> float:
     """Partial sum sum_{n=1}^N delta_F(z_{-n}) along the backward orbit
     `coords` = (z_0, z_{-1}, ...).
 
-    Coordinates where the radial direction is undefined contribute their
-    two-sided limit via a 1e-8 radial perturbation (logged).
+    One `p_disk` call on an (N, 2) array: each coordinate twice, or, where
+    the radial direction is undefined (logged), its two-sided limit from
+    z (1 -+ 1e-8), with z = 0 taken as 1e-8.
     """
     if N < 0:
         raise PreconditionError("need N >= 0")
     if len(coords) < N + 1:
         raise PreconditionError(f"orbit too short: need {N + 1} coordinates")
-    total = 0.0
-    for n in range(1, N + 1):
-        z = complex(coords[n])
-        try:
-            total += distortion_at_disk(F, z).delta
-        except PreconditionError:
-            log.info("undefined direction at orbit index -%d; perturbing", n)
-            if z == 0:
-                z = PUNCTURE + 0j
-            lo = distortion_at_disk(F, z * (1.0 - PUNCTURE)).delta
-            hi = distortion_at_disk(F, z * (1.0 + PUNCTURE)).delta
-            total += 0.5 * (lo + hi)
-    return total
+    z = np.asarray(coords[1:N + 1], dtype=complex)
+    undefined = (z == 0) | (F.eval(z) == 0)
+    if undefined.any():
+        log.info("undefined direction at orbit indices %s; perturbing",
+                 -1 - np.flatnonzero(undefined))
+    side = np.where(undefined[:, None], [1.0 - PUNCTURE, 1.0 + PUNCTURE], 1.0)
+    delta = _quantities(p_disk(F, np.where(z == 0, PUNCTURE, z)[:, None] * side))[2]
+    return float(0.5 * np.sum(delta))
 
 
 def subadditivity_gap(F, G, a) -> float:

@@ -323,6 +323,14 @@ class InnerModel:
 
     # -- rational form (finite Blaschke only) ------------------------------
 
+    def _preimage_newton(self, w, z):
+        """p/p' at w for p = D (F - z), D = prod (1 - conj(a) w): (F - z)/
+        (F sum 1/(w - a) + z sum conj(a)/(1 - conj(a) w)), which does not
+        cancel at a pole 1/conj(a) of F as F'/(F - z) + D'/D does."""
+        F, ac, w = self.eval(w), self._ac[:, 0], w[..., None]
+        return (F - z) / (F * np.sum(1.0 / (w - ac.conj()), axis=-1)
+                          + z * np.sum(ac / (1.0 - ac * w), axis=-1))
+
     @cached_property
     def rational_coeffs(self):
         """(P, Q) lowest-degree-first coefficients with F = P/Q, built on

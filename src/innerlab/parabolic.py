@@ -81,6 +81,12 @@ class HalfPlaneInner:
                 out = out + c * (x * x + 1.0) / (x - z) ** 2
         return complex(out) if out.ndim == 0 else out
 
+    def _preimage_newton(self, w, z):
+        """p/p' at w for p = D (F - z), D = prod (x_k - w) the denominator
+        of the rational form: (F - z)/(F' + (F - z) sum 1/(w - x_k))."""
+        r = self.eval(w) - z
+        return r / (self.deriv(w) + r * sum(1.0 / (w - x) for x, _ in self.atoms))
+
     @cached_property
     def rational_coeffs(self):
         """(N, D) lowest-degree-first coefficients with F = N/D, built on
@@ -138,9 +144,7 @@ def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
     start = np.empty((len(zs), F.degree), dtype=complex)
     start[:, 0] = zs - F.beta
     start[:, 1:] = [x + 0.1 * np.exp(0.5j) for x, _ in F.atoms]
-    roots = _preimage_roots(F, zs, step_cap=1.0,
-                            resid_scale=max(1.0, float(np.max(np.abs(zs)))),
-                            start=start)
+    roots = _preimage_roots(F, zs, start=start)
     im_sum = np.abs(np.sum(roots.imag, axis=1) - zs.imag)
     if np.any(roots.imag <= 0) or np.any(im_sum > IM_SUM_TOL):
         raise NumericalError(

@@ -3,11 +3,11 @@
 Solves F(w) = z through the model's cached rational form F = P/Q by the
 preimage solve shared with the strip (`_roots._preimage_roots`: the
 stable quadratic formula at degree 2, Aberth-Ehrlich from one fixed ring
-of starts at degree >= 3, then one Newton step on F(w) - z and an
-absolute 1e-12 residual check), clips rounding overshoot back into the
-disk, and enumerates the tree of repeated preimages inside hyperbolic
-balls with Schwarz-lemma pruning.  Enumeration is breadth-first, batched
-per generation, and deterministic.
+of starts at degree >= 3, one Newton step on F(w) - z, and a
+product-form rescue of the rows that fail the 1e-12 residual check),
+clips rounding overshoot back into the disk, and enumerates the tree of
+repeated preimages inside hyperbolic balls with Schwarz-lemma pruning.
+Enumeration is breadth-first, batched per generation, and deterministic.
 """
 
 from __future__ import annotations
@@ -42,14 +42,11 @@ def preimages_of_batch(F: InnerModel, zs):
     (m, d) array sorted rowwise by (argument, modulus)."""
     _require_blaschke(F, centered=False)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    roots = _preimage_roots(F, zs, step_cap=0.1, resid_scale=1.0)
+    roots = _preimage_roots(F, zs)
     # Preimages of interior points are interior; clip rounding overshoot.
     mods = np.abs(roots)
-    overshoot = mods >= 1.0
-    if np.any(overshoot):
-        interior = np.abs(zs[:, None]) < 1.0
-        fix = overshoot & np.broadcast_to(interior, roots.shape)
-        roots[fix] *= (1.0 - 1e-16) / mods[fix]
+    fix = (mods >= 1.0) & (np.abs(zs[:, None]) < 1.0)
+    roots[fix] *= (1.0 - 1e-16) / mods[fix]
     return _sort_roots(roots)
 
 

@@ -1,11 +1,20 @@
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from innerlab import _roots
 from innerlab.innerfn import InnerModel
+
+# Tier-1 draws the same hypothesis examples on every run.
+# INNERLAB_HYPOTHESIS=search selects a profile that draws fresh examples on
+# each run, for a longer search over repeated runs.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("search", derandomize=False)
+settings.load_profile(os.environ.get("INNERLAB_HYPOTHESIS", "tier1"))
 
 
 def random_centered_blaschke(rng, dmax=6, rmax=0.9, rotate=True):

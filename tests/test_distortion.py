@@ -221,7 +221,40 @@ class TestVectorIntegral:
         assert np.max(np.abs(vec - ref)) <= 1e-9
 
 
+def scalar_cumulative(F, coords, N):
+    """The per-coordinate loop that `cumulative_orbit_distortion`'s one
+    array call replaced, kept as its reference."""
+    total = 0.0
+    for n in range(1, N + 1):
+        z = complex(coords[n])
+        try:
+            total += distortion_at_disk(F, z).delta
+        except PreconditionError:
+            if z == 0:
+                z = PUNCTURE + 0j
+            lo = distortion_at_disk(F, z * (1.0 - PUNCTURE)).delta
+            hi = distortion_at_disk(F, z * (1.0 + PUNCTURE)).delta
+            total += 0.5 * (lo + hi)
+    return total
+
+
 class TestCumulative:
+    def test_matches_scalar_loop(self, deg2, rng, caplog):
+        # A backward orbit of deg2 through 0 (F(0) = 0) and through its
+        # zero 0.5 (F(0.5) = 0): both coordinates take the two-sided
+        # perturbation, and the rest of the orbit the plain sample.
+        orb = np.concatenate(([0j, 0j], branch_orbit(
+            deg2, 0.5, 40, lambda roots: int(np.argmax(roots.real)))))
+        with caplog.at_level(logging.INFO, logger="innerlab.distortion"):
+            total = cumulative_orbit_distortion(deg2, orb, 42)
+        [record] = caplog.records
+        assert list(record.args[0]) == [-1, -2]
+        assert total == pytest.approx(scalar_cumulative(deg2, orb, 42), rel=1e-14)
+        F = random_centered_blaschke(rng)
+        orb = sample_interior_orbit(F, 0.3 + 0.2j, 60, seed=4)
+        assert cumulative_orbit_distortion(F, orb, 60) == pytest.approx(
+            scalar_cumulative(F, orb, 60), rel=1e-14)
+
     def test_zero_terms(self, deg2):
         orb = sample_interior_orbit(deg2, 0.3, 5, seed=1)
         assert cumulative_orbit_distortion(deg2, orb, 0) == 0.0

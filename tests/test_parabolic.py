@@ -276,8 +276,8 @@ class TestRootStart:
                                                monkeypatch):
         # Far-field rows have a root near z, of modulus up to ~26 at R = 8.
         # Aberth's step test is relative to max(1, |w|), so those rows stop
-        # instead of running out of iterations into the companion-matrix
-        # fallback.
+        # instead of running out of iterations (no row is left moving), and
+        # they match companion-matrix roots.
         with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
             strip = enumerate_strip(three_atoms, 0.5j, (-1, 1), 8.0)
         assert aberth_records(caplog)

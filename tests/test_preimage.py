@@ -101,22 +101,35 @@ class TestPreimagesOf:
 
 
 class TestFallbacks:
-    def test_companion_matrix_fallback(self, rng, monkeypatch):
-        # One Aberth sweep converges no row, so every row is re-solved by
-        # companion-matrix eigenvalues.
-        coeffs = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
-        aberth = np.sort_complex(aberth_batch(coeffs))
-        monkeypatch.setattr(_roots, "MAX_ITER", 1)
-        fallback = np.sort_complex(aberth_batch(coeffs))
-        assert np.max(np.abs(fallback - aberth)) < 1e-12
+    def test_stalled_rows_are_rescued(self, caplog, monkeypatch):
+        # Every row comes back from Aberth at its starting ring, as a row
+        # still moving after MAX_ITER would; one Newton step leaves it off
+        # its roots, and the rescue roots it from there.  On 40 seeded
+        # models of degree 3 to 8 no iterate may be caught at a pole
+        # 1/conj(a) of F, where p'/p = F'/(F - z) + D'/D cancels.
+        rng = np.random.default_rng(21)
+        cases = []
+        for _ in range(40):
+            F = seeded_disk_model(rng, int(rng.integers(3, 9)))
+            zs = rng.uniform(0.05, 0.95, 50) * np.exp(2j * np.pi * rng.uniform(size=50))
+            cases.append((F, zs, preimages_of_batch(F, zs)))
+        monkeypatch.setattr(_roots, "aberth_batch", lambda coeffs, start=None:
+                            _roots._default_start(len(coeffs), coeffs.shape[1] - 1))
+        for F, zs, normal in cases:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
+                rescued = preimages_of_batch(F, zs)
+            [record] = [r for r in caplog.records if r.msg == _roots._SOLVE_RECORD]
+            assert record.args[2] == len(zs)
+            assert np.max(np.abs(rescued - normal)) <= 1e-12
 
     @staticmethod
     def compaction_case(rng):
         """(coeffs, start, exact) of 16 cubics.  Rows 0, 4, 8, ... start at
         their roots and finish on the first iteration; rows 2, 6, 10, ...
         start 1e-6 off and finish on the second, after the working set has
-        shrunk; odd rows start far off and, with MAX_ITER = 2, run out of
-        iterations and go to np.roots."""
+        shrunk; odd rows start far off and, with MAX_ITER = 2, are still
+        moving when the iterations run out."""
         coeffs = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
         exact = np.array([np.roots(c[::-1]) for c in coeffs])
         kind = (np.arange(16) % 4)[:, None]
@@ -125,19 +138,29 @@ class TestFallbacks:
         return coeffs, start, exact
 
     def test_compaction_writes_rows_back_in_place(self, rng, caplog, monkeypatch):
-        # Each row must land back in its own position.
+        # Each row must land back in its own position: the finished rows
+        # at their roots, the rows still moving with their last iterates,
+        # which are those of the same rows iterated alone and are not yet
+        # roots.
         coeffs, start, exact = self.compaction_case(rng)
         monkeypatch.setattr(_roots, "MAX_ITER", 2)
         with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
             roots = aberth_batch(coeffs, start=start)
         [record] = caplog.records
-        assert record.args == (16, 3, 2, 8)    # rows, degree, iterations, fallback
-        assert np.max(np.abs(np.sort_complex(roots) - np.sort_complex(exact))) < 1e-12
+        assert record.args == (16, 3, 2, 8)    # rows, degree, iterations, left moving
+        done, moving = slice(0, None, 2), slice(1, None, 2)
+        assert np.max(np.abs(np.sort_complex(roots[done])
+                             - np.sort_complex(exact[done]))) < 1e-12
+        assert np.array_equal(roots[moving],
+                              aberth_batch(coeffs[moving], start=start[moving]))
+        assert np.min(np.max(np.abs(np.sort_complex(roots[moving])
+                                    - np.sort_complex(exact[moving])), axis=1)) > 1e-3
 
     def test_row_blocks_change_no_digit(self, rng, caplog, monkeypatch):
         # The rows of the compaction test in blocks of 5, 5, 5 and 1: the
-        # same roots bit for bit, the fallback rows at their own positions,
-        # and one record with the most iterations of any block.
+        # same roots bit for bit, the rows left moving at their own
+        # positions, and one record with the most iterations of any block
+        # and the rows left moving summed over the blocks.
         coeffs, start, _ = self.compaction_case(rng)
         monkeypatch.setattr(_roots, "MAX_ITER", 2)
         whole = aberth_batch(coeffs, start=start)
@@ -247,6 +270,24 @@ class TestMpmathOracle:
             assert sorted(np.argmin(dist, axis=1)) == list(range(F.degree))
             assert np.max(np.min(dist, axis=1)) < 1e-13
 
+    @pytest.mark.parametrize("zeros, zs", [
+        ((0.95,) * 10, (0.5, 0.3j)), ((0.9,) * 12, (0.5, 0.3j)),
+        ((0.99,) * 8, (0.5, 0.3j)), ((0.95,) * 16, (0.5, 0.3j)),
+        ((0.9,) + (0.999,) * 4, (0.5,))],
+        ids=["0.95x10", "0.9x12", "0.99x8", "0.95x16", "0.999x4"])
+    def test_multiple_zeros_near_circle(self, zeros, zs):
+        # The expanded coefficients of these models lose the roots' digits
+        # (one Newton step leaves residuals up to 1e10); the product-form
+        # rescue roots them to mpmath's at 60 digits on the product
+        # polynomial, with the residual and height identity to 1e-12.
+        F = InnerModel.from_zeros(0, *zeros)
+        zs = np.array(zs, dtype=complex)
+        for z, row in zip(zs, preimages_of_batch(F, zs)):
+            assert_checked_preimages(F, z, row)
+            dist = np.abs(row[:, None] - mp_preimages(F, z, 60)[None, :])
+            assert sorted(np.argmin(dist, axis=1)) == list(range(F.degree))
+            assert np.max(np.min(dist, axis=1)) < 1e-14
+
 
 def mp_strip_preimages(F, z, dps=30):
     """Roots of N(w) - z D(w) for a HalfPlaneInner, D = prod (x_k - w) and
@@ -349,12 +390,12 @@ class TestPreimageSolve:
                 calls[name] += 1
                 return method(self, z)
             monkeypatch.setattr(type(F), name, counted)
-        _roots._preimage_roots(F, zs, step_cap=0.1, resid_scale=1.0)
+        _roots._preimage_roots(F, zs)
         assert calls == {"eval": 2, "deriv": 1}
 
     @pytest.mark.parametrize("case", ["disk", "strip"])
     def test_one_debug_record(self, case, caplog):
-        # One record per solve: rows, degree, rows re-swept, the worst
+        # One record per solve: rows, degree, rows rescued, the worst
         # residual over its scale and the largest relative first Newton
         # step.  It changes no root.
         if case == "disk":
@@ -368,19 +409,19 @@ class TestPreimageSolve:
             rows = solve(F, zs)
         [record] = [r for r in caplog.records if r.msg == _roots._SOLVE_RECORD]
         assert np.array_equal(rows, quiet)
-        n, d, resweeps, resid, step = record.args
-        assert (n, d, resweeps) == (len(zs), F.degree, 0)
+        n, d, rescued, resid, step = record.args
+        assert (n, d, rescued) == (len(zs), F.degree, 0)
         scale = max(1.0, np.max(np.abs(zs))) if case == "strip" else 1.0
         worst = np.max(np.abs(F.eval(rows) - zs[:, None])) / scale
         assert resid == pytest.approx(worst, rel=1e-6, abs=1e-18)
         assert resid <= _roots.RESIDUAL_TOL
         assert 0.0 <= step < 1e-14
 
-    def test_resweeps_rows_that_fail_the_check(self, caplog, monkeypatch):
+    def test_rescues_rows_that_fail_the_check(self, caplog, monkeypatch):
         # A zero of multiplicity 7 at 0.95 makes the rational form's
         # coefficients ill-conditioned: Aberth's roots are off by up to
         # ~6e-8 and one Newton step leaves residuals of 4e-12 to 4e-11.
-        # Those rows get more steps (well-conditioned rows get none: see
+        # Those rows go to the rescue (well-conditioned rows do not: see
         # test_one_debug_record).
         F = InnerModel.from_zeros(0, *[0.95] * 7)
         zs = np.array([0.5, 0.3j, 0.5 + 0.5j])
@@ -390,9 +431,37 @@ class TestPreimageSolve:
         assert record.args[2] == len(zs)
         for z, row in zip(zs, rows):
             assert_checked_preimages(F, z, row)
-        monkeypatch.setattr(_roots, "MAX_RESWEEPS", 0)
+        monkeypatch.setattr(_roots, "_rescue", lambda F, w, z: w)
         with pytest.raises(NumericalError, match="root polish stalled"):
             preimages_of_batch(F, zs)
+
+    def test_rescue_keeps_a_row_only_if_better(self, monkeypatch):
+        # A multi-atom strip point where the bound sits below F's own
+        # rounding error near a pole: the solve raises, and the rescue's
+        # roots have a larger worst residual than the Newton step's.  The
+        # error reports the row the Newton step left, as it does with no
+        # rescue at all.
+        rng = np.random.default_rng(7)
+        for _ in range(11):
+            xs = np.sort(rng.uniform(-3, 3, rng.integers(2, 6)))
+            F = HalfPlaneInner(rng.normal(), tuple((x, rng.uniform(0.2, 2)) for x in xs))
+        z = (rng.uniform(-4, 4, 40) + 1j * 10.0 ** rng.uniform(-3, 1, 40))[14]
+        rescue, worse = _roots._rescue, []
+
+        def spy(F, w, z):
+            out = rescue(F, w, z)
+            worse.append(np.max(np.abs(F.eval(out) - z)) > np.max(np.abs(F.eval(w) - z)))
+            return out
+
+        monkeypatch.setattr(_roots, "_rescue", spy)
+        with pytest.raises(NumericalError, match="root polish stalled") as kept:
+            hp_preimages_batch(F, [z])
+        assert worse == [True]
+        monkeypatch.setattr(_roots, "_rescue", lambda F, w, z: w)
+        with pytest.raises(NumericalError) as unrescued:
+            hp_preimages_batch(F, [z])
+        assert str(kept.value) == str(unrescued.value)
+        assert kept.value.context["root"] == unrescued.value.context["root"]
 
 
 def polar(r, turn):
@@ -408,9 +477,9 @@ def radius(r_max):
 
 @st.composite
 def near_degenerate(draw, kind):
-    """A centered model of degree <= 8 with near-degenerate zeros of the
+    """A centered model of degree <= 17 with near-degenerate zeros of the
     given kind, and a point z with 0.05 <= |z| <= 0.95."""
-    k = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 16))
     if kind == "clustered":
         c = polar(draw(radius(0.9)), draw(unit))
         spread = 10.0 ** draw(st.floats(-9.0, -2.0))
