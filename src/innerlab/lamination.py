@@ -12,6 +12,8 @@ good/bad-times shadowing simulation in the upper half-plane.
 
 from __future__ import annotations
 
+import cmath
+import logging
 import math
 from dataclasses import dataclass
 
@@ -22,6 +24,10 @@ from .hypgeo import disk_distance, origin_distance
 from .innerfn import BLOCK_ENTRIES, InnerModel, _require_blaschke
 from .lyapunov import chi_jensen_oracle
 from .preimage import preimages_of_batch
+
+log = logging.getLogger("innerlab.lamination")
+_CELLS_RECORD = ("total_mass_check: %d cells outside, %d inside, "
+                 "%d evaluated; %d points evaluated")
 
 EXP_MAP_CAP = 1.0
 TREE_BUDGET = 2 * 10 ** 6
@@ -374,6 +380,38 @@ def _fundamental_outer_radius(F: InnerModel, r0: float) -> float:
     return min(math.tanh(hi / 2.0), 1.0 - 1e-15)
 
 
+def _cell_bounds(F: InnerModel, r_lo, r_hi, th_lo, th_hi):
+    """Bounds lo <= |F(z)|^2 <= hi over the polar cells r_lo <= |z| <= r_hi,
+    th_lo <= arg z <= th_hi (broadcast arrays), factor by factor, and the
+    rounding scale E = sum_a (1 + |a|) / min |1 - conj(a) z| over each cell.
+
+    A zero a contributes the range of 1 - (1 - |a|^2)(1 - r^2) / D with
+    D = |1 - conj(a) z|^2 = (1 - |a| r)^2 + 4 |a| r sin^2((theta - arg a)/2),
+    a sum of two nonnegative terms, each bounded on its own: the first by
+    the radial edges (so D >= (1 - |a| r_hi)^2 > 0), the second by the exact
+    range of sin^2 on [th_lo, th_hi], which is 0 or 1 where the cell holds
+    arg a or arg a + pi.  An origin zero is the case a = 0, giving r^2.
+    """
+    g_lo, g_hi = 1.0 - r_hi, 1.0 - r_lo
+    width = th_hi - th_lo
+    lo, hi, scale = 1.0, 1.0, 0.0
+    for a in F.zeros:
+        m, phi = abs(a), cmath.phase(a)
+        s_lo = np.sin(0.5 * (th_lo - phi)) ** 2
+        s_hi = np.sin(0.5 * (th_hi - phi)) ** 2
+        s_min = np.where(np.mod(phi - th_lo, 2.0 * np.pi) <= width, 0.0,
+                         np.minimum(s_lo, s_hi))
+        s_max = np.where(np.mod(phi + np.pi - th_lo, 2.0 * np.pi) <= width, 1.0,
+                         np.maximum(s_lo, s_hi))
+        # 1 - |a| r = (1 - |a|) + |a| (1 - r): no cancellation near the circle.
+        d_min = ((1.0 - m) + m * g_lo) ** 2 + 4.0 * m * r_lo * s_min
+        d_max = ((1.0 - m) + m * g_hi) ** 2 + 4.0 * m * r_hi * s_max
+        lo = lo * np.maximum(1.0 - (1.0 - m * m) * g_hi * (2.0 - g_hi) / d_min, 0.0)
+        hi = hi * (1.0 - (1.0 - m * m) * g_lo * (2.0 - g_lo) / d_max)
+        scale = scale + (1.0 + m) / np.sqrt(d_min)
+    return lo, hi, scale
+
+
 def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
                      seed: int = 0) -> TotalMassResult:
     """(1/2pi) int_{E*} log(1/|z|) dA_hyp over the fundamental annulus
@@ -383,6 +421,35 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     Sampling is uniform in (log(1-r), theta) over a fixed 16 x 16 grid of
     strata with per-stratum substreams spawned from `seed`, so results are
     bit-identical for a given `seed`.
+
+    Before drawing, `_cell_bounds` encloses |F|^2 over each stratum, and
+    the stratum is one of three kinds:
+    - wholly outside E* (lo > r0^2 (1 + delta)): its mean and variance are
+      0.0 and it draws nothing;
+    - wholly inside (hi < r0^2 (1 - delta)): it draws only its u half,
+      which its substream yields first, and weighs every sample without
+      drawing theta or evaluating F;
+    - otherwise it draws both and tests |F(z)| < r0 at every sample.
+    Every sample of the first kind would fail that test and every sample
+    of the second would pass it, so the result is bit-identical to testing
+    every sample.
+
+    delta = 128 eps E / r0^2 with the cell's rounding scale E =
+    sum_a (1 + |a|) / min |1 - conj(a) z|, which is at least the degree.
+    It covers three errors, each a multiple of eps E:
+    - `eval`'s rounding of |F|: eps (1 + |a| r)/|1 - conj(a) z| per factor
+      for its denominator, plus a few eps per factor for the quotient and
+      the product, under 11 eps E in all;
+    - a sample off its stratum by the rounding of u, exp, theta and
+      r e^{i theta}, at most about 25 eps in |z|, which moves |F| by at most
+      that times the factors' Lipschitz constants, whose sum is E;
+    - the bound's own rounding: each factor's range is formed from sums of
+      nonnegative terms, within about 10 eps absolute, 10 d eps in all.
+    Near |F| = r0 the first two move |F|^2 by at most 2 r0 (36 eps E) and
+    the third by 10 eps E, together under 82 eps E, which is 82 eps E / r0^2
+    of r0^2; the factor 128 leaves the rest for second-order terms.  A wide
+    delta only sends more strata to evaluation.  E, and with it delta,
+    grows like 1/(1 - |a|) for a zero a near the circle.
     """
     _require_blaschke(F, reject_rotation=True)
     if not 0 < r0 < 1:
@@ -393,26 +460,35 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     su, st = 16, 16
     chi_ref = chi_jensen_oracle(F).value
 
+    # Row iu spans u in [u_lo + L iu/su, u_lo + L (iu + 1)/su], so its outer
+    # radius is r_edge[iu] and its inner one r_edge[iu + 1].
+    r_edge = 1.0 - np.exp(u_lo + L * np.arange(su + 1) / su)
+    th_edge = 2.0 * np.pi * np.arange(st + 1) / st
+    lo, hi, scale = _cell_bounds(F, r_edge[1:, None], r_edge[:-1, None],
+                                 th_edge[:-1], th_edge[1:])
+    delta = 128.0 * np.finfo(float).eps * scale / r0 ** 2
+    outside = (lo > r0 * r0 * (1.0 + delta)).ravel()
+    inside = (hi < r0 * r0 * (1.0 - delta)).ravel()
+
     seeds = np.random.SeedSequence(seed).spawn(su * st)
     per = max(samples // (su * st), 16)
-    means = np.empty(su * st)
-    variances = np.empty(su * st)
-    cell = 0
-    for iu in range(su):
-        for it in range(st):
-            rng = np.random.default_rng(seeds[cell])
-            u = u_lo + L * (iu + rng.uniform(size=per)) / su
+    means = np.zeros(su * st)
+    variances = np.zeros(su * st)
+    for cell in np.flatnonzero(~outside):
+        iu, it = divmod(int(cell), st)
+        rng = np.random.default_rng(seeds[cell])
+        u = u_lo + L * (iu + rng.uniform(size=per)) / su
+        r = 1.0 - np.exp(u)
+        f = L * np.log(1.0 / r) * 4.0 * r / ((1.0 - r) * (1.0 + r) ** 2)
+        if not inside[cell]:
             th = 2.0 * np.pi * (it + rng.uniform(size=per)) / st
-            r = 1.0 - np.exp(u)
             z = r * np.exp(1j * th)
-            inside = np.abs(F.eval(z)) < r0
-            f = np.where(
-                inside,
-                L * np.log(1.0 / r) * 4.0 * r / ((1.0 - r) * (1.0 + r) ** 2),
-                0.0)
-            means[cell] = np.mean(f)
-            variances[cell] = np.var(f, ddof=1) / per
-            cell += 1
+            f = np.where(np.abs(F.eval(z)) < r0, f, 0.0)
+        means[cell] = np.mean(f)
+        variances[cell] = np.var(f, ddof=1) / per
+    n_out, n_in = int(outside.sum()), int(inside.sum())
+    evaluated = su * st - n_out - n_in
+    log.debug(_CELLS_RECORD, n_out, n_in, evaluated, evaluated * per)
     mass = float(np.mean(means))
     se = float(np.sqrt(np.sum(variances))) / (su * st)
     return TotalMassResult(mass, se, chi_ref, r0, per * su * st)

@@ -1,9 +1,12 @@
+import logging
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_centered_blaschke
 from innerlab import lamination
@@ -469,6 +472,97 @@ class TestXiBoxMass:
             AnnularBox(0.5, 0.4, 0.0, 1.0)
 
 
+def per_sample_total_mass(F, r0, samples, seed):
+    """Reference: the stratified Monte Carlo that draws every sample in
+    full and tests |F(z)| < r0 at each."""
+    r1 = lamination._fundamental_outer_radius(F, r0)
+    u_lo, u_hi = math.log(1.0 - r1), math.log(1.0 - r0)
+    L = u_hi - u_lo
+    su, sth = 16, 16
+    seeds = np.random.SeedSequence(seed).spawn(su * sth)
+    per = max(samples // (su * sth), 16)
+    means = np.empty(su * sth)
+    variances = np.empty(su * sth)
+    cell = 0
+    for iu in range(su):
+        for it in range(sth):
+            rng = np.random.default_rng(seeds[cell])
+            u = u_lo + L * (iu + rng.uniform(size=per)) / su
+            th = 2.0 * np.pi * (it + rng.uniform(size=per)) / sth
+            r = 1.0 - np.exp(u)
+            z = r * np.exp(1j * th)
+            inside = np.abs(F.eval(z)) < r0
+            f = np.where(
+                inside,
+                L * np.log(1.0 / r) * 4.0 * r / ((1.0 - r) * (1.0 + r) ** 2),
+                0.0)
+            means[cell] = np.mean(f)
+            variances[cell] = np.var(f, ddof=1) / per
+            cell += 1
+    mass = float(np.mean(means))
+    se = float(np.sqrt(np.sum(variances))) / (su * sth)
+    return lamination.TotalMassResult(mass, se, chi_jensen_oracle(F).value,
+                                      r0, per * su * sth)
+
+
+def total_mass_models():
+    """Seeded models of degree 2 to 7, then repeated zeros, then zeros
+    1e-3, 1e-6 and 1e-9 from the circle."""
+    rng = np.random.default_rng(22)
+    models = []
+    for d in range(2, 8):
+        F = random_centered_blaschke(rng, dmax=7, rmax=0.95)
+        while F.degree != d:
+            F = random_centered_blaschke(rng, dmax=7, rmax=0.95)
+        models.append(F)
+    return models + [
+        InnerModel.from_zeros(0, 0.4 + 0.3j, 0.4 + 0.3j),
+        InnerModel.from_zeros(0, 0, 0, -0.6j),
+        InnerModel.from_zeros(0, (1 - 1e-3) * np.exp(1j)),
+        InnerModel.from_zeros(0, 0.5, (1 - 1e-6) * np.exp(2.5j)),
+        InnerModel.from_zeros(0, -(1 - 1e-9), 0.3j),
+    ]
+
+
+def cell_counts(caplog):
+    """(outside, inside, evaluated, points) of the one captured
+    `total_mass_check` record."""
+    [record] = [r for r in caplog.records if r.msg == lamination._CELLS_RECORD]
+    return record.args
+
+
+@st.composite
+def model_and_cell(draw):
+    """A centered model and a polar cell (r_lo, r_hi, th_lo, th_hi) built
+    around its first other zero a: holding arg a, arg a + pi or a itself,
+    touching theta = 0 or 2 pi, or anywhere."""
+    def zero():
+        gap = draw(st.one_of(st.floats(0.05, 1.0),
+                             st.integers(3, 9).map(lambda k: 10.0 ** -k)))
+        return (1.0 - gap) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+
+    zeros = [zero() for _ in range(draw(st.integers(1, 5)))]
+    m, phi = abs(zeros[0]), np.angle(zeros[0]) % (2 * np.pi)
+    kind = draw(st.sampled_from(["arg", "antipode", "zero", "start", "end", "free"]))
+    width = draw(st.floats(1e-3, 1.5))
+    r_lo = draw(st.floats(0.01, 0.99))
+    r_hi = r_lo + (1.0 - r_lo) * 10.0 ** draw(st.floats(-6.0, -1e-3))
+    if kind == "zero":
+        s = draw(st.floats(1e-3, 0.999))
+        r_lo, r_hi = m * (1.0 - s), m + (1.0 - m) * s
+    if kind in ("arg", "antipode", "zero"):
+        centre = (phi + np.pi) % (2 * np.pi) if kind == "antipode" else phi
+        th_lo = centre - width * draw(st.floats(0.0, 1.0))
+    elif kind == "start":
+        th_lo = 0.0
+    elif kind == "end":
+        th_lo = 2 * np.pi - width
+    else:
+        th_lo = draw(st.floats(0.0, 2 * np.pi - width))
+    F = InnerModel(zeros=(0j, *zeros))
+    return F, (r_lo, r_hi, th_lo, th_lo + width)
+
+
 class TestTotalMass:
     def test_power_map_close_to_log2(self, square):
         res = total_mass_check(square, 0.99, samples=2 * 10 ** 5, seed=1)
@@ -489,7 +583,53 @@ class TestTotalMass:
     def test_deterministic_given_seed(self, square):
         a = total_mass_check(square, 0.95, samples=10 ** 4, seed=7)
         b = total_mass_check(square, 0.95, samples=10 ** 4, seed=7)
-        assert a.mass == b.mass
+        assert a == b
+
+    @pytest.mark.parametrize("model", ["square", "deg2"])
+    def test_seed_changes_the_mass(self, square, deg2, model):
+        # On z^2 all but 16 strata are wholly inside and draw only their
+        # radii; the seed must still move the estimate.
+        F = square if model == "square" else deg2
+        a = total_mass_check(F, 0.95, samples=10 ** 4, seed=0)
+        b = total_mass_check(F, 0.95, samples=10 ** 4, seed=1)
+        assert a.mass != b.mass
+
+    def test_bit_identical_to_per_sample_loop(self, caplog):
+        kinds = np.zeros(3, dtype=int)
+        for F in total_mass_models():
+            for r0 in (0.5, 0.9, 0.99):
+                for seed in (0, 909):
+                    caplog.clear()
+                    with caplog.at_level(logging.DEBUG, logger="innerlab.lamination"):
+                        res = total_mass_check(F, r0, samples=8192, seed=seed)
+                    assert res == per_sample_total_mass(F, r0, 8192, seed), \
+                        (F.zeros, r0, seed)
+                    kinds += cell_counts(caplog)[:3]
+        # The cases reach strata outside, inside and evaluated.
+        assert np.all(kinds > 0)
+
+    @given(case=model_and_cell(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_cell_bounds_enclose_every_point(self, case, seed):
+        F, (r_lo, r_hi, th_lo, th_hi) = case
+        lo, hi, _ = lamination._cell_bounds(F, r_lo, r_hi, th_lo, th_hi)
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(r_lo, r_hi, 2000) * np.exp(1j * rng.uniform(th_lo, th_hi, 2000))
+        f2 = np.abs(F.eval(z)) ** 2
+        assert np.all(lo <= f2) and np.all(f2 <= hi)
+
+    def test_cell_counts_are_logged(self, deg2, square, caplog):
+        counts = []
+        for F in (deg2, square):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="innerlab.lamination"):
+                total_mass_check(F, 0.99, samples=10 ** 4, seed=0)
+            counts.append(cell_counts(caplog))
+        for outside, inside, evaluated, points in counts:
+            assert outside + inside + evaluated == 256
+            assert points == evaluated * (10 ** 4 // 256)
+        assert counts[0][2] <= 64
+        assert counts[1][0] == 0
 
 
 class TestRadialShadowing:
