@@ -246,7 +246,7 @@ def cmd_parabolic_count(args):
 
 def cmd_accept(args):
     from . import acceptance
-    results = acceptance.run_all(verbose=True, fast=args.fast)
+    results = acceptance.run_all()
     return EXIT_OK if all(r.passed for r in results) else EXIT_PRECONDITION
 
 
@@ -361,8 +361,6 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_parabolic_count)
 
     sp = sub.add_parser("accept", help="run the acceptance suite")
-    sp.add_argument("--fast", action="store_true",
-                    help="reduced sample sizes (smoke mode)")
     sp.set_defaults(func=cmd_accept)
     return p
 

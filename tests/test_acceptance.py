@@ -1,64 +1,27 @@
-"""Acceptance suite: each criterion runs at its stated tolerance and
-prints one pass/fail line (run with -s to see them)."""
+"""Acceptance suite: one test per row of `acceptance.CRITERIA`, each run at
+full size through the suite's runner, which prints its pass/fail line (run
+with -s to see them)."""
 
 from innerlab import acceptance
 
 
-def _run(criterion):
-    result = criterion(fast=False)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] criterion {result.number:2d} ({result.name}): "
-          f"{result.detail}")
-    assert result.passed, result.detail
+def _criterion_test(criterion):
+    def test():
+        result = acceptance.run_criterion(criterion)
+        assert result.passed, result.detail
+    return test
 
 
-def test_criterion_01_sum_of_heights():
-    _run(acceptance.criterion_1_sum_of_heights)
+# test_criterion_01_sum_of_heights, ..., test_criterion_13_determinism:
+# select one with -k criterion_07.
+for _c in acceptance.CRITERIA:
+    _name = f"test_criterion_{_c.number:02d}_{_c.check.__name__.lstrip('_')}"
+    globals()[_name] = _criterion_test(_c)
 
 
-def test_criterion_02_boundary_derivative():
-    _run(acceptance.criterion_2_boundary_derivative)
-
-
-def test_criterion_03_lyapunov_triple():
-    _run(acceptance.criterion_3_lyapunov)
-
-
-def test_criterion_04_counting_asymptotics():
-    _run(acceptance.criterion_4_counting_asymptotics)
-
-
-def test_criterion_05_packet_structure():
-    _run(acceptance.criterion_5_packets)
-
-
-def test_criterion_06_apriori_bound():
-    _run(acceptance.criterion_6_apriori)
-
-
-def test_criterion_07_distortion_algebra():
-    _run(acceptance.criterion_7_distortion_algebra)
-
-
-def test_criterion_08_angular_derivative_criterion():
-    _run(acceptance.criterion_8_angular_criterion)
-
-
-def test_criterion_09_total_mass():
-    _run(acceptance.criterion_9_total_mass)
-
-
-def test_criterion_10_exponential_map():
-    _run(acceptance.criterion_10_exponential_map)
-
-
-def test_criterion_11_parabolic():
-    _run(acceptance.criterion_11_parabolic)
-
-
-def test_criterion_12_shadowing():
-    _run(acceptance.criterion_12_shadowing)
-
-
-def test_criterion_13_determinism():
-    _run(acceptance.criterion_13_determinism)
+def test_table_pins_numbers_and_wall_clock_limits():
+    # The limits are gates on the code's speed and are never loosened.
+    assert [c.number for c in acceptance.CRITERIA] == list(range(1, 14))
+    limits = {c.number: c.limit_s for c in acceptance.CRITERIA
+              if c.limit_s is not None}
+    assert limits == {1: 30, 3: 120, 4: 60, 9: 120, 11: 60}

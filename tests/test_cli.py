@@ -7,7 +7,8 @@ from conftest import (write_counting_csv, write_lyapunov_csv, write_orbit_csv,
                       write_strip_points_csv, write_total_mass_csv,
                       write_xi_mass_csv)
 
-from innerlab import cli, counting, distortion, lamination, lyapunov, parabolic
+from innerlab import (acceptance, cli, counting, distortion, lamination,
+                      lyapunov, parabolic)
 from innerlab.errors import BudgetError, NumericalError
 from innerlab.innerfn import InnerModel
 from innerlab.parabolic import HalfPlaneInner
@@ -432,6 +433,28 @@ class TestDeterminism:
             bodies.append("\n".join(ln for ln in out.read_text().splitlines()
                                     if not ln.startswith("#")))
         assert len(set(bodies)) == 1
+
+
+class TestAccept:
+    """`accept` through `cli.main` on a table of two stub criteria; the
+    second one's check fails, or its limit of 0 s fails any run."""
+
+    @pytest.mark.parametrize("ok, limit, line, code", [
+        (True, None, "[PASS] criterion  2 (stub): detail, 0.0s", 0),
+        (False, None, "[FAIL] criterion  2 (stub): detail, 0.0s", 2),
+        (True, 0.0, "[FAIL] criterion  2 (stub): detail, 0.0s (limit 0s)", 2),
+    ], ids=["all-pass", "check-fails", "over-limit"])
+    def test_exit_code_and_lines(self, monkeypatch, capsys, ok, limit, line, code):
+        monkeypatch.setattr(acceptance, "CRITERIA", [
+            acceptance.Criterion(1, "stub", lambda: (True, "detail")),
+            acceptance.Criterion(2, "stub", lambda: (ok, "detail"), limit)])
+        assert cli.main(["accept"]) == code
+        assert capsys.readouterr().out.splitlines() == [
+            "[PASS] criterion  1 (stub): detail, 0.0s", line,
+            f"{2 - bool(code)}/2 acceptance criteria passed"]
+
+    def test_fast_flag_is_gone(self):
+        assert cli.main(["accept", "--fast"]) == 64
 
 
 OldRow = namedtuple("OldRow", "R count count_over_eR cesaro target ratio")

@@ -308,6 +308,60 @@ class TestExponentialMap:
         mean_ratio = (incs[-1] / incs[0]) ** (1.0 / (len(incs) - 1))
         assert mean_ratio < 0.9
 
+    def test_intertwining_truncation_and_rounding_against_mpmath(self, square):
+        """Criterion 10's discrepancy on z^2, split into the n = 30
+        truncation error (a closed form, checked at 50 digits) and the
+        rounding of the double computation (bounded below)."""
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        n, k, t, s = 30, 1, 0.3, -0.5
+        x = mp.exp(s) * t
+
+        def dist(a, b):
+            return 2 * mp.atanh(abs((a - b) / (1 - mp.conj(b) * a)))
+
+        def exp_map(u, tt):
+            # F^n(u_{-n} (1 - tt/|(F^n)'(u_{-n})|)) with F^n(w) = w^(2^n).
+            deriv = mp.fprod(2 * abs(v) for v in u[1:n + 1])
+            return (u[n] * (1 - tt / deriv)) ** 2 ** n
+
+        # On |u| = 1, |(F^m)'(u_{-m})| = 2^m and F^m(u_{-m} w) = u_0 w^(2^m),
+        # so the two sides are u_0 (1 - x/2^n)^(2^n) and
+        # u_0 (1 - x/2^(n+k))^(2^(n+k)), x = e^s t, whatever the orbit.
+        truncation = dist((1 - x / 2 ** n) ** 2 ** n,
+                          (1 - x / 2 ** (n + k)) ** 2 ** (n + k))
+        eps = np.finfo(float).eps
+        for seed in (1, 2, 3):
+            orb = solenoid_orbits(square, 45, seed=seed)[0]
+            # The 50-digit orbit through orb[0]/|orb[0]|, taking at each
+            # step the square root nearest the double coordinate.
+            u = [mp.mpc(orb[0]) / abs(mp.mpc(orb[0]))]
+            for w in orb[1:]:
+                r = mp.sqrt(u[-1])
+                u.append(r if abs(r - w) < abs(r + w) else -r)
+            side_a = exp_map(u, x)
+            side_b = exp_map(u[k:], x / (2 * abs(u[1]))) ** 2 ** k
+            exact = dist(side_a, side_b)
+            assert abs(exact - truncation) < 1e-30
+            # Rounding, to first order.  The double start point of a side
+            # with m squarings has relative error at most rho_0 = (the
+            # orbit's error) + 3 eps: one rounding in 1 - t/D and one in the
+            # product, D's own error scaled by t/D < 1e-9.  Each squaring
+            # (at most two complex products, exact origin factors) doubles
+            # the relative error and adds at most 4 eps, so after m steps it
+            # is at most 2^m (rho_0 + 4 eps).  The hyperbolic density
+            # 2/(1 - r^2) bounds the distance's change, with r just above
+            # both sides' moduli; disk_distance's own rounding is below
+            # 1e-14 here.
+            rho_0 = max(float(abs(mp.mpc(w) - v)) for w, v in zip(orb, u)) + 3 * eps
+            r = float(max(abs(side_a), abs(side_b))) + 1e-4
+            rounding = 2 / (1 - r * r) * (abs(side_a) * 2 ** n + abs(
+                side_b) * 2 ** (n + k)) * (rho_0 + 4 * eps) + 1e-14
+            got = geodesic_intertwining_check(square, orb, t, s, n)
+            assert abs(got - float(exact)) <= rounding
+        assert float(truncation) == pytest.approx(4.2133e-11, rel=1e-4)
+
     def test_interior_orbit_rejected(self, deg2):
         orb = sample_interior_orbit(deg2, 0.3, 10, seed=1)
         with pytest.raises(PreconditionError):

@@ -145,6 +145,45 @@ class TestJensenOracle:
                                    - chi_jensen_oracle(F).value))
         assert worst < 1e-8
 
+    def test_high_degree_against_mpmath_polyroots(self):
+        """Degrees 8, 10 and 12: Jensen's formula on F' = N/Q^2, N = P'Q -
+        PQ', with every root of N from mpmath.polyroots at 50 digits."""
+
+        def mul(f, g):
+            out = [mpmath.mpc(0)] * (len(f) + len(g) - 1)
+            for i, x in enumerate(f):
+                for j, y in enumerate(g):
+                    out[i + j] += x * y
+            return out
+
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for degree in (8, 10, 12):
+            zeros = [0j]
+            while len(zeros) < degree:
+                w = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(-0.9, 0.9)
+                if abs(w) < 0.9:
+                    zeros.append(w)
+            F = InnerModel(rotation=np.exp(2j * np.pi * rng.uniform()),
+                           zeros=tuple(zeros))
+            with mpmath.workdps(50):
+                # Coefficients, lowest degree first, of P = prod (z - a) and
+                # Q = prod (1 - conj(a) z).  F is P/Q times a unimodular
+                # constant and Q(0) = 1, so |F'(0)| = |N(0)|.  The origin
+                # zero leaves Q of degree d - 1, and N of degree 2d - 2.
+                P, Q = [mpmath.mpc(1)], [mpmath.mpc(1)]
+                for a in map(mpmath.mpc, zeros):
+                    P, Q = mul(P, [-a, 1]), mul(Q, [1, -mpmath.conj(a)])
+                dP = [j * c for j, c in enumerate(P)][1:]
+                dQ = [j * c for j, c in enumerate(Q)][1:]
+                N = [x - y for x, y in zip(mul(dP, Q), mul(P, dQ))][:2 * degree - 1]
+                crit = mpmath.polyroots(N[::-1], maxsteps=200, extraprec=200)
+                inside = [c for c in crit if abs(c) < 1]
+                assert len(inside) == degree - 1
+                chi = mpmath.log(abs(N[0])) - sum(mpmath.log(abs(c)) for c in inside)
+            worst = max(worst, abs(chi_jensen_oracle(F).value - float(chi)))
+        assert worst < 1e-10
+
     def test_positive_for_centered(self, rng):
         for _ in range(10):
             assert chi_jensen_oracle(random_centered_blaschke(rng)).value > 0
