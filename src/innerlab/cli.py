@@ -3,14 +3,16 @@
 Exit codes: 0 success, 2 precondition error, 3 resource/budget error,
 4 numerical error, 64 usage error.  Config files are flat `key = value`
 text; keys before any [section] header apply to every subcommand, keys
-under [name] only to subcommand `name`.  Complex numbers are written
-`re,im`.
+under [name] only to subcommand `name`.  A config value is parsed as
+its flag (`--key=value`; a comma list for a repeatable flag), and flags
+on the command line win.  Complex numbers are written `re,im`.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 
@@ -80,7 +82,7 @@ def _config_defaults(path: str, section: str) -> dict:
 def _header(args, extra=()):
     lines = [f"innerlab {__version__}"]
     for key, val in sorted(vars(args).items()):
-        if key in ("func", "config") or val is None:
+        if key == "config" or val is None:
             continue
         lines.append(f"config {key} = {val}")
     lines.extend(extra)
@@ -141,7 +143,10 @@ def cmd_lyapunov(args):
 
 
 def cmd_distortion_scan(args):
-    if args.r_max is None:
+    if not (args.model or args.truncation_K):
+        build_parser().commands["distortion-scan"].error(
+            "one of the arguments --model --truncation-K is required")
+    if not args.r_max:
         args.r_max = [1.0 - 1e-4]
     if args.truncation_K:
         family = [InnerModel.from_zeros(*[1.0 - 2.0 ** (-k) for k in range(1, K + 1)])
@@ -158,7 +163,7 @@ def cmd_distortion_scan(args):
 
 def cmd_orbit(args):
     F = load_model(args.model)
-    if args.interior:
+    if args.z is not None:
         pts = lamination.sample_interior_orbit(F, _parse_complex(args.z),
                                                args.n, seed=args.seed)
     else:
@@ -250,6 +255,7 @@ def cmd_accept(args):
     return EXIT_OK if all(r.passed for r in results) else EXIT_PRECONDITION
 
 
+@functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="innerlab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -275,7 +281,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--chi", type=float, default=None,
                     help="override the Jensen-oracle Lyapunov exponent")
     sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("lyapunov", help="chi by quadrature/jensen/birkhoff",
                         epilog="CSV columns: method, value, error (abs "
@@ -287,7 +292,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=10 ** 5, help="birkhoff orbit length")
     sp.add_argument("--angle", type=float, default=0.7, help="birkhoff start angle")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_lyapunov)
 
     sp = sub.add_parser("distortion-scan",
                         help="radial distortion integrals + angular derivative",
@@ -295,24 +299,24 @@ def build_parser() -> _Parser:
                                "integral_eta, integral_delta, integral_alpha, "
                                "log_angular_derivative.")
     common(sp, model=False)
-    sp.add_argument("--model", action="append", default=[],
-                    help="model file (repeatable)")
-    sp.add_argument("--truncation-K", type=int, action="append", default=[],
-                    help="use the 1 - 2^-k truncation family instead (repeatable)")
+    # Exactly one source; "neither" is checked once config values are in.
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--model", action="append", default=[],
+                        help="model file (repeatable)")
+    source.add_argument("--truncation-K", type=int, action="append", default=[],
+                        help="the 1 - 2^-k truncation family (repeatable)")
     sp.add_argument("--zeta", type=float, default=0.0, help="boundary angle")
-    sp.add_argument("--r-max", type=float, action="append", default=None)
+    sp.add_argument("--r-max", type=float, action="append", default=[],
+                    help="default 1 - 1e-4 (repeatable)")
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.set_defaults(func=cmd_distortion_scan)
 
     sp = sub.add_parser("orbit", help="sample a backward orbit to CSV",
                         epilog="CSV columns: n, re, im (z_{-n} coordinates).")
     common(sp)
     sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--interior", action="store_true",
-                    help="interior orbit from --z instead of a solenoid orbit")
-    sp.add_argument("--z", default="0.3,0")
+    sp.add_argument("--z", default=None,
+                    help="re,im: interior orbit from z, else a solenoid orbit")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_orbit)
 
     sp = sub.add_parser("xi-mass", help="natural-measure box masses by depth",
                         epilog="CSV columns: depth, mass, error.")
@@ -320,7 +324,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--box", required=True, help="r_lo,r_hi,theta_lo,theta_hi")
     sp.add_argument("--max-depth", type=int, default=6)
     sp.add_argument("--grid", type=int, default=24)
-    sp.set_defaults(func=cmd_xi_mass)
 
     sp = sub.add_parser("total-mass", help="fundamental annulus mass vs chi",
                         epilog="CSV columns: r0, mass, stderr, chi_ref, samples.")
@@ -328,7 +331,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--r0", type=float, default=0.99)
     sp.add_argument("--samples", type=int, default=10 ** 6)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_total_mass)
 
     sp = sub.add_parser("shadow-sim", help="good/bad-times shadowing run",
                         epilog="CSV columns: t, avg_min_distance; the landing "
@@ -343,7 +345,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--step", type=float, default=0.02,
                     help="output time-grid spacing; the integration is exact")
     sp.add_argument("--curve-points", type=int, default=500)
-    sp.set_defaults(func=cmd_shadow_sim)
 
     sp = sub.add_parser("parabolic-count", help="strip counting N_I(z,R)",
                         epilog="CSV columns: R, count, count_over_eR, cesaro, "
@@ -358,56 +359,44 @@ def build_parser() -> _Parser:
     sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     sp.add_argument("--dump-points", default=None,
                     help="also dump counted points with Im_height column")
-    sp.set_defaults(func=cmd_parabolic_count)
 
-    sp = sub.add_parser("accept", help="run the acceptance suite")
-    sp.set_defaults(func=cmd_accept)
+    sub.add_parser("accept", help="run the acceptance suite")
     return p
 
 
-def _apply_config(parser, args, argv):
-    """Fill in config-file values for options not given on the command
-    line, converted as the flag converts them: by the option's argparse
-    `type` and `choices`, a repeatable option from a comma-separated list,
-    a switch from a yes/no word.  A bad value is a usage error (exit 64),
-    as for the flag."""
-    if not getattr(args, "config", None):
-        return
+def _parse(parser, argv):
+    """The arguments of `argv`; with `--config`, parsed again with each
+    config entry that names an option of the subcommand put in as
+    `--flag=value` tokens ahead of argv's own flags, which so win.  A
+    repeatable option (default []) takes one token per comma item, and
+    none when argv gives it.  A bad value is argparse's usage error (exit
+    64), followed by a line naming the config file."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
     sub = parser.commands[args.command]
-    flags = sub._option_string_actions
-    options = {a.dest.lower(): a for a in flags.values() if hasattr(args, a.dest)}
-    # A flag given on the command line wins; an abbreviated flag stands
-    # for the one option it is a prefix of (argparse has checked that).
-    explicit = set()
-    for token in argv:
-        flag = token.split("=", 1)[0]
-        if flag.startswith("--"):
-            hits = ([flags[flag]] if flag in flags else
-                    [a for o, a in flags.items() if o.startswith(flag)])
-            explicit.update(a.dest.lower() for a in hits)
-    # An alias (cesaro) reads the section of its command (count).
     try:
-        defaults = _config_defaults(args.config, sub.prog.split()[-1])
+        # An alias (cesaro) reads the section of its command (count).
+        entries = _config_defaults(args.config, sub.prog.split()[-1])
     except configparser.Error as exc:
         sub.error(f"config file {args.config}: {exc}")
-    for key, text in defaults.items():
-        action = options.get(key)
-        if action is None or key in explicit:
+    dests = {d.lower(): d for d in vars(args) if d != "command"}
+    tokens = []
+    for key, text in entries.items():
+        dest = dests.get(key)
+        if dest is None:
             continue
-        if action.nargs == 0:
-            setattr(args, action.dest,
-                    text.strip().lower() in ("1", "true", "yes", "on"))
-            continue
-        repeatable = isinstance(action, argparse._AppendAction)
-        convert = action.type or str
-        try:
-            values = [convert(item.strip())
-                      for item in (text.split(",") if repeatable else [text])]
-        except ValueError:
-            sub.error(f"config {key}: invalid value {text!r}")
-        if action.choices is not None and not set(values) <= set(action.choices):
-            sub.error(f"config {key}: invalid choice {text!r}")
-        setattr(args, action.dest, values if repeatable else values[0])
+        flag = "--" + dest.replace("_", "-")
+        given = getattr(args, dest)
+        if not isinstance(given, list):
+            tokens.append(f"{flag}={text}")
+        elif not given:
+            tokens.extend(f"{flag}={item.strip()}" for item in text.split(","))
+    try:
+        return parser.parse_args(argv[:1] + tokens + argv[1:])
+    except SystemExit:
+        print(f"innerlab: in config file {args.config}", file=sys.stderr)
+        raise
 
 
 def main(argv=None) -> int:
@@ -415,12 +404,17 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    try:
-        _apply_config(parser, args, argv)
-        return args.func(args)
+        args = _parse(parser, argv)
+        # Resolved at each call, not bound in the parser that is built
+        # once per process, so that a handler patched later runs.
+        handler = {"count": cmd_count, "cesaro": cmd_count,
+                   "lyapunov": cmd_lyapunov,
+                   "distortion-scan": cmd_distortion_scan, "orbit": cmd_orbit,
+                   "xi-mass": cmd_xi_mass, "total-mass": cmd_total_mass,
+                   "shadow-sim": cmd_shadow_sim,
+                   "parabolic-count": cmd_parabolic_count,
+                   "accept": cmd_accept}[args.command]
+        return handler(args)
     except BudgetError as exc:
         print(f"innerlab: budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -430,8 +424,8 @@ def main(argv=None) -> int:
     except (PreconditionError, InnerlabError, FileNotFoundError) as exc:
         print(f"innerlab: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except SystemExit as exc:   # a bad config value, reported by the parser
-        return exc.code
+    except SystemExit as exc:   # a usage error, --help or --version
+        return exc.code if exc.code is not None else EXIT_USAGE
 
 
 if __name__ == "__main__":

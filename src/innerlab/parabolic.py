@@ -232,13 +232,12 @@ class StripProfile:
 
 
 def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
-                    node_budget: int = DEFAULT_NODE_BUDGET,
-                    farfield_prune: bool = True) -> StripProfile:
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> StripProfile:
     """Backward tree of repeated preimages with Im >= e^{-R}; a point is
     counted iff additionally Re in `interval` and Im <= 1.
 
     Pruning by the Im threshold alone is sound (preimage heights only
-    decrease).  `farfield_prune` additionally drops drift nodes far outside
+    decrease).  The far-field prune also drops drift nodes far outside
     the interval/pole hull whose descendants provably stay below the
     threshold on any path re-entering bounded territory: a jump branch off
     a drift node at w has height about jump_scale * Im(w)/|w - poles|^2,
@@ -287,15 +286,14 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
                               f"generation {gen}", partial=profile)
         roots = hp_preimages_batch(F, current).reshape(-1)
         keep = roots.imag >= eps
-        if farfield_prune:
-            far = np.abs(roots.real) >= re_safe
-            gap = np.abs(roots.real) - float(np.max(np.abs(poles)))
-            with np.errstate(divide="ignore"):
-                reentry = FARFIELD_SAFETY * jump * roots.imag / np.maximum(gap, 1.0) ** 2
-            hopeless = far & (reentry < eps) \
-                & ((roots.real < x_lo) | (roots.real > x_hi))
-            profile.farfield_pruned += int(np.sum(keep & hopeless))
-            keep &= ~hopeless
+        far = np.abs(roots.real) >= re_safe
+        gap = np.abs(roots.real) - float(np.max(np.abs(poles)))
+        with np.errstate(divide="ignore"):
+            reentry = FARFIELD_SAFETY * jump * roots.imag / np.maximum(gap, 1.0) ** 2
+        hopeless = far & (reentry < eps) \
+            & ((roots.real < x_lo) | (roots.real > x_hi))
+        profile.farfield_pruned += int(np.sum(keep & hopeless))
+        keep &= ~hopeless
         kept = roots[keep]
         inwin = window_mask(kept)
         counted_pts.extend(kept[inwin].tolist())

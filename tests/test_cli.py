@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,8 +128,9 @@ class TestOtherSubcommands:
 
     @pytest.mark.parametrize("interior", [False, True])
     def test_orbit_rows_follow_seed(self, deg2_file, tmp_path, interior):
+        # --z selects the interior orbit from z; without it, a solenoid orbit.
         F = InnerModel.from_zeros(0, 0.5)
-        mode = ["--interior", "--z", "0.3,0.2"] if interior else []
+        mode = ["--z", "0.3,0.2"] if interior else []
         rows = {}
         for seed in (3, 4):
             out = tmp_path / f"orbit{seed}.csv"
@@ -141,6 +146,10 @@ class TestOtherSubcommands:
         assert rows[3] != rows[4]
         # An interior orbit starts at --z, a solenoid orbit at a seeded angle.
         assert (rows[3][0] == rows[4][0]) == interior
+
+    def test_interior_flag_is_gone(self, deg2_file, tmp_path):
+        assert cli.main(["orbit", "--model", deg2_file, "--interior",
+                         "--out", str(tmp_path / "x.csv")]) == 64
 
     @pytest.mark.parametrize("command", ["lyapunov", "total-mass"])
     def test_rows_follow_seed(self, deg2_file, tmp_path, command):
@@ -211,6 +220,22 @@ class TestOtherSubcommands:
         header, rows = read_rows(out)
         assert header[0] == "model_id"
         assert float(rows[1][2]) > float(rows[0][2])
+
+    @pytest.mark.parametrize("flags, config", [
+        ([], ""),
+        (["--model", "{model}", "--truncation-K", "4"], ""),
+        (["--truncation-K", "4"], "model = {model}\n"),
+    ], ids=["neither", "both", "config-and-flag"])
+    def test_distortion_scan_takes_one_source(self, deg2_file, tmp_path, capsys,
+                                              flags, config):
+        # --model and --truncation-K exclude each other, one is required,
+        # and a config entry counts as given.
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        cfg.write_text(config.format(model=deg2_file))
+        assert cli.main(["distortion-scan", "--config", str(cfg), "--out", str(out)]
+                        + [f.format(model=deg2_file) for f in flags]) == 64
+        assert "--truncation-K" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parabolic_count(self, hp_file, tmp_path):
         out = tmp_path / "pc.csv"
@@ -356,14 +381,13 @@ class TestConfigFile:
          ["--chi", "0.62"]),
         (["distortion-scan"], "truncation-K = 4, 6\nr-max = 0.99\n",
          ["--truncation-K", "4", "--truncation-K", "6", "--r-max", "0.99"]),
-        (["orbit", "--n", "5"], "interior = yes\nz = 0.3,0.2\n",
-         ["--interior", "--z", "0.3,0.2"]),
+        (["orbit", "--n", "5"], "z = 0.3,0.2\n", ["--z", "0.3,0.2"]),
         (["lyapunov"], "method = jensen\n", ["--method", "jensen"]),
     ], ids=["none-default", "repeatable", "switch", "choices"])
     def test_config_matches_flags(self, deg2_file, tmp_path, command, config,
                                   flags):
-        # Values are converted by each option's type: options defaulting to
-        # None or to a list, repeatable options and switches included.
+        # Values are parsed as the flags are: options defaulting to None or
+        # to a list, repeatable options and the orbit mode's --z included.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         model = [] if command[0] == "distortion-scan" else ["--model", deg2_file]
@@ -422,6 +446,42 @@ class TestConfigFile:
         assert cli.main(["lyapunov", "--model", deg2_file, "--config", str(cfg),
                          "--out", str(tmp_path / "x.csv")]) == 64
 
+    def test_bad_config_value_names_the_file(self, deg2_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[count]\nnode-budget = abc\n")
+        assert cli.main(["count", "--model", deg2_file, "--z", "0.3,0",
+                         "--R", "5", "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv")]) == 64
+        err = capsys.readouterr().err.splitlines()
+        assert "argument --node-budget: invalid int value: 'abc'" in err[-2]
+        assert err[-1] == f"innerlab: in config file {cfg}"
+
+    def test_repeatable_flag_replaces_config_list(self, tmp_path):
+        # The command line's --truncation-K 3 replaces the config's 4, 6
+        # rather than adding to them.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("truncation-K = 4, 6\n")
+        bodies = []
+        for name, extra in (("cfg", ["--config", str(cfg)]), ("flags", [])):
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["distortion-scan", "--truncation-K", "3",
+                             "--out", str(out)] + extra) == 0
+            bodies.append(read_rows(out)[1])
+        assert len(bodies[0]) == 1
+        assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("config", ["frobnicate = 1\n", "help = yes\n"],
+                             ids=["unknown", "help"])
+    def test_keys_naming_no_option_are_ignored(self, deg2_file, tmp_path,
+                                               capsys, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out.csv"
+        assert cli.main(["lyapunov", "--model", deg2_file, "--method", "jensen",
+                         "--config", str(cfg), "--out", str(out)]) == 0
+        assert [r[0] for r in read_rows(out)[1]] == ["jensen"]
+        assert capsys.readouterr().out == ""
+
 
 class TestDeterminism:
     def test_byte_identical_across_threads_and_runs(self, deg2_file, tmp_path):
@@ -433,6 +493,33 @@ class TestDeterminism:
             bodies.append("\n".join(ln for ln in out.read_text().splitlines()
                                     if not ln.startswith("#")))
         assert len(set(bodies)) == 1
+
+    def test_in_process_calls_match_fresh_processes(self, deg2_file, tmp_path):
+        # One parser serves every call in a process: no call's options or
+        # config values reach the next call.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[count]\nR-step = 2.0\n")
+        runs = [["count", "--z", "0.3,0", "--R", "4", "--config", str(cfg)],
+                ["lyapunov", "--method", "jensen", "--config", str(cfg)],
+                ["count", "--z", "0.3,0", "--R", "4"]]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        for i, argv in enumerate(runs):
+            argv = argv + ["--model", deg2_file]
+            same, fresh = tmp_path / f"same{i}.csv", tmp_path / f"fresh{i}.csv"
+            assert cli.main(argv + ["--out", str(same)]) == 0
+            subprocess.run([sys.executable, "-m", "innerlab.cli", *argv,
+                            "--out", str(fresh)], env=env, check=True)
+            assert data_lines(same) == data_lines(fresh)
+        assert len(read_rows(tmp_path / "same0.csv")[1]) == 2
+        assert len(read_rows(tmp_path / "same2.csv")[1]) == 4
+
+    def test_parser_built_once(self, deg2_file, tmp_path):
+        for command in (["lyapunov", "--method", "jensen"], ["orbit"]):
+            assert cli.main(command + ["--model", deg2_file,
+                                       "--out", str(tmp_path / "x.csv")]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestAccept:
@@ -524,7 +611,7 @@ class TestCsvRows:
             pts = lamination.sample_interior_orbit(F, 0.3 + 0.2j, 20, seed=3)
         else:
             pts = lamination.solenoid_orbits(F, 20, seed=3)[0]
-        mode = ["--interior", "--z", "0.3,0.2"] if interior else []
+        mode = ["--z", "0.3,0.2"] if interior else []
         self.check(tmp_path, ["orbit", "--model", deg2_file, "--n", "20",
                               "--seed", "3"] + mode,
                    lambda path: write_orbit_csv(pts, path))

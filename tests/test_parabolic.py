@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -208,9 +209,13 @@ class TestEnumerateStrip:
         with pytest.raises(PreconditionError):
             enumerate_strip(F, 0.5j, (-1, 1), 2.0)
 
-    def test_farfield_prune_sound(self, zminus):
-        a = enumerate_strip(zminus, 0.5j, (-1, 1), 5.0, farfield_prune=True)
-        b = enumerate_strip(zminus, 0.5j, (-1, 1), 5.0, farfield_prune=False)
+    def test_farfield_prune_sound(self, zminus, monkeypatch):
+        a = enumerate_strip(zminus, 0.5j, (-1, 1), 5.0)
+        # An infinite safety factor makes every re-entry bound infinite, so
+        # no node is hopeless: the unpruned reference.
+        monkeypatch.setattr(parabolic, "FARFIELD_SAFETY", math.inf)
+        b = enumerate_strip(zminus, 0.5j, (-1, 1), 5.0)
+        assert b.farfield_pruned == 0
         assert len(a.counted_points) == len(b.counted_points)
         assert np.allclose(np.sort_complex(a.counted_points),
                            np.sort_complex(b.counted_points), atol=1e-12)
