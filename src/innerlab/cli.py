@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 precondition error, 3 resource/budget error,
 text; keys before any [section] header apply to every subcommand, keys
 under [name] only to subcommand `name`.  A config value is parsed as
 its flag (`--key=value`; a comma list for a repeatable flag), and flags
-on the command line win.  Complex numbers are written `re,im`.
+on the command line win; any option, required ones included, may come
+from the config.  Complex numbers are written `re,im`.
 """
 
 from __future__ import annotations
@@ -143,9 +144,6 @@ def cmd_lyapunov(args):
 
 
 def cmd_distortion_scan(args):
-    if not (args.model or args.truncation_K):
-        build_parser().commands["distortion-scan"].error(
-            "one of the arguments --model --truncation-K is required")
     if not args.r_max:
         args.r_max = [1.0 - 1e-4]
     if args.truncation_K:
@@ -299,8 +297,7 @@ def build_parser() -> _Parser:
                                "integral_eta, integral_delta, integral_alpha, "
                                "log_angular_derivative.")
     common(sp, model=False)
-    # Exactly one source; "neither" is checked once config values are in.
-    source = sp.add_mutually_exclusive_group()
+    source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", action="append", default=[],
                         help="model file (repeatable)")
     source.add_argument("--truncation-K", type=int, action="append", default=[],
@@ -361,26 +358,51 @@ def build_parser() -> _Parser:
                     help="also dump counted points with Im_height column")
 
     sub.add_parser("accept", help="run the acceptance suite")
+    for sp in sub.choices.values():
+        # Fixed here: `_parse` lifts required options while it reads argv.
+        sp.usage = sp.format_usage().removeprefix("usage: ").rstrip("\n")
     return p
 
 
+# Reads --config alone (abbreviations too), so that without it argv is
+# parsed once.  A misuse of it is left to the full parse to report.
+_CONFIG_FLAG = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG_FLAG.add_argument("--config")
+
+
 def _parse(parser, argv):
-    """The arguments of `argv`; with `--config`, parsed again with each
-    config entry that names an option of the subcommand put in as
-    `--flag=value` tokens ahead of argv's own flags, which so win.  A
+    """The arguments of `argv`: one parse without `--config`.  With it,
+    argv is read first with required options lifted, to find the config
+    file and the options argv gives; each config entry that names an
+    option of the subcommand becomes `--flag=value` tokens, and the one
+    full parse of `[command] + tokens + argv[1:]` enforces the required
+    options, so any option, required ones included, may come from the
+    config.  argv's own flags come after the tokens and so win.  A
     repeatable option (default []) takes one token per comma item, and
     none when argv gives it.  A bad value is argparse's usage error (exit
     64), followed by a line naming the config file."""
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None) is None:
-        return args
-    sub = parser.commands[args.command]
+    sub = parser.commands.get(argv[0]) if argv else None
+    try:
+        path = _CONFIG_FLAG.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        path = None
+    if sub is None or path is None:
+        return parser.parse_args(argv)
+    lifted = [x for x in (*sub._actions, *sub._mutually_exclusive_groups)
+              if x.required]
+    try:
+        for x in lifted:
+            x.required = False
+        args = sub.parse_args(argv[1:])
+    finally:
+        for x in lifted:
+            x.required = True
     try:
         # An alias (cesaro) reads the section of its command (count).
         entries = _config_defaults(args.config, sub.prog.split()[-1])
     except configparser.Error as exc:
         sub.error(f"config file {args.config}: {exc}")
-    dests = {d.lower(): d for d in vars(args) if d != "command"}
+    dests = {d.lower(): d for d in vars(args)}
     tokens = []
     for key, text in entries.items():
         dest = dests.get(key)

@@ -470,6 +470,59 @@ class TestConfigFile:
         assert len(bodies[0]) == 1
         assert bodies[0] == bodies[1]
 
+    @pytest.mark.parametrize("command, config, flags", [
+        (["count"], "[count]\nz = 0.3,0\nR = 4\n", ["--z", "0.3,0", "--R", "4"]),
+        (["parabolic-count"], "z = 0,0.5\nI = -1,1\nR = 5\n",
+         ["--z", "0,0.5", "--I=-1,1", "--R", "5"]),
+        (["xi-mass", "--max-depth", "1", "--grid", "6"],
+         "box = 0.5,0.7,0.3,1.1\n", ["--box", "0.5,0.7,0.3,1.1"]),
+        (["lyapunov", "--method", "jensen"], "model = {model}\nout = {out}\n",
+         ["--model", "{model}", "--out", "{out}"]),
+    ], ids=["count", "parabolic-count", "xi-mass", "model-out"])
+    def test_required_options_from_config(self, deg2_file, hp_file, tmp_path,
+                                          command, config, flags):
+        # The config alone may give a required option.
+        model = hp_file if command[0] == "parabolic-count" else deg2_file
+        cfg = tmp_path / "run.cfg"
+        bodies = []
+        for name in ("cfg", "flags"):
+            out = tmp_path / f"{name}.csv"
+            fill = [f.format(model=model, out=out) for f in flags]
+            if name == "cfg":
+                cfg.write_text(config.format(model=model, out=out))
+                fill = ["--config", str(cfg)]
+            if "{model}" not in config:
+                fill += ["--model", model, "--out", str(out)]
+            assert cli.main(command + fill) == 0
+            bodies.append(read_rows(out))
+        assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("config, missing", [
+        ("", "--z, --R"), ("[count]\nz = 0.3,0\n", "--R"),
+        ("[lyapunov]\nR = 4\nz = 0.3,0\n", "--z, --R")],
+        ids=["empty", "R", "foreign-section"])
+    def test_required_option_given_nowhere_is_64(self, deg2_file, tmp_path,
+                                                 capsys, config, missing):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        cfg.write_text(config)
+        assert cli.main(["count", "--model", deg2_file, "--config", str(cfg),
+                         "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert f"the following arguments are required: {missing}" in err
+        assert not out.exists()
+
+    def test_usage_with_config_marks_required_options(self, deg2_file, tmp_path,
+                                                       capsys):
+        # argv is first read with required options lifted; the usage line
+        # of an error there still shows them as required.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[count]\nz = 0.3,0\n")
+        assert cli.main(["count", "--model", deg2_file, "--config", str(cfg),
+                         "--R", "x", "--out", str(tmp_path / "x.csv")]) == 64
+        err = capsys.readouterr().err
+        assert "argument --R: invalid float value: 'x'" in err
+        assert "--model MODEL --out OUT [--config CONFIG] --z Z --R" in err
+
     @pytest.mark.parametrize("config", ["frobnicate = 1\n", "help = yes\n"],
                              ids=["unknown", "help"])
     def test_keys_naming_no_option_are_ignored(self, deg2_file, tmp_path,

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 
 from conftest import random_centered_blaschke
 from innerlab.errors import NumericalError, PreconditionError
-from innerlab.innerfn import InnerModel
-from innerlab.lyapunov import chi_birkhoff, chi_jensen_oracle, chi_quadrature
+from innerlab import lyapunov
+from innerlab.innerfn import BLOCK_ENTRIES, InnerModel, _boundary_value
+from innerlab.lyapunov import (LyapunovEstimate, chi_birkhoff, chi_jensen_oracle,
+                               chi_quadrature)
 
 DEG2_CHI = np.log(1 + np.sqrt(3) / 2)
 
@@ -276,6 +279,82 @@ class TestBirkhoffDeterminism:
             z = w / np.abs(w)
         ref = float(np.sum(sums) / n)
         assert chi_birkhoff(F, 0.0, n=n, seed=5).value == ref
+
+
+def _reference_birkhoff(F, zeta0, n, seed=0):
+    """`chi_birkhoff` as the per-step loop: at each step, |F'| of the lanes,
+    its log added to the sums of the lanes with steps left, then one step
+    of F and renormalization."""
+    lanes = min(32, n)
+    rng = np.random.default_rng(seed)
+    starts = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=lanes - 1))
+    z = np.concatenate(([_boundary_value(zeta0)], starts))
+    steps = np.full(lanes, n // lanes)
+    steps[: n % lanes] += 1
+    sums = np.zeros(lanes)
+    for k in range(steps[0]):
+        modulus = F._blocked(F._boundary_block, z, float)
+        sums += np.where(steps > k, np.log(modulus), 0.0)
+        w = F.eval(z)
+        z = w / np.abs(w)
+    value = float(np.sum(sums) / n)
+    if lanes == 1:
+        return LyapunovEstimate(value, "birkhoff", np.inf)
+    stderr = float(np.std(sums / steps, ddof=1) / np.sqrt(lanes))
+    return LyapunovEstimate(value, "birkhoff", stderr)
+
+
+def _seeded_model(d):
+    """A rotated degree-d Blaschke product with a zero at the origin and
+    d - 1 zeros drawn from rng d."""
+    rng = np.random.default_rng(d)
+    zeros = 0.9 * np.sqrt(rng.uniform(size=d - 1)) \
+        * np.exp(2j * np.pi * rng.uniform(size=d - 1))
+    return InnerModel(rotation=np.exp(2j * np.pi * rng.uniform()),
+                      zeros=(0j, *zeros))
+
+
+CHUNK_STEPS = BLOCK_ENTRIES // 32
+
+
+class TestBirkhoffChunks:
+    """The orbit-first loop (chunks of BLOCK_ENTRIES // lanes steps)
+    against the per-step loop, bit for bit."""
+
+    @pytest.mark.parametrize("model", [
+        *(pytest.param(("origin_at", i), id=f"origin_at{i}") for i in (0, 3)),
+        *(pytest.param(("degree", d), id=f"degree{d}") for d in range(2, 7))])
+    @pytest.mark.parametrize("n", [
+        1, 5, 37, 32 * CHUNK_STEPS - 1, 32 * CHUNK_STEPS, 32 * CHUNK_STEPS + 1,
+        3 * 32 * CHUNK_STEPS + 7])
+    def test_matches_per_step_loop(self, model, n):
+        kind, arg = model
+        F = (TestBirkhoffDeterminism._model(arg) if kind == "origin_at"
+             else _seeded_model(arg))
+        for zeta0, seed in ((0.7, 0), (1.0 + 0j, 5)):
+            assert chi_birkhoff(F, zeta0, n, seed=seed) \
+                == _reference_birkhoff(F, zeta0, n, seed=seed)
+
+    def test_memory_set_by_the_chunk(self, deg2):
+        # The whole orbit at n = 10**6 would be 16 MB of complex points.
+        tracemalloc.start()
+        try:
+            chi_birkhoff(deg2, 0.7, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_one_debug_record(self, deg2, caplog):
+        n = 32 * CHUNK_STEPS + 1
+        with caplog.at_level(logging.DEBUG, logger="innerlab.lyapunov"):
+            chi_birkhoff(deg2, 0.7, n)
+        [record] = [r for r in caplog.records if r.name == "innerlab.lyapunov"]
+        assert record.levelno == logging.DEBUG
+        assert record.msg == lyapunov._BIRKHOFF_RECORD
+        lanes, fewest, most, chunks, orbit_s, kernel_s = record.args
+        assert (lanes, fewest, most, chunks) == (32, CHUNK_STEPS, CHUNK_STEPS + 1, 2)
+        assert orbit_s > 0 and kernel_s > 0
 
 
 class TestAngularDerivative:
