@@ -21,12 +21,13 @@ relative to max(1, |w|); rows still moving after MAX_ITER iterations
 are written back with their last iterates.
 
 Deterministic: fixed starting configuration (a symmetry-breaking ring,
-or the caller's `start`), fixed iteration policy, no randomness.  Each call logs one DEBUG record with its rows, degree,
-iterations run (the most of any block) and rows left moving (0 and 0 in
-closed form).
+or the caller's `start`), fixed iteration policy, no randomness.  Each
+call logs one DEBUG record with its rows, degree, iterations run (the
+most of any block) and rows left moving (0 and 0 in closed form).
 
-`_preimage_roots` takes one Newton step on F(w) - z from each root and
-checks the residual at the returned roots.  Rows that fail it go to one
+`_preimage_roots` takes one Newton step on F(w) - z from each root, F and
+F' from one `_eval_deriv` call, and checks the residual at the returned
+roots, row by row only when the largest fails.  Rows that fail go to one
 rescue: Aberth iteration, with the same step, on p = D (F - z) in
 product form, never on the expanded N - z D, whose coefficients can lose
 the roots' digits.  Each solve logs one DEBUG record with its rows,
@@ -69,9 +70,11 @@ def _quadratic_roots(monic):
     """
     c, b = monic[:, 0], monic[:, 1]
     s = np.sqrt(b * b - 4.0 * c)
-    s = np.where((b.conj() * s).real < 0.0, -s, s)
-    q = -0.5 * (b + s)
-    return np.stack((q, c / np.where(q == 0, 1.0, q)), axis=1)
+    np.negative(s, out=s, where=(b.conj() * s).real < 0.0)
+    roots = np.empty((len(monic), 2), dtype=complex)
+    q = np.multiply(-0.5, b + s, out=roots[:, 0])
+    np.divide(c, np.where(q == 0, 1.0, q), out=roots[:, 1])
+    return roots
 
 
 def aberth_batch(coeffs, start=None):
@@ -89,7 +92,7 @@ def aberth_batch(coeffs, start=None):
     if d < 1:
         raise NumericalError("cannot root a constant polynomial")
     lead = coeffs[:, -1]
-    if np.any(np.abs(lead) < 1e-300):
+    if (np.abs(lead) < 1e-300).any():
         raise NumericalError("vanishing leading coefficient in batch")
     monic = coeffs / lead[:, None]
 
@@ -139,7 +142,7 @@ def _aberth_block(monic, w):
     rows = np.arange(len(w))
     c = monic.T.copy()
     wa = w.T.copy()
-    scale = np.maximum(np.max(np.abs(monic), axis=1), 1.0)
+    scale = np.maximum(np.max(np.abs(c), axis=0), 1.0)
     iters = 0
     with np.errstate(all="ignore"):
         while iters < MAX_ITER and len(rows):
@@ -177,12 +180,23 @@ def _newton_sweep(F, w, z):
     """One Newton step on F(w) - z from the roots `w`, not taken where it is
     not finite or of modulus 0.1 max(1, |w|) or more (near a multiple
     root).  Returns the new roots, their residuals and the steps taken."""
-    step = F.eval(w) - z
     with np.errstate(all="ignore"):
-        step /= F.deriv(w)
+        step, fprime = F._eval_deriv(w)
+        step -= z
+        step /= fprime
     step[~(np.abs(step) < 0.1 * np.maximum(np.abs(w), 1.0))] = 0.0  # also NaN
     w = w - step
     return w, np.abs(F.eval(w) - z), step
+
+
+def _numerators(F, zz):
+    """The rows N - z D of F = N/D at the column zz, built in a call of
+    their own so that they are freed before the Newton sweep."""
+    N, D = F.rational_coeffs
+    coeffs = np.empty((len(zz), len(N)), dtype=complex)
+    coeffs[:] = N
+    coeffs[:, :len(D)] -= zz * D
+    return coeffs
 
 
 def _preimage_roots(F, zs, start=None):
@@ -190,25 +204,25 @@ def _preimage_roots(F, zs, start=None):
     per z, each given one Newton step on F(w) - z and checked to
     |F(w) - z| <= RESIDUAL_TOL * max(1, max |z|).
 
-    `F` has `eval`, `deriv`, `_preimage_newton` and the rational form
-    `rational_coeffs` = (N, D), lowest-degree first.  Rows that fail the
-    check (rows Aberth left moving, rows whose N - z D lost the roots'
-    digits) go to `_rescue` and are kept from it where their worst
-    residual went down.  `start` is passed on to `aberth_batch`.
+    `F` has `eval`, `_eval_deriv` (F and F'), `_preimage_newton` and the
+    rational form `rational_coeffs` = (N, D), lowest-degree first.  Rows
+    that fail the check (rows Aberth left moving, rows whose N - z D lost
+    the roots' digits) go to `_rescue` and are kept from it where their
+    worst residual went down.  `start` is passed on to `aberth_batch`.
     """
-    N, D = F.rational_coeffs
     zz = zs[:, None]
-    coeffs = np.array(np.broadcast_to(N, (len(zs), len(N))), dtype=complex)
-    coeffs[:, :len(D)] -= zz * D
-    scale = max(1.0, float(np.max(np.abs(zs))))
-    roots, resid, step = _newton_sweep(F, aberth_batch(coeffs, start), zz)
-    again = np.flatnonzero(np.max(resid, axis=1) > RESIDUAL_TOL * scale)
+    scale = max(1.0, float(np.abs(zs).max()))
+    roots, resid, step = _newton_sweep(F, aberth_batch(_numerators(F, zz), start), zz)
+    # Row maxima (slow along the short root axis) only when the largest
+    # residual fails; fmax skips NaN, as the row test does.
+    again = np.flatnonzero(np.max(resid, axis=1) > RESIDUAL_TOL * scale) \
+        if np.fmax.reduce(resid, axis=None) > RESIDUAL_TOL * scale else ()
     if len(again):
         w = _rescue(F, roots[again], zs[again])
         r = np.abs(F.eval(w) - zz[again])
         ok = np.max(r, axis=1) < np.max(resid[again], axis=1)
         roots[again[ok]], resid[again[ok]] = w[ok], r[ok]
-    worst = float(np.max(resid))
+    worst = float(resid.max())
     if log.isEnabledFor(logging.DEBUG):
         moved = float(np.max(np.abs(step) / np.maximum(np.abs(roots), 1.0)))
         log.debug(_SOLVE_RECORD, len(zs), roots.shape[1], len(again),

@@ -34,7 +34,8 @@ class CountingProfile:
     cutoff: float
 
     def __post_init__(self):
-        r = np.sort(np.asarray(self.radii, dtype=float))
+        r = np.asarray(self.radii, dtype=float)
+        r = r if (r[:-1] <= r[1:]).all() else np.sort(r)  # from_tree: sorted
         if len(r) and r[-1] > self.cutoff + 1e-12:
             raise PreconditionError("profile contains radii beyond the cutoff")
         object.__setattr__(self, "radii", r)
@@ -68,7 +69,7 @@ def cesaro(profile: CountingProfile, R: float) -> float:
     (1/R) sum_{d_w <= R} (e^{-d_w} - e^{-R})."""
     if not 0 < R <= profile.cutoff + 1e-12:
         raise PreconditionError(f"need 0 < R <= cutoff, got R = {R}")
-    r = profile.radii[profile.radii <= R]
+    r = profile.radii[:np.searchsorted(profile.radii, R, side="right")]
     if len(r) == 0:
         return 0.0
     return float(np.sum(np.exp(-r) - np.exp(-R))) / R

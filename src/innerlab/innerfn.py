@@ -41,6 +41,8 @@ sum, taken row after row in that order (zeros in factor order, then
 atoms), and `gap_ratio` there is one over the same sum.
 `deriv` merges (b', b) pairs pairwise by the product rule: bit-identical
 to the sequential product rule for d <= 2 and equal to rounding beyond.
+`_eval_deriv` runs deriv's body once, F from eval's stack padded with
+ones: its F and F' equal `eval` and `deriv` bit for bit.
 Scalars and one-point arrays agree with the reference to rounding only
 (their factor-axis product is not fused).
 """
@@ -92,7 +94,10 @@ def _unimodular(a):
 
 
 def _rows(idx):
-    """Index array of the factor rows in `idx`, None when it is empty."""
+    """The factor rows in `idx`: a slice when consecutive (cheaper to index
+    than an index array), else an index array; None when empty."""
+    if idx and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(idx[0], idx[-1] + 1)
     return np.array(idx, dtype=np.intp) if idx else None
 
 
@@ -177,25 +182,24 @@ class InnerModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def _blocked(self, block, z, dtype):
-        """`block(zb, out)` on the flattened z, writing a preallocated
-        output: in one call for at most `_block` points, else in
-        ceil(n / _block) blocks whose sizes differ by at most one (a
-        one-point block would reduce along the factor axis, where numpy's
-        product rounds differently).  The result has z's shape (a Python
-        scalar for scalar z)."""
+    def _blocked(self, block, z, dtype, rows=()):
+        """`block(zb, out)` on the flattened z, into a preallocated output of
+        leading axes `rows`: in one call for at most `_block` points, else in
+        ceil(n / _block) blocks whose sizes differ by at most one (a one-point
+        block would reduce along the factor axis, where numpy's product rounds
+        differently).  The result has shape rows + z.shape, a scalar if ()."""
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
         n = flat.size
-        out = np.empty(n, dtype=dtype)
+        out = np.empty(rows + (n,), dtype=dtype)
         if n <= self._block:
             block(flat, out)
         else:
             parts = -(-n // self._block)
             for zb, ob in zip(np.array_split(flat, parts),
-                              np.array_split(out, parts)):
+                              np.array_split(out, parts, axis=-1)):
                 block(zb, ob)
-        return dtype(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+        return out.reshape(rows + z.shape) if rows or z.ndim else dtype(out[0])
 
     def _atom_product(self, z):
         """(product of the atom factors at z, the (k, n) differences
@@ -238,23 +242,32 @@ class InnerModel:
         return self.eval(z)
 
     def _deriv_block(self, z, out):
-        # (B, P) = (b', b) per factor, padded to a power of two with the
-        # identity (0, 1), and merged pairwise by the product rule
-        # (f g)' = f' g + f g' until one pair is left: log2(d) broadcasts,
-        # no division by a factor that may vanish.
-        prod = np.ones((self._pow2, z.size), dtype=complex)
+        # `out` is F' or (F, F').  F reduces eval's stack, the first 1 + d of
+        # 1 + _pow2 rows; the (b', b) rows, padded with (0, 1), merge pairwise
+        # by (f g)' = f' g + f g': no division by a factor that may vanish.
+        f_out, out = out if out.ndim == 2 else (None, out)
+        stack = np.empty((1 + self._pow2, z.size), dtype=complex)
+        prod = stack[1:]
+        prod[self.degree:].fill(1.0)
         der = np.zeros((self._pow2, z.size), dtype=complex)
         den = self._factors(z, prod)
         if self._origin is not None:
             der[self._origin] = 1.0
         if den is not None:
             der[self._moved] = self._du / den ** 2
+        if self.atoms:
+            atom_val, gaps = self._atom_product(z)
+        if f_out is not None:
+            if self.atoms:
+                np.multiply(self.rotation, atom_val, out=stack[0])
+            else:
+                stack[0] = self.rotation
+            np.multiply.reduce(stack[:1 + self.degree], axis=0, out=f_out)
         while len(prod) > 1:
             der = der[0::2] * prod[1::2] + prod[0::2] * der[1::2]
             prod = prod[0::2] * prod[1::2]
         bprime, blaschke = der[0], prod[0]
         if self.atoms:
-            atom_val, gaps = self._atom_product(z)
             atom_logderiv = np.add.reduce(self._neg_2wzeta / gaps ** 2, axis=0)
             bprime = bprime * atom_val + blaschke * atom_val * atom_logderiv
         np.multiply(self.rotation, bprime, out=out)
@@ -262,6 +275,10 @@ class InnerModel:
     def deriv(self, z):
         """F'(z) by the product rule over factors, stable at zeros of F."""
         return self._blocked(self._deriv_block, z, complex)
+
+    def _eval_deriv(self, z):
+        """(F, F') at z from one factor pass, bit for bit eval and deriv."""
+        return self._blocked(self._deriv_block, z, complex, (2,))
 
     def iterate(self, z, n: int):
         """n-fold composition F^n(z); n = 0 is the identity."""

@@ -11,6 +11,7 @@ classification.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,8 +24,12 @@ from .errors import BudgetError, NumericalError, PreconditionError
 from .innerfn import _model_lines
 from .preimage import DEFAULT_NODE_BUDGET
 
+log = logging.getLogger("innerlab.parabolic")
+
 IM_SUM_TOL = 1e-9
 FARFIELD_SAFETY = 4.0
+_STRIP_RECORD = ("enumerate_strip: %d generations, %d explored, %d counted, "
+                 "%d far-field pruned, frontier largest %d, median %g")
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,9 @@ class HalfPlaneInner:
                 out = out + c * (x * x + 1.0) / (x - z) ** 2
         return complex(out) if out.ndim == 0 else out
 
+    def _eval_deriv(self, z):
+        return self.eval(z), self.deriv(z)
+
     def _preimage_newton(self, w, z):
         """p/p' at w for p = D (F - z), D = prod (x_k - w) the denominator
         of the rational form: (F - z)/(F' + (F - z) sum 1/(w - x_k))."""
@@ -107,6 +115,11 @@ class HalfPlaneInner:
         N = np.convolve([self.beta, 1.0], D) + corr
         N.flags.writeable = D.flags.writeable = False
         return N, D
+
+    @cached_property
+    def _atom_starts(self):
+        """The starts x_k + 0.1 e^{0.5i} next to the poles, kept."""
+        return np.array([x + 0.1 * np.exp(0.5j) for x, _ in self.atoms])
 
     def to_text(self) -> str:
         lines = [f"beta={format(self.beta, '.17g')}"]
@@ -139,20 +152,19 @@ def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
     reflection of the model.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    if np.any(zs.imag <= 0):
+    if (zs.imag <= 0).any():
         raise PreconditionError("points must lie in the upper half-plane")
     start = np.empty((len(zs), F.degree), dtype=complex)
     start[:, 0] = zs - F.beta
-    start[:, 1:] = [x + 0.1 * np.exp(0.5j) for x, _ in F.atoms]
+    start[:, 1:] = F._atom_starts
     roots = _preimage_roots(F, zs, start=start)
-    im_sum = np.abs(np.sum(roots.imag, axis=1) - zs.imag)
-    if np.any(roots.imag <= 0) or np.any(im_sum > IM_SUM_TOL):
+    im_sum = np.abs(roots.imag.sum(axis=1) - zs.imag)
+    if (roots.imag <= 0).any() or (im_sum > IM_SUM_TOL).any():
         raise NumericalError(
             "preimage set inconsistent with the height identity",
             context={"model": F, "imbalance": float(np.max(im_sum))})
-    order = np.lexsort((np.round(roots.imag, 12), np.round(roots.real, 12)),
-                       axis=1)
-    return np.take_along_axis(roots, order, axis=1)
+    order = np.lexsort((roots.imag.round(12), roots.real.round(12)), axis=1)
+    return roots[np.arange(len(roots))[:, None], order]
 
 
 @dataclass(frozen=True)
@@ -260,45 +272,38 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
         raise PreconditionError(f"model is not infinite height ({cls.detail})")
 
     eps = math.exp(-R)
-    poles = np.array([x for x, _ in F.atoms])
-    re_safe = max(abs(x_lo), abs(x_hi), float(np.max(np.abs(poles)))) + 5.0
-    jump = F.jump_scale
+    pole = max(abs(x) for x, _ in F.atoms)
+    re_safe = max(abs(x_lo), abs(x_hi), pole) + 5.0
+    jump, d = F.jump_scale, F.degree
 
     profile = StripProfile(F, z, (x_lo, x_hi), float(R))
-    counted_pts, counted_gen = [], []
 
-    def window_mask(pts):
-        return ((pts.real >= x_lo) & (pts.real <= x_hi)
-                & (pts.imag >= eps) & (pts.imag <= 1.0 + 1e-15))
+    def counted(pts):
+        return pts[(pts.real >= x_lo) & (pts.real <= x_hi)
+                   & (pts.imag >= eps) & (pts.imag <= 1.0 + 1e-15)]
 
     current = np.array([z], dtype=complex)
-    if window_mask(current)[0]:
-        counted_pts.append(z)
-        counted_gen.append(0)
+    counted_pts, frontier = [counted(current)], []      # per generation
     profile.explored = 1
-
-    gen = 0
     while len(current) > 0:
-        gen += 1
-        profile.explored += len(current) * F.degree
+        frontier.append(len(current))
+        profile.explored += len(current) * d
         if profile.explored > node_budget:
             raise BudgetError(f"node budget {node_budget} exceeded at "
-                              f"generation {gen}", partial=profile)
+                              f"generation {len(frontier)}", partial=profile)
         roots = hp_preimages_batch(F, current).reshape(-1)
-        keep = roots.imag >= eps
-        far = np.abs(roots.real) >= re_safe
-        gap = np.abs(roots.real) - float(np.max(np.abs(poles)))
-        with np.errstate(divide="ignore"):
-            reentry = FARFIELD_SAFETY * jump * roots.imag / np.maximum(gap, 1.0) ** 2
-        hopeless = far & (reentry < eps) \
-            & ((roots.real < x_lo) | (roots.real > x_hi))
-        profile.farfield_pruned += int(np.sum(keep & hopeless))
+        re, im = roots.real, roots.imag
+        dist = np.abs(re)
+        reentry = FARFIELD_SAFETY * jump * im / np.maximum(dist - pole, 1.0) ** 2
+        hopeless = (dist >= re_safe) & (reentry < eps) & ((re < x_lo) | (re > x_hi))
+        keep = im >= eps
+        profile.farfield_pruned += int((keep & hopeless).sum())
         keep &= ~hopeless
-        kept = roots[keep]
-        inwin = window_mask(kept)
-        counted_pts.extend(kept[inwin].tolist())
-        counted_gen.extend([gen] * int(np.sum(inwin)))
-        current = kept
-    profile.counted_points = np.asarray(counted_pts, dtype=complex)
-    profile.counted_generations = np.asarray(counted_gen, dtype=int)
+        current = roots[keep]
+        counted_pts.append(counted(current))
+    sizes = [len(p) for p in counted_pts]
+    profile.counted_points = np.concatenate(counted_pts)
+    profile.counted_generations = np.repeat(np.arange(len(sizes)), sizes)
+    log.debug(_STRIP_RECORD, len(frontier), profile.explored, sum(sizes),
+              profile.farfield_pruned, max(frontier), np.median(frontier))
     return profile

@@ -26,15 +26,15 @@ log = logging.getLogger("innerlab.preimage")
 
 DEDUP_TOL = 1e-7
 DEFAULT_NODE_BUDGET = 5 * 10 ** 7
+_BALL_RECORD = "enumerate_ball: %d generations, %d explored, %d retained, %d merged"
 
 
 def _sort_roots(roots):
     """Deterministic (argument, modulus) order, rowwise."""
     roots = np.atleast_2d(roots)
-    keys_arg = np.round(np.angle(roots), 12)
-    keys_mod = np.round(np.abs(roots), 12)
-    order = np.lexsort((keys_mod, keys_arg), axis=1)
-    return np.take_along_axis(roots, order, axis=1)
+    order = np.lexsort((np.abs(roots).round(12), np.angle(roots).round(12)),
+                       axis=1)
+    return roots[np.arange(len(roots))[:, None], order]
 
 
 def preimages_of_batch(F: InnerModel, zs):
@@ -111,11 +111,12 @@ def _merged(pts):
 
     Points within DEDUP_TOL of each other sit in the same or adjacent cells
     of the DEDUP_TOL grid; only points with an occupied neighbouring cell
-    get the exact distance test.
+    get the exact distance test.  The flagged set is a union of whole
+    cells, so the order of tied keys in the sort does not matter.
     """
     keys = (np.floor(pts.real / DEDUP_TOL).astype(np.int64) * _CELL_SPAN
             + np.floor(pts.imag / DEDUP_TOL).astype(np.int64))
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     sk = keys[order]
     near = np.zeros(len(pts), dtype=bool)
     same = sk[1:] == sk[:-1]
@@ -163,13 +164,13 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
     tree.explored = 1
     if base_radius > R:
         tree.pruned_from = 0
-        return tree
-    tree.points.append(np.array([z], dtype=complex))
-    tree.parents.append(np.array([-1], dtype=np.int64))
+    else:
+        tree.points.append(np.array([z], dtype=complex))
+        tree.parents.append(np.array([-1], dtype=np.int64))
 
     d = F.degree
     gen = 0
-    while len(tree.points[gen]) > 0:
+    while gen < tree.generations:
         if max_generation is not None and gen >= max_generation:
             break
         parents = tree.points[gen]
@@ -197,6 +198,8 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
         tree.points.append(pts[keep])
         tree.parents.append(par[keep])
         gen += 1
+    log.debug(_BALL_RECORD, tree.generations, tree.explored, tree.size(),
+              tree.collisions)
     return tree
 
 

@@ -69,6 +69,17 @@ class TestCesaro:
         assert cesaro(square_profile, 2.0) == pytest.approx(expect, abs=1e-15)
         assert expect == pytest.approx(0.27297, abs=5e-6)
 
+    def test_prefix_equals_masked_sum(self, rng):
+        # Unsorted radii with ties are sorted once; cesaro sums the prefix
+        # of radii <= R, the elements of the mask radii <= R in its order,
+        # so it returns the masked sum's float.
+        radii = np.round(rng.uniform(0.2, 5.0, 400), 2)
+        prof = CountingProfile(0.4, radii, 6.0)
+        assert np.array_equal(prof.radii, np.sort(radii))
+        for R in (0.2, 1.0, radii[7], 5.0, 6.0):
+            r = prof.radii[prof.radii <= R]
+            assert cesaro(prof, R) == float(np.sum(np.exp(-r) - np.exp(-R))) / R
+
     def test_matches_quadrature_oracle(self, rng):
         # Random small profiles: the exact form vs adaptive quadrature of
         # (1/R) int N(z, S) e^-S dS.

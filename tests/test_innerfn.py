@@ -106,6 +106,39 @@ class TestDeriv:
                 assert abs(fd2 - d) / abs(d) < 1e-8
 
 
+class TestEvalDerivPass:
+    """`_eval_deriv`: F and F' from one pass over the factors, bit for bit
+    `eval` and `deriv`, in one block and across blocks."""
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x).view(np.uint64)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_bit_identical_to_eval_and_deriv(self, d, rng):
+        # Origin zeros first (factor rows indexed by slices) and shuffled
+        # among the others (by index arrays).
+        for origin, shuffled in [(k, s) for k in sorted({0, 1, d // 2, d})
+                                 for s in (False, True)]:
+            moved = 0.95 * np.sqrt(rng.uniform(size=d - origin)) \
+                * np.exp(2j * np.pi * rng.uniform(size=d - origin))
+            zeros = np.array((0j,) * origin + tuple(moved))
+            atoms = ((rng.uniform(0, 2 * np.pi), 0.7),) if origin == d // 2 else ()
+            F = InnerModel(rotation=np.exp(2j * np.pi * rng.uniform()), atoms=atoms,
+                           zeros=tuple(rng.permutation(zeros) if shuffled else zeros))
+            for n in (2, F._block, F._block + 1, 3 * F._block):
+                z = 0.99 * np.sqrt(rng.uniform(size=n)) \
+                    * np.exp(2j * np.pi * rng.uniform(size=n))
+                f, fprime = F._eval_deriv(z)
+                assert np.array_equal(self.bits(f), self.bits(F.eval(z)))
+                assert np.array_equal(self.bits(fprime), self.bits(F.deriv(z)))
+            w = z[:2 * (n // 2)].reshape(-1, 2)
+            f, fprime = F._eval_deriv(w)
+            assert f.shape == fprime.shape == w.shape
+            assert np.array_equal(self.bits(f), self.bits(F.eval(w)))
+            assert np.array_equal(self.bits(fprime), self.bits(F.deriv(w)))
+
+
 class TestBoundaryDeriv:
     def test_power_map(self, square):
         assert square.boundary_deriv_modulus(0.7) == pytest.approx(2.0)

@@ -181,6 +181,44 @@ class TestHeightClassify:
         assert cls.kind == "infinite-height"
 
 
+def per_child_strip(F, z, interval, R):
+    """Reference for enumerate_strip: a per-node loop in BFS order that
+    solves one point at a time and prunes and counts each child on its own.
+    Returns (counted points, their generations, explored, far-field
+    pruned)."""
+    lo, hi = interval
+    eps = math.exp(-R)
+    pole = max(abs(x) for x, _ in F.atoms)
+    re_safe = max(abs(lo), abs(hi), pole) + 5.0
+
+    def hopeless(w):
+        gap = max(abs(w.real) - pole, 1.0)
+        reentry = parabolic.FARFIELD_SAFETY * F.jump_scale * w.imag / (gap * gap)
+        return abs(w.real) >= re_safe and reentry < eps and not lo <= w.real <= hi
+
+    def counted(w):
+        return lo <= w.real <= hi and eps <= w.imag <= 1.0 + 1e-15
+
+    points, gens = ([z], [0]) if counted(z) else ([], [])
+    explored, pruned, frontier, gen = 1, 0, [z], 0
+    while frontier:
+        gen, children = gen + 1, []
+        for parent in frontier:
+            explored += F.degree
+            for w in hp_preimages_batch(F, [parent])[0]:
+                if w.imag < eps:
+                    continue
+                if hopeless(w):
+                    pruned += 1
+                    continue
+                children.append(w)
+                if counted(w):
+                    points.append(w)
+                    gens.append(gen)
+        frontier = children
+    return np.array(points, dtype=complex), np.array(gens), explored, pruned
+
+
 class TestEnumerateStrip:
     def test_R_zero_counts_nothing(self, zminus):
         profile = enumerate_strip(zminus, 0.5j, (-1.0, 1.0), 0.0)
@@ -229,6 +267,37 @@ class TestEnumerateStrip:
         a = enumerate_strip(zminus, 0.5j, (-1, 1), 6.0)
         b = enumerate_strip(zminus, 0.5j, (-1, 1), 6.0)
         assert np.array_equal(a.counted_points, b.counted_points)
+
+    def test_one_debug_record(self, zminus, caplog, monkeypatch):
+        # One record per call, after the loop: generations (solves),
+        # explored, counted, far-field pruned, and the largest and median
+        # frontier solved.
+        frontier, solve = [], parabolic.hp_preimages_batch
+
+        def spy(F, zs):
+            frontier.append(len(zs))
+            return solve(F, zs)
+
+        monkeypatch.setattr(parabolic, "hp_preimages_batch", spy)
+        with caplog.at_level(logging.DEBUG, logger="innerlab.parabolic"):
+            profile = enumerate_strip(zminus, 0.5j, (-1.0, 1.0), 6.0)
+        [record] = [r for r in caplog.records if r.msg == parabolic._STRIP_RECORD]
+        assert record.args == (len(frontier), profile.explored,
+                               len(profile.counted_points), profile.farfield_pruned,
+                               max(frontier), np.median(frontier))
+        assert profile.explored == 1 + zminus.degree * sum(frontier)
+        assert profile.farfield_pruned > 0
+
+    @pytest.mark.parametrize("case", ["zminus", "three-atom"])
+    def test_matches_per_child_loop(self, case, zminus, three_atoms):
+        # Batching a generation changes no digit, no prune and no count.
+        F = {"zminus": zminus, "three-atom": three_atoms}[case]
+        profile = enumerate_strip(F, 0.5j, (-1.0, 1.0), 8.0)
+        points, gens, explored, pruned = per_child_strip(F, 0.5j, (-1.0, 1.0), 8.0)
+        assert np.array_equal(profile.counted_points, points)
+        assert np.array_equal(profile.counted_generations, gens)
+        assert (profile.explored, profile.farfield_pruned) == (explored, pruned)
+        assert pruned > 0
 
 
 def ring_start(coeffs, start=None):

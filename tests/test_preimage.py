@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import aberth_records, random_centered_blaschke, random_disk_point
-from innerlab import _roots
+from innerlab import _roots, preimage
 from innerlab._roots import aberth_batch
 from innerlab.errors import BudgetError, NumericalError, PreconditionError
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
 from innerlab.parabolic import HalfPlaneInner, hp_preimages_batch
-from innerlab.preimage import (DEDUP_TOL, enumerate_ball, preimages_of_batch,
-                               verify_sum_of_heights)
+from innerlab.preimage import (DEDUP_TOL, _merged, enumerate_ball,
+                               preimages_of_batch, verify_sum_of_heights)
 
 
 def packet_radius(d, n, base=np.exp(-1.0)):
@@ -379,19 +379,26 @@ class TestPreimageSolve:
     @pytest.mark.parametrize("case", ["disk", "strip"])
     def test_one_newton_sweep(self, case, monkeypatch):
         # One solve evaluates F twice (the Newton step, the residual) and
-        # F' once, whatever the model.
+        # F' once.  In the disk, the step's F and F' share one pass over
+        # the factors, so a one-block solve makes two factor passes; the
+        # strip's model evaluates F and F' separately.
         if case == "disk":
             F, zs = seeded_disk_model(np.random.default_rng(3), 6), np.array([0.3, 0.1j])
+            names, want = ("eval", "deriv", "_eval_deriv", "_factors"), \
+                {"eval": 1, "_eval_deriv": 1, "_factors": 2}
+            assert zs.size * F.degree <= F._block
         else:
             F, zs = zminus_model(), np.array([0.5j, 0.3 + 0.2j])
+            names, want = ("eval", "deriv", "_eval_deriv"), \
+                {"eval": 2, "deriv": 1, "_eval_deriv": 1}
         calls = Counter()
-        for name in ("eval", "deriv"):
-            def counted(self, z, method=getattr(type(F), name), name=name):
+        for name in names:
+            def counted(self, *args, method=getattr(type(F), name), name=name):
                 calls[name] += 1
-                return method(self, z)
+                return method(self, *args)
             monkeypatch.setattr(type(F), name, counted)
         _roots._preimage_roots(F, zs)
-        assert calls == {"eval": 2, "deriv": 1}
+        assert calls == want
 
     @pytest.mark.parametrize("case", ["disk", "strip"])
     def test_one_debug_record(self, case, caplog):
@@ -540,6 +547,52 @@ class TestNearDegenerate:
             preimages_of_batch(F, [0.5])
 
 
+def first_of_cluster_wins(pts):
+    """O(n^2) reference for `_merged`: a point is merged iff it lies within
+    DEDUP_TOL of an earlier point that was kept."""
+    merged = np.zeros(len(pts), dtype=bool)
+    kept = []
+    for i, p in enumerate(pts):
+        gap = pts[kept] - p
+        merged[i] = bool(kept) and np.min(np.hypot(gap.real, gap.imag)) <= DEDUP_TOL
+        if not merged[i]:
+            kept.append(i)
+    return merged
+
+
+class TestMerged:
+    """The DEDUP_TOL grid flags candidate cells by an unstable sort of the
+    cell keys; the mask must not depend on how tied keys come out."""
+
+    @staticmethod
+    def clusters():
+        """Groups of points in cell units, each group in its own region of
+        the grid: one crowded cell (with exact repeats), pairs straddling
+        each forward-neighbour offset (merged, and 1.1 cells apart), and
+        chains of three points 0.9 DEDUP_TOL apart."""
+        rng = np.random.default_rng(5)
+        crowded = 0.1 + 0.8 * (rng.uniform(size=40) + 1j * rng.uniform(size=40))
+        groups = [np.concatenate((crowded, crowded[:10]))]
+        for step in (1j, 1 - 1j, 1, 1 + 1j):
+            corner = 0.5 + 0.5j + 0.45 * step
+            groups += [corner + np.array([0, 0.1 * step]),
+                       corner - 0.5 * step + np.array([0, 1.1 * step])]
+        for direction in (1, 1j, np.exp(0.7j), np.exp(2.4j)):
+            groups.append(0.05 + 0.5j + 0.9 * direction * np.arange(3))
+        origin = complex(3e6, -2e6)
+        return np.concatenate([origin + 100 * k * (1 + 1j) + g
+                               for k, g in enumerate(groups)]) * DEDUP_TOL
+
+    def test_matches_first_of_cluster_wins(self):
+        pts = self.clusters()
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            shuffled = rng.permutation(pts)
+            want = first_of_cluster_wins(shuffled)
+            assert np.array_equal(_merged(shuffled), want)
+        assert 0 < np.count_nonzero(want) < len(pts)
+
+
 class TestEnumerateBall:
     def test_small_cutoff_empty(self, square):
         tree = enumerate_ball(square, np.exp(-1.0), 0.5)
@@ -645,6 +698,19 @@ class TestEnumerateBall:
         c = crit[np.argmin(np.abs(crit - 0.2j))]
         assert abs(F.deriv(c)) < 1e-14
         self.assert_critical_value_tree(F, c, 760, caplog)
+
+    def test_one_debug_record(self, deg2, caplog):
+        # One record per call, after the loop: generations, explored,
+        # retained and merged; a base point beyond R explores only itself.
+        c = 2.0 - np.sqrt(3.0)
+        for z, R in ((deg2.eval(deg2.eval(c)), 7.0), (0.99, 1.0)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="innerlab.preimage"):
+                tree = enumerate_ball(deg2, z, R)
+            [record] = [r for r in caplog.records if r.msg == preimage._BALL_RECORD]
+            assert record.args == (tree.generations, tree.explored, tree.size(),
+                                   tree.collisions)
+        assert record.args == (0, 1, 0, 0)
 
     @pytest.mark.parametrize("case", ["deg2", "critical", "square", "random"])
     def test_matches_per_child_loop(self, case, deg2, square, rng):
