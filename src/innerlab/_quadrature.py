@@ -21,11 +21,8 @@ from numpy.polynomial import legendre
 log = logging.getLogger("innerlab.quadrature")
 
 # The cap is MAX_PANELS panels per piece; no panel gets narrower than
-# 2^(1 - MAX_PANELS * pieces) of its piece.  Each round bisects every
-# non-finite panel: if their count has not fallen in STALL_ROUNDS rounds,
-# it will not.
+# 2^(1 - MAX_PANELS * pieces) of its piece.
 MAX_PANELS = 1000
-STALL_ROUNDS = 10
 
 _X21, _W21 = legendre.leggauss(21)
 _X10, _W10 = legendre.leggauss(10)
@@ -82,18 +79,23 @@ def _integrate(f, pieces, atol: float, rtol: float):
     a piece's end: a step between an end and the node nearest it goes
     unseen (`_integrate(lambda x: (x > 0.001) * 1.0, [(0, 1)], 1e-9, 0)`
     returns 1.0 with error 0).  atol > 0.  At MAX_PANELS panels per piece,
-    or once the count of non-finite panels (error inf) has not fallen for
-    STALL_ROUNDS rounds, the loop stops, logs one INFO record naming the
+    or once the width of the panels with a non-finite estimate has not
+    fallen in a round, the loop stops, logs one INFO record naming the
     piece of the panel with the largest scaled error and returns the
-    achieved error; nothing is raised.  Each call logs one DEBUG record,
-    args (first a, last b, panels, the largest achieved error, atol,
-    rounds), with the caller as funcName.
+    achieved error; nothing is raised.  Every round bisects each such
+    panel, so their width falls while the panels are wider than the set
+    where f is not finite (to 0 where a node hit a value at an isolated
+    point) and stops falling once both children of each are non-finite
+    too: f not finite on an interval stops the loop in a few rounds, not
+    at the cap.  Each call logs one DEBUG record, args (first a, last
+    b, panels, the largest achieved error, atol, rounds), with the caller
+    as funcName.
     """
     pieces = np.asarray(pieces, dtype=float)
     lo, hi = pieces[:, 0], pieces[:, 1]
     piece, cap = np.arange(len(lo)), MAX_PANELS * len(lo)
     s, scalar = _rule(f, lo, hi)
-    rounds, fewest, since = 1, np.inf, 1
+    rounds, bad_width = 1, 0.0
     while True:
         # Panels are kept in order, each with the index of its piece.
         jump = np.abs(s[:-1, 3] - s[1:, 2])
@@ -108,12 +110,14 @@ def _integrate(f, pieces, atol: float, rtol: float):
         open_ = ~(total <= tol)
         room = cap - len(lo)
         bad = np.count_nonzero(np.isinf(s[:, 1]).any(axis=1))
-        if bad < fewest or not bad:
-            fewest, since = bad, rounds
+        # Only the panels whose own estimate is not finite: the children of
+        # such a panel inherit an error of inf for a round.
+        last_width = bad_width
+        bad_width = np.sum((hi - lo)[~np.isfinite(s[:, 0]).all(axis=1)])
         if not open_.any():
             break
         scaled = (err[:, open_] / tol[open_]).sum(axis=1)
-        if room <= 0 or rounds - since >= STALL_ROUNDS:
+        if room <= 0 or 0 < last_width <= bad_width:
             worst = np.argmax(total / tol)
             log.info("stopped at %d panels (panel cap %d), %d non-finite, on "
                      "piece [%.17g, %.17g]: achieved err %.2e, requested %.2e",

@@ -41,7 +41,7 @@ import logging
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 
 log = logging.getLogger("innerlab.roots")
 
@@ -209,14 +209,16 @@ def _preimage_roots(F, zs, start=None):
     that fail the check (rows Aberth left moving, rows whose N - z D lost
     the roots' digits) go to `_rescue` and are kept from it where their
     worst residual went down.  `start` is passed on to `aberth_batch`.
+    If the check still fails, a non-finite z raises DomainError and a
+    finite one NumericalError.
     """
     zz = zs[:, None]
     scale = max(1.0, float(np.abs(zs).max()))
     roots, resid, step = _newton_sweep(F, aberth_batch(_numerators(F, zz), start), zz)
     # Row maxima (slow along the short root axis) only when the largest
-    # residual fails; fmax skips NaN, as the row test does.
-    again = np.flatnonzero(np.max(resid, axis=1) > RESIDUAL_TOL * scale) \
-        if np.fmax.reduce(resid, axis=None) > RESIDUAL_TOL * scale else ()
+    # residual fails; a NaN fails both tests.
+    again = np.flatnonzero(~(np.max(resid, axis=1) <= RESIDUAL_TOL * scale)) \
+        if not np.max(resid) <= RESIDUAL_TOL * scale else ()
     if len(again):
         w = _rescue(F, roots[again], zs[again])
         r = np.abs(F.eval(w) - zz[again])
@@ -227,7 +229,12 @@ def _preimage_roots(F, zs, start=None):
         moved = float(np.max(np.abs(step) / np.maximum(np.abs(roots), 1.0)))
         log.debug(_SOLVE_RECORD, len(zs), roots.shape[1], len(again),
                   worst / scale, moved)
-    if worst > RESIDUAL_TOL * scale:
+    # A non-finite z fails this test too: its residual is NaN, or inf
+    # over a scale of inf.
+    if not worst / scale <= RESIDUAL_TOL:
+        if not np.isfinite(zs).all():
+            raise DomainError(f"cannot solve F(w) = z at non-finite z "
+                              f"{complex(zs[~np.isfinite(zs)][0])!r}")
         i, j = np.unravel_index(np.argmax(resid), resid.shape)
         raise NumericalError(
             f"root polish stalled at residual {worst:.3e}",

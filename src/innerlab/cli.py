@@ -323,7 +323,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--grid", type=int, default=24)
 
     sp = sub.add_parser("total-mass", help="fundamental annulus mass vs chi",
-                        epilog="CSV columns: r0, mass, stderr, chi_ref, samples.")
+                        epilog="CSV columns: r0, mass, stderr, chi_ref, samples. "
+                               "The samples column is the nominal budget: "
+                               "--samples // 256 draws (at least 16) for each of "
+                               "the 256 strata, though only strata that straddle "
+                               "the boundary of E* are sampled.")
     common(sp)
     sp.add_argument("--r0", type=float, default=0.99)
     sp.add_argument("--samples", type=int, default=10 ** 6)

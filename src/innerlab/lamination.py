@@ -412,29 +412,89 @@ def _cell_bounds(F: InnerModel, r_lo, r_hi, th_lo, th_hi):
     return lo, hi, scale
 
 
+def _row_integrals(u_edge):
+    """int log(1/r) 4 r / ((1 - r)(1 + r)^2) du over each row [u_edge[k],
+    u_edge[k + 1]], r = 1 - e^u.
+
+    With v = r^2 the integrand is -log v / (1 - v)^2 dv, whose antiderivative
+    is G(v) = -(v log v / (1 - v) + log(1 - v)).  At an edge, 1 - v =
+    e (2 - e) and log v = 2 log1p(-e), so log(1 - v) = u + log(2 - e), and
+    the difference G(v_out) - G(v_in) is taken term by term: the u terms
+    give the row's width, the log(2 - e) terms a log1p, and what is left of
+    G is bounded by 1.  Nothing cancels near the circle."""
+    e = np.exp(u_edge)
+    rest = (1.0 - e) ** 2 * 2.0 * np.log1p(-e) / (e * (2.0 - e))
+    return np.diff(rest) + np.diff(u_edge) + np.log1p(-np.diff(e) / (2.0 - e[:-1]))
+
+
+def _strata(F: InnerModel, r0: float, samples: int, seed: int):
+    """Per stratum of `total_mass_check` (row-major over 16 rows in u and
+    16 columns in theta): the mean of the weighted membership indicator
+    and the variance of that mean; the mask of the strata wholly inside E*;
+    and the draws per sampled stratum."""
+    r1 = _fundamental_outer_radius(F, r0)
+    u_lo, u_hi = math.log(1.0 - r1), math.log(1.0 - r0)
+    L = u_hi - u_lo
+    su, st = 16, 16
+
+    # Row iu spans u in [u_lo + L iu/su, u_lo + L (iu + 1)/su], so its outer
+    # radius is r_edge[iu] and its inner one r_edge[iu + 1].
+    u_edge = u_lo + L * np.arange(su + 1) / su
+    r_edge = 1.0 - np.exp(u_edge)
+    th_edge = 2.0 * np.pi * np.arange(st + 1) / st
+    lo, hi, scale = _cell_bounds(F, r_edge[1:, None], r_edge[:-1, None],
+                                 th_edge[:-1], th_edge[1:])
+    delta = 128.0 * np.finfo(float).eps * scale / r0 ** 2
+    outside = (lo > r0 * r0 * (1.0 + delta)).ravel()
+    inside = (hi < r0 * r0 * (1.0 - delta)).ravel()
+
+    seeds = np.random.SeedSequence(seed).spawn(su * st)
+    per = max(samples // (su * st), 16)
+    means = np.zeros(su * st)
+    variances = np.zeros(su * st)
+    # A row's mean is L times the average of the integrand over its width
+    # L/su, and the indicator is 1 on an inside stratum.
+    means[inside] = su * _row_integrals(u_edge)[np.flatnonzero(inside) // st]
+    evaluated = np.flatnonzero(~(outside | inside))
+    for cell in evaluated:
+        iu, it = divmod(int(cell), st)
+        rng = np.random.default_rng(seeds[cell])
+        u = u_lo + L * (iu + rng.uniform(size=per)) / su
+        th = 2.0 * np.pi * (it + rng.uniform(size=per)) / st
+        r = 1.0 - np.exp(u)
+        z = r * np.exp(1j * th)
+        f = np.where(np.abs(F.eval(z)) < r0,
+                     L * np.log(1.0 / r) * 4.0 * r / ((1.0 - r) * (1.0 + r) ** 2),
+                     0.0)
+        means[cell] = np.mean(f)
+        variances[cell] = np.var(f, ddof=1) / per
+    log.debug(_CELLS_RECORD, int(outside.sum()), int(inside.sum()),
+              len(evaluated), len(evaluated) * per)
+    return means, variances, inside, per
+
+
 def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
                      seed: int = 0) -> TotalMassResult:
     """(1/2pi) int_{E*} log(1/|z|) dA_hyp over the fundamental annulus
-    E* = F^{-1}(B(0,r0)) \\ B(0,r0), by stratified Monte Carlo with the
-    membership test |z| >= r0, |F(z)| < r0; approaches chi as r0 -> 1.
-
-    Sampling is uniform in (log(1-r), theta) over a fixed 16 x 16 grid of
-    strata with per-stratum substreams spawned from `seed`, so results are
-    bit-identical for a given `seed`.
+    E* = F^{-1}(B(0,r0)) \\ B(0,r0), over a fixed 16 x 16 grid of strata
+    uniform in (log(1-r), theta); approaches chi as r0 -> 1.
 
     Before drawing, `_cell_bounds` encloses |F|^2 over each stratum, and
     the stratum is one of three kinds:
     - wholly outside E* (lo > r0^2 (1 + delta)): its mean and variance are
-      0.0 and it draws nothing;
-    - wholly inside (hi < r0^2 (1 - delta)): it draws only its u half,
-      which its substream yields first, and weighs every sample without
-      drawing theta or evaluating F;
-    - otherwise it draws both and tests |F(z)| < r0 at every sample.
-    Every sample of the first kind would fail that test and every sample
-    of the second would pass it, so the result is bit-identical to testing
-    every sample.
+      0.0;
+    - wholly inside (hi < r0^2 (1 - delta)): its mean is the exact
+      integral over its row (`_row_integrals`) and its variance 0.0;
+    - otherwise it is sampled: `samples // 256` draws (at least 16) from its
+      own substream spawned from `seed`, each tested for |F(z)| < r0.
+    The mass is the mean of the 256 means, and `stderr` covers the sampled
+    strata only, the one source of noise.  Results are bit-identical for a
+    given `seed`, and `samples` reports the nominal budget per * 256.
 
-    delta = 128 eps E / r0^2 with the cell's rounding scale E =
+    The margin delta is what makes the two closed forms valid: every point
+    of an outside stratum fails |F(z)| < r0 and every point of an inside
+    one passes it, including the points a sample would land on after
+    rounding.  delta = 128 eps E / r0^2 with the cell's rounding scale E =
     sum_a (1 + |a|) / min |1 - conj(a) z|, which is at least the degree.
     It covers three errors, each a multiple of eps E:
     - `eval`'s rounding of |F|: eps (1 + |a| r)/|1 - conj(a) z| per factor
@@ -448,50 +508,17 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     Near |F| = r0 the first two move |F|^2 by at most 2 r0 (36 eps E) and
     the third by 10 eps E, together under 82 eps E, which is 82 eps E / r0^2
     of r0^2; the factor 128 leaves the rest for second-order terms.  A wide
-    delta only sends more strata to evaluation.  E, and with it delta,
+    delta only sends more strata to sampling.  E, and with it delta,
     grows like 1/(1 - |a|) for a zero a near the circle.
     """
     _require_blaschke(F, reject_rotation=True)
     if not 0 < r0 < 1:
         raise PreconditionError("need r0 in (0, 1)")
-    r1 = _fundamental_outer_radius(F, r0)
-    u_lo, u_hi = math.log(1.0 - r1), math.log(1.0 - r0)
-    L = u_hi - u_lo
-    su, st = 16, 16
-    chi_ref = chi_jensen_oracle(F).value
-
-    # Row iu spans u in [u_lo + L iu/su, u_lo + L (iu + 1)/su], so its outer
-    # radius is r_edge[iu] and its inner one r_edge[iu + 1].
-    r_edge = 1.0 - np.exp(u_lo + L * np.arange(su + 1) / su)
-    th_edge = 2.0 * np.pi * np.arange(st + 1) / st
-    lo, hi, scale = _cell_bounds(F, r_edge[1:, None], r_edge[:-1, None],
-                                 th_edge[:-1], th_edge[1:])
-    delta = 128.0 * np.finfo(float).eps * scale / r0 ** 2
-    outside = (lo > r0 * r0 * (1.0 + delta)).ravel()
-    inside = (hi < r0 * r0 * (1.0 - delta)).ravel()
-
-    seeds = np.random.SeedSequence(seed).spawn(su * st)
-    per = max(samples // (su * st), 16)
-    means = np.zeros(su * st)
-    variances = np.zeros(su * st)
-    for cell in np.flatnonzero(~outside):
-        iu, it = divmod(int(cell), st)
-        rng = np.random.default_rng(seeds[cell])
-        u = u_lo + L * (iu + rng.uniform(size=per)) / su
-        r = 1.0 - np.exp(u)
-        f = L * np.log(1.0 / r) * 4.0 * r / ((1.0 - r) * (1.0 + r) ** 2)
-        if not inside[cell]:
-            th = 2.0 * np.pi * (it + rng.uniform(size=per)) / st
-            z = r * np.exp(1j * th)
-            f = np.where(np.abs(F.eval(z)) < r0, f, 0.0)
-        means[cell] = np.mean(f)
-        variances[cell] = np.var(f, ddof=1) / per
-    n_out, n_in = int(outside.sum()), int(inside.sum())
-    evaluated = su * st - n_out - n_in
-    log.debug(_CELLS_RECORD, n_out, n_in, evaluated, evaluated * per)
+    means, variances, _, per = _strata(F, r0, samples, seed)
     mass = float(np.mean(means))
-    se = float(np.sqrt(np.sum(variances))) / (su * st)
-    return TotalMassResult(mass, se, chi_ref, r0, per * su * st)
+    se = float(np.sqrt(np.sum(variances))) / means.size
+    return TotalMassResult(mass, se, chi_jensen_oracle(F).value, r0,
+                           per * means.size)
 
 
 # ---------------------------------------------------------------------------

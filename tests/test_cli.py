@@ -75,6 +75,12 @@ class TestCount:
                          "--R", "5", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_non_finite_base_point_exit_code(self, deg2_file, tmp_path):
+        with np.errstate(all="ignore"):
+            code = cli.main(["count", "--model", deg2_file, "--z", "nan,0",
+                             "--R", "5", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+
     def test_missing_model_exit_code(self, tmp_path):
         code = cli.main(["count", "--model", str(tmp_path / "nope.inner"),
                          "--z", "0.3,0", "--R", "5",

@@ -526,12 +526,19 @@ class TestXiBoxMass:
             AnnularBox(0.5, 0.4, 0.0, 1.0)
 
 
-def per_sample_total_mass(F, r0, samples, seed):
-    """Reference: the stratified Monte Carlo that draws every sample in
-    full and tests |F(z)| < r0 at each."""
+def row_edges(F, r0):
+    """The 17 u-edges of `total_mass_check`'s rows and its (u_lo, L)."""
     r1 = lamination._fundamental_outer_radius(F, r0)
     u_lo, u_hi = math.log(1.0 - r1), math.log(1.0 - r0)
     L = u_hi - u_lo
+    return u_lo + L * np.arange(17) / 16, u_lo, L
+
+
+def per_sample_total_mass(F, r0, samples, seed):
+    """Reference: the stratified Monte Carlo that draws every sample in
+    full and tests |F(z)| < r0 at each.  Returns the per-stratum means and
+    variances of the means, and the result."""
+    _, u_lo, L = row_edges(F, r0)
     su, sth = 16, 16
     seeds = np.random.SeedSequence(seed).spawn(su * sth)
     per = max(samples // (su * sth), 16)
@@ -555,8 +562,8 @@ def per_sample_total_mass(F, r0, samples, seed):
             cell += 1
     mass = float(np.mean(means))
     se = float(np.sqrt(np.sum(variances))) / (su * sth)
-    return lamination.TotalMassResult(mass, se, chi_jensen_oracle(F).value,
-                                      r0, per * su * sth)
+    return means, variances, lamination.TotalMassResult(
+        mass, se, chi_jensen_oracle(F).value, r0, per * su * sth)
 
 
 def total_mass_models():
@@ -641,26 +648,108 @@ class TestTotalMass:
 
     @pytest.mark.parametrize("model", ["square", "deg2"])
     def test_seed_changes_the_mass(self, square, deg2, model):
-        # On z^2 all but 16 strata are wholly inside and draw only their
-        # radii; the seed must still move the estimate.
+        # On z^2 all but 16 strata are wholly inside and integrated in
+        # closed form; the seed moves the estimate through the 16 evaluated
+        # strata only.
         F = square if model == "square" else deg2
         a = total_mass_check(F, 0.95, samples=10 ** 4, seed=0)
         b = total_mass_check(F, 0.95, samples=10 ** 4, seed=1)
         assert a.mass != b.mass
 
-    def test_bit_identical_to_per_sample_loop(self, caplog):
+    # r0 = 1 - 1e-9 puts the rows where a naive log(1 - r^2) loses its
+    # digits.
+    R0S = (0.5, 0.9, 0.99, 1.0 - 1e-9)
+
+    def test_sampled_strata_bit_identical_to_per_sample_loop(self, caplog):
         kinds = np.zeros(3, dtype=int)
         for F in total_mass_models():
-            for r0 in (0.5, 0.9, 0.99):
+            for r0 in self.R0S:
                 for seed in (0, 909):
                     caplog.clear()
                     with caplog.at_level(logging.DEBUG, logger="innerlab.lamination"):
                         res = total_mass_check(F, r0, samples=8192, seed=seed)
-                    assert res == per_sample_total_mass(F, r0, 8192, seed), \
-                        (F.zeros, r0, seed)
+                    means, variances, inside, _ = lamination._strata(F, r0, 8192, seed)
+                    ref_means, ref_variances, ref = per_sample_total_mass(
+                        F, r0, 8192, seed)
+                    case = (F.zeros, r0, seed)
+                    assert np.array_equal(means[~inside], ref_means[~inside]), case
+                    assert np.array_equal(variances[~inside],
+                                          ref_variances[~inside]), case
+                    assert np.all(variances[inside] == 0.0), case
+                    # Integrating the inside strata exactly removes their
+                    # noise and nothing else.
+                    assert abs(res.mass - ref.mass) <= 4.0 * ref.stderr, case
+                    assert res.stderr <= ref.stderr, case
+                    assert (res.chi_ref, res.r0, res.samples) == \
+                        (ref.chi_ref, ref.r0, ref.samples), case
                     kinds += cell_counts(caplog)[:3]
         # The cases reach strata outside, inside and evaluated.
         assert np.all(kinds > 0)
+
+    def test_inside_strata_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+
+        def integrand(u):
+            r = -mp.expm1(u)
+            return mp.log(1 / r) * 4 * r / ((1 - r) * (1 + r) ** 2)
+
+        rows = 0
+        for F in total_mass_models():
+            for r0 in self.R0S:
+                u_edge, _, _ = row_edges(F, r0)
+                exact = {}
+                for seed in (0, 909):
+                    means, _, inside, _ = lamination._strata(F, r0, 8192, seed)
+                    for cell in np.flatnonzero(inside):
+                        iu = cell // 16
+                        if iu not in exact:
+                            exact[iu] = 16 * mp.quad(
+                                integrand, [float(u_edge[iu]), float(u_edge[iu + 1])],
+                                method="gauss-legendre")
+                        assert abs(means[cell] - exact[iu]) <= 1e-13 * exact[iu], \
+                            (F.zeros, r0, cell)
+                rows += len(exact)
+        assert rows > 100
+
+    @pytest.mark.parametrize("side", ["hi", "lo"])
+    def test_margin_sign_at_a_stratum_bound(self, deg2, caplog, side):
+        # r0 is placed by bisection so that r0^2 lies strictly between a
+        # stratum's bound and that bound moved by delta toward r0^2: between
+        # hi and hi (1 + delta), or between lo (1 - delta) and lo.  The
+        # stratum is then neither inside nor outside but evaluated; a
+        # margin of the wrong sign would close it in exact form.
+        cell, a, b = (97, 0.98, 0.985) if side == "hi" else (82, 0.96, 0.97)
+        eps = np.finfo(float).eps
+
+        def bounds(r0):
+            r_edge = 1.0 - np.exp(row_edges(deg2, r0)[0])
+            th_edge = 2.0 * np.pi * np.arange(17) / 16
+            lo, hi, scale = lamination._cell_bounds(
+                deg2, r_edge[1:, None], r_edge[:-1, None], th_edge[:-1], th_edge[1:])
+            return lo.ravel(), hi.ravel(), 128.0 * eps * scale.ravel() / r0 ** 2
+
+        def gap(r0):
+            return bounds(r0)[side == "hi"][cell] - r0 * r0
+
+        assert gap(a) > 0 > gap(b)
+        while 0.5 * (a + b) not in (a, b):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if gap(mid) > 0 else (a, mid)
+        r0 = b if side == "hi" else a
+        lo, hi, delta = bounds(r0)
+        if side == "hi":
+            assert hi[cell] < r0 * r0 < hi[cell] * (1.0 + delta[cell])
+        else:
+            assert lo[cell] * (1.0 - delta[cell]) < r0 * r0 < lo[cell]
+        outside = lo > r0 * r0 * (1.0 + delta)
+        inside = hi < r0 * r0 * (1.0 - delta)
+        assert not outside[cell] and not inside[cell]
+        with caplog.at_level(logging.DEBUG, logger="innerlab.lamination"):
+            total_mass_check(deg2, r0, samples=4096, seed=0)
+        assert cell_counts(caplog)[:3] == (
+            outside.sum(), inside.sum(), 256 - outside.sum() - inside.sum())
 
     @given(case=model_and_cell(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)

@@ -11,7 +11,8 @@ from scipy.spatial import cKDTree
 from conftest import aberth_records, random_centered_blaschke, random_disk_point
 from innerlab import _roots, preimage
 from innerlab._roots import aberth_batch
-from innerlab.errors import BudgetError, NumericalError, PreconditionError
+from innerlab.errors import (BudgetError, DomainError, NumericalError,
+                             PreconditionError)
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
 from innerlab.parabolic import HalfPlaneInner, hp_preimages_batch
@@ -423,6 +424,22 @@ class TestPreimageSolve:
         assert resid == pytest.approx(worst, rel=1e-6, abs=1e-18)
         assert resid <= _roots.RESIDUAL_TOL
         assert 0.0 <= step < 1e-14
+
+    @pytest.mark.parametrize("case", ["disk", "strip", "tree", "inf"])
+    def test_non_finite_point_raises_domain_error(self, deg2, case):
+        # The NaN residual of a non-finite z fails the check instead of
+        # passing it, and the row goes no further than the rescue.
+        call = {
+            "disk": lambda: preimages_of_batch(InnerModel.from_zeros(0, 0.5),
+                                               [np.nan, 0.3]),
+            "strip": lambda: hp_preimages_batch(HalfPlaneInner(atoms=((0, 1),)),
+                                                [complex(np.nan, 1.0)]),
+            "tree": lambda: enumerate_ball(deg2, complex(np.nan, 0.0), 5),
+            "inf": lambda: preimages_of_batch(
+                InnerModel.from_zeros(0, 0.5, 0.3j, -0.2), [0.3, complex(0.0, np.inf)]),
+        }[case]
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="non-finite"):
+            call()
 
     def test_rescues_rows_that_fail_the_check(self, caplog, monkeypatch):
         # A zero of multiplicity 7 at 0.95 makes the rational form's

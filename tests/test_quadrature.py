@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import innerlab
-from innerlab._quadrature import (MAX_PANELS, STALL_ROUNDS, _X21, _integrate,
+from innerlab._quadrature import (MAX_PANELS, _X21, _integrate,
                                   _rule)
 from innerlab.errors import NumericalError
 from innerlab.innerfn import InnerModel
@@ -115,15 +115,14 @@ class TestPanelCap:
     def test_non_finite_values_count_as_open(self, caplog):
         # NaN on a window wider than any gap between nodes of [0, 1]: the
         # error is inf, not NaN, so the failure is reported instead of
-        # passing as converged.  Bisecting never lowers the count of NaN
-        # panels, so the loop stops STALL_ROUNDS rounds after the first,
-        # far below the cap.  Every NaN panel is split in every round, so
-        # the window holds about 0.1 * 2^STALL_ROUNDS of them at the end.
+        # passing as converged.  The NaN panels are [0, 1], then [0, 0.5],
+        # then both its halves, whose width has not fallen: the loop stops
+        # in the third round.
         f = lambda x: np.where(np.abs(x - 0.25) < 0.05, np.nan, 1.0)  # noqa: E731
         with caplog.at_level(logging.INFO, logger="innerlab.quadrature"):
             _, err, rounds, panels = _integrate(f, [(0.0, 1.0)], 1e-9, 0.0)
         assert err == np.inf
-        assert rounds == STALL_ROUNDS + 1 and panels < MAX_PANELS // 4
+        assert (rounds, panels) == (3, 3)
         infos = [r.getMessage() for r in caplog.records
                  if r.levelno == logging.INFO]
         assert len(infos) == 1 and "non-finite" in infos[0]
@@ -138,6 +137,19 @@ class TestPanelCap:
         debug, = [r for r in caplog.records if r.levelno == logging.DEBUG]
         assert debug.args[2] <= 100 and debug.args[3] == np.inf
 
+    @pytest.mark.parametrize("nan_hi", [1.0, 0.5])
+    def test_interval_of_non_finite_values_stops_at_once(self, caplog, nan_hi):
+        # NaN on all of [0, 1], or on [0, 0.5]: the NaN panels' width does
+        # not fall in the second round, or in the third, though their count
+        # doubles in every round.
+        f = lambda x: np.where(x < nan_hi, np.nan, 1.0)  # noqa: E731
+        with caplog.at_level(logging.INFO, logger="innerlab.quadrature"):
+            _, err, rounds, _ = _integrate(f, [(0.0, 1.0)], 1e-9, 0.0)
+        assert err == np.inf and rounds <= 3
+        infos = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.INFO]
+        assert len(infos) == 1 and "non-finite" in infos[0]
+
     def test_non_finite_panel_does_not_stall_other_pieces(self, caplog):
         # The NaN window on the first piece never clears.  The second
         # piece still needs refining, and gets it in the same rounds: from
@@ -147,14 +159,14 @@ class TestPanelCap:
 
         def f(x):
             calls.append(x)
-            return np.where(np.abs(x - 0.25) < 0.05, np.nan, np.cos(40.0 * x))
+            return np.where(np.abs(x - 0.25) < 0.05, np.nan, np.cos(20.0 * x))
 
         with caplog.at_level(logging.INFO, logger="innerlab.quadrature"):
             _, err, rounds, _ = _integrate(f, [(0.0, 1.0), (2.0, 3.0)], 1e-9, 0.0)
-        assert err == np.inf and rounds == STALL_ROUNDS + 1
-        solo = _integrate(lambda x: np.cos(40.0 * x), [(2.0, 3.0)], 1e-9, 0.0)
+        assert err == np.inf and rounds == 3
+        solo = _integrate(lambda x: np.cos(20.0 * x), [(2.0, 3.0)], 1e-9, 0.0)
         refined = [bool(np.any(x >= 2.0)) for x in calls[1:]]
-        assert solo[2] > 2
+        assert solo[2] == 2
         assert refined == [True] * (solo[2] - 1) + [False] * (rounds - solo[2])
         infos = [r.getMessage() for r in caplog.records
                  if r.levelno == logging.INFO]
