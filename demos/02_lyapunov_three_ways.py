@@ -2,8 +2,9 @@
 computed three independent ways.
 
 Quadrature integrates the angular-derivative sum; the Jensen oracle uses
-Jensen's formula on F' (leading Taylor coefficient plus critical points);
-the Birkhoff route averages log |F'| along a boundary orbit.
+Jensen's formula on F' (a closed-form leading term plus the critical
+points, rooted from F's factors); the Birkhoff route averages log |F'|
+along a boundary orbit.
 """
 
 from innerlab import lyapunov

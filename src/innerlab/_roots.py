@@ -28,11 +28,12 @@ most of any block) and rows left moving (0 and 0 in closed form).
 `_preimage_roots` takes one Newton step on F(w) - z from each root, F and
 F' from one `_eval_deriv` call, and checks the residual at the returned
 roots, row by row only when the largest fails.  Rows that fail go to one
-rescue: Aberth iteration, with the same step, on p = D (F - z) in
-product form, never on the expanded N - z D, whose coefficients can lose
-the roots' digits.  Each solve logs one DEBUG record with its rows,
-degree, rows rescued, worst residual over its scale and largest first
-Newton step relative to max(1, |w|).
+rescue, `_aberth_polish` on p = D (F - z) in product form, never on the
+expanded N - z D, whose coefficients can lose the roots' digits.  Each
+solve logs one DEBUG record with its rows, degree, rows rescued, worst
+residual over its scale and largest first Newton step relative to
+max(1, |w|).  `_aberth_polish` is the one Aberth loop on a product form,
+p/p' from its caller; its other caller is `lyapunov.chi_jensen_oracle`.
 """
 
 from __future__ import annotations
@@ -163,16 +164,21 @@ def _aberth_block(monic, w):
     return iters, len(rows)
 
 
+def _aberth_polish(newton, w, max_iter=MAX_ITER):
+    """Aberth steps from the Newton steps p/p' = `newton(w)` on the (d, n)
+    iterates `w` (in place) until no root moves by more than 1e-15 relative
+    to max(1, |w|), or for max_iter steps; whether the roots came to rest."""
+    for _ in range(max_iter):
+        if np.max(_aberth_step(newton(w), w)) < 1e-15:
+            return True
+    return False
+
+
 def _rescue(F, w, z):
-    """Aberth iteration on p = D (F - z) in product form, with p/p' from
-    `F._preimage_newton`, from the (n, d) roots `w` of the n points `z`,
-    until no root moves by more than 1e-15 relative to max(1, |w|),
-    or for MAX_ITER iterations."""
+    """`_aberth_polish` on p = D (F - z) in product form, with p/p' from
+    `F._preimage_newton`, from the (n, d) roots `w` of the n points `z`."""
     wa = w.T.copy()
-    with np.errstate(all="ignore"):
-        for _ in range(MAX_ITER):
-            if np.max(_aberth_step(F._preimage_newton(wa, z), wa)) < 1e-15:
-                break
+    _aberth_polish(lambda wa: F._preimage_newton(wa, z), wa)
     return wa.T
 
 
@@ -180,10 +186,9 @@ def _newton_sweep(F, w, z):
     """One Newton step on F(w) - z from the roots `w`, not taken where it is
     not finite or of modulus 0.1 max(1, |w|) or more (near a multiple
     root).  Returns the new roots, their residuals and the steps taken."""
-    with np.errstate(all="ignore"):
-        step, fprime = F._eval_deriv(w)
-        step -= z
-        step /= fprime
+    step, fprime = F._eval_deriv(w)
+    step -= z
+    step /= fprime
     step[~(np.abs(step) < 0.1 * np.maximum(np.abs(w), 1.0))] = 0.0  # also NaN
     w = w - step
     return w, np.abs(F.eval(w) - z), step
@@ -212,31 +217,33 @@ def _preimage_roots(F, zs, start=None):
     If the check still fails, a non-finite z raises DomainError and a
     finite one NumericalError.
     """
-    zz = zs[:, None]
-    scale = max(1.0, float(np.abs(zs).max()))
-    roots, resid, step = _newton_sweep(F, aberth_batch(_numerators(F, zz), start), zz)
-    # Row maxima (slow along the short root axis) only when the largest
-    # residual fails; a NaN fails both tests.
-    again = np.flatnonzero(~(np.max(resid, axis=1) <= RESIDUAL_TOL * scale)) \
-        if not np.max(resid) <= RESIDUAL_TOL * scale else ()
-    if len(again):
-        w = _rescue(F, roots[again], zs[again])
-        r = np.abs(F.eval(w) - zz[again])
-        ok = np.max(r, axis=1) < np.max(resid[again], axis=1)
-        roots[again[ok]], resid[again[ok]] = w[ok], r[ok]
-    worst = float(resid.max())
-    if log.isEnabledFor(logging.DEBUG):
-        moved = float(np.max(np.abs(step) / np.maximum(np.abs(roots), 1.0)))
-        log.debug(_SOLVE_RECORD, len(zs), roots.shape[1], len(again),
-                  worst / scale, moved)
-    # A non-finite z fails this test too: its residual is NaN, or inf
-    # over a scale of inf.
-    if not worst / scale <= RESIDUAL_TOL:
-        if not np.isfinite(zs).all():
-            raise DomainError(f"cannot solve F(w) = z at non-finite z "
-                              f"{complex(zs[~np.isfinite(zs)][0])!r}")
-        i, j = np.unravel_index(np.argmax(resid), resid.shape)
-        raise NumericalError(
-            f"root polish stalled at residual {worst:.3e}",
-            context={"model": F, "z": complex(zs[i]), "root": complex(roots[i, j])})
-    return roots
+    with np.errstate(all="ignore"):     # non-finite steps are caught below
+        zz = zs[:, None]
+        scale = max(1.0, float(np.abs(zs).max()))
+        roots, resid, step = _newton_sweep(
+            F, aberth_batch(_numerators(F, zz), start), zz)
+        # Row maxima (slow along the short root axis) only when the largest
+        # residual fails; a NaN fails both tests.
+        again = np.flatnonzero(~(np.max(resid, axis=1) <= RESIDUAL_TOL * scale)) \
+            if not np.max(resid) <= RESIDUAL_TOL * scale else ()
+        if len(again):
+            w = _rescue(F, roots[again], zs[again])
+            r = np.abs(F.eval(w) - zz[again])
+            ok = np.max(r, axis=1) < np.max(resid[again], axis=1)
+            roots[again[ok]], resid[again[ok]] = w[ok], r[ok]
+        worst = float(resid.max())
+        if log.isEnabledFor(logging.DEBUG):
+            moved = float(np.max(np.abs(step) / np.maximum(np.abs(roots), 1.0)))
+            log.debug(_SOLVE_RECORD, len(zs), roots.shape[1], len(again),
+                      worst / scale, moved)
+        # A non-finite z fails this test too: its residual is NaN, or inf
+        # over a scale of inf.
+        if not worst / scale <= RESIDUAL_TOL:
+            if not np.isfinite(zs).all():
+                raise DomainError(f"cannot solve F(w) = z at non-finite z "
+                                  f"{complex(zs[~np.isfinite(zs)][0])!r}")
+            i, j = np.unravel_index(np.argmax(resid), resid.shape)
+            raise NumericalError(
+                f"root polish stalled at residual {worst:.3e}",
+                context={"model": F, "z": complex(zs[i]), "root": complex(roots[i, j])})
+        return roots

@@ -2,8 +2,8 @@
 
 chi = (1/2pi) int log |F'(e^{i theta})| d theta, computed by adaptive
 quadrature of the angular-derivative sum, by Jensen's formula applied to
-F' (the oracle route), and by a Birkhoff average along independent
-boundary orbits.
+F' (the oracle route, on F's factors and the package's Aberth loop), and
+by a Birkhoff average along independent boundary orbits.
 """
 
 from __future__ import annotations
@@ -14,15 +14,16 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from ._quadrature import _integrate
+from ._roots import _aberth_polish
 from .errors import NumericalError, PreconditionError
 from .innerfn import (BLOCK_ENTRIES, InnerModel, _boundary_value,
                       _require_blaschke)
 
 TWO_PI = 2.0 * np.pi
-_ORIGIN_ROOT_TOL = 1e-8
+_JENSEN_MAX_ITER = 500
+_JENSEN_MAX_ERROR = 1e-6
 
 log = logging.getLogger("innerlab.lyapunov")
 _BIRKHOFF_RECORD = ("chi_birkhoff: %d lanes, %d-%d steps per lane, %d chunks; "
@@ -65,48 +66,80 @@ def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
     return LyapunovEstimate(est / TWO_PI, "quadrature", err / TWO_PI)
 
 
+def _critical_poly(m, a, c, w, modulus=False):
+    """p and p' at w, p = m Q + w h (h when m = 0), Q = prod f_a and h =
+    sum_a c_a prod_{b != a} f_b, f_a = (w - a)(1 - conj(a) w): one pass
+    over the f_a, with no expanded coefficient and no division by an f_a.
+    With `modulus`, p is the sum of its terms' moduli instead."""
+    ac = a.conj().reshape((-1,) + (1,) * np.ndim(w))
+    t, d = 1.0 - ac * w, w - ac.conj()
+    f, df = d * t, t - ac * d
+    if modulus:
+        f, df, w = np.abs(f), np.zeros(f.shape), np.abs(w)
+    q, dq, h, dh = 1.0, 0.0, 0.0, 0.0
+    for fk, dfk, ck in zip(f, df, c):
+        h, dh = h * fk + ck * q, dh * fk + h * dfk + ck * dq
+        q, dq = q * fk, dq * fk + q * dfk
+    return (m * q + w * h, m * dq + h + w * dh) if m else (h, dh)
+
+
 def chi_jensen_oracle(F: InnerModel) -> LyapunovEstimate:
     """Jensen's formula applied to F' for a finite Blaschke product of
-    degree >= 2: chi = log |c_lead| + sum over nonzero critical points
-    c_j in the disk of log(1/|c_j|), with c_lead the first nonzero Taylor
-    coefficient of F' at the origin.
-
-    Fails with a consistency error when the interior critical-point count
-    is not degree - 1.
+    degree >= 2 with m zeros at 0 and n distinct others a, of multiplicity
+    k_a.  zF'/F = p/Q (`_critical_poly`, c_a = k_a (1 - |a|^2)) and p =
+    K prod_j f_{c_j} over the critical points c_j in the disk that are not
+    zeros of F (n of them, n - 1 when m = 0).  Each f has mean log-modulus
+    0 on the circle, so chi = log |K| = log |F'(zeta)| + 2 sum_a log |zeta
+    - a| - 2 sum_j log |zeta - c_j|, at zeta on the circle midway across
+    the widest gap between the angles of the a and the c_j.  The c_j come
+    from the shared Aberth loop (at most _JENSEN_MAX_ITER steps: 20 zeros
+    clustered at 1 take 160) on p with its outside roots divided out at
+    1/conj(c_j).  The error is the first-order bound from p's rounding, at
+    least 1e-12; a NumericalError when the loop does not rest, a c_j is not
+    inside or the bound exceeds _JENSEN_MAX_ERROR (a multiple critical
+    point, as at 0 for F(z) = B(z^k), k >= 4).
     """
     if F.atoms:
         raise PreconditionError("Jensen oracle needs a finite Blaschke product")
-    d = F.degree
-    if d < 2:
+    if F.degree < 2:
         raise PreconditionError("Jensen oracle needs degree >= 2")
-    P, Q = F.rational_coeffs
-    N = npoly.polysub(npoly.polymul(npoly.polyder(P), Q),
-                      npoly.polymul(P, npoly.polyder(Q)))
-    N = np.trim_zeros(N, "b")
-    roots = np.roots(N[::-1])
-    # A couple of Newton sweeps on N sharpen companion-matrix roots.
-    dN = npoly.polyder(N)
-    for _ in range(2):
-        with np.errstate(all="ignore"):
-            step = npoly.polyval(roots, N) / npoly.polyval(roots, dN)
-        roots = np.where(np.isfinite(step) & (np.abs(step) < 0.1),
-                         roots - step, roots)
-    inside = roots[np.abs(roots) < 1.0]
-    if len(inside) != d - 1:
-        raise NumericalError(
-            f"critical-point count {len(inside)} != degree-1 = {d - 1}",
-            context={"model": F, "roots": roots})
-    m = int(np.sum(np.abs(inside) < _ORIGIN_ROOT_TOL))
-    # F' = N/Q^2 with Q(0) = 1 and N[j] = 0 for j < m.
-    c_lead = N[m]
-    if abs(c_lead) < _ORIGIN_ROOT_TOL:
-        raise NumericalError("leading Taylor coefficient of F' inconsistent "
-                             f"with critical multiplicity {m}")
-    chi = math.log(abs(c_lead))
-    for c in inside:
-        if abs(c) >= _ORIGIN_ROOT_TOL:
-            chi += math.log(1.0 / abs(c))
-    return LyapunovEstimate(chi, "jensen", 1e-12)
+    mult = {x: F.zeros.count(x) for x in F.zeros}
+    m = mult.pop(0j, 0)
+    a = np.array(list(mult), dtype=complex)
+    c = np.array([k * (1.0 - abs(x) ** 2) for x, k in mult.items()])
+    n_crit = len(a) if m else len(a) - 1
+
+    def newton(w):
+        p, dp = _critical_poly(m, a, c, w)
+        wc = w.T.conj()
+        return p / (dp + p * np.sum(wc / (1.0 - wc * w), axis=1, keepdims=True))
+
+    turns = (np.arange(n_crit) + 0.354) / max(n_crit, 1)
+    w = 0.5 * np.exp(2j * np.pi * turns + 0.41j)[:, None]
+    with np.errstate(all="ignore"):
+        rested = n_crit == 0 or _aberth_polish(newton, w, _JENSEN_MAX_ITER)
+        # An iterate may settle on an outside root 1/conj(c_j) instead.
+        crit = np.where(np.abs(w[:, 0]) > 1.0, 1.0 / w[:, 0].conj(), w[:, 0])
+        p, dp = _critical_poly(m, a, c, crit)
+        size = _critical_poly(m, a, c, crit, modulus=True)[0]
+    ang = np.sort(np.angle(np.concatenate(([1.0], a, crit))))
+    gap = np.diff(ang, append=ang[0] + TWO_PI)
+    theta = ang[np.argmax(gap)] + 0.5 * np.max(gap)
+    zeta = np.exp(1j * theta)
+    chi = (math.log(F.boundary_deriv_modulus(theta))
+           + 2.0 * np.sum(np.log(np.abs(zeta - a)))
+           - 2.0 * np.sum(np.log(np.abs(zeta - crit))))
+    # To first order c_j is off by at most |p| plus p's rounding error
+    # (eps (4n + 4) times the sum of its terms' moduli), over |p'|.
+    err = float(np.sum(2.0 * (np.abs(p) + (4 * len(a) + 4) * 2.2e-16 * size)
+                       / np.abs(dp * (zeta - crit))))
+    inside = int(np.sum(np.abs(crit) < 1.0))
+    if not (rested and inside == n_crit and err <= _JENSEN_MAX_ERROR):
+        moving = "" if rested else f", moving after {_JENSEN_MAX_ITER} steps"
+        raise NumericalError(f"critical points of F: {inside} of {n_crit} inside "
+                             f"the disk, error bound {err:.1e}{moving}",
+                             context={"model": F, "roots": crit})
+    return LyapunovEstimate(float(chi), "jensen", max(err, 1e-12))
 
 
 def chi_birkhoff(F: InnerModel, zeta0, n: int, seed: int = 0) -> LyapunovEstimate:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from innerlab import _roots
 from innerlab.innerfn import InnerModel
@@ -32,6 +33,37 @@ def random_centered_blaschke(rng, dmax=6, rmax=0.9, rotate=True):
 def random_disk_point(rng, rmin=0.05, rmax=0.9):
     r = rng.uniform(rmin, rmax)
     return r * np.exp(2j * np.pi * rng.uniform())
+
+
+def polar(r, turn):
+    return r * np.exp(2j * np.pi * turn)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+def radius(r_max):
+    return st.floats(0.0, r_max)
+
+
+@st.composite
+def near_degenerate(draw, kind):
+    """A centered model of degree <= 17 with near-degenerate zeros of the
+    given kind, and a point z with 0.05 <= |z| <= 0.95."""
+    k = draw(st.integers(1, 16))
+    if kind == "clustered":
+        c = polar(draw(radius(0.9)), draw(unit))
+        spread = 10.0 ** draw(st.floats(-9.0, -2.0))
+        zeros = [c + polar(spread * draw(st.floats(0.1, 1.0)), draw(unit))
+                 for _ in range(k)]
+    elif kind == "repeated":
+        zeros = [polar(draw(radius(0.95)), draw(unit))] * k
+    else:
+        gap = {"near-circle": (-3.0, -0.5), "on-circle": (-9.0, -5.0)}[kind]
+        zeros = [polar(1.0 - 10.0 ** draw(st.floats(*gap)), draw(unit))
+                 for _ in range(k)]
+    F = InnerModel(rotation=polar(1.0, draw(unit)), zeros=(0j, *zeros))
+    return F, polar(draw(st.floats(0.05, 0.95)), draw(unit))
 
 
 def aberth_records(caplog):

@@ -75,6 +75,25 @@ class TestCount:
                          "--R", "5", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_default_target_on_clustered_zeros(self, tmp_path):
+        # The truncation z prod_{k <= 8} b_{1 - 2^-k}: the ratio with the
+        # default target (Jensen's chi) is the ratio with --chi from the
+        # quadrature.  The np.roots oracle read 1.1968 at R = 10 against
+        # 0.9967.
+        F = InnerModel.from_zeros(0, *[1 - 2.0 ** -k for k in range(1, 9)])
+        path = tmp_path / "k8.inner"
+        path.write_text(F.to_text())
+        ratios = []
+        for chi in ([], ["--chi", repr(lyapunov.chi_quadrature(F, 1e-12).value)]):
+            out = tmp_path / f"run{len(chi)}.csv"
+            assert cli.main(["count", "--model", str(path), "--z", "0.3,0",
+                             "--R", "10", "--out", str(out)] + chi) == 0
+            header, rows = read_rows(out)
+            ratios.append(np.array([float(r[header.index("ratio")]) for r in rows]))
+        assert len(ratios[0]) == 10
+        np.testing.assert_allclose(ratios[0], ratios[1], rtol=0, atol=1e-9)
+        assert abs(ratios[0][-1] - 0.9967) < 1e-4
+
     def test_non_finite_base_point_exit_code(self, deg2_file, tmp_path):
         with np.errstate(all="ignore"):
             code = cli.main(["count", "--model", deg2_file, "--z", "nan,0",

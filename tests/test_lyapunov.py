@@ -4,8 +4,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_centered_blaschke
+from conftest import near_degenerate, polar, random_centered_blaschke
 from innerlab.errors import NumericalError, PreconditionError
 from innerlab import lyapunov
 from innerlab.innerfn import BLOCK_ENTRIES, InnerModel, _boundary_value
@@ -122,6 +124,37 @@ def _mp_chi(F):
         return float(total / (2 * mpmath.pi))
 
 
+# chi of the truncation F_K = z prod_{k <= K} b_{1 - 2^-k}, whose zeros
+# crowd toward 1: `_mp_truncation_chi` at 70 digits, pinned to 64.
+TRUNCATION_CHI = {
+    8: "1.163406950060873774726451714389300442045368975061232254286323750",
+    12: "1.169176919101049413011056719628524002584260957917116769555634408",
+    16: "1.169625862518707017371074722296373004532849711052487668485475662",
+    20: "1.169659487271725445566743648736594266307468536509282176045958028",
+}
+
+
+def truncation(K):
+    return InnerModel.from_zeros(0, *[1 - 2.0 ** -k for k in range(1, K + 1)])
+
+
+def _mp_truncation_chi(K, dps):
+    """chi(F_K) at dps digits by mpmath's tanh-sinh: |F_K'| is even in t,
+    so (1/pi) int_0^pi log(1 + sum_k (1 - a_k^2)/|e^{it} - a_k|^2), with
+    |e^{it} - a|^2 = (1 - a)^2 + 4a sin^2(t/2) and breaks at t = 2^-j,
+    the scales of the peaks."""
+    with mpmath.workdps(dps + 10):
+        a = [1 - mpmath.mpf(2) ** -k for k in range(1, K + 1)]
+
+        def log_modulus(t):
+            s2 = mpmath.sin(t / 2) ** 2
+            return mpmath.log(1 + sum((1 - x * x) / ((1 - x) ** 2 + 4 * x * s2)
+                                      for x in a))
+
+        breaks = [mpmath.mpf(2) ** -j for j in range(K + 2, -1, -1)]
+        return mpmath.quad(log_modulus, [0, *breaks, mpmath.pi]) / mpmath.pi
+
+
 class TestJensenOracle:
     def test_square(self, square):
         assert chi_jensen_oracle(square).value == pytest.approx(np.log(2),
@@ -186,6 +219,71 @@ class TestJensenOracle:
                 chi = mpmath.log(abs(N[0])) - sum(mpmath.log(abs(c)) for c in inside)
             worst = max(worst, abs(chi_jensen_oracle(F).value - float(chi)))
         assert worst < 1e-10
+
+    def test_truncation_pins_are_the_integral(self):
+        with mpmath.workdps(70):
+            gap = _mp_truncation_chi(8, 60) - mpmath.mpf(TRUNCATION_CHI[8])
+            assert abs(gap) < mpmath.mpf(10) ** -60
+        assert round(float(TRUNCATION_CHI[8]), 14) == 1.16340695006087
+        assert round(float(TRUNCATION_CHI[16]), 14) == 1.16962586251871
+
+    @pytest.mark.parametrize("K", sorted(TRUNCATION_CHI))
+    def test_clustered_truncations_against_mpmath(self, K):
+        # np.roots on the expanded numerator P'Q - PQ' lost these critical
+        # points: it read 1.3969 at K = 8 and 6.3719 at K = 16, and raised
+        # at K = 12.
+        est = chi_jensen_oracle(truncation(K))
+        assert abs(est.value - float(TRUNCATION_CHI[K])) <= 1e-12
+        assert est.error == 1e-12
+
+    @pytest.mark.parametrize("kind", ["clustered", "repeated"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_near_degenerate_agrees_with_quadrature(self, kind, data):
+        F, _ = data.draw(near_degenerate(kind))
+        assert abs(chi_jensen_oracle(F).value
+                   - chi_quadrature(F, 1e-12).value) <= 1e-10
+
+    def test_non_centered_repeated_zeros_agree_with_quadrature(self):
+        rng = np.random.default_rng(28)
+        for _ in range(40):
+            distinct = [polar(rng.uniform(0.05, 0.9), rng.uniform())
+                        for _ in range(rng.integers(1, 5))]
+            k = rng.integers(1, 5, len(distinct))
+            k[0] = max(k[0], 2)
+            F = InnerModel(rotation=polar(1.0, rng.uniform()),
+                           zeros=tuple(np.repeat(distinct, k)))
+            assert abs(chi_jensen_oracle(F).value
+                       - chi_quadrature(F, 1e-12).value) <= 1e-10
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_symmetric_non_centered(self, k):
+        # F = B(z^k) with B = b_{r^k} up to a rotation: F'(0) = 0 to order
+        # k - 1, and chi = log k + log(1 - r^(2k)).  The origin is a
+        # multiple critical point from k = 3 on: its roots are known only to
+        # about eps^(1/(k - 1)), which the error reports, and past the bound
+        # the oracle raises.
+        F = InnerModel.from_zeros(*(polar(0.5, j / k) for j in range(k)))
+        exact = np.log(k) + np.log1p(-0.25 ** k)
+        if k >= 4:
+            with pytest.raises(NumericalError, match="critical points"):
+                chi_jensen_oracle(F)
+            return
+        est = chi_jensen_oracle(F)
+        assert abs(est.value - exact) <= est.error <= lyapunov._JENSEN_MAX_ERROR
+        assert est.error == 1e-12 if k == 2 else est.error > 1e-12
+
+    @pytest.mark.parametrize("at_rest", [False, True], ids=["moving", "claims-rest"])
+    def test_loop_left_at_its_start_raises(self, monkeypatch, at_rest):
+        # The shared Aberth loop returns its starting ring untouched, saying
+        # it is still moving or claiming to be at rest.
+        F = random_centered_blaschke(np.random.default_rng(3))
+        monkeypatch.setattr(lyapunov, "_aberth_polish",
+                            lambda newton, w, max_iter: at_rest)
+        with pytest.raises(NumericalError, match="critical points") as info:
+            chi_jensen_oracle(F)
+        assert info.value.context["model"] == F
+        assert ("moving" in str(info.value)) != at_rest
 
     def test_positive_for_centered(self, rng):
         for _ in range(10):

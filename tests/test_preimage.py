@@ -1,4 +1,5 @@
 import logging
+import warnings
 from collections import Counter
 
 import mpmath
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from conftest import aberth_records, random_centered_blaschke, random_disk_point
+from conftest import (aberth_records, near_degenerate, random_centered_blaschke,
+                      random_disk_point)
 from innerlab import _roots, preimage
 from innerlab._roots import aberth_batch
 from innerlab.errors import (BudgetError, DomainError, NumericalError,
@@ -438,7 +440,9 @@ class TestPreimageSolve:
             "inf": lambda: preimages_of_batch(
                 InnerModel.from_zeros(0, 0.5, 0.3j, -0.2), [0.3, complex(0.0, np.inf)]),
         }[case]
-        with np.errstate(all="ignore"), pytest.raises(DomainError, match="non-finite"):
+        # And it raises before numpy warns about the NaN or inf arithmetic.
+        with warnings.catch_warnings(), pytest.raises(DomainError, match="non-finite"):
+            warnings.simplefilter("error")
             call()
 
     def test_rescues_rows_that_fail_the_check(self, caplog, monkeypatch):
@@ -486,37 +490,6 @@ class TestPreimageSolve:
             hp_preimages_batch(F, [z])
         assert str(kept.value) == str(unrescued.value)
         assert kept.value.context["root"] == unrescued.value.context["root"]
-
-
-def polar(r, turn):
-    return r * np.exp(2j * np.pi * turn)
-
-
-unit = st.floats(0.0, 1.0)
-
-
-def radius(r_max):
-    return st.floats(0.0, r_max)
-
-
-@st.composite
-def near_degenerate(draw, kind):
-    """A centered model of degree <= 17 with near-degenerate zeros of the
-    given kind, and a point z with 0.05 <= |z| <= 0.95."""
-    k = draw(st.integers(1, 16))
-    if kind == "clustered":
-        c = polar(draw(radius(0.9)), draw(unit))
-        spread = 10.0 ** draw(st.floats(-9.0, -2.0))
-        zeros = [c + polar(spread * draw(st.floats(0.1, 1.0)), draw(unit))
-                 for _ in range(k)]
-    elif kind == "repeated":
-        zeros = [polar(draw(radius(0.95)), draw(unit))] * k
-    else:
-        gap = {"near-circle": (-3.0, -0.5), "on-circle": (-9.0, -5.0)}[kind]
-        zeros = [polar(1.0 - 10.0 ** draw(st.floats(*gap)), draw(unit))
-                 for _ in range(k)]
-    F = InnerModel(rotation=polar(1.0, draw(unit)), zeros=(0j, *zeros))
-    return F, polar(draw(st.floats(0.05, 0.95)), draw(unit))
 
 
 def assert_checked_preimages(F, z, roots):
