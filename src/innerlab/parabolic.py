@@ -87,7 +87,14 @@ class HalfPlaneInner:
         return complex(out) if out.ndim == 0 else out
 
     def _eval_deriv(self, z):
-        return self.eval(z), self.deriv(z)
+        """F and F' at the array z in one pass over the atoms, by the
+        expressions of `eval` and `deriv`, under the caller's errstate."""
+        f, fprime = z + self.beta, np.ones_like(z)
+        for x, c in self.atoms:
+            d = x - z
+            f += c * (1.0 + z * x) / d
+            fprime += c * (x * x + 1.0) / d ** 2
+        return f, fprime
 
     def _preimage_newton(self, w, z):
         """p/p' at w for p = D (F - z), D = prod (x_k - w) the denominator

@@ -24,9 +24,8 @@ from .innerfn import InnerModel, _require_blaschke
 
 log = logging.getLogger("innerlab.preimage")
 
-DEDUP_TOL = 1e-7
 DEFAULT_NODE_BUDGET = 5 * 10 ** 7
-_BALL_RECORD = "enumerate_ball: %d generations, %d explored, %d retained, %d merged"
+_BALL_RECORD = "enumerate_ball: %d generations, %d explored, %d retained"
 
 
 def _sort_roots(roots):
@@ -57,8 +56,8 @@ class PreimageTree:
 
     `points[g]` holds generation g and `parents[g]` the index of each
     node's parent within generation g-1.  `pruned_from` is the first
-    generation at which any child was discarded (radius cutoff or dedup),
-    or None.
+    generation at which any child was discarded by the radius cutoff, or
+    None.
     """
 
     model: InnerModel
@@ -67,7 +66,6 @@ class PreimageTree:
     points: list = field(default_factory=list)
     parents: list = field(default_factory=list)
     pruned_from: int | None = None
-    collisions: int = 0
     explored: int = 0
 
     @property
@@ -97,60 +95,21 @@ class PreimageTree:
         return worst
 
 
-# A point's cell (cx, cy) = floor((Re, Im) / DEDUP_TOL) is packed into the
-# int64 key cx * _CELL_SPAN + cy, unique since |cy| <= 1e7 < _CELL_SPAN / 2
-# in the disk.  The forward neighbours (0, 1), (1, -1), (1, 0), (1, 1) of a
-# cell are key offsets.
-_CELL_SPAN = 1 << 32
-_FORWARD_CELLS = (1, _CELL_SPAN - 1, _CELL_SPAN, _CELL_SPAN + 1)
-
-
-def _merged(pts):
-    """Mask of the points of `pts` within DEDUP_TOL of an earlier retained
-    point of `pts`, so the first point of a cluster wins.
-
-    Points within DEDUP_TOL of each other sit in the same or adjacent cells
-    of the DEDUP_TOL grid; only points with an occupied neighbouring cell
-    get the exact distance test.  The flagged set is a union of whole
-    cells, so the order of tied keys in the sort does not matter.
-    """
-    keys = (np.floor(pts.real / DEDUP_TOL).astype(np.int64) * _CELL_SPAN
-            + np.floor(pts.imag / DEDUP_TOL).astype(np.int64))
-    order = np.argsort(keys)
-    sk = keys[order]
-    near = np.zeros(len(pts), dtype=bool)
-    same = sk[1:] == sk[:-1]
-    near[1:] |= same
-    near[:-1] |= same
-    for off in _FORWARD_CELLS:
-        j = np.minimum(np.searchsorted(sk, sk + off), len(sk) - 1)
-        hit = sk[j] == sk + off
-        near[hit] = True
-        near[j[hit]] = True    # the rest of that cell is flagged by `same`
-    merged = np.zeros(len(pts), dtype=bool)
-    kept = []
-    for i in np.sort(order[near]):
-        gap = pts[kept] - pts[i]
-        if kept and np.min(np.hypot(gap.real, gap.imag)) <= DEDUP_TOL:
-            merged[i] = True
-        else:
-            kept.append(i)
-    return merged
-
-
 def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
                    max_generation=None) -> PreimageTree:
     """Breadth-first tree of repeated preimages of z with d(0, w) <= R.
 
     A node is retained iff its hyperbolic radius is <= R; only retained
     nodes are expanded, which is sound pruning because d(0, w) >= d(0, F(w))
-    for centered F.  Points of one generation coinciding within DEDUP_TOL
-    are merged, the first in (parent, branch) order kept (collisions are
-    logged).  Nodes of different generations never coincide: a shared
-    point would make z periodic, while Schwarz's lemma gives
-    d(0, F(w)) < d(0, w) for w != 0 under a centered non-rotation F.  The
-    base point itself is generation 0.  Exceeding `node_budget` explored
-    nodes raises BudgetError carrying the partial tree.
+    for centered F.  Preimages are counted with multiplicity, as
+    `preimages_of_batch` returns them: the double pullback of a critical
+    value is two nodes, each with its own subtree, as the height identity
+    and the counting asymptotics count it.  Nodes of different generations
+    never coincide: a shared point would make z periodic, while Schwarz's
+    lemma gives d(0, F(w)) < d(0, w) for w != 0 under a centered
+    non-rotation F.  The base point itself is generation 0.  Exceeding
+    `node_budget` explored nodes raises BudgetError carrying the partial
+    tree.
     """
     _require_blaschke(F, reject_rotation=True)
     z = complex(z)
@@ -183,23 +142,14 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
         roots = preimages_of_batch(F, parents)
         radii = origin_distance(np.abs(roots))
         inside = radii <= R
-        par, br = np.nonzero(inside)
-        pts = roots[par, br]
-        merged = _merged(pts)
-        for w in pts[merged]:
-            log.info("merged coincident preimage %r at generation %d",
-                     complex(w), gen + 1)
-        tree.collisions += int(np.count_nonzero(merged))
-        if tree.pruned_from is None and (not inside.all() or merged.any()):
+        if tree.pruned_from is None and not inside.all():
             tree.pruned_from = gen + 1
-        keep = ~merged
-        if not keep.any():
+        if not inside.any():
             break
-        tree.points.append(pts[keep])
-        tree.parents.append(par[keep])
+        tree.points.append(roots[inside])
+        tree.parents.append(np.flatnonzero(inside) // d)
         gen += 1
-    log.debug(_BALL_RECORD, tree.generations, tree.explored, tree.size(),
-              tree.collisions)
+    log.debug(_BALL_RECORD, tree.generations, tree.explored, tree.size())
     return tree
 
 

@@ -66,6 +66,26 @@ def near_degenerate(draw, kind):
     return F, polar(draw(st.floats(0.05, 0.95)), draw(unit))
 
 
+def critical_points(F):
+    """The critical points of the Blaschke product F = N/D in the disk: the
+    roots of N'D - ND' inside it, by numpy's companion matrix."""
+    N, D = F.rational_coeffs
+    P = np.polynomial.polynomial
+    crit = P.polyroots(P.polysub(P.polymul(P.polyder(N), D),
+                                 P.polymul(N, P.polyder(D))))
+    return crit[np.abs(crit) < 1.0]
+
+
+def cubic_critical_point():
+    """The cubic model with zeros {0, 1/2, 2i/5} and its critical point
+    near 0.2i, whose double pullback Aberth splits by about 1e-7."""
+    F = InnerModel.from_zeros(0, 0.5, 0.4j)
+    crit = critical_points(F)
+    c = crit[np.argmin(np.abs(crit - 0.2j))]
+    assert abs(F.deriv(c)) < 1e-14
+    return F, c
+
+
 def aberth_records(caplog):
     """The captured `aberth_batch` records, without the preimage solve's."""
     return [r for r in caplog.records if r.msg == _roots._RECORD]

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Name -> why it stays without a caller.
 ALLOWED = {
     "cumulative_orbit_distortion":
-        "the per-generation linearity output (ROADMAP item 4) will call it",
+        "the per-generation linearity output (ROADMAP item 7) will call it",
 }
 
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (write_counting_csv, write_lyapunov_csv, write_orbit_csv,
-                      write_scan_csv, write_shadow_csv, write_strip_csv,
+from conftest import (cubic_critical_point, write_counting_csv,
+                      write_lyapunov_csv, write_orbit_csv, write_scan_csv,
+                      write_shadow_csv, write_strip_csv,
                       write_strip_points_csv, write_total_mass_csv,
                       write_xi_mass_csv)
 
@@ -93,6 +94,28 @@ class TestCount:
         assert len(ratios[0]) == 10
         np.testing.assert_allclose(ratios[0], ratios[1], rtol=0, atol=1e-9)
         assert abs(ratios[0][-1] - 0.9967) < 1e-4
+
+    @pytest.mark.parametrize("case", ["deg2", "cubic"])
+    def test_critical_value_meets_the_constant(self, case, tmp_path):
+        # z = F(F(c)) for a critical point c of F: the double pullback two
+        # generations up is counted twice, so at R = 10 the ratio is near
+        # 1, as at the generic neighbour z + 1e-6.  A tree that merged the
+        # pullback read 0.6172 on deg2 and 0.7264 on the cubic.
+        F, c = {"deg2": (InnerModel.from_zeros(0, 0.5), 2.0 - np.sqrt(3.0)),
+                "cubic": cubic_critical_point()}[case]
+        path = tmp_path / "model.inner"
+        path.write_text(F.to_text())
+        z = F.eval(F.eval(c))
+        ratios = []
+        for w in (z, z + 1e-6):
+            out = tmp_path / "run.csv"
+            assert cli.main(["count", "--model", str(path), "--z",
+                             f"{w.real:.17g},{w.imag:.17g}", "--R", "10",
+                             "--out", str(out)]) == 0
+            header, rows = read_rows(out)
+            ratios.append(float(rows[-1][header.index("ratio")]))
+        assert 0.99 <= ratios[0] <= 1.01
+        assert abs(ratios[0] - ratios[1]) < 0.005
 
     def test_non_finite_base_point_exit_code(self, deg2_file, tmp_path):
         with np.errstate(all="ignore"):

@@ -88,6 +88,21 @@ class TestEvalDeriv:
             y = rng.uniform(0.01, 3)
             assert abs(zminus.deriv(x + 1j * y)) <= abs(zminus.deriv(x + 0j)) + 1e-12
 
+    def test_one_pass_is_eval_and_deriv(self):
+        # The solve's Newton step takes F and F' from `_eval_deriv`; they
+        # are `eval` and `deriv` bit for bit, at a pole too.
+        rng = np.random.default_rng(8)
+        for n in range(1, 9):
+            F = HalfPlaneInner(beta=rng.normal(), atoms=tuple(
+                zip(rng.normal(size=n) * 3, rng.uniform(0.1, 2.0, n))))
+            w = rng.normal(size=(6, F.degree)) + 1j * rng.uniform(1e-6, 3, (6, F.degree))
+            w[0, 0] = F.atoms[0][0]
+            with np.errstate(all="ignore"):
+                f, fprime = F._eval_deriv(w)
+                want = F.eval(w), F.deriv(w)
+            assert np.array_equal(f.view(np.uint64), want[0].view(np.uint64))
+            assert np.array_equal(fprime.view(np.uint64), want[1].view(np.uint64))
+
 
 class TestPreimages:
     def test_quadratic_values(self, zminus):
@@ -287,6 +302,23 @@ class TestEnumerateStrip:
                                max(frontier), np.median(frontier))
         assert profile.explored == 1 + zminus.degree * sum(frontier)
         assert profile.farfield_pruned > 0
+
+    def test_critical_value_counts_both_copies(self, zminus):
+        # 2i is the critical value of z - 1/z, and i its double preimage.
+        # The tree from 2i is the tree from i twice over, one generation
+        # down: both copies are counted, each with its subtree, the rule
+        # that the disk tree shares.
+        assert np.array_equal(hp_preimages_batch(zminus, [2j]), [[1j, 1j]])
+        whole = enumerate_strip(zminus, 2j, (-1.0, 1.0), 6.0)
+        half = enumerate_strip(zminus, 1j, (-1.0, 1.0), 6.0)
+        twice = [np.tile(half.counted_points[half.counted_generations == g], 2)
+                 for g in range(half.counted_generations.max() + 1)]
+        assert np.array_equal(whole.counted_points, np.concatenate(twice))
+        assert np.array_equal(whole.counted_generations,
+                              np.repeat(np.arange(1, len(twice) + 1),
+                                        [len(t) for t in twice]))
+        assert whole.explored == 1 + 2 * half.explored
+        assert whole.farfield_pruned == 2 * half.farfield_pruned > 0
 
     @pytest.mark.parametrize("case", ["zminus", "three-atom"])
     def test_matches_per_child_loop(self, case, zminus, three_atoms):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
-from conftest import (aberth_records, near_degenerate, random_centered_blaschke,
+from conftest import (aberth_records, critical_points, cubic_critical_point,
+                      near_degenerate, random_centered_blaschke,
                       random_disk_point)
 from innerlab import _roots, preimage
 from innerlab._roots import aberth_batch
@@ -18,8 +18,8 @@ from innerlab.errors import (BudgetError, DomainError, NumericalError,
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
 from innerlab.parabolic import HalfPlaneInner, hp_preimages_batch
-from innerlab.preimage import (DEDUP_TOL, _merged, enumerate_ball,
-                               preimages_of_batch, verify_sum_of_heights)
+from innerlab.preimage import (enumerate_ball, preimages_of_batch,
+                               verify_sum_of_heights)
 
 
 def packet_radius(d, n, base=np.exp(-1.0)):
@@ -29,29 +29,26 @@ def packet_radius(d, n, base=np.exp(-1.0)):
     return np.log((1 + r) / (1 - r))
 
 
+def turn_default_start(monkeypatch, turn):
+    """Turns the default ring of Aberth starts by `turn` radians."""
+    ring = _roots._default_start
+    monkeypatch.setattr(_roots, "_default_start",
+                        lambda m, d: ring(m, d) * np.exp(1j * turn))
+
+
 def per_child_ball(F, z, R):
-    """Reference for enumerate_ball: a loop over every child, merging it
-    into any earlier node of the whole tree within DEDUP_TOL."""
+    """Reference for enumerate_ball: a loop over every child, keeping each
+    one with d(0, w) <= R."""
     gens = [(np.array([z], dtype=complex), np.array([-1]), np.array([0]))]
-    seen = [z]
-    collisions = 0
     while len(gens[-1][0]):
         roots = preimages_of_batch(F, gens[-1][0])
         radii = origin_distance(np.abs(roots))
-        kept = []
-        for i, j in np.ndindex(roots.shape):
-            if radii[i, j] > R:
-                continue
-            if np.min(np.abs(np.asarray(seen) - roots[i, j])) <= DEDUP_TOL:
-                collisions += 1
-                continue
-            seen.append(roots[i, j])
-            kept.append((i, j))
+        kept = [(i, j) for i, j in np.ndindex(roots.shape) if radii[i, j] <= R]
         if not kept:
             break
         par, br = np.array(kept).T
         gens.append((roots[par, br], par, br))
-    return gens, collisions
+    return gens
 
 
 class TestPreimagesOf:
@@ -382,9 +379,9 @@ class TestPreimageSolve:
     @pytest.mark.parametrize("case", ["disk", "strip"])
     def test_one_newton_sweep(self, case, monkeypatch):
         # One solve evaluates F twice (the Newton step, the residual) and
-        # F' once.  In the disk, the step's F and F' share one pass over
-        # the factors, so a one-block solve makes two factor passes; the
-        # strip's model evaluates F and F' separately.
+        # F' once.  The step's F and F' share one pass: over the factors
+        # in the disk, so a one-block solve makes two factor passes, and
+        # over the atoms in the strip.
         if case == "disk":
             F, zs = seeded_disk_model(np.random.default_rng(3), 6), np.array([0.3, 0.1j])
             names, want = ("eval", "deriv", "_eval_deriv", "_factors"), \
@@ -393,7 +390,7 @@ class TestPreimageSolve:
         else:
             F, zs = zminus_model(), np.array([0.5j, 0.3 + 0.2j])
             names, want = ("eval", "deriv", "_eval_deriv"), \
-                {"eval": 2, "deriv": 1, "_eval_deriv": 1}
+                {"eval": 1, "_eval_deriv": 1}
         calls = Counter()
         for name in names:
             def counted(self, *args, method=getattr(type(F), name), name=name):
@@ -537,52 +534,6 @@ class TestNearDegenerate:
             preimages_of_batch(F, [0.5])
 
 
-def first_of_cluster_wins(pts):
-    """O(n^2) reference for `_merged`: a point is merged iff it lies within
-    DEDUP_TOL of an earlier point that was kept."""
-    merged = np.zeros(len(pts), dtype=bool)
-    kept = []
-    for i, p in enumerate(pts):
-        gap = pts[kept] - p
-        merged[i] = bool(kept) and np.min(np.hypot(gap.real, gap.imag)) <= DEDUP_TOL
-        if not merged[i]:
-            kept.append(i)
-    return merged
-
-
-class TestMerged:
-    """The DEDUP_TOL grid flags candidate cells by an unstable sort of the
-    cell keys; the mask must not depend on how tied keys come out."""
-
-    @staticmethod
-    def clusters():
-        """Groups of points in cell units, each group in its own region of
-        the grid: one crowded cell (with exact repeats), pairs straddling
-        each forward-neighbour offset (merged, and 1.1 cells apart), and
-        chains of three points 0.9 DEDUP_TOL apart."""
-        rng = np.random.default_rng(5)
-        crowded = 0.1 + 0.8 * (rng.uniform(size=40) + 1j * rng.uniform(size=40))
-        groups = [np.concatenate((crowded, crowded[:10]))]
-        for step in (1j, 1 - 1j, 1, 1 + 1j):
-            corner = 0.5 + 0.5j + 0.45 * step
-            groups += [corner + np.array([0, 0.1 * step]),
-                       corner - 0.5 * step + np.array([0, 1.1 * step])]
-        for direction in (1, 1j, np.exp(0.7j), np.exp(2.4j)):
-            groups.append(0.05 + 0.5j + 0.9 * direction * np.arange(3))
-        origin = complex(3e6, -2e6)
-        return np.concatenate([origin + 100 * k * (1 + 1j) + g
-                               for k, g in enumerate(groups)]) * DEDUP_TOL
-
-    def test_matches_first_of_cluster_wins(self):
-        pts = self.clusters()
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            shuffled = rng.permutation(pts)
-            want = first_of_cluster_wins(shuffled)
-            assert np.array_equal(_merged(shuffled), want)
-        assert 0 < np.count_nonzero(want) < len(pts)
-
-
 class TestEnumerateBall:
     def test_small_cutoff_empty(self, square):
         tree = enumerate_ball(square, np.exp(-1.0), 0.5)
@@ -651,18 +602,22 @@ class TestEnumerateBall:
 
     @staticmethod
     def assert_critical_value_tree(F, c, size, caplog):
-        """The tree of F(F(c)) at R = 6, for a critical point c of F, has a
-        double pullback two generations up, split by the solve by less
-        than DEDUP_TOL and merged into one node; the R = 7 tree needs no
-        companion-matrix fallback."""
+        """The tree of F(F(c)) at R = 6, for a critical point c of F, keeps
+        the double pullback two generations up as two nodes of one parent,
+        with subtrees of the same size generation by generation; the R = 7
+        tree leaves no Aberth row moving."""
         z = F.eval(F.eval(c))
         tree = enumerate_ball(F, z, 6.0)
         assert tree.size() == size
-        assert tree.collisions == 1
-        assert tree.pruned_from == 2
-        pts = np.concatenate(tree.points)
-        kd = cKDTree(np.column_stack([pts.real, pts.imag]))
-        assert kd.query_pairs(DEDUP_TOL) == set()
+        copies = np.flatnonzero(np.abs(tree.points[2] - c) < 1e-6)
+        assert len(copies) == 2
+        assert tree.parents[2][copies[0]] == tree.parents[2][copies[1]]
+        subtrees, below = [[i] for i in copies], 0
+        for g in range(3, tree.generations):
+            subtrees = [np.flatnonzero(np.isin(tree.parents[g], s)) for s in subtrees]
+            assert len(subtrees[0]) == len(subtrees[1])
+            below += len(subtrees[0])
+        assert below > 0
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="innerlab.roots"):
             enumerate_ball(F, z, 7.0)
@@ -671,36 +626,28 @@ class TestEnumerateBall:
 
     def test_critical_value_dedup_deg2(self, deg2, caplog):
         # 2 - sqrt(3) is the critical point of deg2.
-        self.assert_critical_value_tree(deg2, 2.0 - np.sqrt(3.0), 696, caplog)
+        self.assert_critical_value_tree(deg2, 2.0 - np.sqrt(3.0), 1121, caplog)
 
     @pytest.mark.parametrize("turn", [0.0, 0.3, 1.1, 2.5])
     def test_critical_value_dedup(self, turn, monkeypatch, caplog):
-        # At degree >= 3 the solve is Aberth's, and the tree must not
-        # depend on how the default ring of starts is turned.
-        ring = _roots._default_start
-        monkeypatch.setattr(_roots, "_default_start",
-                            lambda m, d: ring(m, d) * np.exp(1j * turn))
-        F = InnerModel.from_zeros(0, 0.5, 0.4j)
-        N, D = F.rational_coeffs
-        P = np.polynomial.polynomial
-        crit = P.polyroots(P.polysub(P.polymul(P.polyder(N), D),
-                                     P.polymul(N, P.polyder(D))))
-        c = crit[np.argmin(np.abs(crit - 0.2j))]
-        assert abs(F.deriv(c)) < 1e-14
-        self.assert_critical_value_tree(F, c, 760, caplog)
+        # At degree >= 3 the solve is Aberth's, which splits the double
+        # pullback by about 1e-7, and the tree must not depend on how the
+        # default ring of starts is turned.
+        turn_default_start(monkeypatch, turn)
+        F, c = cubic_critical_point()
+        self.assert_critical_value_tree(F, c, 1042, caplog)
 
     def test_one_debug_record(self, deg2, caplog):
-        # One record per call, after the loop: generations, explored,
-        # retained and merged; a base point beyond R explores only itself.
+        # One record per call, after the loop: generations, explored and
+        # retained; a base point beyond R explores only itself.
         c = 2.0 - np.sqrt(3.0)
         for z, R in ((deg2.eval(deg2.eval(c)), 7.0), (0.99, 1.0)):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="innerlab.preimage"):
                 tree = enumerate_ball(deg2, z, R)
             [record] = [r for r in caplog.records if r.msg == preimage._BALL_RECORD]
-            assert record.args == (tree.generations, tree.explored, tree.size(),
-                                   tree.collisions)
-        assert record.args == (0, 1, 0, 0)
+            assert record.args == (tree.generations, tree.explored, tree.size())
+        assert record.args == (0, 1, 0)
 
     @pytest.mark.parametrize("case", ["deg2", "critical", "square", "random"])
     def test_matches_per_child_loop(self, case, deg2, square, rng):
@@ -711,8 +658,7 @@ class TestEnumerateBall:
                    "random": (random_centered_blaschke(rng),
                               random_disk_point(rng), 6.0)}[case]
         tree = enumerate_ball(F, z, R)
-        gens, collisions = per_child_ball(F, complex(z), R)
-        assert tree.collisions == collisions
+        gens = per_child_ball(F, complex(z), R)
         assert tree.generations == len(gens)
         for g, (pts, par, br) in enumerate(gens):
             assert np.array_equal(tree.points[g], pts)
@@ -740,6 +686,36 @@ class TestSumOfHeights:
         oracle = sum(np.log(1.0 / np.abs(np.array(level))))
         got = float(np.sum(tree.heights(4)))
         assert got == pytest.approx(oracle, abs=1e-10)
+
+    @staticmethod
+    def assert_heights_with_multiplicity(F, c):
+        """Generations 1-4 of the tree of F(F(c)), for a critical point c
+        of F, are whole and keep the height identity, which counts the
+        double pullback of generation 2 and its subtree twice."""
+        tree = enumerate_ball(F, F.eval(F.eval(c)), np.inf, max_generation=4)
+        assert [len(p) for p in tree.points] == [F.degree ** g for g in range(5)]
+        for g in range(1, 5):
+            assert verify_sum_of_heights(tree, g) < 1e-8
+
+    def test_critical_value_deg2(self, deg2):
+        self.assert_heights_with_multiplicity(deg2, 2.0 - np.sqrt(3.0))
+
+    @pytest.mark.parametrize("turn", [0.0, 0.3, 1.1, 2.5])
+    def test_critical_value_cubic(self, turn, monkeypatch):
+        turn_default_start(monkeypatch, turn)
+        self.assert_heights_with_multiplicity(*cubic_critical_point())
+
+    @pytest.mark.parametrize("degree", [4, 5, 6])
+    def test_critical_value_random(self, degree):
+        # Every critical point of a seeded model with zeros in |a| < 0.9.
+        rng = np.random.default_rng(degree)
+        zeros = 0.9 * np.sqrt(rng.uniform(size=degree - 1)) \
+            * np.exp(2j * np.pi * rng.uniform(size=degree - 1))
+        F = InnerModel.from_zeros(0, *zeros)
+        crit = critical_points(F)
+        assert len(crit) == degree - 1
+        for c in crit:
+            self.assert_heights_with_multiplicity(F, c)
 
     def test_pruned_generation_rejected(self, deg2):
         tree = enumerate_ball(deg2, 0.3, 4.0)
