@@ -121,7 +121,9 @@ def cmd_count(args):
                                     _grid(args.R, args.R_step),
                                     counting.target_constant(z, chi))
     _write_csv(args.out, _header(args, (
-        f"chi = {chi:.17g}", f"tree_nodes = {tree.size()}")), COUNT_COLUMNS,
+        f"chi = {chi:.17g}", f"tree_nodes = {tree.size()}",
+        f"explored = {tree.explored}",
+        f"expand_radius = {tree.expand_radius:.17g}")), COUNT_COLUMNS,
         (r + (r.count_over_eR / r.target,) for r in rows))
     return EXIT_OK
 

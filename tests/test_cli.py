@@ -59,6 +59,12 @@ class TestCount:
         assert float(last[0]) == 8.0
         # Pointwise ratio near 1 at R = 8 (pilot 1.0001).
         assert 0.8 <= float(last[5]) <= 1.25
+        # The tree's counters go in the `#` header only.
+        tree = enumerate_ball(InnerModel.from_zeros(0, 0.5), 0.3, 8.0)
+        counters = dict(ln[2:].split(" = ", 1) for ln in out.read_text().splitlines()
+                        if ln.startswith("# ") and " = " in ln)
+        assert int(counters["explored"]) == tree.explored
+        assert float(counters["expand_radius"]) == tree.expand_radius < 8.0
 
     def test_cesaro_alias(self, deg2_file, tmp_path):
         out = tmp_path / "run.csv"

@@ -638,31 +638,99 @@ class TestEnumerateBall:
         self.assert_critical_value_tree(F, c, 1042, caplog)
 
     def test_one_debug_record(self, deg2, caplog):
-        # One record per call, after the loop: generations, explored and
-        # retained; a base point beyond R explores only itself.
+        # One record per call, after the loop: generations, explored,
+        # retained, R* and the retained nodes beyond R* that went unsolved;
+        # every other retained node was solved for its 2 children.  A base
+        # point beyond R explores only itself.
         c = 2.0 - np.sqrt(3.0)
         for z, R in ((deg2.eval(deg2.eval(c)), 7.0), (0.99, 1.0)):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="innerlab.preimage"):
                 tree = enumerate_ball(deg2, z, R)
             [record] = [r for r in caplog.records if r.msg == preimage._BALL_RECORD]
-            assert record.args == (tree.generations, tree.explored, tree.size())
-        assert record.args == (0, 1, 0)
+            unsolved = record.args[-1]
+            assert record.args == (tree.generations, tree.explored, tree.size(),
+                                   tree.expand_radius, unsolved)
+            assert tree.explored == 1 + 2 * (tree.size() - unsolved)
+        assert record.args == (0, 1, 0, tree.expand_radius, 0)
 
-    @pytest.mark.parametrize("case", ["deg2", "critical", "square", "random"])
+    def test_explored_counts_solved_nodes(self, deg2):
+        # 1 + 2 x 320,159 solved nodes of 427,153 retained; solving every
+        # retained node explored 854,307.
+        tree = enumerate_ball(deg2, 0.3, 13.0)
+        assert (tree.size(), tree.explored) == (427153, 640319)
+        assert tree.expand_radius == pytest.approx(12.712318, abs=1e-6)
+        # The budget counts the same children.
+        small = enumerate_ball(deg2, 0.3, 9.0)
+        assert enumerate_ball(deg2, 0.3, 9.0, node_budget=small.explored).size() \
+            == small.size()
+        with pytest.raises(BudgetError):
+            enumerate_ball(deg2, 0.3, 9.0, node_budget=small.explored - 1)
+
+    @pytest.mark.parametrize("case", ["deg2", "critical", "square", "random",
+                                      "deg2-ray", "packets"])
     def test_matches_per_child_loop(self, case, deg2, square, rng):
+        # The last two are the sharp cases of R*: children that land on R
+        # up to rounding, below parents at R* up to rounding.  They are
+        # the deg2 trees of F(-tanh(R/2)), and z^2 from e^-1 at its packet
+        # radii (criterion 5).
         c = 2.0 - np.sqrt(3.0)
-        F, z, R = {"deg2": (deg2, 0.3, 8.0),
-                   "critical": (deg2, deg2.eval(deg2.eval(c)), 7.0),
-                   "square": (square, np.exp(-1.0), 8.0),
-                   "random": (random_centered_blaschke(rng),
-                              random_disk_point(rng), 6.0)}[case]
-        tree = enumerate_ball(F, z, R)
-        gens = per_child_ball(F, complex(z), R)
-        assert tree.generations == len(gens)
-        for g, (pts, par, br) in enumerate(gens):
-            assert np.array_equal(tree.points[g], pts)
-            assert np.array_equal(tree.parents[g], par)
+        runs = {"deg2": [(deg2, 0.3, 8.0)],
+                "critical": [(deg2, deg2.eval(deg2.eval(c)), 7.0)],
+                "square": [(square, np.exp(-1.0), 8.0)],
+                "random": [(random_centered_blaschke(rng), random_disk_point(rng), 6.0)],
+                "deg2-ray": [(deg2, deg2.eval(-np.tanh(R / 2.0)), R)
+                             for R in np.linspace(2.0, 14.0, 121)],
+                "packets": [(square, np.exp(-1.0), packet_radius(2, n))
+                            for n in range(1, 14)]}[case]
+        for F, z, R in runs:
+            tree = enumerate_ball(F, z, R)
+            gens = per_child_ball(F, complex(z), R)
+            assert tree.generations == len(gens)
+            for g, (pts, par, br) in enumerate(gens):
+                assert np.array_equal(tree.points[g], pts)
+                assert np.array_equal(tree.parents[g], par)
+
+
+class TestSchwarzPickBound:
+    @staticmethod
+    def bound_models(rng):
+        for d in range(2, 9):
+            for _ in range(10):
+                a = (1.0 - 10.0 ** -rng.uniform(0.0, 6.0, d - 1)) \
+                    * np.exp(2j * np.pi * rng.uniform(size=d - 1))
+                yield InnerModel(rotation=np.exp(2j * np.pi * rng.uniform()),
+                                 zeros=(0j, *a))
+        yield InnerModel.from_zeros(0, 0, 0, 0.5j, 0.5j)
+        yield InnerModel.from_zeros(0, 0, 0.3 - 0.8j, 0.3 - 0.8j, 0.3 - 0.8j)
+        yield InnerModel.from_zeros(0, 0.9, 0.999, 0.999, 0.999, 0.999)
+
+    def test_bounds_the_modulus(self):
+        # |F(w)| <= phi(|w|) to a few ulps, at radii up to 1 - 1e-14, on
+        # models with zeros up to 1 - 1e-6 from the circle and repeated
+        # zeros at 0 and elsewhere.
+        rng = np.random.default_rng(7)
+        for F in self.bound_models(rng):
+            r = np.concatenate([rng.uniform(0.0, 1.0, 100),
+                                1.0 - 10.0 ** -rng.uniform(0.0, 14.0, 100)])
+            w = r * np.exp(2j * np.pi * rng.uniform(size=r.size))
+            phi = 1.0 - preimage._schwarz_pick_gap(F, origin_distance(r))
+            assert np.all(np.abs(F.eval(w)) <= phi + 8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("zeros, ray", [
+        ((0, 0), 1.0), ((0, 0, 0), 1.0), ((0,) * 8, 1.0),
+        ((0, 0.5), -1.0), ((0, 0.5j * np.exp(0.3j)), -1j * np.exp(0.3j))])
+    def test_attained_on_power_maps_and_deg2_ray(self, zeros, ray):
+        # Equality on z^n, and on z b_a along w = -r a/|a|.
+        F = InnerModel.from_zeros(*zeros)
+        r = np.concatenate([np.linspace(0.01, 0.99, 50), 1.0 - 10.0 ** -np.arange(2, 15)])
+        phi = 1.0 - preimage._schwarz_pick_gap(F, origin_distance(r))
+        assert np.max(np.abs(np.abs(F.eval(r * ray)) - phi)) < 1e-15
+
+    def test_expand_radius(self, deg2):
+        assert preimage._expand_radius(deg2, np.inf) == np.inf
+        for R in (0.5, 3.0, 13.0, 20.0):
+            assert 0.0 < preimage._expand_radius(deg2, R) < R
 
 
 class TestSumOfHeights:
