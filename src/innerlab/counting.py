@@ -2,14 +2,15 @@
 
 The step-counting function N(z, S), its exact Cesaro average
 (1/R) sum (e^{-d_w} - e^{-R}), the asymptotic target constant
-(1/2) log(1/|z|) / chi, the empirical a-priori constant, and the
-empirical Schwarz gap.  Heights are hyperbolic radii in the disk
-(`from_tree`) and -log Im w in the strip (`from_strip`).
+(1/2) log(1/|z|) / chi, the empirical a-priori constant, and a
+certified lower bound on the Schwarz gap.  Heights are hyperbolic radii
+in the disk (`from_tree`) and -log Im w in the strip (`from_strip`).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .errors import DomainError, PreconditionError
 from .hypgeo import origin_distance
 from .innerfn import InnerModel
 from .parabolic import StripProfile
-from .preimage import PreimageTree
+from .preimage import PreimageTree, _schwarz_pick_gap
 
 log = logging.getLogger("innerlab.counting")
 
@@ -98,11 +99,16 @@ def apriori_constant(profile: CountingProfile) -> float:
     return float(np.max(counts * np.exp(-(grid - d0))))
 
 
-def estimate_schwarz_gap(F: InnerModel, samples: int = 20000,
-                         seed: int = 0) -> float:
-    """Empirical gamma of the minimal-translation lemma: one quarter of the
-    smallest observed drop d(0,z) - d(0,F(z)) over a quasi-uniform
-    hyperbolic grid on 1 <= d(0,z) <= 12, refined near the minimizer.
+def estimate_schwarz_gap(F: InnerModel) -> float:
+    """A certified lower bound on gamma of the minimal-translation lemma:
+    one quarter of the smallest drop d(0,z) - d(0,F(z)) over d(0,z) >= 1.
+
+    Schwarz-Pick on each factor gives |F(z)| <= phi(|z|) (the bound of
+    `preimage._schwarz_pick_gap`), so the drop at d(0,z) = D is at least
+    D - d(0, phi(tanh(D/2))), with equality on z^n and on z b_a along the
+    ray through -a.  phi is itself a Blaschke product (zeros -|a|), so by
+    Schwarz-Pick d(0, phi(tanh(D/2))) grows no faster than D: the bound is
+    nondecreasing in D and its minimum is at D = 1, in closed form.
 
     Rotations are degenerate (gap 0) and flagged with a log warning.
     """
@@ -111,31 +117,8 @@ def estimate_schwarz_gap(F: InnerModel, samples: int = 20000,
     if F.is_rotation:
         log.warning("Schwarz gap of a rotation is degenerate (0)")
         return 0.0
-    rng = np.random.default_rng(seed)
-
-    def min_drop(dvals, thetas):
-        r = np.tanh(dvals / 2.0)
-        z = r * np.exp(1j * thetas)
-        drop = dvals - origin_distance(np.abs(F.eval(z)))
-        k = int(np.argmin(drop))
-        return float(drop[k]), complex(z[k])
-
-    n_rings = max(24, int(np.sqrt(samples)))
-    per_ring = max(16, samples // n_rings)
-    dvals = np.repeat(np.linspace(1.0, 12.0, n_rings), per_ring)
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=len(dvals))
-    best, z_best = min_drop(dvals, thetas)
-    # Local refinement around the minimizer.
-    d0 = origin_distance(abs(z_best))
-    th0 = float(np.angle(z_best))
-    for width in (0.3, 0.05, 0.01):
-        dloc = np.clip(d0 + rng.uniform(-width, width, size=2000), 1.0, 12.0)
-        thloc = th0 + rng.uniform(-width, width, size=2000)
-        cand, z_cand = min_drop(dloc, thloc)
-        if cand < best:
-            best, z_best = cand, z_cand
-            d0, th0 = origin_distance(abs(z_best)), float(np.angle(z_best))
-    return max(best, 0.0) / 4.0
+    g = float(_schwarz_pick_gap(F, 1.0))
+    return max(1.0 - math.log((2.0 - g) / g), 0.0) / 4.0
 
 
 CountingRow = namedtuple("CountingRow", "R count count_over_eR cesaro target")

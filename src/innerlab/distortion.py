@@ -15,12 +15,14 @@ import logging
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from ._quadrature import _integrate
 from .errors import DomainError, PreconditionError
 from .innerfn import InnerModel, _boundary_value
+from .lyapunov import _critical_points
 
 log = logging.getLogger("innerlab.distortion")
 
@@ -101,11 +103,14 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
 
     Parameter punctures of width 1e-8 are excised around r = 0 and around
     any zero of F on the ray (the integrand is bounded, so the omitted mass
-    is o(1)).  The pieces left are integrated by one vector-valued
-    `_integrate` call (one DEBUG record on `innerlab.quadrature`), so each
-    node's comparison quotient is computed once and the ray's total meets
-    `tol` in every component; with no piece left it is 0.  Monotone
-    nondecreasing in r_max for nonnegative quantities.
+    is o(1)).  The pieces left are broken again at each critical point of
+    F on the ray (`_critical_breaks`), where mu has a kink and alpha jumps
+    by pi, so the quadrature sees only smooth pieces.  They are integrated
+    by one vector-valued `_integrate` call (one DEBUG record on
+    `innerlab.quadrature`), so each node's comparison quotient is computed
+    once and the ray's total meets `tol` in every component; with no piece
+    left it is 0.  Monotone nondecreasing in r_max for nonnegative
+    quantities.
     """
     if not 0 < r_max < 1:
         raise PreconditionError("need 0 < r_max < 1")
@@ -126,10 +131,37 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
     for r0 in sorted(r for r in on_ray if PUNCTURE < r < r_max):
         cuts.extend((r0 - PUNCTURE, r0 + PUNCTURE))
     cuts.append(r_max)
-    pieces = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+    breaks = _critical_breaks(F, zeta, r_max)
+    pieces = [(a, b) for lo, hi in zip(cuts[::2], cuts[1::2])
+              for a, b in pairwise([lo, *(t for t in breaks if lo < t < hi), hi])
+              if a < b]
     total = _integrate(integrand, pieces, tol, 1e-11)[0] if pieces \
         else np.zeros(len(names))
     return float(total[0]) if isinstance(quantity, str) else total
+
+
+def _critical_breaks(F, zeta, r_max):
+    """Sorted ends r -+ b of a bracket around each critical point c of F
+    on the ray through zeta, r = Re(c conj(zeta)) in (PUNCTURE, r_max) and
+    |Im(c conj(zeta))| <= b, with b the first-order bound on c of
+    `_critical_points`.  p = F' gap (z/|z|) (|F|/F) vanishes only where F'
+    does, so these are the steps of alpha and the kinks of mu that the
+    punctures leave.  A bracket, not c itself, so that an inexact c cannot
+    put the step between a piece's end and its nearest node.  Only
+    atom-free InnerModels of degree >= 2 are solved, and a solve that did
+    not come to rest gives no breaks: breaks only spare the quadrature
+    rounds, whose own error control keeps the result right.
+    """
+    if not isinstance(F, InnerModel) or F.atoms or F.degree < 2:
+        return []
+    _, crit, slack, dp, rested = _critical_points(F)
+    if not rested:
+        return []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = slack / np.abs(dp)
+    t = crit * zeta.conjugate()
+    on = (np.abs(t.imag) <= bound) & (PUNCTURE < t.real) & (t.real < r_max)
+    return sorted(np.concatenate((t.real[on] - bound[on], t.real[on] + bound[on])))
 
 
 def cumulative_orbit_distortion(F: InnerModel, coords, N: int) -> float:

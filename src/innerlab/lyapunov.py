@@ -83,26 +83,21 @@ def _critical_poly(m, a, c, w, modulus=False):
     return (m * q + w * h, m * dq + h + w * dh) if m else (h, dh)
 
 
-def chi_jensen_oracle(F: InnerModel) -> LyapunovEstimate:
-    """Jensen's formula applied to F' for a finite Blaschke product of
-    degree >= 2 with m zeros at 0 and n distinct others a, of multiplicity
-    k_a.  zF'/F = p/Q (`_critical_poly`, c_a = k_a (1 - |a|^2)) and p =
-    K prod_j f_{c_j} over the critical points c_j in the disk that are not
-    zeros of F (n of them, n - 1 when m = 0).  Each f has mean log-modulus
-    0 on the circle, so chi = log |K| = log |F'(zeta)| + 2 sum_a log |zeta
-    - a| - 2 sum_j log |zeta - c_j|, at zeta on the circle midway across
-    the widest gap between the angles of the a and the c_j.  The c_j come
+def _critical_points(F: InnerModel):
+    """The critical points c_j of a finite Blaschke product F (no atoms,
+    degree >= 2) that are not zeros of F, with m zeros at 0 and n distinct
+    others a, of multiplicity k_a: zF'/F = p/Q (`_critical_poly`, c_a =
+    k_a (1 - |a|^2)), and p vanishes at the c_j in the disk (n of them,
+    n - 1 when m = 0) and at their reflections 1/conj(c_j).  The c_j come
     from the shared Aberth loop (at most _JENSEN_MAX_ITER steps: 20 zeros
-    clustered at 1 take 160) on p with its outside roots divided out at
-    1/conj(c_j).  The error is the first-order bound from p's rounding, at
-    least 1e-12; a NumericalError when the loop does not rest, a c_j is not
-    inside or the bound exceeds _JENSEN_MAX_ERROR (a multiple critical
-    point, as at 0 for F(z) = B(z^k), k >= 4).
+    clustered at 1 take 160) on p with its outside roots divided out; an
+    iterate that settles on an outside root is reflected back.  Returns
+    (a, c_j, s_j, p'(c_j), whether the loop came to rest); nothing is
+    raised.  To first order c_j is off by at most s_j/|p'(c_j)|, with s_j =
+    |p(c_j)| plus p's rounding error (eps (4n + 4) times the sum of its
+    terms' moduli): near a multiple critical point |p'| is small and the
+    bound wide.
     """
-    if F.atoms:
-        raise PreconditionError("Jensen oracle needs a finite Blaschke product")
-    if F.degree < 2:
-        raise PreconditionError("Jensen oracle needs degree >= 2")
     mult = {x: F.zeros.count(x) for x in F.zeros}
     m = mult.pop(0j, 0)
     a = np.array(list(mult), dtype=complex)
@@ -118,10 +113,29 @@ def chi_jensen_oracle(F: InnerModel) -> LyapunovEstimate:
     w = 0.5 * np.exp(2j * np.pi * turns + 0.41j)[:, None]
     with np.errstate(all="ignore"):
         rested = n_crit == 0 or _aberth_polish(newton, w, _JENSEN_MAX_ITER)
-        # An iterate may settle on an outside root 1/conj(c_j) instead.
         crit = np.where(np.abs(w[:, 0]) > 1.0, 1.0 / w[:, 0].conj(), w[:, 0])
         p, dp = _critical_poly(m, a, c, crit)
         size = _critical_poly(m, a, c, crit, modulus=True)[0]
+    return a, crit, np.abs(p) + (4 * len(a) + 4) * 2.2e-16 * size, dp, rested
+
+
+def chi_jensen_oracle(F: InnerModel) -> LyapunovEstimate:
+    """Jensen's formula applied to F' for a finite Blaschke product of
+    degree >= 2, through its critical points c_j in the disk that are not
+    zeros of F (`_critical_points`): p = K prod_j f_{c_j}, and each f has
+    mean log-modulus 0 on the circle, so chi = log |K| = log |F'(zeta)| +
+    2 sum_a log |zeta - a| - 2 sum_j log |zeta - c_j|, at zeta on the
+    circle midway across the widest gap between the angles of the a and
+    the c_j.  The error is the first-order bound on the c_j carried into
+    this sum, at least 1e-12; a NumericalError when the loop does not rest,
+    a c_j is not inside or the bound exceeds _JENSEN_MAX_ERROR (a multiple
+    critical point, as at 0 for F(z) = B(z^k), k >= 4).
+    """
+    if F.atoms:
+        raise PreconditionError("Jensen oracle needs a finite Blaschke product")
+    if F.degree < 2:
+        raise PreconditionError("Jensen oracle needs degree >= 2")
+    a, crit, slack, dp, rested = _critical_points(F)
     ang = np.sort(np.angle(np.concatenate(([1.0], a, crit))))
     gap = np.diff(ang, append=ang[0] + TWO_PI)
     theta = ang[np.argmax(gap)] + 0.5 * np.max(gap)
@@ -129,14 +143,11 @@ def chi_jensen_oracle(F: InnerModel) -> LyapunovEstimate:
     chi = (math.log(F.boundary_deriv_modulus(theta))
            + 2.0 * np.sum(np.log(np.abs(zeta - a)))
            - 2.0 * np.sum(np.log(np.abs(zeta - crit))))
-    # To first order c_j is off by at most |p| plus p's rounding error
-    # (eps (4n + 4) times the sum of its terms' moduli), over |p'|.
-    err = float(np.sum(2.0 * (np.abs(p) + (4 * len(a) + 4) * 2.2e-16 * size)
-                       / np.abs(dp * (zeta - crit))))
+    err = float(np.sum(2.0 * slack / np.abs(dp * (zeta - crit))))
     inside = int(np.sum(np.abs(crit) < 1.0))
-    if not (rested and inside == n_crit and err <= _JENSEN_MAX_ERROR):
+    if not (rested and inside == len(crit) and err <= _JENSEN_MAX_ERROR):
         moving = "" if rested else f", moving after {_JENSEN_MAX_ITER} steps"
-        raise NumericalError(f"critical points of F: {inside} of {n_crit} inside "
+        raise NumericalError(f"critical points of F: {inside} of {len(crit)} inside "
                              f"the disk, error bound {err:.1e}{moving}",
                              context={"model": F, "roots": crit})
     return LyapunovEstimate(float(chi), "jensen", max(err, 1e-12))

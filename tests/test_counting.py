@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import random_centered_blaschke
 from innerlab.cli import COUNT_COLUMNS, _write_csv
 from innerlab.counting import (CountingProfile, apriori_constant, cesaro,
                                count, counting_report, estimate_schwarz_gap,
@@ -140,19 +141,28 @@ class TestSchwarzGap:
         assert estimate_schwarz_gap(InnerModel(zeros=(0j,))) == 0.0
 
     def test_square_against_radial_scan(self, square):
-        # The gap of z^2 is radial: an independent 1-d scan over r.
-        est = estimate_schwarz_gap(square, samples=30000, seed=3)
+        # The gap of z^2 is radial: an independent 1-d scan over r, whose
+        # smallest drop is at d(0, z) = 1.
         d = np.linspace(1.0, 12.0, 20001)
         r = np.tanh(d / 2.0)
         oracle = np.min(d - origin_distance(r ** 2)) / 4.0
-        assert est == pytest.approx(oracle, abs=2e-3)
-        assert est > 0
+        assert estimate_schwarz_gap(square) == pytest.approx(oracle, abs=1e-15)
 
-    def test_reproducible_across_seeds(self, deg2):
-        vals = [estimate_schwarz_gap(deg2, samples=30000, seed=s)
-                for s in (1, 2, 3)]
-        assert max(vals) - min(vals) < 1e-3
-        assert min(vals) > 0
+    def test_deg2_closed_form(self, deg2):
+        # |F(-r)| = r (r + 0.5)/(1 + 0.5 r) is the Schwarz-Pick bound, so
+        # the smallest drop is on that ray, at d(0, z) = 1.
+        drop = 1.0 - origin_distance(abs(complex(deg2.eval(-np.tanh(0.5)))))
+        est = estimate_schwarz_gap(deg2)
+        assert est == pytest.approx(drop / 4.0, abs=1e-15)
+        assert round(est, 6) == 0.060890
+
+    def test_below_every_sampled_drop(self, rng):
+        for _ in range(20):
+            F = random_centered_blaschke(rng, dmax=8)
+            d = rng.uniform(1.0, 12.0, size=20000)
+            z = np.tanh(d / 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20000))
+            drop = d - origin_distance(np.abs(F.eval(z)))
+            assert 0 < estimate_schwarz_gap(F) <= np.min(drop) / 4.0
 
     def test_noncentered_rejected(self):
         with pytest.raises(PreconditionError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (Composed, geodesic_curvature, random_centered_blaschke,
                       random_disk_point)
+from innerlab import distortion
 from innerlab.distortion import (PUNCTURE, DistortionSample,
                                  angular_derivative_criterion_scan,
                                  cumulative_orbit_distortion,
@@ -14,7 +15,7 @@ from innerlab.distortion import (PUNCTURE, DistortionSample,
                                  radial_distortion_integral, subadditivity_gap)
 from innerlab.errors import DomainError, PreconditionError
 from innerlab.hypgeo import disk_distance
-from innerlab.innerfn import InnerModel
+from innerlab.innerfn import InnerModel, frostman_shift
 from innerlab.lamination import branch_orbit, sample_interior_orbit
 
 unit_p = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
@@ -205,6 +206,45 @@ class TestVectorIntegral:
         assert inside == below
         assert np.isfinite(short) and 0 <= short - below <= 1e-7
 
+    @pytest.mark.parametrize("zeros, r_max", [
+        ((0.0, 0.5), 0.99),
+        ([1 - 2.0 ** -k for k in range(1, 7)], 1 - 1e-4)])
+    def test_mu_integral_against_mpmath(self, zeros, r_max):
+        # mu = 1 - |p| has a kink at each critical point of F on the ray,
+        # and Rolle puts one between each pair of consecutive zeros (deg2:
+        # one in (0, 0.5)).  The oracle is a 30-digit mpmath.quad over the
+        # same punctured pieces, split at the critical points that
+        # mpmath.findroot finds on F'.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        a = [mp.mpf(x) for x in zeros]
+
+        def dF(r):
+            # F' of the product of the factors (r - x)/(1 - x r).
+            return mp.fsum((1 - x * x) / (1 - x * r) ** 2
+                           * mp.fprod((r - y) / (1 - y * r)
+                                      for j, y in enumerate(a) if j != k)
+                           for k, x in enumerate(a))
+
+        def mu(r):
+            Fr = mp.fprod((r - x) / (1 - x * r) for x in a)
+            return (1 - abs(dF(r)) * (1 - r * r) / (1 - Fr * Fr)) * 2 / (1 - r * r)
+
+        crit = [mp.findroot(dF, (x, y), solver="anderson")
+                for x, y in zip(a, a[1:])]
+        cuts = [PUNCTURE]
+        for x in zeros:
+            if x > 0:
+                cuts.extend((x - PUNCTURE, x + PUNCTURE))
+        cuts.append(r_max)
+        exact = mp.fsum(
+            mp.quad(mu, [lo, *(c for c in crit if lo < c < hi), hi])
+            for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi)
+        F = InnerModel.from_zeros(*zeros)
+        v = radial_distortion_integral(F, 1.0 + 0j, "mu", r_max, tol=1e-9)
+        assert abs(v - float(exact)) <= 1e-9
+
     @pytest.mark.parametrize("K", [16, 20, 24])
     def test_long_truncation_ray_meets_tol(self, K, caplog):
         # K + 1 pieces share the ray's panels: with one cap of MAX_PANELS
@@ -219,6 +259,40 @@ class TestVectorIntegral:
         ref = radial_distortion_integral(F, 1.0 + 0j, names, 1 - 1e-6,
                                          tol=1e-12)
         assert np.max(np.abs(vec - ref)) <= 1e-9
+
+
+class TestCriticalBreaks:
+    def test_deg2_break_brackets_the_critical_point(self, deg2):
+        # F = z b_{0.5}: F' = 0 at 2 - sqrt(3) on the ray to 1.
+        lo, hi = distortion._critical_breaks(deg2, 1.0 + 0j, 0.99)
+        assert lo <= 2 - np.sqrt(3) <= hi and hi - lo < 1e-15
+        assert distortion._critical_breaks(deg2, 1.0 + 0j, 0.2) == []
+        assert distortion._critical_breaks(deg2, -1.0 + 0j, 0.99) == []
+
+    @pytest.mark.parametrize("F, zeta, r_max", [
+        (InnerModel.atom_map(0.0, 1.0), 1.0, 1 - 1e-6),
+        (InnerModel(zeros=(0j, 0.4), atoms=((2.0, 0.3),)), 1.0, 0.99),
+        (frostman_shift(InnerModel.from_zeros(0, 0.5), 0.3 - 0.2j),
+         np.exp(0.7j), 0.99),
+        (InnerModel.from_zeros(0.3), 1.0, 0.99),
+        (InnerModel.power_map(2), 1.0, 1 - 1e-6),
+        (InnerModel.power_map(3), 1.0, 1 - 1e-6),
+        (InnerModel.from_zeros(*(0.5 * np.exp(0.5j * np.pi * j)
+                                 for j in range(4))), 1.0, 0.99)],
+        ids=["atom", "atom-and-zeros", "frostman", "degree1", "z2", "z3",
+             "B(z^4)"])
+    def test_no_break_keeps_the_pieces(self, F, zeta, r_max, monkeypatch):
+        # These rays have no critical point to break at, or (B(z^4), whose
+        # triple critical point at 0 keeps the solve from resting, so that
+        # chi_jensen_oracle raises) no trustworthy one: nothing is raised,
+        # and the pieces, so every bit of the value, are those of a ray
+        # broken only at the punctures.
+        names = ("mu", "eta", "delta", "alpha")
+        assert distortion._critical_breaks(F, zeta, r_max) == []
+        vec = radial_distortion_integral(F, zeta, names, r_max)
+        monkeypatch.setattr(distortion, "_critical_breaks", lambda *args: [])
+        assert np.array_equal(vec, radial_distortion_integral(F, zeta, names,
+                                                              r_max))
 
 
 def scalar_cumulative(F, coords, N):
@@ -368,45 +442,68 @@ class TestScan:
         assert rows[1].integral_mu - rows[0].integral_mu > 1.0
 
     @pytest.mark.parametrize("K, r_max", [(12, 1 - 1e-6), (8, 0.93333),
-                                          (6, 1 - 1e-4)])
-    def test_truncation_alpha_matches_closed_form(self, K, r_max):
+                                          (6, 1 - 1e-4), (12, 1 - 1e-4),
+                                          (16, 1 - 1e-6), (20, 1 - 1e-6)])
+    def test_truncation_alpha_matches_closed_form(self, K, r_max, caplog):
         # On these rays alpha is a step function.  At (8, 0.93333) a step
         # hides between a panel end and its outermost node at two levels,
         # which only the interpolant-jump error term catches (without it
-        # the row is off by 7.7e-5 and reported converged).
+        # the row is off by 7.7e-5 and reported converged).  With a break
+        # on each step, every piece is smooth: the error must be within
+        # the achieved error, plus, at each step, one float spacing of its
+        # weight (a step can be put only on a float, and the quadrature
+        # cannot see where within one spacing it lies).  A break placed
+        # next to a step, not on it, is off by orders of magnitude more.
         zeros = [1 - 2.0 ** -k for k in range(1, K + 1)]
         F = InnerModel.from_zeros(*zeros)
-        row, = angular_derivative_criterion_scan([F], 1.0 + 0j, [r_max])
-        exact = alpha_on_truncation_ray(zeros, r_max)
-        assert abs(row.integral_alpha - exact) <= 1e-8
-        if K == 12:
+        with caplog.at_level(logging.DEBUG, logger="innerlab.quadrature"):
+            row, = angular_derivative_criterion_scan([F], 1.0 + 0j, [r_max])
+        [record] = [r for r in caplog.records if r.name == "innerlab.quadrature"]
+        achieved, rounds = record.args[3], record.args[5]
+        exact, crit = alpha_on_truncation_ray(zeros, r_max)
+        crit = crit[crit < r_max]
+        floor = np.sum(np.pi * np.spacing(crit) * 2 / (1 - crit * crit))
+        assert abs(row.integral_alpha - exact) <= achieved + floor
+        assert rounds < UNBROKEN_ROUNDS[K, r_max]
+        if (K, r_max) == (12, 1 - 1e-6):
             # scipy.integrate.cubature's value, 1.3e-9 above the closed form.
             assert abs(row.integral_alpha - 16.026598663691434) <= 1e-8
 
 
+# The rounds of these rays' integrals before they were broken at F's
+# critical points.
+UNBROKEN_ROUNDS = {(12, 1 - 1e-6): 60, (8, 0.93333): 50, (6, 1 - 1e-4): 55,
+                   (12, 1 - 1e-4): 60, (16, 1 - 1e-6): 62, (20, 1 - 1e-6): 63}
+
+
 def alpha_on_truncation_ray(zeros, r_max):
     """Closed form of the alpha-integral along [0, r_max] for increasing
-    real zeros a_1 < ... < a_K in (0, 1), punctures excised.
+    real zeros a_1 < ... < a_K in (0, 1), punctures excised, and the
+    critical points of F, as floats.
 
     On the real ray p is real with the sign of F'/F, so alpha is pi where
     F'/F < 0 and 0 elsewhere; the integral is pi times the hyperbolic length
     2 artanh(y) - 2 artanh(x) of those arcs.  F'/F = sum of
     (1 - a^2)/((r - a)(1 - a r)) is negative on (0, a_1) and, in each gap
     (a_k, a_{k+1}), beyond the one critical point there (Rolle gives K - 1
-    of them, all the critical points), found by bisection on its sign.
+    of them, all the critical points), found by mpmath at 30 digits, which
+    also sums the lengths: in doubles, a bisection on the sign of F'/F
+    missed the critical points near the circle by an ulp, which moved the
+    integral by up to 1.4e-10 at K = 20.
     """
-    a = np.asarray(zeros)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    a = [mp.mpf(x) for x in zeros]
 
     def dlog(r):
-        return np.sum((1 - a * a) / ((r[:, None] - a) * (1 - a * r[:, None])),
-                      axis=1)
+        return mp.fsum((1 - x * x) / ((r - x) * (1 - x * r)) for x in a)
 
-    lo, hi = a[:-1] + 1e-12, a[1:] - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        neg = dlog(mid) < 0
-        lo, hi = np.where(neg, lo, mid), np.where(neg, mid, hi)
-    starts = np.concatenate(([PUNCTURE], hi))
-    ends = a - PUNCTURE
-    x, y = np.minimum(starts, r_max), np.minimum(ends, r_max)
-    return float(np.pi * np.sum(2 * np.arctanh(y) - 2 * np.arctanh(x)))
+    crit = [mp.findroot(dlog, (x + (y - x) * 1e-20, y - (y - x) * 1e-20),
+                        solver="anderson") for x, y in zip(a, a[1:])]
+    assert all(x < c < y for x, c, y in zip(a, crit, a[1:]))
+    starts = [mp.mpf(PUNCTURE), *crit]
+    ends = [mp.mpf(x - PUNCTURE) for x in zeros]
+    total = mp.fsum(2 * mp.atanh(min(y, r_max)) - 2 * mp.atanh(min(x, r_max))
+                    for x, y in zip(starts, ends))
+    return float(mp.pi * total), np.array([float(c) for c in crit])
