@@ -105,7 +105,9 @@ def _write_csv(path, header_lines, columns: str, rows):
 COUNT_COLUMNS = "R,count,count_over_eR,cesaro,target,ratio"
 
 
-def _grid(upto: float, step: float = 1.0):
+def _grid(upto: float, step: float):
+    if not 0 < step < math.inf:
+        raise PreconditionError(f"R step {step:g} must be positive and finite")
     out = list(np.arange(step, upto, step))
     if not out or out[-1] < upto:
         out.append(upto)
@@ -210,6 +212,8 @@ def cmd_shadow_sim(args):
     else:
         bad = [tuple(_parse_floats(pair, "a:b", ":"))
                for pair in args.bad_times.split(",")]
+    if args.curve_points < 1:
+        raise PreconditionError("curve points must be at least 1")
     run = lamination.shadowing_simulation(bad, args.T, adversary=args.adversary,
                                           start=_parse_complex(args.start),
                                           step=args.step)

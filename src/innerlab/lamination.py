@@ -316,6 +316,8 @@ def xi_box_mass(F: InnerModel, region: AnnularBox, max_depth: int,
     refinement.  Each grid's preimage tree is walked once, to the deepest
     depth.  If both grids' leaves at some depth exceed the budget, raises
     BudgetError carrying the estimates for the shallower depths."""
+    if min(grid) < 1:
+        raise PreconditionError(f"quadrature grid {grid} needs at least one node a side")
     grids = (grid, (grid[0] + grid[0] // 2 + 1, grid[1] + grid[1] // 2 + 1))
     leaves = sum(nr * nt for nr, nt in grids)
     reach = -1
@@ -594,6 +596,8 @@ class ShadowingRun:
 
 def bad_times_pow2(T: float) -> list:
     """The vanishing-upper-density family union of [2^k, 2^k + k]."""
+    if not math.isfinite(T):
+        raise PreconditionError(f"horizon T = {T:g} must be finite")
     out = []
     k = 1
     while 2.0 ** k <= T:
@@ -630,6 +634,8 @@ def shadowing_simulation(bad_times, T: float, adversary: str = "up_right",
     if adversary not in ADVERSARIES:
         raise PreconditionError(f"unknown adversary {adversary!r}")
     ax, ay = ADVERSARIES[adversary]
+    if not (step > 0 and math.isfinite(T)):
+        raise PreconditionError(f"need step > 0 and a finite T, got {step:g}, {T:g}")
     if callable(bad_times):
         raise PreconditionError("pass bad times as a sorted interval list")
     intervals = [(float(a), float(b)) for a, b in bad_times if a < b]

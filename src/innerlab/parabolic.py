@@ -268,8 +268,8 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
         raise PreconditionError("base point must lie in the upper half-plane")
     if not F.atoms:
         raise PreconditionError("strip enumeration needs at least one atom")
-    if not R >= 0:
-        raise PreconditionError("cutoff must be nonnegative")
+    if not 0 <= R < math.inf:
+        raise PreconditionError("cutoff must be nonnegative and finite")
     x_lo, x_hi = (float(interval[0]), float(interval[1]))
     if not x_lo < x_hi:
         raise PreconditionError(f"empty interval [{x_lo:g}, {x_hi:g}]; "

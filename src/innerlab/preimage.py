@@ -70,7 +70,7 @@ def _schwarz_pick_gap(F: InnerModel, R):
 def _expand_radius(F: InnerModel, R: float) -> float:
     """R* = d(0, phi(tanh(R/2)) + _EXPAND_MARGIN): a node u with
     d(0, u) > R* has every preimage beyond R (inf if the margin reaches
-    the circle, as at R = inf)."""
+    the circle)."""
     gap = float(_schwarz_pick_gap(F, R)) - _EXPAND_MARGIN
     return math.log((2.0 - gap) / gap) if gap > 0 else math.inf
 
@@ -94,10 +94,8 @@ class PreimageTree:
     <= cutoff, grouped by generation.
 
     `points[g]` holds generation g and `parents[g]` the index of each
-    node's parent within generation g-1.  `pruned_from` is the first
-    generation at which any child was discarded by the radius cutoff, or
-    not solved for because its parent lay beyond `expand_radius` (R*),
-    or None.  `explored` is 1 plus the children of the solved nodes.
+    node's parent within generation g-1.  `explored` is 1 plus the
+    children of the solved nodes, those not beyond `expand_radius` (R*).
     """
 
     model: InnerModel
@@ -105,7 +103,6 @@ class PreimageTree:
     cutoff: float
     points: list = field(default_factory=list)
     parents: list = field(default_factory=list)
-    pruned_from: int | None = None
     explored: int = 0
     expand_radius: float = math.inf
 
@@ -123,9 +120,6 @@ class PreimageTree:
         mods = np.concatenate([np.abs(p) for p in self.points])
         return np.sort(origin_distance(mods))
 
-    def heights(self, generation: int) -> np.ndarray:
-        return np.log(1.0 / np.abs(self.points[generation]))
-
     def max_residual(self) -> float:
         """max |F(w) - parent(w)| over all non-root retained nodes."""
         worst = 0.0
@@ -136,8 +130,8 @@ class PreimageTree:
         return worst
 
 
-def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
-                   max_generation=None) -> PreimageTree:
+def enumerate_ball(F: InnerModel, z, R: float,
+                   node_budget=DEFAULT_NODE_BUDGET) -> PreimageTree:
     """Breadth-first tree of repeated preimages of z with d(0, w) <= R.
 
     A node is retained iff its hyperbolic radius is <= R, and solved for
@@ -145,10 +139,10 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
     by Schwarz-Pick (see the module docstring) every preimage of a node
     beyond R* lies beyond R, with `_EXPAND_MARGIN` to spare for the
     solve's residual, so the tree is the one that solving every retained
-    node would give, bit for bit.  R = inf gives R* = inf.  Preimages are
-    counted with multiplicity, as `preimages_of_batch` returns them: the
-    double pullback of a critical value is two nodes, each with its own
-    subtree, as the height identity and the counting asymptotics count it.
+    node would give, bit for bit.  Preimages are counted with
+    multiplicity, as `preimages_of_batch` returns them: the double
+    pullback of a critical value is two nodes, each with its own subtree,
+    as the height identity and the counting asymptotics count it.
     Nodes of different generations never coincide: a shared point would
     make z periodic, while Schwarz's lemma gives d(0, F(w)) < d(0, w) for
     w != 0 under a centered non-rotation F.  The base point itself is
@@ -159,16 +153,13 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
     z = complex(z)
     if z == 0:
         raise PreconditionError("base point must be nonzero")
-    if not R > 0:
-        raise PreconditionError("cutoff radius must be positive")
+    if not 0 < R < math.inf:
+        raise PreconditionError("cutoff radius must be positive and finite")
 
-    tree = PreimageTree(model=F, base=z, cutoff=float(R),
+    tree = PreimageTree(model=F, base=z, cutoff=float(R), explored=1,
                         expand_radius=_expand_radius(F, R))
     radii = np.array([origin_distance(abs(z))])
-    tree.explored = 1
-    if radii[0] > R:
-        tree.pruned_from = 0
-    else:
+    if not radii[0] > R:
         tree.points.append(np.array([z], dtype=complex))
         tree.parents.append(np.array([-1], dtype=np.int64))
 
@@ -176,13 +167,9 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
     unsolved = 0
     gen = 0
     while gen < tree.generations:
-        if max_generation is not None and gen >= max_generation:
-            break
         # Not `radii <= R*`: a NaN base point must reach the solve and fail.
         solve = np.flatnonzero(~(radii > tree.expand_radius))
         unsolved += len(radii) - len(solve)
-        if tree.pruned_from is None and len(solve) < len(radii):
-            tree.pruned_from = gen + 1
         if not len(solve):
             break
         tree.explored += len(solve) * d
@@ -193,8 +180,6 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
         roots = preimages_of_batch(F, tree.points[gen][solve])
         radii = origin_distance(np.abs(roots))
         inside = radii <= R
-        if tree.pruned_from is None and not inside.all():
-            tree.pruned_from = gen + 1
         if not inside.any():
             break
         tree.points.append(roots[inside])
@@ -205,18 +190,3 @@ def enumerate_ball(F: InnerModel, z, R: float, node_budget=DEFAULT_NODE_BUDGET,
               tree.expand_radius, unsolved)
     return tree
 
-
-def verify_sum_of_heights(tree: PreimageTree, generation: int) -> float:
-    """|sum of heights over a fully expanded generation - log(1/|z|)|.
-
-    Requires that no ancestor of the generation was pruned (build the tree
-    with R = inf and a max_generation cap).
-    """
-    if generation < 0 or generation >= tree.generations:
-        raise PreconditionError(f"generation {generation} not present in tree")
-    if tree.pruned_from is not None and tree.pruned_from <= generation:
-        raise PreconditionError(
-            f"generation {generation} was pruned (from {tree.pruned_from}); "
-            "re-enumerate with an infinite radius cutoff")
-    total = float(np.sum(tree.heights(generation)))
-    return abs(total - float(np.log(1.0 / abs(tree.base))))

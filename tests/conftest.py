@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from innerlab import _roots
 from innerlab.innerfn import InnerModel
+from innerlab.preimage import preimages_of_batch
 
 # Tier-1 draws the same hypothesis examples on every run.
 # INNERLAB_HYPOTHESIS=search selects a profile that draws fresh examples on
@@ -84,6 +85,16 @@ def cubic_critical_point():
     c = crit[np.argmin(np.abs(crit - 0.2j))]
     assert abs(F.deriv(c)) < 1e-14
     return F, c
+
+
+def whole_generations(F, z, n):
+    """Generations 0..n of the preimage tree of z, none pruned: generation
+    g + 1 holds the preimages of generation g, parent-major, from one
+    `preimages_of_batch` solve per generation."""
+    gens = [np.array([z], dtype=complex)]
+    for _ in range(n):
+        gens.append(preimages_of_batch(F, gens[-1]).reshape(-1))
+    return gens
 
 
 def aberth_records(caplog):

@@ -81,3 +81,60 @@ def test_every_module_logger_is_logged_to():
                   and isinstance(node.func.value, ast.Name)}
         silent += [f"{path.name} {name}" for name in sorted(loggers - called)]
     assert silent == []
+
+
+def defaulted_parameters():
+    """(file, function, parameter, position or None) of each defaulted
+    parameter of a public function of the package or a public method of
+    its public classes; the position counts the arguments a call passes,
+    so it leaves out the `self` or `cls` of a method, and is None for a
+    keyword-only parameter."""
+    for path in sorted((ROOT / "src" / "innerlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node, 0)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                functions = [(f, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                          for d in f.decorator_list) else 1)
+                             for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            for f, skip in functions:
+                if f.name.startswith("_"):
+                    continue
+                a = f.args
+                positional = a.posonlyargs + a.args
+                for i, arg in enumerate(positional[len(positional) - len(a.defaults):],
+                                        len(positional) - len(a.defaults)):
+                    yield path, f.name, arg.arg, i - skip
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield path, f.name, arg.arg, None
+
+
+def calls():
+    """function name -> [(positional count, keywords, starred)] of every
+    call in code under src/, demos/ and bench/."""
+    out = {}
+    for folder in ("src", "demos", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                               or any(k.arg is None for k in node.keywords))
+                    out.setdefault(name, []).append(
+                        (len(node.args), {k.arg for k in node.keywords}, starred))
+    return out
+
+
+def test_every_default_parameter_is_set_by_a_caller():
+    # A default that no caller overrides is a parameter that does nothing.
+    sites = calls()
+    unset = [f"{path.name} {function}({parameter})"
+             for path, function, parameter, position in defaulted_parameters()
+             if not any(starred or parameter in keywords
+                        or (position is not None and position < count)
+                        for count, keywords, starred in sites.get(function, ()))]
+    assert unset == []

@@ -374,6 +374,36 @@ class TestBadInput:
                          "--out", str(tmp_path / "x.csv")]) == 2
         assert "bad model line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # Neither tree is bounded at R = inf: exit 2 before the budget
+        # could run out.
+        ["count", "--model", "DEG2", "--z", "0.3,0", "--R", "inf",
+         "--node-budget", "1000"],
+        ["parabolic-count", "--model", "HP", "--z", "0,0.5", "--I=-1,1",
+         "--R", "inf", "--node-budget", "1000"],
+        ["count", "--model", "DEG2", "--z", "0.3,0", "--R", "3", "--R-step", "0"],
+        ["count", "--model", "DEG2", "--z", "0.3,0", "--R", "3", "--R-step", "nan"],
+        ["parabolic-count", "--model", "HP", "--z", "0,0.5", "--I=-1,1", "--R", "3",
+         "--R-step", "0"],
+        ["parabolic-count", "--model", "HP", "--z", "0,0.5", "--I=-1,1", "--R", "3",
+         "--R-step", "nan"],
+        ["shadow-sim", "--T", "10", "--curve-points", "0"],
+        ["shadow-sim", "--T", "10", "--step", "0"],
+        ["shadow-sim", "--T", "10", "--step", "nan"],
+        ["shadow-sim", "--T", "10", "--step", "-1"],
+        ["shadow-sim", "--T", "nan"],
+        ["shadow-sim", "--T", "inf"],
+        ["xi-mass", "--model", "DEG2", "--box", "0.5,0.7,0,1", "--grid", "0"]],
+        ids=["count-R-inf", "parabolic-R-inf", "count-R-step-0",
+             "count-R-step-nan", "parabolic-R-step-0", "parabolic-R-step-nan",
+             "curve-points-0", "step-0", "step-nan", "step-negative", "T-nan",
+             "T-inf", "grid-0"])
+    def test_bad_number(self, deg2_file, hp_file, tmp_path, capsys, argv):
+        argv = [{"DEG2": deg2_file, "HP": hp_file}.get(a, a) for a in argv]
+        assert cli.main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("innerlab: ") and "Traceback" not in err
+
     def test_close_atoms_are_numerical(self, tmp_path):
         # The estimate is not finite: exit 4, where the exclusion windows
         # this replaced exited 2.

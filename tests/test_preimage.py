@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (aberth_records, critical_points, cubic_critical_point,
                       near_degenerate, random_centered_blaschke,
-                      random_disk_point)
+                      random_disk_point, whole_generations)
 from innerlab import _roots, preimage
 from innerlab._roots import aberth_batch
 from innerlab.errors import (BudgetError, DomainError, NumericalError,
@@ -18,8 +18,7 @@ from innerlab.errors import (BudgetError, DomainError, NumericalError,
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
 from innerlab.parabolic import HalfPlaneInner, hp_preimages_batch
-from innerlab.preimage import (enumerate_ball, preimages_of_batch,
-                               verify_sum_of_heights)
+from innerlab.preimage import enumerate_ball, preimages_of_batch
 
 
 def packet_radius(d, n, base=np.exp(-1.0)):
@@ -538,7 +537,6 @@ class TestEnumerateBall:
     def test_small_cutoff_empty(self, square):
         tree = enumerate_ball(square, np.exp(-1.0), 0.5)
         assert tree.size() == 0
-        assert tree.pruned_from == 0
 
     def test_radius_two(self, square):
         tree = enumerate_ball(square, np.exp(-1.0), 2.0)
@@ -561,6 +559,24 @@ class TestEnumerateBall:
     def test_zero_base_rejected(self, square):
         with pytest.raises(PreconditionError):
             enumerate_ball(square, 0.0, 2.0)
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, np.inf, np.nan])
+    def test_radius_outside_zero_to_inf_rejected(self, square, R):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            enumerate_ball(square, 0.3, R)
+
+    @pytest.mark.parametrize("zeros, R", [((0, 0.5), 13.0),
+                                          ((0, 0.6j, -0.3 + 0.4j, 0.7), 12.0)])
+    def test_first_generations_are_whole(self, zeros, R):
+        # Generation 4 reaches d = 4.0 on deg2 and 8.2 on degree 4, below
+        # R* = 12.71 and 11.43: generations 0-4 lose no node to either
+        # cutoff, so they are the whole generations of the height identity.
+        F = InnerModel.from_zeros(*zeros)
+        tree = enumerate_ball(F, 0.3, R)
+        whole = whole_generations(F, 0.3, 4)
+        assert np.max(origin_distance(np.abs(whole[4]))) < tree.expand_radius
+        for got, want in zip(tree.points[:5], whole, strict=True):
+            assert np.array_equal(got, want)
 
     def test_budget_error_carries_partial(self, deg2):
         with pytest.raises(BudgetError) as err:
@@ -733,18 +749,24 @@ class TestSchwarzPickBound:
             assert 0.0 < preimage._expand_radius(deg2, R) < R
 
 
+def height_residual(generation, z):
+    """|sum of log(1/|w|) over a whole generation - log(1/|z|)|."""
+    return abs(float(np.sum(np.log(1.0 / np.abs(generation))))
+               - float(np.log(1.0 / abs(z))))
+
+
 class TestSumOfHeights:
     def test_generation_zero(self, deg2):
-        tree = enumerate_ball(deg2, 0.3, np.inf, max_generation=1)
-        assert verify_sum_of_heights(tree, 0) == pytest.approx(0.0, abs=1e-15)
+        [gen0] = whole_generations(deg2, 0.3, 0)
+        assert height_residual(gen0, 0.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_power_map_two_generations(self, square):
-        tree = enumerate_ball(square, 0.37 + 0.11j, np.inf, max_generation=2)
-        assert verify_sum_of_heights(tree, 2) < 1e-10
+        z = 0.37 + 0.11j
+        assert height_residual(whole_generations(square, z, 2)[2], z) < 1e-10
 
     def test_deg2_four_generations_vs_oracle(self, deg2):
-        tree = enumerate_ball(deg2, 0.3, np.inf, max_generation=4)
-        assert verify_sum_of_heights(tree, 4) < 1e-8
+        gen4 = whole_generations(deg2, 0.3, 4)[4]
+        assert height_residual(gen4, 0.3) < 1e-8
         # Brute-force oracle over the 16 leaves: iterate the explicit
         # quadratic w^2 - (1/2)(1+z) w + z = 0 via the companion matrix.
         level = [0.3 + 0j]
@@ -752,7 +774,7 @@ class TestSumOfHeights:
             level = [w for z in level
                      for w in np.roots([1.0, -0.5 * (1 + z), z])]
         oracle = sum(np.log(1.0 / np.abs(np.array(level))))
-        got = float(np.sum(tree.heights(4)))
+        got = float(np.sum(np.log(1.0 / np.abs(gen4))))
         assert got == pytest.approx(oracle, abs=1e-10)
 
     @staticmethod
@@ -760,10 +782,11 @@ class TestSumOfHeights:
         """Generations 1-4 of the tree of F(F(c)), for a critical point c
         of F, are whole and keep the height identity, which counts the
         double pullback of generation 2 and its subtree twice."""
-        tree = enumerate_ball(F, F.eval(F.eval(c)), np.inf, max_generation=4)
-        assert [len(p) for p in tree.points] == [F.degree ** g for g in range(5)]
+        z = F.eval(F.eval(c))
+        gens = whole_generations(F, z, 4)
+        assert [len(p) for p in gens] == [F.degree ** g for g in range(5)]
         for g in range(1, 5):
-            assert verify_sum_of_heights(tree, g) < 1e-8
+            assert height_residual(gens[g], z) < 1e-8
 
     def test_critical_value_deg2(self, deg2):
         self.assert_heights_with_multiplicity(deg2, 2.0 - np.sqrt(3.0))
@@ -784,8 +807,3 @@ class TestSumOfHeights:
         assert len(crit) == degree - 1
         for c in crit:
             self.assert_heights_with_multiplicity(F, c)
-
-    def test_pruned_generation_rejected(self, deg2):
-        tree = enumerate_ball(deg2, 0.3, 4.0)
-        with pytest.raises(PreconditionError):
-            verify_sum_of_heights(tree, tree.pruned_from)
