@@ -112,20 +112,13 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
     left it is 0.  Monotone nondecreasing in r_max for nonnegative
     quantities.
     """
+    if not 0 < r_max < 1:
+        raise PreconditionError("need 0 < r_max < 1")
     names = (quantity,) if isinstance(quantity, str) else tuple(quantity)
     if not names or any(q not in QUANTITIES for q in names):
         raise PreconditionError(f"unknown quantity {quantity!r}")
-    zeta = _boundary_value(zeta)
-    total = _ray_integrals(F, zeta, names, r_max, tol, _critical_on_ray(F, zeta))
-    return float(total[0]) if isinstance(quantity, str) else total
-
-
-def _ray_integrals(F, zeta, names, r_max, tol, critical):
-    """The array of `radial_distortion_integral`s of `names` up to r_max,
-    with `critical` = `_critical_on_ray(F, zeta)`, solved once per ray."""
-    if not 0 < r_max < 1:
-        raise PreconditionError("need 0 < r_max < 1")
     columns = [1 + QUANTITIES.index(q) for q in names]
+    zeta = _boundary_value(zeta)
 
     def integrand(r):
         qs = _quantities(p_disk(F, r * zeta))
@@ -138,43 +131,37 @@ def _ray_integrals(F, zeta, names, r_max, tol, critical):
     for r0 in sorted(r for r in on_ray if PUNCTURE < r < r_max):
         cuts.extend((r0 - PUNCTURE, r0 + PUNCTURE))
     cuts.append(r_max)
-    breaks = _critical_breaks(critical, r_max)
+    breaks = _critical_breaks(F, zeta, r_max)
     pieces = [(a, b) for lo, hi in zip(cuts[::2], cuts[1::2])
               for a, b in pairwise([lo, *(t for t in breaks if lo < t < hi), hi])
               if a < b]
-    return _integrate(integrand, pieces, tol, 1e-11)[0] if pieces \
+    total = _integrate(integrand, pieces, tol, 1e-11)[0] if pieces \
         else np.zeros(len(names))
+    return float(total[0]) if isinstance(quantity, str) else total
 
 
-def _critical_on_ray(F, zeta):
-    """Arrays (r, b) of the critical points c of F on the ray through
-    zeta: r = Re(c conj(zeta)) and |Im(c conj(zeta))| <= b, with b the
-    first-order bound on c of `_critical_points`.  Only atom-free
-    InnerModels of degree >= 2 are solved, and a solve that did not come
-    to rest gives none: breaks only spare the quadrature rounds, whose own
-    error control keeps the result right."""
+def _critical_breaks(F, zeta, r_max):
+    """Sorted ends r -+ b of a bracket around each critical point c of F
+    on the ray through zeta, r = Re(c conj(zeta)) in (PUNCTURE, r_max) and
+    |Im(c conj(zeta))| <= b, with b the first-order bound on c of
+    `_critical_points`.  p = F' gap (z/|z|) (|F|/F) vanishes only where F'
+    does, so these are the steps of alpha and the kinks of mu that the
+    punctures leave.  A bracket, not c itself, so that an inexact c cannot
+    put the step between a piece's end and its nearest node.  Only
+    atom-free InnerModels of degree >= 2 are solved, and a solve that did
+    not come to rest gives no breaks: breaks only spare the quadrature
+    rounds, whose own error control keeps the result right.
+    """
     if not isinstance(F, InnerModel) or F.atoms or F.degree < 2:
-        return np.empty(0), np.empty(0)
+        return []
     _, crit, slack, dp, rested = _critical_points(F)
     if not rested:
-        return np.empty(0), np.empty(0)
+        return []
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = slack / np.abs(dp)
     t = crit * zeta.conjugate()
-    on = np.abs(t.imag) <= bound
-    return t.real[on], bound[on]
-
-
-def _critical_breaks(critical, r_max):
-    """Sorted ends r -+ b of a bracket around each critical point (r, b)
-    of `_critical_on_ray` with r in (PUNCTURE, r_max).  p = F' gap (z/|z|)
-    (|F|/F) vanishes only where F' does, so these are the steps of alpha
-    and the kinks of mu that the punctures leave.  A bracket, not c
-    itself, so that an inexact c cannot put the step between a piece's
-    end and its nearest node."""
-    r, b = critical
-    on = (PUNCTURE < r) & (r < r_max)
-    return sorted(np.concatenate((r[on] - b[on], r[on] + b[on])))
+    on = (np.abs(t.imag) <= bound) & (PUNCTURE < t.real) & (t.real < r_max)
+    return sorted(np.concatenate((t.real[on] - bound[on], t.real[on] + bound[on])))
 
 
 def cumulative_orbit_distortion(F: InnerModel, coords, N: int) -> float:
@@ -216,8 +203,7 @@ def angular_derivative_criterion_scan(family, zeta, r_grid,
                                       tol: float = 1e-9) -> list:
     """For each model of a truncation family, the four radial distortion
     integrals at each r_max (one vector-valued integration per model and
-    r_max, from F's critical points solved once per model) together with
-    log of the angular derivative.
+    r_max) together with log of the angular derivative.
 
     Supports the angular-derivative dichotomy: the mu-integral stabilizes
     in r_max exactly when the angular derivative stays finite along the
@@ -227,14 +213,13 @@ def angular_derivative_criterion_scan(family, zeta, r_grid,
     rows = []
     for k, F in enumerate(family):
         ad = F.boundary_deriv_modulus(zeta)
-        critical = _critical_on_ray(F, zeta)
         for r_max in r_grid:
             if F.is_rotation:
                 rows.append(ScanRow(f"model{k}", float(r_max),
                                     0.0, 0.0, 0.0, 0.0, math.log(ad)))
                 continue
-            mu, eta, delta, alpha = _ray_integrals(
-                F, zeta, ("mu", "eta", "delta", "alpha"), r_max, tol, critical)
+            mu, eta, delta, alpha = radial_distortion_integral(
+                F, zeta, ("mu", "eta", "delta", "alpha"), r_max, tol)
             rows.append(ScanRow(f"model{k}", float(r_max), float(mu),
                                 float(eta), float(delta), float(alpha),
                                 math.log(ad) if np.isfinite(ad) else math.inf))

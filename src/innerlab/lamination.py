@@ -634,8 +634,8 @@ def shadowing_simulation(bad_times, T: float, adversary: str = "up_right",
     if adversary not in ADVERSARIES:
         raise PreconditionError(f"unknown adversary {adversary!r}")
     ax, ay = ADVERSARIES[adversary]
-    if not (step > 0 and math.isfinite(T)):
-        raise PreconditionError(f"need step > 0 and a finite T, got {step:g}, {T:g}")
+    if not (step > 0 and 0 < T < math.inf):
+        raise PreconditionError(f"need step > 0 and 0 < T < inf, got {step:g}, {T:g}")
     if callable(bad_times):
         raise PreconditionError("pass bad times as a sorted interval list")
     intervals = [(float(a), float(b)) for a, b in bad_times if a < b]

@@ -393,11 +393,13 @@ class TestBadInput:
         ["shadow-sim", "--T", "10", "--step", "-1"],
         ["shadow-sim", "--T", "nan"],
         ["shadow-sim", "--T", "inf"],
+        ["shadow-sim", "--T", "0"],
+        ["shadow-sim", "--T=-5"],
         ["xi-mass", "--model", "DEG2", "--box", "0.5,0.7,0,1", "--grid", "0"]],
         ids=["count-R-inf", "parabolic-R-inf", "count-R-step-0",
              "count-R-step-nan", "parabolic-R-step-0", "parabolic-R-step-nan",
              "curve-points-0", "step-0", "step-nan", "step-negative", "T-nan",
-             "T-inf", "grid-0"])
+             "T-inf", "T-0", "T-negative", "grid-0"])
     def test_bad_number(self, deg2_file, hp_file, tmp_path, capsys, argv):
         argv = [{"DEG2": deg2_file, "HP": hp_file}.get(a, a) for a in argv]
         assert cli.main(argv + ["--out", str(tmp_path / "x.csv")]) == 2

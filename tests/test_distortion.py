@@ -180,7 +180,7 @@ class TestVectorIntegral:
                                        tol=1e-9)
         records = [r for r in caplog.records
                    if r.name == "innerlab.quadrature" and r.levelno == logging.DEBUG]
-        assert [r.funcName for r in records] == ["_ray_integrals"]
+        assert [r.funcName for r in records] == ["radial_distortion_integral"]
         a, b, panels, err, tol, rounds = records[0].args
         assert (a, b, tol) == (PUNCTURE, 0.99, 1e-9)
         assert 1 <= rounds <= panels and 0 <= err <= 1e-9
@@ -261,19 +261,13 @@ class TestVectorIntegral:
         assert np.max(np.abs(vec - ref)) <= 1e-9
 
 
-def critical_breaks(F, zeta, r_max):
-    """The breaks of F's ray through zeta at r_max."""
-    return distortion._critical_breaks(distortion._critical_on_ray(F, zeta),
-                                       r_max)
-
-
 class TestCriticalBreaks:
     def test_deg2_break_brackets_the_critical_point(self, deg2):
         # F = z b_{0.5}: F' = 0 at 2 - sqrt(3) on the ray to 1.
-        lo, hi = critical_breaks(deg2, 1.0 + 0j, 0.99)
+        lo, hi = distortion._critical_breaks(deg2, 1.0 + 0j, 0.99)
         assert lo <= 2 - np.sqrt(3) <= hi and hi - lo < 1e-15
-        assert critical_breaks(deg2, 1.0 + 0j, 0.2) == []
-        assert critical_breaks(deg2, -1.0 + 0j, 0.99) == []
+        assert distortion._critical_breaks(deg2, 1.0 + 0j, 0.2) == []
+        assert distortion._critical_breaks(deg2, -1.0 + 0j, 0.99) == []
 
     @pytest.mark.parametrize("F, zeta, r_max", [
         (InnerModel.atom_map(0.0, 1.0), 1.0, 1 - 1e-6),
@@ -294,7 +288,7 @@ class TestCriticalBreaks:
         # and the pieces, so every bit of the value, are those of a ray
         # broken only at the punctures.
         names = ("mu", "eta", "delta", "alpha")
-        assert critical_breaks(F, zeta, r_max) == []
+        assert distortion._critical_breaks(F, zeta, r_max) == []
         vec = radial_distortion_integral(F, zeta, names, r_max)
         monkeypatch.setattr(distortion, "_critical_breaks", lambda *args: [])
         assert np.array_equal(vec, radial_distortion_integral(F, zeta, names,
@@ -440,24 +434,6 @@ class TestScan:
                                                      tol=1e-9)
             ref = radial_distortion_integral(F, 1.0 + 0j, "mu", r_max, tol=1e-12)
             assert abs(row.integral_mu - ref) <= 1e-9, K
-
-    def test_one_critical_solve_per_model(self, monkeypatch):
-        # The rows equal separate radial_distortion_integral calls, bit for
-        # bit, while F's critical points are solved once per model, not
-        # once per r_max.
-        fam = [InnerModel.from_zeros(*[1 - 2.0 ** -k for k in range(1, K + 1)])
-               for K in (6, 12)]
-        r_grid = [0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-5]
-        names = ("mu", "eta", "delta", "alpha")
-        separate = [tuple(radial_distortion_integral(F, 1.0 + 0j, names, r_max))
-                    for F in fam for r_max in r_grid]
-        solved = []
-        solve = distortion._critical_points
-        monkeypatch.setattr(distortion, "_critical_points",
-                            lambda F: solved.append(F) or solve(F))
-        rows = angular_derivative_criterion_scan(fam, 1.0 + 0j, r_grid)
-        assert solved == fam
-        assert [row[2:6] for row in rows] == separate
 
     def test_truncation_divergence(self):
         fam = [InnerModel.from_zeros(*[1 - 2.0 ** -k for k in range(1, K + 1)])
