@@ -56,14 +56,14 @@ def _parse_complex(text: str) -> complex:
     return complex(*_parse_floats(text, "re,im"))
 
 
-def load_model(path: str):
-    """An InnerModel or HalfPlaneInner from its text serialization (the
-    presence of a `beta=` line selects the half-plane form)."""
+def load_model(path: str, kind: type):
+    """The `kind` of model the subcommand needs, InnerModel or HalfPlaneInner
+    (a `beta=` line marks its text form), from the file at `path`."""
     with open(path) as fh:
         text = fh.read()
-    if any(key == "beta" for key, _ in _model_lines(text)):
-        return HalfPlaneInner.from_text(text)
-    return InnerModel.from_text(text)
+    if any(key == "beta" for key, _ in _model_lines(text)) != (kind is HalfPlaneInner):
+        raise PreconditionError(f"model file {path} is not of type {kind.__name__}")
+    return kind.from_text(text)
 
 
 def _config_defaults(path: str, section: str) -> dict:
@@ -105,9 +105,15 @@ def _write_csv(path, header_lines, columns: str, rows):
 COUNT_COLUMNS = "R,count,count_over_eR,cesaro,target,ratio"
 
 
-def _grid(upto: float, step: float):
-    if not 0 < step < math.inf:
-        raise PreconditionError(f"R step {step:g} must be positive and finite")
+def _grid(upto: float, step: float, budget: int):
+    """R values step, 2 step, ... below `upto`, then `upto`; more of them
+    than the run's node budget is a BudgetError, raised before allocating."""
+    if not (0 < step < math.inf and upto < math.inf):
+        raise PreconditionError(f"need 0 < R step < inf and R < inf, "
+                                f"got {step:g}, {upto:g}")
+    if upto / step > budget:
+        raise BudgetError(f"R grid of {upto / step:.3g} values exceeds the "
+                          f"node budget {budget}")
     out = list(np.arange(step, upto, step))
     if not out or out[-1] < upto:
         out.append(upto)
@@ -115,13 +121,13 @@ def _grid(upto: float, step: float):
 
 
 def cmd_count(args):
-    F = load_model(args.model)
+    F = load_model(args.model, InnerModel)
     z = _parse_complex(args.z)
+    grid = _grid(args.R, args.R_step, args.node_budget)
     chi = args.chi if args.chi is not None else lyapunov.chi_jensen_oracle(F).value
     tree = enumerate_ball(F, z, args.R, node_budget=args.node_budget)
     rows = counting.counting_report(counting.CountingProfile.from_tree(tree),
-                                    _grid(args.R, args.R_step),
-                                    counting.target_constant(z, chi))
+                                    grid, counting.target_constant(z, chi))
     _write_csv(args.out, _header(args, (
         f"chi = {chi:.17g}", f"tree_nodes = {tree.size()}",
         f"explored = {tree.explored}",
@@ -131,7 +137,7 @@ def cmd_count(args):
 
 
 def cmd_lyapunov(args):
-    F = load_model(args.model)
+    F = load_model(args.model, InnerModel)
     methods = (["quadrature", "jensen", "birkhoff"] if args.method == "all"
                else [args.method])
     rows = []
@@ -154,7 +160,7 @@ def cmd_distortion_scan(args):
         family = [InnerModel.from_zeros(*[1.0 - 2.0 ** (-k) for k in range(1, K + 1)])
                   for K in args.truncation_K]
     else:
-        family = [load_model(p) for p in args.model]
+        family = [load_model(p, InnerModel) for p in args.model]
     rows = distortion.angular_derivative_criterion_scan(
         family, args.zeta, args.r_max, tol=args.tol)
     _write_csv(args.out, _header(args),
@@ -164,7 +170,7 @@ def cmd_distortion_scan(args):
 
 
 def cmd_orbit(args):
-    F = load_model(args.model)
+    F = load_model(args.model, InnerModel)
     if args.z is not None:
         pts = lamination.sample_interior_orbit(F, _parse_complex(args.z),
                                                args.n, seed=args.seed)
@@ -176,7 +182,7 @@ def cmd_orbit(args):
 
 
 def cmd_xi_mass(args):
-    F = load_model(args.model)
+    F = load_model(args.model, InnerModel)
     box = lamination.AnnularBox(
         *_parse_floats(args.box, "r_lo,r_hi,theta_lo,theta_hi"))
     estimates = []
@@ -194,7 +200,7 @@ def cmd_xi_mass(args):
 
 
 def cmd_total_mass(args):
-    F = load_model(args.model)
+    F = load_model(args.model, InnerModel)
     res = lamination.total_mass_check(F, args.r0, samples=args.samples,
                                       seed=args.seed)
     _write_csv(args.out, _header(args), "r0,mass,stderr,chi_ref,samples",
@@ -225,17 +231,15 @@ def cmd_shadow_sim(args):
 
 
 def cmd_parabolic_count(args):
-    F = load_model(args.model)
-    if not isinstance(F, HalfPlaneInner):
-        raise PreconditionError("parabolic-count needs a half-plane model "
-                                "(beta= serialization)")
+    F = load_model(args.model, HalfPlaneInner)
     z = _parse_complex(args.z)
     lo, hi = _parse_floats(args.I, "x_lo,x_hi")
+    grid = _grid(args.R, args.R_step, args.node_budget)
     chi = parabolic.chi_ell(F)
     profile = parabolic.enumerate_strip(F, z, (lo, hi), args.R,
                                         node_budget=args.node_budget)
     rows = counting.counting_report(counting.CountingProfile.from_strip(profile),
-                                    _grid(args.R, args.R_step), (hi - lo) / chi)
+                                    grid, (hi - lo) / chi)
     _write_csv(args.out, _header(args, (
         f"chi_ell = {chi:.17g}",
         f"explored = {profile.explored}",

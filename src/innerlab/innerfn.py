@@ -66,11 +66,14 @@ def _boundary_value(zeta):
     """Coerce boundary-point arguments to e^{i theta}: a complex for scalar
     input, else a complex array of the input's shape.
 
-    Real values are always angles; complex values must lie on the circle
-    to 1e-9."""
+    Real values are always angles and must be finite; complex values must
+    lie on the circle to 1e-9."""
     z = np.asarray(zeta)
     if not np.iscomplexobj(z):
-        z = np.exp(1j * z.astype(float))
+        z = z.astype(float)
+        if not np.isfinite(z).all():
+            raise PreconditionError(f"angle {zeta!r} is not finite")
+        z = np.exp(1j * z)
     else:
         mod = np.abs(z)
         if not np.all(np.abs(mod - 1.0) <= 1e-9):
@@ -237,9 +240,6 @@ class InnerModel:
     def eval(self, z):
         """F(z), vectorized; raises at atom base points."""
         return self._blocked(self._eval_block, z, complex)
-
-    def __call__(self, z):
-        return self.eval(z)
 
     def _deriv_block(self, z, out):
         # `out` is F' or (F, F').  F reduces eval's stack, the first 1 + d of
@@ -454,9 +454,6 @@ class FrostmanShift:
     def eval(self, z):
         w = self.base.eval(z)
         return (w - self.a) / (1.0 - np.conj(self.a) * w)
-
-    def __call__(self, z):
-        return self.eval(z)
 
     def deriv(self, z):
         w = self.base.eval(z)

@@ -37,17 +37,24 @@ TREE_BUDGET = 2 * 10 ** 6
 # Backward orbits
 
 
+def _sort_roots(roots):
+    """Deterministic (argument, modulus) order, rowwise."""
+    order = np.lexsort((np.abs(roots).round(12), np.angle(roots).round(12)),
+                       axis=1)
+    return roots[np.arange(len(roots))[:, None], order]
+
+
 def _walk(F: InnerModel, starts, n: int, choose) -> np.ndarray:
     """The (m, n + 1) coordinates of backward orbits from the m `starts`,
     one preimage solve per generation; `choose` maps the parent column and
-    the (m, d) rowwise sorted roots to a branch per row."""
+    the (m, d) roots, sorted rowwise by `_sort_roots`, to a branch per row."""
     if n < 0:
         raise PreconditionError("only backward coordinates exist")
     coords = np.empty((len(starts), n + 1), dtype=complex)
     coords[:, 0] = starts
     rows = np.arange(len(starts))
     for k in range(n):
-        roots = preimages_of_batch(F, coords[:, k])
+        roots = _sort_roots(preimages_of_batch(F, coords[:, k]))
         coords[:, k + 1] = roots[rows, choose(coords[:, k], roots)]
     return coords
 
@@ -101,8 +108,8 @@ def sample_interior_orbit(F: InnerModel, z0, n: int, seed: int = 0) -> np.ndarra
     depth (see `_branch_weights`)."""
     _require_blaschke(F)
     z0 = complex(z0)
-    if z0 == 0:
-        raise PreconditionError("the constant orbit at 0 is excluded")
+    if not 0 < abs(z0) < 1:
+        raise PreconditionError("start must lie in 0 < |z0| < 1")
     return _weighted_walk(F, [z0], n, np.random.default_rng(seed))[0]
 
 
@@ -275,7 +282,6 @@ class AnnularBox:
 
 @dataclass(frozen=True)
 class BoxMassEstimate:
-    region: AnnularBox
     depth: int
     value: float
     error: float
@@ -316,8 +322,9 @@ def xi_box_mass(F: InnerModel, region: AnnularBox, max_depth: int,
     refinement.  Each grid's preimage tree is walked once, to the deepest
     depth.  If both grids' leaves at some depth exceed the budget, raises
     BudgetError carrying the estimates for the shallower depths."""
-    if min(grid) < 1:
-        raise PreconditionError(f"quadrature grid {grid} needs at least one node a side")
+    if max_depth < 0 or min(grid) < 1:
+        raise PreconditionError(f"need max depth {max_depth} >= 0 and at least one "
+                                f"node a side in the quadrature grid {grid}")
     grids = (grid, (grid[0] + grid[0] // 2 + 1, grid[1] + grid[1] // 2 + 1))
     leaves = sum(nr * nt for nr, nt in grids)
     reach = -1
@@ -337,7 +344,7 @@ def xi_box_mass(F: InnerModel, region: AnnularBox, max_depth: int,
                 for s in _xi_integrand(F, Z, reach)]
 
     coarse, fine = (values_at(*g) for g in grids)
-    estimates = [BoxMassEstimate(region, n, f, abs(f - c))
+    estimates = [BoxMassEstimate(n, f, abs(f - c))
                  for n, (c, f) in enumerate(zip(coarse, fine))]
     if reach < max_depth:
         raise BudgetError(f"depth {reach + 1} exceeds the quadrature budget",
@@ -514,8 +521,9 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     grows like 1/(1 - |a|) for a zero a near the circle.
     """
     _require_blaschke(F, reject_rotation=True)
-    if not 0 < r0 < 1:
-        raise PreconditionError("need r0 in (0, 1)")
+    if not (0 < r0 < 1 and samples >= 1):
+        raise PreconditionError(f"need r0 in (0, 1) and samples >= 1, "
+                                f"got {r0:g}, {samples}")
     means, variances, _, per = _strata(F, r0, samples, seed)
     mass = float(np.mean(means))
     se = float(np.sqrt(np.sum(variances))) / means.size
@@ -634,8 +642,9 @@ def shadowing_simulation(bad_times, T: float, adversary: str = "up_right",
     if adversary not in ADVERSARIES:
         raise PreconditionError(f"unknown adversary {adversary!r}")
     ax, ay = ADVERSARIES[adversary]
-    if not (step > 0 and 0 < T < math.inf):
-        raise PreconditionError(f"need step > 0 and 0 < T < inf, got {step:g}, {T:g}")
+    if not (step > 0 and 0 < T < math.inf and 0 < start.imag < math.inf):
+        raise PreconditionError("need step > 0, 0 < T < inf and 0 < Im start < inf, "
+                                f"got {step:g}, {T:g}, {start}")
     if callable(bad_times):
         raise PreconditionError("pass bad times as a sorted interval list")
     intervals = [(float(a), float(b)) for a, b in bad_times if a < b]

@@ -39,9 +39,6 @@ class LyapunovEstimate:
     method: str
     error: float
 
-    def __float__(self):
-        return self.value
-
 
 def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
     """Adaptive quadrature of (1/2pi) int log |F'| d theta over one turn,

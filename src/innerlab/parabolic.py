@@ -75,9 +75,6 @@ class HalfPlaneInner:
                 out = out + c * (1.0 + z * x) / (x - z)
         return complex(out) if out.ndim == 0 else out
 
-    def __call__(self, z):
-        return self.eval(z)
-
     def deriv(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.ones_like(z)
@@ -147,7 +144,8 @@ class HalfPlaneInner:
 
 def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
     """The degree-many preimages of each z in the open upper half-plane, as
-    an (m, degree) array sorted rowwise by (Re, Im).
+    an (m, degree) array, each row in the order the solve produced it:
+    fixed by F and that row's z alone, so deterministic but unsorted.
 
     A z outside H is a PreconditionError.  Residuals are kept below
     1e-12 * max(1, max |z|); all roots must lie in H and satisfy the height
@@ -170,8 +168,7 @@ def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
         raise NumericalError(
             "preimage set inconsistent with the height identity",
             context={"model": F, "imbalance": float(np.max(im_sum))})
-    order = np.lexsort((roots.imag.round(12), roots.real.round(12)), axis=1)
-    return roots[np.arange(len(roots))[:, None], order]
+    return roots
 
 
 @dataclass(frozen=True)

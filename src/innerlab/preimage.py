@@ -44,14 +44,6 @@ _BALL_RECORD = ("enumerate_ball: %d generations, %d explored, %d retained, "
 _EXPAND_MARGIN = 2.0 * RESIDUAL_TOL
 
 
-def _sort_roots(roots):
-    """Deterministic (argument, modulus) order, rowwise."""
-    roots = np.atleast_2d(roots)
-    order = np.lexsort((np.abs(roots).round(12), np.angle(roots).round(12)),
-                       axis=1)
-    return roots[np.arange(len(roots))[:, None], order]
-
-
 def _schwarz_pick_gap(F: InnerModel, R):
     """1 - phi(tanh(R/2)), elementwise in the hyperbolic radius R, with
     phi(r) = prod over F's zeros a of (r + |a|)/(1 + |a| r), the bound on
@@ -77,7 +69,8 @@ def _expand_radius(F: InnerModel, R: float) -> float:
 
 def preimages_of_batch(F: InnerModel, zs):
     """The d preimages of each point of `zs` (with multiplicity), as an
-    (m, d) array sorted rowwise by (argument, modulus)."""
+    (m, d) array, each row in the order the solve produced it: fixed by F
+    and that row's z alone, so deterministic but unsorted."""
     _require_blaschke(F, centered=False)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     roots = _preimage_roots(F, zs)
@@ -85,7 +78,7 @@ def preimages_of_batch(F: InnerModel, zs):
     mods = np.abs(roots)
     fix = (mods >= 1.0) & (np.abs(zs[:, None]) < 1.0)
     roots[fix] *= (1.0 - 1e-16) / mods[fix]
-    return _sort_roots(roots)
+    return roots
 
 
 @dataclass
@@ -151,8 +144,8 @@ def enumerate_ball(F: InnerModel, z, R: float,
     """
     _require_blaschke(F, reject_rotation=True)
     z = complex(z)
-    if z == 0:
-        raise PreconditionError("base point must be nonzero")
+    if z == 0 or abs(z) >= 1:       # a NaN passes, to fail in the solve
+        raise PreconditionError("base point must lie in 0 < |z| < 1")
     if not 0 < R < math.inf:
         raise PreconditionError("cutoff radius must be positive and finite")
 

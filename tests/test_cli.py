@@ -13,7 +13,7 @@ from conftest import (cubic_critical_point, write_counting_csv,
                       write_xi_mass_csv)
 
 from innerlab import (acceptance, cli, counting, distortion, lamination,
-                      lyapunov, parabolic)
+                      lyapunov, parabolic, preimage)
 from innerlab.errors import BudgetError, NumericalError
 from innerlab.innerfn import InnerModel
 from innerlab.parabolic import HalfPlaneInner
@@ -395,16 +395,64 @@ class TestBadInput:
         ["shadow-sim", "--T", "inf"],
         ["shadow-sim", "--T", "0"],
         ["shadow-sim", "--T=-5"],
-        ["xi-mass", "--model", "DEG2", "--box", "0.5,0.7,0,1", "--grid", "0"]],
+        ["xi-mass", "--model", "DEG2", "--box", "0.5,0.7,0,1", "--grid", "0"],
+        # Base points off 0 < |z| < 1, and other values outside their domain.
+        ["count", "--model", "DEG2", "--z", "1,0", "--R", "3"],
+        ["count", "--model", "DEG2", "--z", "2,0", "--R", "3"],
+        ["orbit", "--model", "DEG2", "--z", "1,0"],
+        ["orbit", "--model", "DEG2", "--z", "2,0"],
+        ["shadow-sim", "--T", "10", "--start=0,-1"],
+        ["lyapunov", "--model", "DEG2", "--method", "birkhoff", "--angle", "nan"],
+        ["lyapunov", "--model", "DEG2", "--method", "birkhoff", "--angle", "inf"],
+        ["xi-mass", "--model", "DEG2", "--box", "0.5,0.7,0,1", "--max-depth", "-1"],
+        ["total-mass", "--model", "DEG2", "--samples", "0"]],
         ids=["count-R-inf", "parabolic-R-inf", "count-R-step-0",
              "count-R-step-nan", "parabolic-R-step-0", "parabolic-R-step-nan",
              "curve-points-0", "step-0", "step-nan", "step-negative", "T-nan",
-             "T-inf", "T-0", "T-negative", "grid-0"])
+             "T-inf", "T-0", "T-negative", "grid-0", "count-z-circle",
+             "count-z-outside", "orbit-z-circle", "orbit-z-outside",
+             "start-below-axis", "angle-nan", "angle-inf", "max-depth-negative",
+             "samples-0"])
     def test_bad_number(self, deg2_file, hp_file, tmp_path, capsys, argv):
         argv = [{"DEG2": deg2_file, "HP": hp_file}.get(a, a) for a in argv]
         assert cli.main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("innerlab: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--z", "0.3,0"], ["lyapunov"], ["distortion-scan"], ["orbit"],
+        ["xi-mass", "--box", "0.5,0.7,0,1"], ["total-mass"],
+        ["parabolic-count", "--z", "0,0.5", "--I=-1,1"]],
+        ids=lambda argv: argv[0])
+    def test_wrong_model_kind(self, deg2_file, hp_file, tmp_path, capsys, argv):
+        # Each subcommand is handed a model of the other kind.
+        model = deg2_file if argv[0] == "parabolic-count" else hp_file
+        extra = ["--R", "3"] if "--z" in argv else []
+        assert cli.main(argv + extra + ["--model", model,
+                                        "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"innerlab: model file {model} is not of type")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--model", "DEG2", "--z", "0.3,0"],
+        ["parabolic-count", "--model", "HP", "--z", "0,0.5", "--I=-1,1"]],
+        ids=["count", "parabolic-count"])
+    @pytest.mark.parametrize("step", ["1e-300", "1e-9"])
+    def test_grid_over_budget(self, deg2_file, hp_file, tmp_path, capsys,
+                              monkeypatch, argv, step):
+        # R/step grid values count against the node budget: exit 3 before
+        # the grid (3e9 floats at 1e-9) or the tree is built.
+        def no_arange(*args, **kw):
+            raise AssertionError("the R grid was allocated")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        argv = [{"DEG2": deg2_file, "HP": hp_file}.get(a, a) for a in argv]
+        assert cli.main(argv + ["--R", "3", "--R-step", step,
+                                "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("innerlab: budget exhausted: R grid of")
+        assert "Traceback" not in err
 
     def test_close_atoms_are_numerical(self, tmp_path):
         # The estimate is not finite: exit 4, where the exclusion windows
@@ -653,6 +701,41 @@ class TestDeterminism:
         assert len(read_rows(tmp_path / "same0.csv")[1]) == 2
         assert len(read_rows(tmp_path / "same2.csv")[1]) == 4
 
+    def test_tree_counts_read_no_root_order(self, deg2_file, hp_file,
+                                            tmp_path, monkeypatch):
+        # N(z, R) and N_I(z, R) count the set of preimages: with every row
+        # of the shared solve reversed, the count runs write the same rows
+        # and counters, and the walks, which sort the roots, are unchanged.
+        F = InnerModel.from_zeros(0, 0.5)
+        runs = [["count", "--model", deg2_file, "--z", "0.3,0", "--R", "10"],
+                ["parabolic-count", "--model", hp_file, "--z", "0,0.5",
+                 "--I=-1,1", "--R", "8"]]
+
+        def outputs(tag):
+            files = []
+            for i, argv in enumerate(runs):
+                out = tmp_path / f"{tag}{i}.csv"
+                assert cli.main(argv + ["--out", str(out)]) == 0
+                files.append([ln for ln in out.read_text().splitlines()
+                              if not ln.startswith("# config out =")])
+            return files, lamination.sample_interior_orbit(F, 0.3 + 0.2j, 150, 2)
+
+        plain_roots = preimage.preimages_of_batch(F, [0.3 + 0.2j])
+        plain = outputs("plain")
+        solve = preimage._preimage_roots
+
+        def reversed_solve(*args, **kw):
+            # A copy: numpy's abs may round a strided view differently.
+            return solve(*args, **kw)[:, ::-1].copy()
+
+        monkeypatch.setattr(preimage, "_preimage_roots", reversed_solve)
+        monkeypatch.setattr(parabolic, "_preimage_roots", reversed_solve)
+        assert np.array_equal(preimage.preimages_of_batch(F, [0.3 + 0.2j]),
+                              plain_roots[:, ::-1])
+        files, orbit = outputs("reversed")
+        assert files == plain[0]
+        assert np.array_equal(orbit, plain[1])
+
     def test_parser_built_once(self, deg2_file, tmp_path):
         for command in (["lyapunov", "--method", "jensen"], ["orbit"]):
             assert cli.main(command + ["--model", deg2_file,
@@ -703,7 +786,7 @@ class TestCsvRows:
         chi = lyapunov.chi_jensen_oracle(F).value
         tree = enumerate_ball(F, 0.3, 6.0)
         rows = counting.counting_report(counting.CountingProfile.from_tree(tree),
-                                        cli._grid(6.0, 0.5),
+                                        cli._grid(6.0, 0.5, cli.DEFAULT_NODE_BUDGET),
                                         counting.target_constant(0.3, chi))
         old = [OldRow(*r, r.count_over_eR / r.target) for r in rows]
         self.check(tmp_path, ["count", "--model", deg2_file, "--z", "0.3,0",
@@ -715,8 +798,8 @@ class TestCsvRows:
         chi = parabolic.chi_ell(F)
         profile = parabolic.enumerate_strip(F, 0.5j, (-1.0, 1.0), 5.0)
         rows = counting.counting_report(
-            counting.CountingProfile.from_strip(profile), cli._grid(5.0, 0.5),
-            2.0 / chi)
+            counting.CountingProfile.from_strip(profile),
+            cli._grid(5.0, 0.5, cli.DEFAULT_NODE_BUDGET), 2.0 / chi)
         old = [OldRow(*r, r.cesaro / r.target) for r in rows]
         dump = tmp_path / "pts.csv"
         self.check(tmp_path, ["parabolic-count", "--model", hp_file,

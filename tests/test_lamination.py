@@ -39,10 +39,11 @@ def per_step_orbit(F, z0, n, rng):
     """Reference: the one-orbit-at-a-time walk, one root solve and one
     `rng.choice` per step, with the weights log1p(-x g)/log1p(-x) of
     x = (1 - |z|)(1 + |z|) and the gap ratios g of the preimages, and g
-    itself (1/|F'| on the circle) where x is not positive."""
+    itself (1/|F'| on the circle) where x is not positive; the roots are
+    sorted as `_walk` sorts them."""
     pts = [complex(z0)]
     for _ in range(n):
-        roots = preimages_of_batch(F, [pts[-1]])[0]
+        roots = lamination._sort_roots(preimages_of_batch(F, [pts[-1]]))[0]
         x = (1.0 - abs(pts[-1])) * (1.0 + abs(pts[-1]))
         g = F.gap_ratio(roots)
         w = np.log1p(-x * g) / np.log1p(-x) if x > 0 else g
@@ -59,11 +60,12 @@ def per_step_solenoid_orbit(F, n, seed):
 
 def vectorized_marginal(F, m, depth, seed):
     """Reference: the u_{-depth} marginal over m independent boundary
-    orbits, by counting cumulative weights below one uniform per row."""
+    orbits, by counting cumulative weights below one uniform per row, over
+    the roots sorted as `_walk` sorts them."""
     rng = np.random.default_rng(seed)
     u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))
     for _ in range(depth):
-        roots = preimages_of_batch(F, u)
+        roots = lamination._sort_roots(preimages_of_batch(F, u))
         w = 1.0 / F.boundary_deriv_modulus(roots)
         w = w / np.sum(w, axis=1, keepdims=True)
         picks = (np.cumsum(w, axis=1) < rng.uniform(size=(m, 1))).sum(axis=1)
