@@ -4,6 +4,10 @@ Lebesgue measure on the real line is invariant; heights Im w replace the
 disk heights log(1/|w|), and the window I x [e^-R, 1] replaces the
 hyperbolic ball.  The boundary Lyapunov exponent is the closed-form
 int log(1 + 1/x^2) dx = 2 pi.
+
+Height is decided by the translation term b = beta - sum c_k x_k of
+F(z) = z + b + O(1/z) at infinity: b = 0 is infinite height, whether or
+not the atoms are symmetric.
 """
 
 import numpy as np
@@ -16,6 +20,8 @@ chi = pb.chi_ell(F, tol=1e-9)
 print(f"chi_ell = {chi:.9f} (2 pi = {2 * np.pi:.9f})")
 print(pb.height_classify(F))
 print(pb.height_classify(pb.HalfPlaneInner(beta=3.0, atoms=((0.0, 1.0),))))
+# Asymmetric atoms with b = 0.5 - 0.5 * 1 = 0: infinite height.
+print(pb.height_classify(pb.HalfPlaneInner(beta=0.5, atoms=((1.0, 0.5),))))
 
 z, I, R = 0.5j, (-1.0, 1.0), 10.0
 profile = pb.enumerate_strip(F, z, I, R)

@@ -14,9 +14,12 @@ go to `innerlab.quadrature`.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 from numpy.polynomial import legendre
+
+from .errors import PreconditionError
 
 log = logging.getLogger("innerlab.quadrature")
 
@@ -52,6 +55,12 @@ def _rule(f, lo, hi):
     err = np.abs(s[:, 0] - s[:, 1])
     s[:, 1] = np.where(np.isfinite(err), err, np.inf)
     return s, y.ndim == 1
+
+
+def _require_tol(tol: float) -> None:
+    """PreconditionError unless a caller's tolerance is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise PreconditionError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def _integrate(f, pieces, atol: float, rtol: float):

@@ -78,8 +78,8 @@ def cesaro(profile: CountingProfile, R: float) -> float:
 
 def target_constant(z, chi: float) -> float:
     """The limit constant (1/2) log(1/|z|) / chi of the counting theorems."""
-    if not chi > 0:
-        raise DomainError("Lyapunov exponent must be positive")
+    if not 0 < chi < math.inf:
+        raise DomainError(f"Lyapunov exponent must be positive and finite, got {chi!r}")
     if not 0 < abs(z) < 1:
         raise DomainError("base point must lie in 0 < |z| < 1")
     return 0.5 * float(np.log(1.0 / abs(z))) / chi

@@ -19,7 +19,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from ._quadrature import _integrate
+from ._quadrature import _integrate, _require_tol
 from .errors import DomainError, PreconditionError
 from .innerfn import InnerModel, _boundary_value
 from .lyapunov import _critical_points
@@ -114,6 +114,7 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
     """
     if not 0 < r_max < 1:
         raise PreconditionError("need 0 < r_max < 1")
+    _require_tol(tol)
     names = (quantity,) if isinstance(quantity, str) else tuple(quantity)
     if not names or any(q not in QUANTITIES for q in names):
         raise PreconditionError(f"unknown quantity {quantity!r}")

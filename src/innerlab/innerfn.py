@@ -118,18 +118,19 @@ class InnerModel:
 
     def __post_init__(self):
         rot = complex(self.rotation)
-        if abs(abs(rot) - 1.0) > 1e-12:
+        if not abs(abs(rot) - 1.0) <= 1e-12:
             raise PreconditionError(f"rotation must be unimodular: {rot!r}")
         object.__setattr__(self, "rotation", rot / abs(rot))
         zs = tuple(complex(z) for z in self.zeros)
         for z in zs:
-            if abs(z) >= 1.0 - BOUNDARY_TOL:
+            if not abs(z) < 1.0 - BOUNDARY_TOL:
                 raise DomainError(f"zero {z!r} not strictly inside the disk")
         object.__setattr__(self, "zeros", zs)
         ats = tuple((float(ang) % (2.0 * np.pi), float(w)) for ang, w in self.atoms)
-        for _, w in ats:
-            if w <= 0:
-                raise PreconditionError("atom weights must be positive")
+        for ang, w in ats:
+            if not (np.isfinite(ang) and 0 < w < np.inf):
+                raise PreconditionError("atom angles must be finite and atom "
+                                        "weights positive and finite")
         object.__setattr__(self, "atoms", ats)
         if not zs and not ats:
             raise PreconditionError(

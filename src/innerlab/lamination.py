@@ -499,6 +499,8 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     The mass is the mean of the 256 means, and `stderr` covers the sampled
     strata only, the one source of noise.  Results are bit-identical for a
     given `seed`, and `samples` reports the nominal budget per * 256.
+    More samples than the point budget of `xi_box_mass` (64 TREE_BUDGET)
+    is a BudgetError, raised before any draw.
 
     The margin delta is what makes the two closed forms valid: every point
     of an outside stratum fails |F(z)| < r0 and every point of an inside
@@ -524,6 +526,9 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     if not (0 < r0 < 1 and samples >= 1):
         raise PreconditionError(f"need r0 in (0, 1) and samples >= 1, "
                                 f"got {r0:g}, {samples}")
+    if samples > 64 * TREE_BUDGET:
+        raise BudgetError(f"{samples} samples exceed the point budget "
+                          f"{64 * TREE_BUDGET}")
     means, variances, _, per = _strata(F, r0, samples, seed)
     mass = float(np.mean(means))
     se = float(np.sqrt(np.sum(variances))) / means.size
@@ -642,9 +647,10 @@ def shadowing_simulation(bad_times, T: float, adversary: str = "up_right",
     if adversary not in ADVERSARIES:
         raise PreconditionError(f"unknown adversary {adversary!r}")
     ax, ay = ADVERSARIES[adversary]
-    if not (step > 0 and 0 < T < math.inf and 0 < start.imag < math.inf):
-        raise PreconditionError("need step > 0, 0 < T < inf and 0 < Im start < inf, "
-                                f"got {step:g}, {T:g}, {start}")
+    if not (step > 0 and 0 < T < math.inf and math.isfinite(start.real)
+            and 0 < start.imag < math.inf):
+        raise PreconditionError("need step > 0, 0 < T < inf, a finite Re start and "
+                                f"0 < Im start < inf, got {step:g}, {T:g}, {start}")
     if callable(bad_times):
         raise PreconditionError("pass bad times as a sorted interval list")
     intervals = [(float(a), float(b)) for a, b in bad_times if a < b]

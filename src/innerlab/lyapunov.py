@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import _integrate
+from ._quadrature import _integrate, _require_tol
 from ._roots import _aberth_polish
 from .errors import NumericalError, PreconditionError
 from .innerfn import (BLOCK_ENTRIES, InnerModel, _boundary_value,
@@ -49,6 +49,7 @@ def chi_quadrature(F: InnerModel, tol: float = 1e-10) -> LyapunovEstimate:
     about 3e-11 apart) is a NumericalError; a missed tol is not: the
     achieved error is reported.
     """
+    _require_tol(tol)
     if F.is_rotation:
         return LyapunovEstimate(0.0, "quadrature", 0.0)
     tol = max(tol, 1e-12) if F.atoms else tol

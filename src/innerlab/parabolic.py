@@ -6,7 +6,7 @@ fixed point at infinity is parabolic), their preimages (the disk's solve
 on the cached rational form F = N/D), the strip enumeration behind
 N_I(z, R) with Im-threshold pruning (counted by `counting` on heights
 -log Im w), the boundary Lyapunov exponent chi_ell, and height
-classification.
+classification by the translation term at infinity.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._quadrature import _integrate
+from ._quadrature import _integrate, _require_tol
 from ._roots import _preimage_roots
 from .errors import BudgetError, NumericalError, PreconditionError
 from .innerfn import _model_lines
@@ -43,9 +43,12 @@ class HalfPlaneInner:
     def __post_init__(self):
         object.__setattr__(self, "beta", float(self.beta))
         ats = tuple((float(x), float(c)) for x, c in self.atoms)
-        for _, c in ats:
-            if c <= 0:
-                raise PreconditionError("atom masses must be positive")
+        if not math.isfinite(self.beta):
+            raise PreconditionError(f"beta must be finite, got {self.beta!r}")
+        for x, c in ats:
+            if not (math.isfinite(x) and 0 < c < math.inf):
+                raise PreconditionError("atom base points must be finite and "
+                                        "atom masses positive and finite")
         xs = [x for x, _ in ats]
         if len(set(xs)) != len(xs):
             raise PreconditionError("atom base points must be distinct")
@@ -57,8 +60,7 @@ class HalfPlaneInner:
 
     @property
     def drift(self) -> float:
-        """beta - sum c_k x_k: the quadratic Taylor coefficient at infinity
-        (0 exactly for doubly-parabolic maps)."""
+        """b = beta - sum c_k x_k, the translation term at infinity."""
         return self.beta - sum(c * x for x, c in self.atoms)
 
     @property
@@ -174,39 +176,25 @@ def hp_preimages_batch(F: HalfPlaneInner, zs) -> np.ndarray:
 @dataclass(frozen=True)
 class HeightClass:
     kind: str            # "finite-height" | "infinite-height"
-    confidence: str      # "analytic" | "heuristic"
     detail: str
 
 
 def height_classify(F: HalfPlaneInner) -> HeightClass:
-    """Classify F as finite or infinite height.
+    """Infinite height iff F(z) = z + b - J/z + O(1/z^2) at infinity has
+    translation term b = `drift` = 0, the doubly parabolic case; b != 0 is
+    finite height (Pommerenke 1979).
 
-    For symmetric atom measures the Taylor expansion at infinity (via the
-    w = -1/z conjugation) decides exactly: the quadratic coefficient is
-    beta - sum c_k x_k, zero iff doubly parabolic iff infinite height.
-    Otherwise the orbit of 0.7i is iterated 2000 times and the
-    classification is the heuristic doubling test on its Im.
+    b counts as 0 iff |b| <= (d + 2) eps S, with S = |beta| + sum c_k |x_k|
+    and d = n + 1 for n atoms.  If the decimal inputs give b = 0 exactly,
+    each input is within u = eps/2 relative of its decimal, each c_k x_k
+    within 3u relative once its product rounds, and the n roundings of
+    beta - sum c_k x_k add n u S: the float |b| <= (n + 3) u S to first
+    order, and the factor 2 covers the rest.  A |b| under it reads as 0.
     """
-    pairs = sorted((x, c) for x, c in F.atoms)
-    mirrored = sorted((-x, c) for x, c in F.atoms)
-    symmetric = len(pairs) == len(mirrored) and all(
-        abs(a - b) < 1e-12 and abs(ca - cb) < 1e-12
-        for (a, ca), (b, cb) in zip(pairs, mirrored))
-    if symmetric:
-        b = F.drift
-        if abs(b) < 1e-12:
-            return HeightClass("infinite-height", "analytic",
-                               "doubly parabolic: quadratic coefficient 0 at infinity")
-        return HeightClass("finite-height", "analytic",
-                           f"singly parabolic: quadratic coefficient {b:g}")
-    z = 0.7j
-    for _ in range(2000):
-        z = F.eval(z)
-    if z.imag >= 2.0 * 0.7:
-        return HeightClass("infinite-height", "heuristic",
-                           f"Im grew {z.imag / 0.7:.2f}x over 2000 iterates")
-    return HeightClass("finite-height", "heuristic",
-                       f"Im grew only {z.imag / 0.7:.2f}x over 2000 iterates")
+    b, S = F.drift, abs(F.beta) + sum(c * abs(x) for x, c in F.atoms)
+    bound = (F.degree + 2) * np.finfo(float).eps * S
+    kind = "infinite-height" if abs(b) <= bound else "finite-height"
+    return HeightClass(kind, f"b = {b:.3g}, rounding bound {bound:.3g}")
 
 
 def chi_ell(F: HalfPlaneInner, tol: float = 1e-8) -> float:
@@ -216,6 +204,7 @@ def chi_ell(F: HalfPlaneInner, tol: float = 1e-8) -> float:
     substitution makes the integrand bounded at the endpoints since
     log F' ~ jump_scale / x^2 in the tails.
     """
+    _require_tol(tol)
     if not F.atoms:
         return 0.0
 
@@ -250,7 +239,9 @@ class StripProfile:
 def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> StripProfile:
     """Backward tree of repeated preimages with Im >= e^{-R}; a point is
-    counted iff additionally Re in `interval` and Im <= 1.
+    counted iff additionally Re in `interval` and Im <= 1.  F must be of
+    infinite height, b = 0 by `height_classify`, else a PreconditionError
+    names b.
 
     Pruning by the Im threshold alone is sound (preimage heights only
     decrease).  The far-field prune also drops drift nodes far outside

@@ -405,14 +405,19 @@ class TestBadInput:
         ["lyapunov", "--model", "DEG2", "--method", "birkhoff", "--angle", "nan"],
         ["lyapunov", "--model", "DEG2", "--method", "birkhoff", "--angle", "inf"],
         ["xi-mass", "--model", "DEG2", "--box", "0.5,0.7,0,1", "--max-depth", "-1"],
-        ["total-mass", "--model", "DEG2", "--samples", "0"]],
+        ["total-mass", "--model", "DEG2", "--samples", "0"],
+        ["count", "--model", "DEG2", "--z", "0.3,0", "--R", "3", "--chi", "inf"],
+        ["lyapunov", "--model", "DEG2", "--method", "quadrature", "--tol", "nan"],
+        ["distortion-scan", "--truncation-K", "3", "--tol", "nan"],
+        ["shadow-sim", "--T", "10", "--start=nan,1"]],
         ids=["count-R-inf", "parabolic-R-inf", "count-R-step-0",
              "count-R-step-nan", "parabolic-R-step-0", "parabolic-R-step-nan",
              "curve-points-0", "step-0", "step-nan", "step-negative", "T-nan",
              "T-inf", "T-0", "T-negative", "grid-0", "count-z-circle",
              "count-z-outside", "orbit-z-circle", "orbit-z-outside",
              "start-below-axis", "angle-nan", "angle-inf", "max-depth-negative",
-             "samples-0"])
+             "samples-0", "chi-inf", "lyapunov-tol-nan", "distortion-tol-nan",
+             "start-re-nan"])
     def test_bad_number(self, deg2_file, hp_file, tmp_path, capsys, argv):
         argv = [{"DEG2": deg2_file, "HP": hp_file}.get(a, a) for a in argv]
         assert cli.main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
@@ -452,6 +457,46 @@ class TestBadInput:
                                 "--out", str(tmp_path / "x.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("innerlab: budget exhausted: R grid of")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["lyapunov", "--method", "birkhoff", "--n", "1000"], "zero=0,0\nzero=nan,0\n"),
+        (["parabolic-count", "--z", "0,0.5", "--I=-1,1", "--R", "3"],
+         "beta=0\natom=0,inf\n")],
+        ids=["disk", "halfplane"])
+    def test_non_finite_model_parameter(self, tmp_path, capsys, argv, text):
+        # NaN fails no range test written as a rejection (|z| >= 1), so the
+        # disk file would run and write birkhoff,nan,nan.
+        path = tmp_path / "model"
+        path.write_text(text)
+        assert cli.main(argv + ["--model", str(path),
+                                "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("innerlab: ") and "Traceback" not in err
+        assert "finite" in err or "inside the disk" in err
+
+    def test_finite_height_model(self, tmp_path, capsys):
+        # b = 0.1 - (0.5 - 0.5) = 0.1: finite height, outside the strip
+        # theorem, though Im of its orbits grows for thousands of steps.
+        path = tmp_path / "b01.hp"
+        path.write_text("beta=0.1\natom=1,0.5\natom=-2,0.25\n")
+        assert cli.main(["parabolic-count", "--model", str(path), "--z", "0,0.5",
+                         "--I=-1,1", "--R", "6",
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "not infinite height (b = 0.1," in capsys.readouterr().err
+
+    def test_samples_over_budget(self, deg2_file, tmp_path, capsys, monkeypatch):
+        # More samples than the 1.28e8-point budget exit 3 before any
+        # stratum is drawn (1e14 samples are 2.84 TiB of draws).
+        def no_strata(*args, **kw):
+            raise AssertionError("the strata were drawn")
+
+        monkeypatch.setattr(lamination, "_strata", no_strata)
+        assert cli.main(["total-mass", "--model", deg2_file,
+                         "--samples", str(10 ** 14),
+                         "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("innerlab: budget exhausted: 100000000000000 samples")
         assert "Traceback" not in err
 
     def test_close_atoms_are_numerical(self, tmp_path):

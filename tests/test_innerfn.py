@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,24 @@ class TestConstruction:
     def test_rejects_nonpositive_atom_weight(self):
         with pytest.raises(PreconditionError):
             InnerModel(atoms=((0.0, -1.0),))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rotation": complex(math.nan, 0.0), "zeros": (0j,)},
+        {"zeros": (0j, complex(math.nan, 0.0))},
+        {"zeros": (complex(0.0, math.nan),)},
+        {"atoms": ((math.nan, 1.0),)},
+        {"atoms": ((math.inf, 1.0),)},
+        {"atoms": ((-math.inf, 1.0),)},
+        {"atoms": ((0.0, math.nan),)},
+        {"atoms": ((0.0, math.inf),)}],
+        ids=["rotation-nan", "zero-re-nan", "zero-im-nan", "angle-nan",
+             "angle-inf", "angle-minus-inf", "weight-nan", "weight-inf"])
+    def test_rejects_non_finite(self, kwargs):
+        # NaN fails no range test written as a rejection (|z| >= 1), and an
+        # infinite angle turns to NaN mod 2 pi.  An infinite rotation or
+        # zero, and a weight of -inf, fail the range tests themselves.
+        with pytest.raises(PreconditionError):
+            InnerModel(**kwargs)
 
     def test_rotation_flag(self):
         assert InnerModel(rotation=1j, zeros=(0j,)).is_rotation

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from innerlab.counting import CountingProfile, cesaro, count, counting_report
 from innerlab.errors import NumericalError, PreconditionError
 from innerlab.innerfn import InnerModel
 from innerlab.lamination import _sort_roots
-from innerlab.parabolic import (HalfPlaneInner, chi_ell, enumerate_strip,
-                                height_classify, hp_preimages_batch)
+from innerlab.parabolic import (HalfPlaneInner, HeightClass, chi_ell,
+                                enumerate_strip, height_classify,
+                                hp_preimages_batch)
 from innerlab.preimage import preimages_of_batch
 
 
@@ -28,6 +30,17 @@ class TestModel:
             HalfPlaneInner(atoms=((0.0, -1.0),))
         with pytest.raises(PreconditionError):
             HalfPlaneInner(atoms=((0.0, 1.0), (0.0, 2.0)))
+
+    @pytest.mark.parametrize("beta, x, c", [
+        (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (-math.inf, 0.0, 1.0),
+        (0.0, math.nan, 1.0), (0.0, math.inf, 1.0), (0.0, -math.inf, 1.0),
+        (0.0, 0.0, math.nan), (0.0, 0.0, math.inf)],
+        ids=["beta-nan", "beta-inf", "beta-minus-inf", "point-nan", "point-inf",
+             "point-minus-inf", "mass-nan", "mass-inf"])
+    def test_rejects_non_finite(self, beta, x, c):
+        # (A mass of -inf fails the positivity test itself.)
+        with pytest.raises(PreconditionError):
+            HalfPlaneInner(beta=beta, atoms=((x, c),))
 
     def test_serialization_roundtrip(self):
         F = HalfPlaneInner(beta=0.125, atoms=((0.3, 1.7), (-2.0, 0.4)))
@@ -173,28 +186,67 @@ class TestChiEll:
         assert "panels" in records[0].getMessage()
 
 
+# Models with b = beta - sum c_k x_k = 0: zminus, an asymmetric two-atom
+# model, a one-atom model off the axis (with its base point and interval)
+# and a three-atom model whose float b is -1.39e-17, not 0.
+ZERO_DRIFT = {
+    "zminus": (HalfPlaneInner(0.0, ((0.0, 1.0),)), 0.5j, (-1.0, 1.0)),
+    "two-atom": (HalfPlaneInner(0.0, ((1.0, 0.5), (-2.0, 0.25))), 0.5j, (-1.0, 1.0)),
+    "one-atom": (HalfPlaneInner(0.5, ((1.0, 0.5),)), 1 + 0.5j, (0.0, 2.0)),
+    "three-atom": (HalfPlaneInner(0.09, ((0.3, 0.2), (-0.7, 0.1), (2.0, 0.05))),
+                   0.5j, (-1.0, 1.0)),
+}
+
+
 class TestHeightClassify:
     def test_doubly_parabolic(self, zminus):
         cls = height_classify(zminus)
         assert cls.kind == "infinite-height"
-        assert cls.confidence == "analytic"
+        assert cls.detail.startswith("b = 0,")
 
     def test_singly_parabolic(self):
         cls = height_classify(HalfPlaneInner(beta=3.0, atoms=((0.0, 1.0),)))
         assert cls.kind == "finite-height"
-        assert cls.confidence == "analytic"
+        assert cls.detail.startswith("b = 3,")
 
     def test_pure_translation_finite(self):
         cls = height_classify(HalfPlaneInner(beta=1.0))
         assert cls.kind == "finite-height"
 
-    def test_asymmetric_uses_iterates(self):
-        # Asymmetric atoms with zero drift: still doubly parabolic, but
-        # classified by the iterate heuristic.
-        F = HalfPlaneInner(beta=0.5, atoms=((0.5, 1.0),))  # drift = 0
+    @pytest.mark.parametrize("name", list(ZERO_DRIFT))
+    def test_zero_drift_is_infinite(self, name):
+        # Asymmetric atoms with b = 0 are decided as symmetric ones are.
+        F = ZERO_DRIFT[name][0]
         cls = height_classify(F)
-        assert cls.confidence == "heuristic"
         assert cls.kind == "infinite-height"
+        assert cls.detail.startswith(f"b = {F.drift:.3g},")
+
+    def test_rounded_zero_drift(self):
+        # 0.09 - (0.06 - 0.07 + 0.1) is 0 in decimals, -1.39e-17 in floats:
+        # 0.2 eps (|beta| + sum c_k |x_k|), inside the rounding bound.
+        F = ZERO_DRIFT["three-atom"][0]
+        assert F.drift == -1.3877787807814457e-17
+        cls = height_classify(F)
+        assert cls == HeightClass("infinite-height",
+                                  "b = -1.39e-17, rounding bound 4.26e-16")
+        assert [f.name for f in fields(HeightClass)] == ["kind", "detail"]
+
+    @pytest.mark.parametrize("beta, atoms", [
+        (0.1, ((1.0, 0.5), (-2.0, 0.25))),                    # b = 0.1
+        (0.0, ((1.0, 0.5),)),                                  # b = -0.5
+        (0.001, ((0.3, 0.2), (-0.7, 0.1), (2.0, 0.05))),      # b = -0.089
+        (-0.001, ((1.0, 0.5), (-2.0, 0.25))),                 # b = -0.001
+        (1e-12, ((0.0, 1.0),)),
+        (-1e-12, ((0.0, 1.0),))],
+        ids=["b=0.1", "b=-0.5", "b=-0.089", "b=-0.001", "b=1e-12", "b=-1e-12"])
+    def test_nonzero_drift_is_finite(self, beta, atoms):
+        # Im of the orbit of 0.7i levels off on the first three (at 70.4,
+        # 6.26 and 21.4) only after thousands of steps, so no fixed number
+        # of iterates tells them from b = 0.
+        F = HalfPlaneInner(beta, atoms)
+        cls = height_classify(F)
+        assert cls.kind == "finite-height"
+        assert cls.detail.startswith(f"b = {F.drift:.3g},")
 
 
 def per_child_strip(F, z, interval, R):
@@ -263,13 +315,18 @@ class TestEnumerateStrip:
         with pytest.raises(PreconditionError):
             enumerate_strip(F, 0.5j, (-1, 1), 2.0)
 
-    def test_farfield_prune_sound(self, zminus, monkeypatch):
-        a = enumerate_strip(zminus, 0.5j, (-1, 1), 5.0)
+    @pytest.mark.parametrize("name, R", [("zminus", 5.0)]
+                             + [(name, 6.0) for name in ZERO_DRIFT],
+                             ids=["zminus-R5"] + [f"{name}-R6" for name in ZERO_DRIFT])
+    def test_farfield_prune_sound(self, name, R, monkeypatch):
+        # At R = 6 the unpruned trees explore 14k-39k nodes.
+        F, z, interval = ZERO_DRIFT[name]
+        a = enumerate_strip(F, z, interval, R)
         # An infinite safety factor makes every re-entry bound infinite, so
         # no node is hopeless: the unpruned reference.
         monkeypatch.setattr(parabolic, "FARFIELD_SAFETY", math.inf)
-        b = enumerate_strip(zminus, 0.5j, (-1, 1), 5.0)
-        assert b.farfield_pruned == 0
+        b = enumerate_strip(F, z, interval, R)
+        assert a.farfield_pruned > 0 and b.farfield_pruned == 0
         assert len(a.counted_points) == len(b.counted_points)
         assert np.allclose(np.sort_complex(a.counted_points),
                            np.sort_complex(b.counted_points), atol=1e-12)

@@ -10,10 +10,29 @@ import pytest
 import innerlab
 from innerlab._quadrature import (MAX_PANELS, _X21, _integrate,
                                   _rule)
-from innerlab.errors import NumericalError
+from innerlab.distortion import radial_distortion_integral
+from innerlab.errors import NumericalError, PreconditionError
 from innerlab.innerfn import InnerModel
 from innerlab.lyapunov import chi_quadrature
 from innerlab.parabolic import HalfPlaneInner, chi_ell
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("call", [
+    lambda tol: chi_quadrature(InnerModel.from_zeros(0, 0.5), tol),
+    lambda tol: chi_quadrature(InnerModel.atom_map(0.0, 0.7), tol),
+    lambda tol: chi_quadrature(InnerModel(zeros=(0j,)), tol),
+    lambda tol: chi_ell(HalfPlaneInner(atoms=((0.0, 1.0),)), tol),
+    lambda tol: chi_ell(HalfPlaneInner(beta=1.0), tol),
+    lambda tol: radial_distortion_integral(InnerModel.from_zeros(0, 0.5), 1.0,
+                                           "mu", 0.9, tol)],
+    ids=["chi-quadrature", "chi-quadrature-atom-floor", "chi-quadrature-rotation",
+         "chi-ell", "chi-ell-no-atoms", "radial-integral"])
+def test_tolerance_must_be_positive_and_finite(call, tol):
+    # Also where the tol is floored (atoms) or never reaches `_integrate`
+    # (a rotation, a model without atoms).
+    with pytest.raises(PreconditionError, match="tolerance must be positive"):
+        call(tol)
 
 
 class TestPanelRule:
