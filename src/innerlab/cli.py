@@ -243,6 +243,7 @@ def cmd_parabolic_count(args):
     _write_csv(args.out, _header(args, (
         f"chi_ell = {chi:.17g}",
         f"explored = {profile.explored}",
+        f"farfield_pruned = {profile.farfield_pruned}",
         f"target carries no Im(z) factor; multiply by Im(z) = {z.imag:.17g} "
         "for the empirically sharp constant",)), COUNT_COLUMNS,
         (r + (r.cesaro / r.target,) for r in rows))

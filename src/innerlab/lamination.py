@@ -330,6 +330,8 @@ def xi_box_mass(F: InnerModel, region: AnnularBox, max_depth: int,
     reach = -1
     while reach < max_depth and F.degree ** (reach + 1) * leaves <= 64 * TREE_BUDGET:
         reach += 1
+    if reach < 0:
+        raise BudgetError("depth 0 exceeds the quadrature budget", partial=[])
 
     def values_at(nr: int, nt: int) -> list:
         xr, wr = np.polynomial.legendre.leggauss(nr)

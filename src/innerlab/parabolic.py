@@ -4,9 +4,9 @@ measures.
 Models F(z) = z + beta + sum c_k (1 + z x_k)/(x_k - z) (alpha = 1, so the
 fixed point at infinity is parabolic), their preimages (the disk's solve
 on the cached rational form F = N/D), the strip enumeration behind
-N_I(z, R) with Im-threshold pruning (counted by `counting` on heights
--log Im w), the boundary Lyapunov exponent chi_ell, and height
-classification by the translation term at infinity.
+N_I(z, R) with Im-threshold pruning and a proved far-field prune (counted
+by `counting` on heights -log Im w), the boundary Lyapunov exponent
+chi_ell, and height classification by the translation term at infinity.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .preimage import DEFAULT_NODE_BUDGET
 log = logging.getLogger("innerlab.parabolic")
 
 IM_SUM_TOL = 1e-9
-FARFIELD_SAFETY = 4.0
 _STRIP_RECORD = ("enumerate_strip: %d generations, %d explored, %d counted, "
                  "%d far-field pruned, frontier largest %d, median %g")
 
@@ -65,8 +64,8 @@ class HalfPlaneInner:
 
     @property
     def jump_scale(self) -> float:
-        """sum c_k (1 + x_k^2): the cubic coefficient at infinity; controls
-        the size of non-drift preimage branches far out."""
+        """J = sum c_k (1 + x_k^2) in F(z) = z + b - J/z + O(1/z^2): the
+        constant of `enumerate_strip`'s far-field bound on Im of preimages."""
         return sum(c * (1.0 + x * x) for x, c in self.atoms)
 
     def eval(self, z):
@@ -244,12 +243,40 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
     names b.
 
     Pruning by the Im threshold alone is sound (preimage heights only
-    decrease).  The far-field prune also drops drift nodes far outside
-    the interval/pole hull whose descendants provably stay below the
-    threshold on any path re-entering bounded territory: a jump branch off
-    a drift node at w has height about jump_scale * Im(w)/|w - poles|^2,
-    and the outward drift only shrinks that bound.  Without it the drift
-    chains cost order e^{2R} nodes.
+    decrease).  Without the far-field prune the drift chains, which move
+    outward along the real axis at about constant height, cost order
+    e^{2R} nodes.  With rho = |Re w|, X0 = max(|x_lo|, |x_hi|, max |x_k|)
+    and J = `jump_scale`, a node w is pruned iff D = rho - X0 - J/rho > 0
+    and J Im w / D^2 < e^{-R}, tested as q = rho (rho - X0) - J > 0 and
+    J Im w rho^2 < e^{-R} q^2 so that rho = 0 divides by nothing.
+
+    Proof that no descendant of a pruned w is counted.  Write b = beta -
+    sum c_k x_k and J_k = c_k (1 + x_k^2), so F(v) = v + b + sum J_k /
+    (x_k - v).  With b = 0, every preimage v of u satisfies
+    (i) u - v = sum J_k/(x_k - v) and Im u = Im v (1 + sum J_k/|x_k - v|^2),
+        so by Cauchy-Schwarz |u - v|^2 <= J (Im u/Im v - 1): Im v <= J Im
+        u/|u - v|^2;
+    (ii) if Re v > max x_k, every term of Re(u - v) is negative, so Re v >
+        Re u; mirrored, Re v < min x_k gives Re v < Re u;
+    (iii) if |Re u| >= rho and X = X0 + J/rho, no v lies beyond X on the
+        other side of 0: that needs rho + X < |u - v| <= J/(|Re v| -
+        max |x_k|) < rho.
+    So w (with rho > X >= X0, outside the interval) and its descendants
+    outside [-X, X] stay on w's side, with |Re| >= rho and Im <= Im w.
+    The first descendant v inside [-X, X] has a parent u with |u - v| >=
+    rho - X = D, so by (i) Im v <= J Im w/D^2 < e^{-R}, and heights only
+    fall after it.
+
+    A b within `height_classify`'s rounding bound, |b| <= (d + 2) eps S
+    with S = |beta| + sum c_k |x_k|, enters as F = F0 + b with F0 of drift
+    exactly 0: a root of F(v) = u is a root of F0(v) = u - b, its target
+    moved by the real |b|, as a solve residual r moves it by |r|.  Far out
+    each atom term of F(v) is about -c_k x_k, so F(v) in floats alone errs
+    by about d eps S, the size of |b|'s bound: the residuals, accepted up
+    to 1e-12 max(1, |z|), are no smaller.  (i)-(iii) hold for F0 at
+    targets moved by |b| + |r|, which moves Re by that much against
+    margins of about J/rho in (ii) and X in (iii), and the bound of (i)
+    by a relative 2 (|b| + |r|)/D.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -267,8 +294,7 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
         raise PreconditionError(f"model is not infinite height ({cls.detail})")
 
     eps = math.exp(-R)
-    pole = max(abs(x) for x, _ in F.atoms)
-    re_safe = max(abs(x_lo), abs(x_hi), pole) + 5.0
+    x0 = max(abs(x_lo), abs(x_hi), *(abs(x) for x, _ in F.atoms))
     jump, d = F.jump_scale, F.degree
 
     profile = StripProfile(F, z, (x_lo, x_hi), float(R))
@@ -287,10 +313,9 @@ def enumerate_strip(F: HalfPlaneInner, z, interval, R: float,
             raise BudgetError(f"node budget {node_budget} exceeded at "
                               f"generation {len(frontier)}", partial=profile)
         roots = hp_preimages_batch(F, current).reshape(-1)
-        re, im = roots.real, roots.imag
-        dist = np.abs(re)
-        reentry = FARFIELD_SAFETY * jump * im / np.maximum(dist - pole, 1.0) ** 2
-        hopeless = (dist >= re_safe) & (reentry < eps) & ((re < x_lo) | (re > x_hi))
+        rho, im = np.abs(roots.real), roots.imag
+        q = rho * (rho - x0) - jump
+        hopeless = (q > 0) & (jump * im * rho ** 2 < eps * q ** 2)
         keep = im >= eps
         profile.farfield_pruned += int((keep & hopeless).sum())
         keep &= ~hopeless

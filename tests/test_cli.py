@@ -16,7 +16,7 @@ from innerlab import (acceptance, cli, counting, distortion, lamination,
                       lyapunov, parabolic, preimage)
 from innerlab.errors import BudgetError, NumericalError
 from innerlab.innerfn import InnerModel
-from innerlab.parabolic import HalfPlaneInner
+from innerlab.parabolic import HalfPlaneInner, enumerate_strip
 from innerlab.preimage import enumerate_ball
 
 
@@ -302,6 +302,13 @@ class TestOtherSubcommands:
                           "ratio"]
         assert float(rows[-1][4]) == pytest.approx(1 / np.pi)
         assert dump.exists()
+        # The strip's counters go in the `#` header only.
+        strip = enumerate_strip(HalfPlaneInner(0.0, ((0.0, 1.0),)), 0.5j,
+                                (-1.0, 1.0), 5.0)
+        counters = dict(ln[2:].split(" = ", 1) for ln in out.read_text().splitlines()
+                        if ln.startswith("# ") and " = " in ln)
+        assert int(counters["explored"]) == strip.explored
+        assert int(counters["farfield_pruned"]) == strip.farfield_pruned > 0
 
     @pytest.mark.parametrize("command, numerator", [
         (["count", "--z", "0.3,0", "--R", "6"], "count_over_eR"),

@@ -507,6 +507,17 @@ class TestXiBoxMass:
             xi_box_mass(deg2, box, 0, grid=(40, 40))
         assert err.value.partial == []
 
+    def test_depth_zero_over_budget_builds_no_grid(self, deg2, monkeypatch):
+        # A 20,000-node side is a 20,000 x 20,000 eigenproblem in leggauss:
+        # the budget is checked before any grid is built.
+        def no_grid(n):
+            raise AssertionError(f"built a {n}-node grid")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_grid)
+        with pytest.raises(BudgetError, match="depth 0") as err:
+            xi_box_mass(deg2, AnnularBox(0.5, 0.7, 0, 1), 0, grid=(20000, 20000))
+        assert err.value.partial == []
+
     def test_monotone_in_depth(self, deg2):
         box = AnnularBox(0.5, 0.7, 0.3, 1.1)
         masses = xi_box_mass(deg2, box, 4, grid=(16, 16))
