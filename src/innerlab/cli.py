@@ -355,7 +355,8 @@ def build_parser() -> _Parser:
                     default="up_right")
     sp.add_argument("--start", default="2,1")
     sp.add_argument("--step", type=float, default=0.02,
-                    help="output time-grid spacing; the integration is exact")
+                    help="output time-grid spacing; the passes are exact, and "
+                         "the average is the trapezoid rule on this grid")
     sp.add_argument("--curve-points", type=int, default=500)
 
     sp = sub.add_parser("parabolic-count", help="strip counting N_I(z,R)",

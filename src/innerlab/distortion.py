@@ -15,7 +15,6 @@ import logging
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 
@@ -101,15 +100,15 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
     `quantity` is one name of QUANTITIES, which gives a float, or a tuple
     of names, which gives an array of their integrals in that order.
 
-    Parameter punctures of width 1e-8 are excised around r = 0 and around
-    any zero of F on the ray (the integrand is bounded, so the omitted mass
-    is o(1)).  The pieces left are broken again at each critical point of
-    F on the ray (`_critical_breaks`), where mu has a kink and alpha jumps
-    by pi, so the quadrature sees only smooth pieces.  They are integrated
-    by one vector-valued `_integrate` call (one DEBUG record on
+    The ray is broken only where p is not smooth (`_breaks`): at each zero
+    of F on it, where p is bounded on both sides and steps as |F|/F flips
+    sign, and at each critical point of F on it, where mu has a kink and
+    alpha jumps by pi.  The pieces tile [0, r_max] and are integrated by
+    one vector-valued `_integrate` call (one DEBUG record on
     `innerlab.quadrature`), so each node's comparison quotient is computed
-    once and the ray's total meets `tol` in every component; with no piece
-    left it is 0.  Monotone nondecreasing in r_max for nonnegative
+    once and the ray's total meets `tol` in every component.  No
+    Gauss-Legendre node reaches a piece's end, so p is never evaluated at
+    0 or at a zero.  Monotone nondecreasing in r_max for nonnegative
     quantities.
     """
     if not 0 < r_max < 1:
@@ -126,43 +125,40 @@ def radial_distortion_integral(F, zeta, quantity, r_max: float,
         return np.stack([qs[c] for c in columns], axis=-1) * 2.0 \
             / (1.0 - r * r)[:, None]
 
-    zeros = F.zeros if isinstance(F, InnerModel) else ()
-    on_ray = {abs(a) for a in zeros if a != 0 and abs(a / abs(a) - zeta) < 1e-9}
-    cuts = [PUNCTURE]
-    for r0 in sorted(r for r in on_ray if PUNCTURE < r < r_max):
-        cuts.extend((r0 - PUNCTURE, r0 + PUNCTURE))
-    cuts.append(r_max)
-    breaks = _critical_breaks(F, zeta, r_max)
-    pieces = [(a, b) for lo, hi in zip(cuts[::2], cuts[1::2])
-              for a, b in pairwise([lo, *(t for t in breaks if lo < t < hi), hi])
-              if a < b]
-    total = _integrate(integrand, pieces, tol, 1e-11)[0] if pieces \
-        else np.zeros(len(names))
+    ends = np.unique([0.0, *_breaks(F, zeta, r_max), r_max])
+    total = _integrate(integrand, np.column_stack((ends[:-1], ends[1:])),
+                       tol, 1e-11)[0]
     return float(total[0]) if isinstance(quantity, str) else total
 
 
-def _critical_breaks(F, zeta, r_max):
-    """Sorted ends r -+ b of a bracket around each critical point c of F
-    on the ray through zeta, r = Re(c conj(zeta)) in (PUNCTURE, r_max) and
-    |Im(c conj(zeta))| <= b, with b the first-order bound on c of
-    `_critical_points`.  p = F' gap (z/|z|) (|F|/F) vanishes only where F'
-    does, so these are the steps of alpha and the kinks of mu that the
-    punctures leave.  A bracket, not c itself, so that an inexact c cannot
-    put the step between a piece's end and its nearest node.  Only
-    atom-free InnerModels of degree >= 2 are solved, and a solve that did
-    not come to rest gives no breaks: breaks only spare the quadrature
-    rounds, whose own error control keeps the result right.
+def _breaks(F, zeta, r_max):
+    """Sorted points in (0, r_max) of the ray through zeta where p = F' gap
+    (z/|z|) (|F|/F) is not smooth.  They are r = Re(a conj(zeta)) for each
+    zero a of F with |a/|a| - zeta| < 1e-9, where |F|/F flips sign, and the
+    ends r -+ b of a bracket around each critical point c of F with
+    |Im(c conj(zeta))| <= b, r = Re(c conj(zeta)), and b the first-order
+    bound on c of `_critical_points`: p vanishes only where F' does, so
+    these are the steps of alpha and the kinks of mu.  A bracket, not c
+    itself, so that an inexact c cannot put the step between a piece's end
+    and its nearest node.  Only InnerModels have breaks, and only atom-free
+    ones of degree >= 2 have their critical points solved; a solve that
+    did not come to rest gives no critical breaks: those only spare the
+    quadrature rounds, whose own error control keeps the result right.
     """
-    if not isinstance(F, InnerModel) or F.atoms or F.degree < 2:
+    if not isinstance(F, InnerModel):
         return []
-    _, crit, slack, dp, rested = _critical_points(F)
-    if not rested:
-        return []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = slack / np.abs(dp)
-    t = crit * zeta.conjugate()
-    on = (np.abs(t.imag) <= bound) & (PUNCTURE < t.real) & (t.real < r_max)
-    return sorted(np.concatenate((t.real[on] - bound[on], t.real[on] + bound[on])))
+    points = [(a * zeta.conjugate()).real for a in F.zeros
+              if a != 0 and abs(a / abs(a) - zeta) < 1e-9]
+    if not F.atoms and F.degree >= 2:
+        _, crit, slack, dp, rested = _critical_points(F)
+        if rested:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = slack / np.abs(dp)
+            t = crit * zeta.conjugate()
+            on = np.abs(t.imag) <= bound
+            points.extend(np.concatenate((t.real[on] - bound[on],
+                                          t.real[on] + bound[on])))
+    return sorted(x for x in points if 0 < x < r_max)
 
 
 def cumulative_orbit_distortion(F: InnerModel, coords, N: int) -> float:

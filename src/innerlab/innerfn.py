@@ -311,7 +311,10 @@ class InnerModel:
         s = (1.0 - mod) * (1.0 + mod)
         terms = self._poisson_block(z)
         with np.errstate(invalid="ignore", divide="ignore"):
-            logmod2 = np.add.reduce(np.log1p(terms[:self.degree] * -s), axis=0)
+            # 1 - |b_a(z)|^2 = term * s rounds above 1 within about 1e-8 of
+            # a zero a; clamped there, log1p gives -inf, not NaN.
+            logmod2 = np.maximum(terms[:self.degree] * -s, -1.0)
+            logmod2 = np.add.reduce(np.log1p(logmod2, out=logmod2), axis=0)
             if self.atoms:
                 logmod2 = logmod2 - np.add.reduce(terms[self.degree:] * s, axis=0)
             denom = -np.expm1(logmod2)

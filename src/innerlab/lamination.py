@@ -47,9 +47,14 @@ def _sort_roots(roots):
 def _walk(F: InnerModel, starts, n: int, choose) -> np.ndarray:
     """The (m, n + 1) coordinates of backward orbits from the m `starts`,
     one preimage solve per generation; `choose` maps the parent column and
-    the (m, d) roots, sorted rowwise by `_sort_roots`, to a branch per row."""
+    the (m, d) roots, sorted rowwise by `_sort_roots`, to a branch per row.
+    More coordinates than the point budget of `xi_box_mass` (64
+    TREE_BUDGET) is a BudgetError, raised before they are allocated."""
     if n < 0:
         raise PreconditionError("only backward coordinates exist")
+    if len(starts) * (n + 1) > 64 * TREE_BUDGET:
+        raise BudgetError(f"{len(starts)} orbits of {n + 1} coordinates exceed "
+                          f"the point budget {64 * TREE_BUDGET}")
     coords = np.empty((len(starts), n + 1), dtype=complex)
     coords[:, 0] = starts
     rows = np.arange(len(starts))
@@ -638,13 +643,16 @@ def shadowing_simulation(bad_times, T: float, adversary: str = "up_right",
     adversary policy (unit hyperbolic speed) takes over on the bad set.
 
     Both passes are exact on each good or bad segment of [0, T], where the
-    dynamics are affine, so `step` only sets the spacing of the output time
-    grid (each segment gets an evenly spaced grid of at most that spacing).
-    The horizontal hyperbolic distance to the vertical line at the landing
-    estimate zeta = x(T) is obtained from the backward ratio
-    u = (zeta - x)/y (du/dt = u at good times, -a_x - a_y u at bad times,
-    u(T) = 0), which stays well scaled where x - zeta and y separately
-    underflow; the returned curve is the running average of min(1, |u|).
+    dynamics are affine.  The horizontal hyperbolic distance to the
+    vertical line at the landing estimate zeta = x(T) is obtained from the
+    backward ratio u = (zeta - x)/y (du/dt = u at good times, -a_x - a_y u
+    at bad times, u(T) = 0), which stays well scaled where x - zeta and y
+    separately underflow.  The returned curve is the running average of
+    min(1, |u|), by the trapezoid rule on the output time grid, which gives
+    each segment an evenly spaced grid of at most `step` spacing: `step`
+    sets the accuracy of the average, not of the passes.  A grid of more
+    points than the point budget of `xi_box_mass` (64 TREE_BUDGET) is a
+    BudgetError, raised before it is allocated.
     """
     if adversary not in ADVERSARIES:
         raise PreconditionError(f"unknown adversary {adversary!r}")
@@ -662,17 +670,20 @@ def shadowing_simulation(bad_times, T: float, adversary: str = "up_right",
     for a, b in intervals:
         cuts.extend((min(max(a, 0.0), T), min(max(b, 0.0), T)))
     cuts = sorted(set(cuts))
+    steps = np.maximum(1.0, np.ceil(np.diff(cuts) / step))
+    if np.sum(steps) + 1 > 64 * TREE_BUDGET:
+        raise BudgetError(f"time grid of {np.sum(steps) + 1:.3g} points exceeds "
+                          f"the point budget {64 * TREE_BUDGET}")
 
     # Forward pass: landing estimate zeta = x(T).  At bad times
     # dx/dt = a_x e^ly and d(ly)/dt = a_y, so x integrates in closed form;
     # x freezes once y underflows, which loses nothing representable.
     x, ly = start.real, math.log(start.imag)
     segments = []
-    for seg_a, seg_b in zip(cuts[:-1], cuts[1:]):
+    for seg_a, seg_b, n_steps in zip(cuts[:-1], cuts[1:], steps.astype(int)):
         mid = 0.5 * (seg_a + seg_b)
         bad = any(a <= mid < b for a, b in intervals)
         length = seg_b - seg_a
-        n_steps = max(1, int(math.ceil(length / step)))
         if length / n_steps < 1e-12:
             raise NumericalError("step size underflow in shadowing integration")
         segments.append((bad, np.linspace(seg_a, seg_b, n_steps + 1)))

@@ -506,6 +506,42 @@ class TestBadInput:
         assert err.startswith("innerlab: budget exhausted: 100000000000000 samples")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("z", [None, "0.3,0.2"], ids=["solenoid", "interior"])
+    def test_orbit_over_budget(self, deg2_file, tmp_path, capsys, monkeypatch, z):
+        # paths (n + 1) coordinates count against the point budget 64
+        # TREE_BUDGET, here 640: exit 3 before the coordinates are
+        # allocated (--n 10^18 would ask numpy for 16 EB).
+        monkeypatch.setattr(lamination, "TREE_BUDGET", 10)
+        argv = ["orbit", "--model", deg2_file, "--out", str(tmp_path / "x.csv")]
+        argv += [] if z is None else ["--z", z]
+        assert cli.main(argv + ["--n", "639"]) == 0
+        assert cli.main(argv + ["--n", "640"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("innerlab: budget exhausted: 1 orbits of 641 "
+                              "coordinates exceed the point budget 640")
+        assert "Traceback" not in err
+
+    def test_time_grid_over_budget(self, tmp_path, capsys, monkeypatch):
+        # The shadowing grid counts max(1, ceil(length/step)) points per
+        # segment, plus one, against the point budget: exit 3 before any
+        # segment's grid is built (at T = 1e300 segment k of pow2 holds
+        # about 2^k points).
+        def no_linspace(*args, **kw):
+            raise AssertionError("a time grid was allocated")
+
+        out = str(tmp_path / "x.csv")
+        with monkeypatch.context() as m:
+            m.setattr(np, "linspace", no_linspace)
+            assert cli.main(["shadow-sim", "--T", "1e300", "--step", "1",
+                             "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("innerlab: budget exhausted: time grid of 1e+300")
+        assert "Traceback" not in err
+        monkeypatch.setattr(lamination, "TREE_BUDGET", 10)
+        for T, code in (("639", 0), ("640", 3)):
+            assert cli.main(["shadow-sim", "--bad-times", "none", "--T", T,
+                             "--step", "1", "--out", out]) == code
+
     def test_close_atoms_are_numerical(self, tmp_path):
         # The estimate is not finite: exit 4, where the exclusion windows
         # this replaced exited 2.

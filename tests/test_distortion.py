@@ -119,11 +119,22 @@ class TestRadialIntegrals:
     @pytest.mark.parametrize("r_max", [0.5, 0.9, 1 - 1e-6])
     def test_square_closed_form(self, square, quantity, r_max):
         # z^2 on the ray to 1: p = 2r/(1 + r^2), so eta = mu = (1-r)^2/(1+r^2)
-        # and int eta 2 dr/(1 - r^2) = G(r) = 2 log(1 + r) - log(1 + r^2).
-        def G(r):
-            return 2 * np.log1p(r) - np.log1p(r * r)
+        # and int_0^r eta 2 dr/(1 - r^2) = 2 log(1 + r) - log(1 + r^2).
         v = radial_distortion_integral(square, 1.0 + 0j, quantity, r_max)
-        assert v == pytest.approx(G(r_max) - G(PUNCTURE), abs=1e-12)
+        assert v == pytest.approx(2 * np.log1p(r_max) - np.log1p(r_max ** 2),
+                                  abs=1e-14)
+
+    def test_eta_integral_is_log_angular_derivative(self):
+        # For F(0) = 0, int_0^1 eta d rho = log |F'(zeta)|; the integrand is
+        # O(1 - r) near the circle, so stopping at 1 - 1e-6 leaves O(1e-12).
+        # Two-sided, so that mass left out near the origin shows.
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            F = random_centered_blaschke(rng)
+            theta = rng.uniform(0, 2 * np.pi)
+            v = radial_distortion_integral(F, np.exp(1j * theta), "eta",
+                                           1 - 1e-6)
+            assert abs(v - np.log(F.boundary_deriv_modulus(theta))) <= 1e-9
 
     def test_automorphism_mu_integral_zero(self):
         aut = InnerModel.from_zeros(0.3)
@@ -135,8 +146,8 @@ class TestRadialIntegrals:
         assert v == pytest.approx(0.0, abs=1e-10)
 
     def test_ray_through_a_zero_is_punctured(self, deg2):
-        # The zero at 0.5 sits on the ray to zeta = 1; the puncture keeps
-        # the integral finite and close to the unpunctured neighbors.
+        # The zero at 0.5 sits on the ray to zeta = 1; the break there
+        # keeps every node off it, and the bounded integrand finite.
         v = radial_distortion_integral(deg2, 1.0 + 0j, "delta", 0.99)
         assert np.isfinite(v) and v > 0
 
@@ -182,29 +193,25 @@ class TestVectorIntegral:
                    if r.name == "innerlab.quadrature" and r.levelno == logging.DEBUG]
         assert [r.funcName for r in records] == ["radial_distortion_integral"]
         a, b, panels, err, tol, rounds = records[0].args
-        assert (a, b, tol) == (PUNCTURE, 0.99, 1e-9)
+        assert (a, b, tol) == (0.0, 0.99, 1e-9)
         assert 1 <= rounds <= panels and 0 <= err <= 1e-9
         assert "panels" in records[0].getMessage()
 
-    def test_no_piece_left_is_zero(self, deg2):
-        # r_max inside the puncture at the origin leaves nothing to
-        # integrate.
-        assert radial_distortion_integral(deg2, 1.0 + 0j, "mu", 5e-9) == 0.0
-        vec = radial_distortion_integral(deg2, 1.0 + 0j, ("mu", "eta"), 5e-9)
-        assert vec.shape == (2,) and not vec.any()
-
-    def test_zero_within_puncture_of_r_max(self, deg2):
-        # With r_max inside the puncture after the zero at 0.5 the ray
-        # ends at the puncture before it; just short of the zero there is
-        # no puncture, and the bounded integrand adds O(PUNCTURE).
-        below = radial_distortion_integral(deg2, 1.0 + 0j, "delta",
-                                           0.5 - PUNCTURE)
-        inside = radial_distortion_integral(deg2, 1.0 + 0j, "delta",
-                                            0.5 + 0.5 * PUNCTURE)
-        short = radial_distortion_integral(deg2, 1.0 + 0j, "delta",
-                                           0.5 - 0.5 * PUNCTURE)
-        assert inside == below
-        assert np.isfinite(short) and 0 <= short - below <= 1e-7
+    def test_continuous_in_r_max_across_a_zero(self, deg2):
+        # deg2 = z b_{0.5}: on the ray to 1, p -> -+0.5 at the zero 0.5
+        # from either side (F' = 2/3, gap 3/4, |F|/F = -+1), so the
+        # integrand steps from 1.5 * 8/3 = 4 to 0.5 * 8/3 = 4/3 there; and
+        # p -> 0.5 at the origin (delta = 0.5, integrand 1).  Nothing is
+        # excised, so the integral grows at those rates in r_max on both
+        # sides of the zero and from 0.
+        def delta(r_max):
+            return radial_distortion_integral(deg2, 1.0 + 0j, "delta", r_max,
+                                              tol=1e-12)
+        for h in (1e-6, 1e-9):
+            below, at, above = delta(0.5 - h), delta(0.5), delta(0.5 + h)
+            assert at - below == pytest.approx(4 * h, rel=1e-4, abs=1e-13)
+            assert above - at == pytest.approx(4 * h / 3, rel=1e-4, abs=1e-13)
+        assert delta(5e-9) == pytest.approx(5e-9, rel=1e-6)
 
     @pytest.mark.parametrize("zeros, r_max", [
         ((0.0, 0.5), 0.99),
@@ -212,8 +219,8 @@ class TestVectorIntegral:
     def test_mu_integral_against_mpmath(self, zeros, r_max):
         # mu = 1 - |p| has a kink at each critical point of F on the ray,
         # and Rolle puts one between each pair of consecutive zeros (deg2:
-        # one in (0, 0.5)).  The oracle is a 30-digit mpmath.quad over the
-        # same punctured pieces, split at the critical points that
+        # one in (0, 0.5)).  The oracle is a 30-digit mpmath.quad over
+        # [0, r_max], split at the zeros and at the critical points that
         # mpmath.findroot finds on F'.
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
@@ -233,14 +240,8 @@ class TestVectorIntegral:
 
         crit = [mp.findroot(dF, (x, y), solver="anderson")
                 for x, y in zip(a, a[1:])]
-        cuts = [PUNCTURE]
-        for x in zeros:
-            if x > 0:
-                cuts.extend((x - PUNCTURE, x + PUNCTURE))
-        cuts.append(r_max)
-        exact = mp.fsum(
-            mp.quad(mu, [lo, *(c for c in crit if lo < c < hi), hi])
-            for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi)
+        ends = sorted({0, *(x for x in a if 0 < x < r_max), *crit, r_max})
+        exact = mp.quad(mu, ends)
         F = InnerModel.from_zeros(*zeros)
         v = radial_distortion_integral(F, 1.0 + 0j, "mu", r_max, tol=1e-9)
         assert abs(v - float(exact)) <= 1e-9
@@ -263,36 +264,36 @@ class TestVectorIntegral:
 
 class TestCriticalBreaks:
     def test_deg2_break_brackets_the_critical_point(self, deg2):
-        # F = z b_{0.5}: F' = 0 at 2 - sqrt(3) on the ray to 1.
-        lo, hi = distortion._critical_breaks(deg2, 1.0 + 0j, 0.99)
+        # F = z b_{0.5}: F' = 0 at 2 - sqrt(3) on the ray to 1, and F = 0
+        # at 0.5.
+        lo, hi, zero = distortion._breaks(deg2, 1.0 + 0j, 0.99)
         assert lo <= 2 - np.sqrt(3) <= hi and hi - lo < 1e-15
-        assert distortion._critical_breaks(deg2, 1.0 + 0j, 0.2) == []
-        assert distortion._critical_breaks(deg2, -1.0 + 0j, 0.99) == []
+        assert zero == 0.5
+        assert distortion._breaks(deg2, 1.0 + 0j, 0.2) == []
+        assert distortion._breaks(deg2, -1.0 + 0j, 0.99) == []
 
-    @pytest.mark.parametrize("F, zeta, r_max", [
-        (InnerModel.atom_map(0.0, 1.0), 1.0, 1 - 1e-6),
-        (InnerModel(zeros=(0j, 0.4), atoms=((2.0, 0.3),)), 1.0, 0.99),
+    @pytest.mark.parametrize("F, zeta, r_max, zeros", [
+        (InnerModel.atom_map(0.0, 1.0), np.exp(1j), 1 - 1e-6, []),
+        (InnerModel(zeros=(0j, 0.4), atoms=((2.0, 0.3),)), 1.0 + 0j, 0.99, [0.4]),
         (frostman_shift(InnerModel.from_zeros(0, 0.5), 0.3 - 0.2j),
-         np.exp(0.7j), 0.99),
-        (InnerModel.from_zeros(0.3), 1.0, 0.99),
-        (InnerModel.power_map(2), 1.0, 1 - 1e-6),
-        (InnerModel.power_map(3), 1.0, 1 - 1e-6),
+         np.exp(0.7j), 0.99, []),
+        (InnerModel.from_zeros(0.3), 1.0 + 0j, 0.99, [0.3]),
+        (InnerModel.power_map(2), 1.0 + 0j, 1 - 1e-6, []),
+        (InnerModel.power_map(3), 1.0 + 0j, 1 - 1e-6, []),
         (InnerModel.from_zeros(*(0.5 * np.exp(0.5j * np.pi * j)
-                                 for j in range(4))), 1.0, 0.99)],
+                                 for j in range(4))), 1.0 + 0j, 0.99, [0.5])],
         ids=["atom", "atom-and-zeros", "frostman", "degree1", "z2", "z3",
              "B(z^4)"])
-    def test_no_break_keeps_the_pieces(self, F, zeta, r_max, monkeypatch):
+    def test_no_break_keeps_the_pieces(self, F, zeta, r_max, zeros):
         # These rays have no critical point to break at, or (B(z^4), whose
         # triple critical point at 0 keeps the solve from resting, so that
         # chi_jensen_oracle raises) no trustworthy one: nothing is raised,
-        # and the pieces, so every bit of the value, are those of a ray
-        # broken only at the punctures.
-        names = ("mu", "eta", "delta", "alpha")
-        assert distortion._critical_breaks(F, zeta, r_max) == []
-        vec = radial_distortion_integral(F, zeta, names, r_max)
-        monkeypatch.setattr(distortion, "_critical_breaks", lambda *args: [])
-        assert np.array_equal(vec, radial_distortion_integral(F, zeta, names,
-                                                              r_max))
+        # and the ray is broken only at its zeros (the origin is an end,
+        # not a break).
+        assert distortion._breaks(F, zeta, r_max) == zeros
+        vec = radial_distortion_integral(F, zeta, ("mu", "eta", "delta",
+                                                   "alpha"), r_max)
+        assert np.isfinite(vec).all()
 
 
 def scalar_cumulative(F, coords, N):
@@ -466,8 +467,7 @@ class TestScan:
         assert abs(row.integral_alpha - exact) <= achieved + floor
         assert rounds < UNBROKEN_ROUNDS[K, r_max]
         if (K, r_max) == (12, 1 - 1e-6):
-            # scipy.integrate.cubature's value, 1.3e-9 above the closed form.
-            assert abs(row.integral_alpha - 16.026598663691434) <= 1e-8
+            assert abs(row.integral_alpha - 16.0268562162065) <= 1e-8
 
 
 # The rounds of these rays' integrals before they were broken at F's
@@ -478,8 +478,8 @@ UNBROKEN_ROUNDS = {(12, 1 - 1e-6): 60, (8, 0.93333): 50, (6, 1 - 1e-4): 55,
 
 def alpha_on_truncation_ray(zeros, r_max):
     """Closed form of the alpha-integral along [0, r_max] for increasing
-    real zeros a_1 < ... < a_K in (0, 1), punctures excised, and the
-    critical points of F, as floats.
+    real zeros a_1 < ... < a_K in (0, 1), and the critical points of F, as
+    floats.
 
     On the real ray p is real with the sign of F'/F, so alpha is pi where
     F'/F < 0 and 0 elsewhere; the integral is pi times the hyperbolic length
@@ -502,8 +502,7 @@ def alpha_on_truncation_ray(zeros, r_max):
     crit = [mp.findroot(dlog, (x + (y - x) * 1e-20, y - (y - x) * 1e-20),
                         solver="anderson") for x, y in zip(a, a[1:])]
     assert all(x < c < y for x, c, y in zip(a, crit, a[1:]))
-    starts = [mp.mpf(PUNCTURE), *crit]
-    ends = [mp.mpf(x - PUNCTURE) for x in zeros]
+    starts = [mp.mpf(0), *crit]
     total = mp.fsum(2 * mp.atanh(min(y, r_max)) - 2 * mp.atanh(min(x, r_max))
-                    for x, y in zip(starts, ends))
+                    for x, y in zip(starts, a))
     return float(mp.pi * total), np.array([float(c) for c in crit])

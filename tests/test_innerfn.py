@@ -249,6 +249,18 @@ class TestGapRatio:
         naive = (1 - abs(z) ** 2) / (1 - abs(F.eval(z)) ** 2)
         assert F.gap_ratio(z) == pytest.approx(naive, rel=1e-11)
 
+    @pytest.mark.parametrize("model", [
+        InnerModel.from_zeros(0, 0.5),
+        InnerModel(zeros=(0j, 0.5), atoms=((1.0, 0.7),)),
+    ], ids=["deg2", "atom"])
+    def test_finite_next_to_a_zero(self, model):
+        # Within 1e-8 of the zero 0.5 the Poisson term times 1 - |z|^2
+        # rounds above 1 at some points (NaN from log1p, unclamped); there
+        # |F|^2 < 1e-15, so the naive quotient is exact to rounding.
+        z = 0.5 + np.linspace(-1e-8, 1e-8, 2001) + 0j
+        naive = (1 - np.abs(z) ** 2) / (1 - np.abs(model.eval(z)) ** 2)
+        assert np.max(np.abs(model.gap_ratio(z) / naive - 1)) < 1e-14
+
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
     @pytest.mark.parametrize("model", [
         InnerModel.from_zeros(0, 0.5),

@@ -172,6 +172,29 @@ class TestChiEll:
         assert chi_ell(F, tol=1e-9) == pytest.approx(
             2 * np.pi * np.sqrt(1.0 + 2.5 ** 2), abs=1e-6)
 
+    def test_jensen_over_critical_points(self, zminus):
+        # Half-plane Jensen: F' = P/D^2 with D = prod (x_k - w) and
+        # P = D^2 + sum J_k prod_{l != k} (x_l - w)^2, J_k = c_k (1 + x_k^2).
+        # P > 0 on R, so its 2n roots come in conjugate pairs a +- ib, and
+        # pairing each with a pole x_k, int log(((x - a)^2 + b^2)/(x - x_k)^2)
+        # dx = 2 pi |b|: chi_ell = 2 pi sum Im c over the critical points c
+        # of F in H.  zminus: F' = 1 + 1/w^2 vanishes at i, so 2 pi.
+        assert chi_ell(zminus, 1e-12) == pytest.approx(2 * np.pi, abs=1e-12)
+        P = np.polynomial.polynomial
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            n = int(rng.integers(1, 6))
+            F = HalfPlaneInner(beta=rng.uniform(-1, 1), atoms=tuple(zip(
+                rng.uniform(-3, 3, n), rng.uniform(0.1, 2, n))))
+            xs = [x for x, _ in F.atoms]
+            poly = P.polymul(P.polyfromroots(xs), P.polyfromroots(xs))
+            for k, (x, c) in enumerate(F.atoms):
+                rest = P.polyfromroots(xs[:k] + xs[k + 1:])
+                poly = P.polyadd(poly, c * (1 + x * x) * P.polymul(rest, rest))
+            crit = P.polyroots(poly)
+            assert np.count_nonzero(crit.imag > 0) == n
+            jensen = 2 * np.pi * np.sum(crit.imag[crit.imag > 0])
+            assert chi_ell(F, 1e-12) == pytest.approx(jensen, abs=1e-10)
 
     def test_one_debug_record(self, caplog):
         F = HalfPlaneInner(beta=0.3, atoms=((-1.0, 0.5), (2.5, 1.0)))
