@@ -298,7 +298,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--method", choices=["quadrature", "jensen", "birkhoff", "all"],
                     default="all")
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--n", type=int, default=10 ** 5, help="birkhoff orbit length")
+    sp.add_argument("--n", type=int, default=10 ** 5,
+                    help="birkhoff steps, in total over the orbits")
     sp.add_argument("--angle", type=float, default=0.7, help="birkhoff start angle")
     sp.add_argument("--seed", type=int, default=0)
 

@@ -20,8 +20,9 @@ import numpy as np
 
 from ._quadrature import _integrate, _require_tol
 from .errors import DomainError, PreconditionError
-from .innerfn import InnerModel, _boundary_value
+from .innerfn import FrostmanShift, InnerModel, _boundary_value
 from .lyapunov import _critical_points
+from .preimage import preimages_of_batch
 
 log = logging.getLogger("innerlab.distortion")
 
@@ -140,14 +141,20 @@ def _breaks(F, zeta, r_max):
     bound on c of `_critical_points`: p vanishes only where F' does, so
     these are the steps of alpha and the kinks of mu.  A bracket, not c
     itself, so that an inexact c cannot put the step between a piece's end
-    and its nearest node.  Only InnerModels have breaks, and only atom-free
-    ones of degree >= 2 have their critical points solved; a solve that
-    did not come to rest gives no critical breaks: those only spare the
-    quadrature rounds, whose own error control keeps the result right.
+    and its nearest node.  Only InnerModels and shifts F_a of atom-free
+    ones have breaks: F_a vanishes at F's preimages of a and has F's
+    critical points, as a Moebius map has none.  Only atom-free models of
+    degree >= 2 have their critical points solved; a solve that did not
+    come to rest gives no critical breaks: those only spare the quadrature
+    rounds, whose own error control keeps the result right.
     """
-    if not isinstance(F, InnerModel):
+    if isinstance(F, FrostmanShift) and not F.base.atoms:
+        F, zeros = F.base, preimages_of_batch(F.base, [F.a])[0]
+    elif isinstance(F, InnerModel):
+        zeros = F.zeros
+    else:
         return []
-    points = [(a * zeta.conjugate()).real for a in F.zeros
+    points = [(a * zeta.conjugate()).real for a in zeros
               if a != 0 and abs(a / abs(a) - zeta) < 1e-9]
     if not F.atoms and F.degree >= 2:
         _, crit, slack, dp, rested = _critical_points(F)

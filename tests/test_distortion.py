@@ -272,6 +272,21 @@ class TestCriticalBreaks:
         assert distortion._breaks(deg2, 1.0 + 0j, 0.2) == []
         assert distortion._breaks(deg2, -1.0 + 0j, 0.99) == []
 
+    def test_frostman_shift_breaks(self, deg2, caplog):
+        # F_a with a = F(0.7) vanishes at 0.7 on the ray to 1, and its
+        # derivative at F's critical point 2 - sqrt(3).  Broken there, the
+        # ray takes one round and meets tol 1e-12; bisecting towards the
+        # step instead took 40 rounds and stopped at 1.7e-11.
+        G = frostman_shift(deg2, deg2.eval(0.7))
+        lo, hi, zero = distortion._breaks(G, 1.0 + 0j, 0.99)
+        assert lo <= 2 - np.sqrt(3) <= hi
+        assert zero == pytest.approx(0.7, abs=1e-15)
+        with caplog.at_level(logging.DEBUG, logger="innerlab.quadrature"):
+            radial_distortion_integral(G, 1.0 + 0j, "delta", 0.99, tol=1e-12)
+        [record] = [r for r in caplog.records if r.name == "innerlab.quadrature"]
+        a, b, panels, err, tol, rounds = record.args
+        assert err <= tol == 1e-12 and rounds == 1
+
     @pytest.mark.parametrize("F, zeta, r_max, zeros", [
         (InnerModel.atom_map(0.0, 1.0), np.exp(1j), 1 - 1e-6, []),
         (InnerModel(zeros=(0j, 0.4), atoms=((2.0, 0.3),)), 1.0 + 0j, 0.99, [0.4]),
