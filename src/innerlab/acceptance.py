@@ -19,7 +19,7 @@ import numpy as np
 from . import counting, distortion, lamination, lyapunov, parabolic
 from .innerfn import InnerModel
 from .parabolic import HalfPlaneInner
-from .preimage import enumerate_ball, preimages_of_batch
+from .preimage import ball_radii, preimages_of_batch
 
 DEG2 = InnerModel.from_zeros(0, 0.5)
 SQUARE = InnerModel.power_map(2)
@@ -162,8 +162,8 @@ def _counting_asymptotics():
     non-increasing distance to 1 from R = 10 (+0.005 quantization slack,
     pilot ratios 1.0006 -> 1.0010), Cesaro ratio in [0.85, 1.15]."""
     chi = lyapunov.chi_jensen_oracle(DEG2).value
-    tree = enumerate_ball(DEG2, 0.3, 12.0, node_budget=5 * 10 ** 6)
-    profile = counting.CountingProfile.from_tree(tree)
+    profile = counting.CountingProfile.from_ball(
+        ball_radii(DEG2, 0.3, 12.0, node_budget=5 * 10 ** 6))
     tgt = counting.target_constant(0.3, chi)
     r10 = counting.count(profile, 10.0) * math.exp(-10.0) / tgt
     r12 = counting.count(profile, 12.0) * math.exp(-12.0) / tgt
@@ -171,17 +171,17 @@ def _counting_asymptotics():
     ok = (0.8 <= r12 <= 1.25
           and abs(r12 - 1.0) <= abs(r10 - 1.0) + 0.005
           and 0.85 <= ces <= 1.15
-          and tree.size() <= 5 * 10 ** 6)
+          and len(profile.radii) <= 5 * 10 ** 6)
     return ok, (f"ratio(10)={r10:.4f} ratio(12)={r12:.4f} "
-                f"cesaro(12)={ces:.4f}, {tree.size()} nodes")
+                f"cesaro(12)={ces:.4f}, {len(profile.radii)} nodes")
 
 
 @_criterion(5, "power-map packet structure")
 def _packet_structure():
     """z -> z^2 at z = e^{-1}: the counting step function matches the
     closed-form packet radii and d^n jump sizes exactly up to radius 10."""
-    tree = enumerate_ball(SQUARE, math.exp(-1.0), 10.0)
-    profile = counting.CountingProfile.from_tree(tree)
+    profile = counting.CountingProfile.from_ball(
+        ball_radii(SQUARE, math.exp(-1.0), 10.0))
     radii, sizes = [], []
     n = 0
     while True:
@@ -213,9 +213,8 @@ def _apriori_bound():
     for F in models:
         cs = []
         for R in (8.0, 12.0):
-            tree = enumerate_ball(F, 0.3, R)
             cs.append(counting.apriori_constant(
-                counting.CountingProfile.from_tree(tree)))
+                counting.CountingProfile.from_ball(ball_radii(F, 0.3, R))))
         rel = abs(cs[1] - cs[0]) / cs[0]
         ok &= rel <= 0.25
         details.append(f"C8={cs[0]:.3f} C12={cs[1]:.3f} rel={rel:.3f}")

@@ -23,7 +23,7 @@ from . import __version__, counting, distortion, lamination, lyapunov, parabolic
 from .errors import BudgetError, InnerlabError, NumericalError, PreconditionError
 from .innerfn import InnerModel, _model_lines
 from .parabolic import HalfPlaneInner
-from .preimage import DEFAULT_NODE_BUDGET, enumerate_ball
+from .preimage import DEFAULT_NODE_BUDGET, ball_radii
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -125,13 +125,13 @@ def cmd_count(args):
     z = _parse_complex(args.z)
     grid = _grid(args.R, args.R_step, args.node_budget)
     chi = args.chi if args.chi is not None else lyapunov.chi_jensen_oracle(F).value
-    tree = enumerate_ball(F, z, args.R, node_budget=args.node_budget)
-    rows = counting.counting_report(counting.CountingProfile.from_tree(tree),
+    ball = ball_radii(F, z, args.R, node_budget=args.node_budget)
+    rows = counting.counting_report(counting.CountingProfile.from_ball(ball),
                                     grid, counting.target_constant(z, chi))
     _write_csv(args.out, _header(args, (
-        f"chi = {chi:.17g}", f"tree_nodes = {tree.size()}",
-        f"explored = {tree.explored}",
-        f"expand_radius = {tree.expand_radius:.17g}")), COUNT_COLUMNS,
+        f"chi = {chi:.17g}", f"tree_nodes = {len(ball.radii)}",
+        f"explored = {ball.explored}",
+        f"expand_radius = {ball.expand_radius:.17g}")), COUNT_COLUMNS,
         (r + (r.count_over_eR / r.target,) for r in rows))
     return EXIT_OK
 

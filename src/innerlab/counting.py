@@ -4,7 +4,8 @@ The step-counting function N(z, S), its exact Cesaro average
 (1/R) sum (e^{-d_w} - e^{-R}), the asymptotic target constant
 (1/2) log(1/|z|) / chi, the empirical a-priori constant, and a
 certified lower bound on the Schwarz gap.  Heights are hyperbolic radii
-in the disk (`from_tree`) and -log Im w in the strip (`from_strip`).
+in the disk (`from_tree`, `from_ball`) and -log Im w in the strip
+(`from_strip`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import DomainError, PreconditionError
 from .hypgeo import origin_distance
 from .innerfn import InnerModel
 from .parabolic import StripProfile
-from .preimage import PreimageTree, _schwarz_pick_gap
+from .preimage import BallRadii, PreimageTree, _schwarz_pick_gap
 
 log = logging.getLogger("innerlab.counting")
 
@@ -36,7 +37,7 @@ class CountingProfile:
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
-        r = r if (r[:-1] <= r[1:]).all() else np.sort(r)  # from_tree: sorted
+        r = r if (r[:-1] <= r[1:]).all() else np.sort(r)  # from_tree/ball: sorted
         if len(r) and r[-1] > self.cutoff + 1e-12:
             raise PreconditionError("profile contains radii beyond the cutoff")
         object.__setattr__(self, "radii", r)
@@ -45,6 +46,12 @@ class CountingProfile:
     @staticmethod
     def from_tree(tree: PreimageTree) -> "CountingProfile":
         return CountingProfile(tree.base, tree.radii(), tree.cutoff)
+
+    @staticmethod
+    def from_ball(ball: BallRadii) -> "CountingProfile":
+        """The profile of `from_tree(enumerate_ball(...))`, bit for bit,
+        from the streamed walk's radii."""
+        return CountingProfile(ball.base, ball.radii, ball.cutoff)
 
     @staticmethod
     def from_strip(profile: StripProfile) -> "CountingProfile":
@@ -73,7 +80,9 @@ def cesaro(profile: CountingProfile, R: float) -> float:
     r = profile.radii[:np.searchsorted(profile.radii, R, side="right")]
     if len(r) == 0:
         return 0.0
-    return float(np.sum(np.exp(-r) - np.exp(-R))) / R
+    t = np.exp(-r)
+    t -= np.exp(-R)
+    return float(np.sum(t)) / R
 
 
 def target_constant(z, chi: float) -> float:

@@ -31,6 +31,8 @@ _CELLS_RECORD = ("total_mass_check: %d cells outside, %d inside, "
 
 EXP_MAP_CAP = 1.0
 TREE_BUDGET = 2 * 10 ** 6
+# Leaves at the deepest level of one chunk of `_xi_integrand`'s walk.
+XI_CHUNK_LEAVES = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +296,22 @@ class BoxMassEstimate:
 
 def _xi_integrand(F: InnerModel, z: np.ndarray, max_depth: int) -> list:
     """[sum over F^n(w) = z of log(1/|w|) ||(F^n)'(w)||_hyp^{-2}
-    for n = 0..max_depth], from one walk down the preimage tree of z."""
-    m = z.size
+    for n = 0..max_depth], from one walk down the preimage tree of z.
+
+    The base points are walked in `np.array_split` chunks of at most
+    XI_CHUNK_LEAVES leaves at max_depth (one point, if its leaves alone
+    are more), so the walk's memory is set by the chunk, not by z; each
+    base point's sums are its own, and do not depend on the chunks."""
     pts = z.reshape(-1)
+    per = max(1, XI_CHUNK_LEAVES // F.degree ** max_depth)
+    sums = np.hstack([_xi_chunk(F, c, max_depth)
+                      for c in np.array_split(pts, -(-pts.size // per))])
+    return list(sums.reshape((max_depth + 1,) + z.shape))
+
+
+def _xi_chunk(F: InnerModel, pts: np.ndarray, max_depth: int) -> list:
+    """`_xi_integrand` over the 1-d array `pts`, all depths in one walk."""
+    m = pts.size
     base = (1.0 - np.abs(pts) ** 2)[:, None]
     chain = np.ones(m)
     sums = []
@@ -305,8 +320,7 @@ def _xi_integrand(F: InnerModel, z: np.ndarray, max_depth: int) -> list:
             roots = preimages_of_batch(F, pts)
             chain = (chain[:, None] * np.abs(F.deriv(roots))).reshape(-1)
             pts = roots.reshape(-1)
-        sums.append(_preimage_sum(chain.reshape(m, -1), pts.reshape(m, -1),
-                                  base).reshape(z.shape))
+        sums.append(_preimage_sum(chain.reshape(m, -1), pts.reshape(m, -1), base))
     return sums
 
 
@@ -472,14 +486,25 @@ def _strata(F: InnerModel, r0: float, samples: int, seed: int):
     # L/su, and the indicator is 1 on an inside stratum.
     means[inside] = su * _row_integrals(u_edge)[np.flatnonzero(inside) // st]
     evaluated = np.flatnonzero(~(outside | inside))
+    zeros = [(abs(a), cmath.phase(a)) for a in F.zeros]
     for cell in evaluated:
         iu, it = divmod(int(cell), st)
         rng = np.random.default_rng(seeds[cell])
         u = u_lo + L * (iu + rng.uniform(size=per)) / su
         th = 2.0 * np.pi * (it + rng.uniform(size=per)) / st
-        r = 1.0 - np.exp(u)
-        z = r * np.exp(1j * th)
-        f = np.where(np.abs(F.eval(z)) < r0,
+        e = np.exp(u)
+        r = 1.0 - e
+        # |F(r e^{i theta})|^2 by the factor formula of `_cell_bounds`.
+        gap2 = e * (2.0 - e)
+        f2 = 1.0
+        for m, phi in zeros:
+            if m == 0.0:
+                f2 = f2 * (r * r)
+            else:
+                s = np.sin(0.5 * (th - phi)) ** 2
+                f2 = f2 * (1.0 - (1.0 - m * m) * gap2
+                           / (((1.0 - m) + m * e) ** 2 + 4.0 * m * r * s))
+        f = np.where(f2 < r0 * r0,
                      L * np.log(1.0 / r) * 4.0 * r / ((1.0 - r) * (1.0 + r) ** 2),
                      0.0)
         means[cell] = np.mean(f)
@@ -502,7 +527,9 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     - wholly inside (hi < r0^2 (1 - delta)): its mean is the exact
       integral over its row (`_row_integrals`) and its variance 0.0;
     - otherwise it is sampled: `samples // 256` draws (at least 16) from its
-      own substream spawned from `seed`, each tested for |F(z)| < r0.
+      own substream spawned from `seed`, each tested for |F(z)|^2 < r0^2,
+      with |F|^2 from the factor formula that `_cell_bounds` encloses, at
+      the draw's e = exp(u), r = 1 - e and theta.
     The mass is the mean of the 256 means, and `stderr` covers the sampled
     strata only, the one source of noise.  Results are bit-identical for a
     given `seed`, and `samples` reports the nominal budget per * 256.
@@ -515,16 +542,16 @@ def total_mass_check(F: InnerModel, r0: float, samples: int = 10 ** 6,
     rounding.  delta = 128 eps E / r0^2 with the cell's rounding scale E =
     sum_a (1 + |a|) / min |1 - conj(a) z|, which is at least the degree.
     It covers three errors, each a multiple of eps E:
-    - `eval`'s rounding of |F|: eps (1 + |a| r)/|1 - conj(a) z| per factor
-      for its denominator, plus a few eps per factor for the quotient and
-      the product, under 11 eps E in all;
-    - a sample off its stratum by the rounding of u, exp, theta and
-      r e^{i theta}, at most about 25 eps in |z|, which moves |F| by at most
-      that times the factors' Lipschitz constants, whose sum is E;
-    - the bound's own rounding: each factor's range is formed from sums of
-      nonnegative terms, within about 10 eps absolute, 10 d eps in all.
-    Near |F| = r0 the first two move |F|^2 by at most 2 r0 (36 eps E) and
-    the third by 10 eps E, together under 82 eps E, which is 82 eps E / r0^2
+    - a sample off its stratum by the rounding of u, exp(u), 1 - e and
+      theta, at most about 25 eps in z (no point r e^{i theta} is formed),
+      which moves |F| by at most that times the factors' Lipschitz
+      constants, whose sum is E;
+    - the sample's rounding of |F|^2: each factor is formed from sums of
+      nonnegative terms, as the bound's are, within about 10 eps absolute,
+      10 d eps <= 10 eps E in all;
+    - the bound's own rounding, by the same count 10 eps E.
+    Near |F| = r0 the first moves |F|^2 by at most 2 r0 (25 eps E) and the
+    other two by 20 eps E, together under 70 eps E, which is 70 eps E / r0^2
     of r0^2; the factor 128 leaves the rest for second-order terms.  A wide
     delta only sends more strata to sampling.  E, and with it delta,
     grows like 1/(1 - |a|) for a zero a near the circle.

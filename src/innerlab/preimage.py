@@ -7,7 +7,9 @@ of starts at degree >= 3, one Newton step on F(w) - z, and a
 product-form rescue of the rows that fail the 1e-12 residual check),
 clips rounding overshoot back into the disk, and enumerates the tree of
 repeated preimages inside hyperbolic balls with Schwarz-lemma pruning.
-Enumeration is breadth-first, batched per generation, and deterministic.
+Enumeration is breadth-first, batched per generation, and deterministic;
+one walk of the generations serves both `enumerate_ball`, which keeps the
+tree, and `ball_radii`, which keeps only the radii.
 
 The pruning is Schwarz-Pick's, factor by factor: |b_a(w)| <= (|w| + |a|)/
 (1 + |a||w|), and |w| for a zero at 0, so |F(w)| <= phi(|w|) with phi the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +126,69 @@ class PreimageTree:
         return worst
 
 
-def enumerate_ball(F: InnerModel, z, R: float,
-                   node_budget=DEFAULT_NODE_BUDGET) -> PreimageTree:
+def _check_ball(F: InnerModel, z, R: float) -> complex:
+    """The base point as a complex, once `F`, z and R pass the walk's
+    preconditions."""
+    _require_blaschke(F, reject_rotation=True)
+    z = complex(z)
+    if z == 0 or abs(z) >= 1:       # a NaN passes, to fail in the solve
+        raise PreconditionError("base point must lie in 0 < |z| < 1")
+    if not 0 < R < math.inf:
+        raise PreconditionError("cutoff radius must be positive and finite")
+    return z
+
+
+_Generation = namedtuple("_Generation", "points parents radii explored")
+
+
+def _generations(F: InnerModel, z: complex, R: float, expand_radius: float,
+                 node_budget: int):
+    """The generations of the ball tree of z, in order, each once it is
+    known which of its nodes are solved: its points, their parents'
+    indices within the previous generation, their radii, and the explored
+    count so far.
+
+    The generator holds one generation at a time, and lets it go once the
+    nodes to solve are copied out of it, so a caller that keeps no
+    generation holds only the frontier.  Radii are origin_distance of
+    np.abs, as `PreimageTree.radii` takes them (Python's abs can differ by
+    an ulp on the base point).  Explored children beyond `node_budget`
+    raise BudgetError, after the generation that holds their parents.
+    One DEBUG record follows the last generation."""
+    d = F.degree
+    points = np.array([z], dtype=complex)
+    parents = np.array([-1], dtype=np.int64)
+    radii = origin_distance(np.abs(points))
+    if radii[0] > R:
+        points = points[:0]
+    explored, unsolved, retained, gens = 1, 0, 0, 0
+    while len(points):
+        # Not `radii <= R*`: a NaN base point must reach the solve and fail.
+        solve = np.flatnonzero(~(radii > expand_radius))
+        unsolved += len(radii) - len(solve)
+        explored += len(solve) * d
+        retained += len(points)
+        gens += 1
+        yield _Generation(points, parents, radii, explored)
+        if not len(solve):
+            break
+        if explored > node_budget:
+            raise BudgetError(
+                f"node budget {node_budget} exceeded at generation {gens}")
+        # Past this point a generation lives on only where the caller
+        # keeps it, and the solve's targets only through the solve.
+        targets = points[solve]
+        del points, parents
+        roots = preimages_of_batch(F, targets)
+        del targets
+        radii = origin_distance(np.abs(roots))
+        inside = radii <= R
+        points, parents, radii = (roots[inside], solve[np.flatnonzero(inside) // d],
+                                  radii[inside])
+    log.debug(_BALL_RECORD, gens, explored, retained, expand_radius, unsolved)
+
+
+def enumerate_ball(F: InnerModel, z, R: float) -> PreimageTree:
     """Breadth-first tree of repeated preimages of z with d(0, w) <= R.
 
     A node is retained iff its hyperbolic radius is <= R, and solved for
@@ -139,47 +203,50 @@ def enumerate_ball(F: InnerModel, z, R: float,
     Nodes of different generations never coincide: a shared point would
     make z periodic, while Schwarz's lemma gives d(0, F(w)) < d(0, w) for
     w != 0 under a centered non-rotation F.  The base point itself is
-    generation 0.  Exceeding `node_budget` explored nodes (children of
-    solved nodes) raises BudgetError carrying the partial tree.
+    generation 0.  Exceeding DEFAULT_NODE_BUDGET explored nodes (children
+    of solved nodes) raises BudgetError carrying the partial tree.
     """
-    _require_blaschke(F, reject_rotation=True)
-    z = complex(z)
-    if z == 0 or abs(z) >= 1:       # a NaN passes, to fail in the solve
-        raise PreconditionError("base point must lie in 0 < |z| < 1")
-    if not 0 < R < math.inf:
-        raise PreconditionError("cutoff radius must be positive and finite")
-
+    z = _check_ball(F, z, R)
     tree = PreimageTree(model=F, base=z, cutoff=float(R), explored=1,
                         expand_radius=_expand_radius(F, R))
-    radii = np.array([origin_distance(abs(z))])
-    if not radii[0] > R:
-        tree.points.append(np.array([z], dtype=complex))
-        tree.parents.append(np.array([-1], dtype=np.int64))
-
-    d = F.degree
-    unsolved = 0
-    gen = 0
-    while gen < tree.generations:
-        # Not `radii <= R*`: a NaN base point must reach the solve and fail.
-        solve = np.flatnonzero(~(radii > tree.expand_radius))
-        unsolved += len(radii) - len(solve)
-        if not len(solve):
-            break
-        tree.explored += len(solve) * d
-        if tree.explored > node_budget:
-            raise BudgetError(
-                f"node budget {node_budget} exceeded at generation {gen + 1}",
-                partial=tree)
-        roots = preimages_of_batch(F, tree.points[gen][solve])
-        radii = origin_distance(np.abs(roots))
-        inside = radii <= R
-        if not inside.any():
-            break
-        tree.points.append(roots[inside])
-        tree.parents.append(solve[np.flatnonzero(inside) // d])
-        radii = radii[inside]
-        gen += 1
-    log.debug(_BALL_RECORD, tree.generations, tree.explored, tree.size(),
-              tree.expand_radius, unsolved)
+    try:
+        for gen in _generations(F, z, R, tree.expand_radius,
+                                 DEFAULT_NODE_BUDGET):
+            tree.points.append(gen.points)
+            tree.parents.append(gen.parents)
+            tree.explored = gen.explored
+    except BudgetError as exc:
+        raise BudgetError(str(exc), partial=tree) from None
     return tree
 
+
+@dataclass(frozen=True)
+class BallRadii:
+    """The sorted radii of the nodes of `enumerate_ball`'s tree of `base`
+    to `cutoff`, with the tree's `explored` count and `expand_radius` (R*),
+    without the tree."""
+
+    base: complex
+    cutoff: float
+    radii: np.ndarray
+    explored: int
+    expand_radius: float
+
+
+def ball_radii(F: InnerModel, z, R: float,
+               node_budget=DEFAULT_NODE_BUDGET) -> BallRadii:
+    """`enumerate_ball(F, z, R)`'s radii, equal to its `radii()` element
+    for element, and its counts, from the same walk under `node_budget`
+    explored nodes: only the radii (8 bytes a node) and one generation's
+    points are held.  The budget raises the same BudgetError as
+    `enumerate_ball`'s, carrying no tree."""
+    z = _check_ball(F, z, R)
+    expand = _expand_radius(F, R)
+    radii, explored = [np.empty(0)], 1
+    for gen in _generations(F, z, R, expand, node_budget):
+        radii.append(gen.radii)
+        explored = gen.explored
+        del gen                     # the points go before the next solve
+    radii = np.concatenate(radii)
+    radii.sort()
+    return BallRadii(z, float(R), radii, explored, expand)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import namedtuple
 from pathlib import Path
 
@@ -71,11 +72,25 @@ class TestCount:
         assert cli.main(["cesaro", "--model", deg2_file, "--z", "0.3,0",
                          "--R", "4", "--out", str(out)]) == 0
 
-    def test_budget_exit_code(self, deg2_file, tmp_path):
+    def test_budget_exit_code(self, deg2_file, tmp_path, capsys):
         code = cli.main(["count", "--model", deg2_file, "--z", "0.3,0",
                          "--R", "10", "--node-budget", "50",
                          "--out", str(tmp_path / "x.csv")])
         assert code == 3
+        assert capsys.readouterr().err == ("innerlab: budget exhausted: node "
+                                           "budget 50 exceeded at generation 5\n")
+
+    def test_memory_set_by_the_frontier(self, deg2_file, tmp_path):
+        # The R = 13 tree has 427,153 nodes, 24 bytes each as points and
+        # parents; the count keeps their radii and one generation's points.
+        tracemalloc.start()
+        try:
+            assert cli.main(["count", "--model", deg2_file, "--z", "0.3,0",
+                             "--R", "13", "--out", str(tmp_path / "x.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
     def test_precondition_exit_code(self, deg2_file, tmp_path):
         code = cli.main(["count", "--model", deg2_file, "--z", "0,0",

@@ -493,6 +493,31 @@ class TestXiBoxMass:
                 value, error = per_depth_xi_mass(F, box, est.depth, grid)
                 assert (est.value, est.error) == (value, error)
 
+    def test_chunks_change_no_digit(self, deg2, monkeypatch):
+        # Each base point's sums are its own.  The coarse (1, 5) grid is
+        # split 1+1+1+1+1, 2+2+1 and 3+2 points, and the fine (2, 8) grid
+        # likewise; both give the one-chunk walk's estimates bit for bit.
+        F3 = random_centered_blaschke(np.random.default_rng(3), dmax=3)
+        box = AnnularBox(0.5, 0.7, 0.3, 1.1)
+        for F in (deg2, F3):
+            leaves = F.degree ** 4
+            monkeypatch.setattr(lamination, "XI_CHUNK_LEAVES", 16 * leaves)
+            whole = xi_box_mass(F, box, 4, grid=(1, 5))
+            for per in (1, 2, 3):
+                monkeypatch.setattr(lamination, "XI_CHUNK_LEAVES", per * leaves + 1)
+                assert xi_box_mass(F, box, 4, grid=(1, 5)) == whole, (F.zeros, per)
+
+    def test_memory_set_by_the_chunk(self, deg2):
+        # At depth 8 the two grids hold 256 (576 + 1,369) leaves, about
+        # 31 MiB for the walk at once.
+        tracemalloc.start()
+        try:
+            xi_box_mass(deg2, AnnularBox(0.5, 0.7, 0.0, 1.0), 8, (24, 24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
     def test_budget_partial_estimates(self, deg2, monkeypatch):
         # grid (4, 4) refines to (7, 7): 65 leaves per level of both
         # grids, so 2^n * 65 <= 64 * 10 holds for n <= 3 only.  Counting

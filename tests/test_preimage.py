@@ -19,7 +19,8 @@ from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
 from innerlab.lamination import _sort_roots
 from innerlab.parabolic import HalfPlaneInner, hp_preimages_batch
-from innerlab.preimage import enumerate_ball, preimages_of_batch
+from innerlab.counting import CountingProfile
+from innerlab.preimage import ball_radii, enumerate_ball, preimages_of_batch
 
 
 def packet_radius(d, n, base=np.exp(-1.0)):
@@ -579,9 +580,10 @@ class TestEnumerateBall:
         for got, want in zip(tree.points[:5], whole, strict=True):
             assert np.array_equal(got, want)
 
-    def test_budget_error_carries_partial(self, deg2):
+    def test_budget_error_carries_partial(self, deg2, monkeypatch):
+        monkeypatch.setattr(preimage, "DEFAULT_NODE_BUDGET", 100)
         with pytest.raises(BudgetError) as err:
-            enumerate_ball(deg2, 0.3, 12.0, node_budget=100)
+            enumerate_ball(deg2, 0.3, 12.0)
         assert err.value.partial is not None
         assert err.value.partial.size() > 0
 
@@ -671,7 +673,7 @@ class TestEnumerateBall:
             assert tree.explored == 1 + 2 * (tree.size() - unsolved)
         assert record.args == (0, 1, 0, tree.expand_radius, 0)
 
-    def test_explored_counts_solved_nodes(self, deg2):
+    def test_explored_counts_solved_nodes(self, deg2, monkeypatch):
         # 1 + 2 x 320,159 solved nodes of 427,153 retained; solving every
         # retained node explored 854,307.
         tree = enumerate_ball(deg2, 0.3, 13.0)
@@ -679,10 +681,11 @@ class TestEnumerateBall:
         assert tree.expand_radius == pytest.approx(12.712318, abs=1e-6)
         # The budget counts the same children.
         small = enumerate_ball(deg2, 0.3, 9.0)
-        assert enumerate_ball(deg2, 0.3, 9.0, node_budget=small.explored).size() \
-            == small.size()
+        monkeypatch.setattr(preimage, "DEFAULT_NODE_BUDGET", small.explored)
+        assert enumerate_ball(deg2, 0.3, 9.0).size() == small.size()
+        monkeypatch.setattr(preimage, "DEFAULT_NODE_BUDGET", small.explored - 1)
         with pytest.raises(BudgetError):
-            enumerate_ball(deg2, 0.3, 9.0, node_budget=small.explored - 1)
+            enumerate_ball(deg2, 0.3, 9.0)
 
     @pytest.mark.parametrize("case", ["deg2", "critical", "square", "random",
                                       "deg2-ray", "packets"])
@@ -707,6 +710,60 @@ class TestEnumerateBall:
             for g, (pts, par, br) in enumerate(gens):
                 assert np.array_equal(tree.points[g], pts)
                 assert np.array_equal(tree.parents[g], par)
+
+
+class TestBallRadii:
+    """`ball_radii` is `enumerate_ball`'s walk with the tree let go: the
+    same radii, counts, budget and DEBUG record."""
+
+    @staticmethod
+    def assert_matches_tree(F, z, R):
+        tree = enumerate_ball(F, z, R)
+        ball = ball_radii(F, z, R)
+        assert np.array_equal(ball.radii, CountingProfile.from_tree(tree).radii)
+        assert (len(ball.radii), ball.explored, ball.expand_radius,
+                ball.base, ball.cutoff) == (tree.size(), tree.explored,
+                                            tree.expand_radius, tree.base,
+                                            tree.cutoff)
+        return ball
+
+    @pytest.mark.parametrize("R", [6.0, 9.0, 13.0])
+    def test_deg2(self, deg2, R):
+        self.assert_matches_tree(deg2, 0.3, R)
+
+    def test_random_models(self):
+        rng = np.random.default_rng(40)
+        for _ in range(6):
+            F, z = random_centered_blaschke(rng), random_disk_point(rng)
+            self.assert_matches_tree(F, z, 10.0)
+
+    def test_base_radius_taken_as_the_tree_takes_it(self, deg2):
+        # At this base point (bench seed 3's seeded count) Python's abs puts
+        # the base radius one ulp above np.abs's, which `radii()` reads;
+        # that ulp alone moves a Cesaro sum.
+        z = -0.318381 + 0.014319j
+        ball = self.assert_matches_tree(deg2, z, 8.0)
+        assert ball.radii[0] == origin_distance(np.abs(np.array([z])))[0]
+        assert self.assert_matches_tree(deg2, 0.99, 1.0).radii.size == 0
+
+    def test_budget(self, deg2):
+        small = ball_radii(deg2, 0.3, 9.0)
+        exact = ball_radii(deg2, 0.3, 9.0, node_budget=small.explored)
+        assert np.array_equal(exact.radii, small.radii)
+        with pytest.raises(BudgetError, match="node budget 100 exceeded at "
+                           "generation 6") as err:
+            ball_radii(deg2, 0.3, 12.0, node_budget=100)
+        assert err.value.partial is None
+
+    def test_one_debug_record_per_walk(self, deg2, caplog):
+        records = []
+        for walk in (enumerate_ball, ball_radii):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="innerlab.preimage"):
+                walk(deg2, 0.3, 9.0)
+            [record] = [r for r in caplog.records if r.msg == preimage._BALL_RECORD]
+            records.append(record.args)
+        assert records[0] == records[1]
 
 
 class TestSchwarzPickBound:
