@@ -13,13 +13,13 @@ from conftest import (aberth_records, critical_points, cubic_critical_point,
                       random_disk_point, whole_generations)
 from innerlab import _roots, preimage
 from innerlab._roots import aberth_batch
+from innerlab.counting import CountingProfile
 from innerlab.errors import (BudgetError, DomainError, NumericalError,
                              PreconditionError)
 from innerlab.hypgeo import origin_distance
 from innerlab.innerfn import InnerModel
 from innerlab.lamination import _sort_roots
 from innerlab.parabolic import HalfPlaneInner, hp_preimages_batch
-from innerlab.counting import CountingProfile
 from innerlab.preimage import ball_radii, enumerate_ball, preimages_of_batch
 
 
